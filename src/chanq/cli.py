@@ -95,44 +95,55 @@ def cmd_quantize(args) -> int:
     return EXIT_OK
 
 
-def _evaluate(g, qg, data, labels, capture, batch):
-    """Shared float-vs-quantized evaluation loop."""
-    acc = SqnrAccumulator(qg.plan)
-    agree = 0
-    float_correct = 0
-    quant_correct = 0
-    saturation: dict[str, int] = {}
-    traces: dict[str, list] = {name: [] for name in capture}
+def _evaluate(g, qgs: dict, data, labels, capture, batch) -> dict:
+    """Shared float-vs-quantized evaluation loop over ``{mode: qg}``.
+
+    The float reference runs once per batch for every quantized model;
+    returns ``{mode: result}``.
+    """
     from .graph import execute_float
+
+    accs = {mode: SqnrAccumulator(qg.plan) for mode, qg in qgs.items()}
+    agree = dict.fromkeys(qgs, 0)
+    quant_correct = dict.fromkeys(qgs, 0)
+    float_correct = 0
+    saturation: dict[str, dict[str, int]] = {mode: {} for mode in qgs}
+    traces = {mode: {name: [] for name in capture} for mode in qgs}
 
     for start in range(0, len(data), batch):
         chunk = data[start : start + batch]
         ref, ref_acts = execute_float(g, chunk, capture=capture)
-        res = execute_quantized(qg, chunk, capture=capture)
-        for name in capture:
-            acc.update(name, ref_acts[name], res.captured[name])
-            traces[name].append(res.captured[name])
-        for k, v in res.saturation.items():
-            saturation[k] = saturation.get(k, 0) + v
         fa = np.argmax(ref, axis=1)
-        qa = np.argmax(res.output, axis=1)
-        agree += int(np.sum(fa == qa))
-        if labels is not None:
-            lab = labels[start : start + len(chunk)]
+        lab = None if labels is None else labels[start : start + len(chunk)]
+        if lab is not None:
             float_correct += int(np.sum(fa == lab))
-            quant_correct += int(np.sum(qa == lab))
+        for mode, qg in qgs.items():
+            res = execute_quantized(qg, chunk, capture=capture)
+            for name in capture:
+                accs[mode].update(name, ref_acts[name], res.captured[name])
+                traces[mode][name].append(res.captured[name])
+            for k, v in res.saturation.items():
+                saturation[mode][k] = saturation[mode].get(k, 0) + v
+            qa = np.argmax(res.output, axis=1)
+            agree[mode] += int(np.sum(fa == qa))
+            if lab is not None:
+                quant_correct[mode] += int(np.sum(qa == lab))
     n = len(data)
-    result = {
-        "samples": n,
-        "top1_agreement": agree / n,
-        "saturation": saturation,
-        "sqnr": acc.report(),
-    }
-    if labels is not None:
-        result["float_top1"] = float_correct / n
-        result["quant_top1"] = quant_correct / n
-    result["traces"] = {name: np.concatenate(chunks) for name, chunks in traces.items()}
-    return result
+    results = {}
+    for mode in qgs:
+        result = {
+            "samples": n,
+            "top1_agreement": agree[mode] / n,
+            "saturation": saturation[mode],
+            "sqnr": accs[mode].report(),
+        }
+        if labels is not None:
+            result["float_top1"] = float_correct / n
+            result["quant_top1"] = quant_correct[mode] / n
+        result["traces"] = {name: np.concatenate(chunks)
+                            for name, chunks in traces[mode].items()}
+        results[mode] = result
+    return results
 
 
 def cmd_eval(args) -> int:
@@ -146,7 +157,7 @@ def cmd_eval(args) -> int:
     data = _load_dataset(args.dataset)
     labels = read_tensor(args.labels) if args.labels else None
     capture = set(g.activation_names()) if args.capture == "all" else set(args.capture.split(","))
-    res = _evaluate(g, qg, data, labels, capture, args.batch)
+    res = _evaluate(g, {qg.plan.mode: qg}, data, labels, capture, args.batch)[qg.plan.mode]
 
     rows = []
     for name in sorted(res["sqnr"]):
@@ -184,11 +195,9 @@ def cmd_compare(args) -> int:
     ofm = {n.name: effective_output(g, n) for n in layer_nodes}
     capture = set(ofm.values())
 
-    per_mode = {}
-    for mode in MODES:
-        plan = solve_plan(g, stats, mode, bit_width=args.bitwidth)
-        qg = quantize_params(g, plan)
-        per_mode[mode] = _evaluate(g, qg, data, labels, capture, args.batch)
+    qgs = {mode: quantize_params(g, solve_plan(g, stats, mode, bit_width=args.bitwidth))
+           for mode in MODES}
+    per_mode = _evaluate(g, qgs, data, labels, capture, args.batch)
 
     rows = []
     for node in layer_nodes:
@@ -249,7 +258,7 @@ def cmd_sweep_profile_size(args) -> int:
             variance = float(np.mean(np.var(fls_draws, axis=0)))
             plan = solve_plan(g, draw_stats[0], mode, bit_width=args.bitwidth)
             qg = quantize_params(g, plan)
-            res = _evaluate(g, qg, data, labels, set(), args.batch)
+            res = _evaluate(g, {mode: qg}, data, labels, set(), args.batch)[mode]
             rows.append([mode, size, match, variance, res["top1_agreement"]])
             doc["modes"][mode].append(
                 {

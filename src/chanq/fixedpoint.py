@@ -18,6 +18,8 @@ FL_MAX = 31
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
+INT64_MIN = np.iinfo(np.int64).min
+INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -113,45 +115,39 @@ def fl_from_max_array(max_abs, bit_width: int, signed) -> np.ndarray:
     )
 
 
-def _shift_right_half_even(acc: np.ndarray, shift: int) -> np.ndarray:
-    # Arithmetic right shift with round-half-to-even; exact for int64 inputs.
-    if shift == 0:
-        return acc.copy()
+def _shift_right_half_even(acc: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    # Arithmetic right shift by 0..63 with round-half-to-even; exact for int64.
     q = acc >> shift
-    r = acc - (q << shift)
-    half = np.int64(1) << (shift - 1)
-    q = q + (r > half)
-    ties = r == half
-    q = q + (ties & ((q & 1) == 1))
-    return q
+    r = acc - (q << shift)  # in [0, 2**shift); q << 63 is at most -2**63
+    half = np.int64(1) << np.maximum(shift - 1, 0)  # at shift 0, r = 0 < half
+    return q + ((r > half) | ((r == half) & ((q & 1) == 1)))
+
+
+def _shift_left_saturating(acc: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    # Left shift by 0..63, saturated to the int64 range where it would wrap.
+    res = acc << shift
+    wrapped = (res >> shift) != acc
+    return np.where(wrapped, np.where(acc < 0, INT64_MIN, INT64_MAX), res)
 
 
 def rounding_shift(acc, shift, out: QFormat | None = None) -> np.ndarray:
     """Rescale accumulator codes by 2**(-shift) with half-even rounding.
 
-    Negative shifts multiply (exact). If ``out`` is given the result is
-    saturated to its code range.
+    Elementwise over ``acc`` and ``shift`` broadcast together. Negative
+    shifts multiply and saturate to the int64 range; right shifts of 64 or
+    more give 0. If ``out`` is given the result is saturated to its code
+    range.
     """
     acc = np.asarray(acc, dtype=np.int64)
-    scalar = acc.ndim == 0
-    acc = np.atleast_1d(acc)
-    shift_arr = np.atleast_1d(np.asarray(shift, dtype=np.int64))
-    if shift_arr.size == 1:
-        s = int(shift_arr.flat[0])
-        res = _shift_right_half_even(acc, s) if s >= 0 else acc << (-s)
-    else:
-        shift_b = np.broadcast_to(shift_arr, acc.shape)
-        res = np.empty_like(acc)
-        for s in np.unique(shift_b):
-            mask = shift_b == s
-            s = int(s)
-            if s >= 0:
-                res[mask] = _shift_right_half_even(acc[mask], s)
-            else:
-                res[mask] = acc[mask] << (-s)
+    shift = np.asarray(shift, dtype=np.int64)
+    res = _shift_right_half_even(acc, np.clip(shift, 0, 63))
+    if shift.max(initial=0) >= 64:  # |acc| <= 2**63, so |acc| / 2**64 <= 1/2 rounds to 0
+        res = np.where(shift >= 64, 0, res)
+    if shift.min(initial=0) < 0:  # shifts of -64 and less wrap for every acc but 0 and -1
+        res = np.where(shift < 0, _shift_left_saturating(acc, np.clip(-shift, 0, 63)), res)
     if out is not None:
         res = np.clip(res, out.min_code, out.max_code)
-    return res[0] if scalar else res
+    return res[()]
 
 
 def mac_product(a_code, a_fl: int, w_code, w_fl: int) -> tuple[np.ndarray, int]:

@@ -39,7 +39,6 @@ class LayerSpec:
     outputs: list[str]
     attrs: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)  # role -> parameter tensor name
-    consumer_activation: str = "none"  # none | relu, filled by validation
 
     def attr_pair(self, key, default=None):
         v = self.attrs.get(key, default)
@@ -184,13 +183,6 @@ def validate(g: Graph) -> Graph:
     if len(terminals) != 1:
         raise GraphError(f"expected exactly one terminal tensor, found {terminals}")
     g.output_name = terminals[0]
-
-    for node in g.nodes:
-        consumers = g.consumers(node.outputs[0])
-        if consumers and all(c.kind == "relu" for c in consumers):
-            node.consumer_activation = "relu"
-        else:
-            node.consumer_activation = "none"
     return g
 
 

@@ -1,8 +1,10 @@
 """Bit-exact 8-bit execution: quantized parameters, 32-bit accumulation,
 and the per-output-channel shift schedule from the plan.
 
-Products of input and kernel codes accumulate exactly in wide integers;
-the accumulator is checked against the 32-bit range (clips are counted,
+Products of input and kernel codes accumulate exactly: as one grouped
+GEMM in float64 while every sum stays below 2**53, in int64 otherwise;
+products of compensated pairs are rounded half-even one by one. The
+accumulator is checked against the 32-bit range (clips are counted,
 not fatal), shifted into the output format with half-even rounding, and
 saturated to the per-channel 8-bit range. ReLU, pooling, addition and
 concatenation all run in the integer domain.
@@ -13,12 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fixedpoint import rounding_shift, saturate_accumulator
 from .graph import Graph, GraphError
 from .planner import LayerPlan, QuantPlan, TensorFormat
-from .tensorops import _as_pair
+from .tensorops import _as_pair, _windows
+
+# Largest temporary of the integer MAC, in elements (one row at least).
+_BLOCK_ELEMS = 2**16
+# Integers below this magnitude, and sums of them, are exact in float64.
+_FLOAT_EXACT = 2**53
 
 
 @dataclass
@@ -90,6 +96,7 @@ def quantize_params(g: Graph, plan: QuantPlan) -> QuantizedGraph:
             scale = 2.0 ** lp.ker_fl.astype(np.float64)
             kcodes = np.rint(w * scale[:, :, None, None])
         else:
+            _fc_group_size(node.name, lp, w.shape[1])
             fl_per_elem = lp.ker_fl[:, lp.in_groups]  # [U, D]
             kcodes = np.rint(w * 2.0 ** fl_per_elem.astype(np.float64))
         kernels[node.name] = np.clip(kcodes, kq_lo, kq_hi).astype(np.int64)
@@ -99,13 +106,15 @@ def quantize_params(g: Graph, plan: QuantPlan) -> QuantizedGraph:
     return QuantizedGraph(graph=g, plan=plan, kernels=kernels, biases=biases)
 
 
-def _int_windows(codes: np.ndarray, kh: int, kw: int, stride, pad) -> np.ndarray:
-    sh, sw = _as_pair(stride)
-    ph, pw = _as_pair(pad)
-    if ph or pw:
-        codes = np.pad(codes, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(codes, (kh, kw), axis=(2, 3))
-    return win[:, :, ::sh, ::sw, :, :]
+def _fc_group_size(node_name: str, lp: LayerPlan, d: int) -> int:
+    """Elements per input group of an fc plan, whose ``in_groups`` must map
+    the D inputs onto its G groups as contiguous blocks of equal size."""
+    g_n = lp.comp_shift.shape[1]
+    if (lp.in_groups is None or d % g_n
+            or not np.array_equal(lp.in_groups, np.repeat(np.arange(g_n), d // g_n))):
+        raise GraphError(f"plan layer {node_name!r}: fc input groups are not "
+                         f"{g_n} contiguous blocks of equal size over {d} inputs")
+    return d // g_n
 
 
 def _finish_accumulator(acc, bias_codes, lp: LayerPlan, out_fmt: TensorFormat,
@@ -120,22 +129,74 @@ def _finish_accumulator(acc, bias_codes, lp: LayerPlan, out_fmt: TensorFormat,
     return out, clipped
 
 
+def _abs_max(codes: np.ndarray) -> int:
+    return max(int(codes.max(initial=0)), -int(codes.min(initial=0)))
+
+
+def _grouped_mac(src: np.ndarray, row_ndim: int, ker: np.ndarray, comp: np.ndarray,
+                 x_max: int) -> np.ndarray:
+    """Exact grouped integer MAC.
+
+    ``src`` is a [*taps, I, *rows] view of the input codes: T taps (in one
+    or more axes) and I inputs for each of the M rows indexed by its last
+    ``row_ndim`` axes. ``ker`` is [O, I, T] and ``comp`` [O, I] the right
+    shift applied to each product of a pair. Returns the int64 accumulator
+    [O, M] with
+
+        acc[o, m] = sum_i sum_t round_half_even(x[t, i, m] * ker[o, i, t] / 2**comp[o, i]).
+
+    Unshifted pairs run as one GEMM, with the kernels of shifted pairs
+    zeroed. For each tap, the products of the shifted pairs are rounded one
+    by one; a one-hot GEMM then adds each pair's sum into its output.
+    Both run in float64 when max|x| * max|ker| * I * T < 2**53, so that
+    every product and partial sum is an exact integer, and in int64 otherwise.
+    Rows go in blocks so that no temporary exceeds ``_BLOCK_ELEMS``.
+    """
+    o_n, i_n, t_n = ker.shape
+    lead = src.shape[src.ndim - row_ndim:]
+    n_rows = int(np.prod(lead))
+    po, pi = np.nonzero(comp)
+    shifts = comp[po, pi][:, None]
+    in_float = x_max * _abs_max(ker) * i_n * t_n < _FLOAT_EXACT
+    dt = np.float64 if in_float else np.int64
+    k_gemm = np.where(comp[:, :, None] == 0, ker, 0).transpose(0, 2, 1).reshape(o_n, -1).astype(dt)
+    k_pairs = ker[po, pi].T[:, :, None]  # [T, P, 1]
+    if in_float:
+        k_pairs = k_pairs * 2.0 ** -shifts  # a power of two: exact
+
+        def rounded(prods):
+            return np.rint(prods, out=prods)  # half-even
+    else:
+        def rounded(prods):
+            return rounding_shift(prods, shifts)
+    scatter = (np.arange(o_n)[:, None] == po).astype(dt)  # [O, P] one-hot
+    rows = max(1, _BLOCK_ELEMS // max(i_n * t_n, len(po), o_n))
+    acc = np.empty((o_n, n_rows), dtype=np.int64)
+    for r0 in range(0, n_rows, rows):
+        r1 = min(r0 + rows, n_rows)
+        x = src[(...,) + np.unravel_index(np.arange(r0, r1), lead)]
+        x = x.reshape(t_n, i_n, r1 - r0).astype(dt, copy=False)
+        block = k_gemm @ x.reshape(t_n * i_n, -1)
+        if len(po):
+            part = np.zeros((len(po), r1 - r0), dtype=dt)
+            for t in range(t_n):
+                part += rounded(x[t, pi] * k_pairs[t])
+            block += scatter @ part
+        acc[:, r0:r1] = block
+    return acc
+
+
 def _run_conv(node, codes_in, qg: QuantizedGraph):
     lp = qg.plan.layers[node.name]
     ker = qg.kernels[node.name]
-    kh, kw = ker.shape[2], ker.shape[3]
-    win = _int_windows(codes_in, kh, kw, node.attr_pair("stride", 1), node.attr_pair("pad", 0))
+    co, ci, kh, kw = ker.shape
+    win = _windows(codes_in, kh, kw, node.attr_pair("stride", 1), node.attr_pair("pad", 0))
     if node.kind == "conv":
-        if (lp.comp_shift > 0).any():
-            n, oh, ow = win.shape[0], win.shape[2], win.shape[3]
-            acc = np.zeros((n, ker.shape[0], oh, ow), dtype=np.int64)
-            for j in range(ker.shape[0]):
-                for i in range(ker.shape[1]):
-                    prods = win[:, i] * ker[j, i]  # [N, H', W', Kh, Kw]
-                    prods = rounding_shift(prods, int(lp.comp_shift[j, i]))
-                    acc[:, j] += prods.sum(axis=(3, 4))
-        else:
-            acc = np.einsum("nihwkl,oikl->nohw", win, ker)
+        n, _, oh, ow = win.shape[:4]
+        src = win.transpose(4, 5, 1, 0, 2, 3)  # [Kh, Kw, Ci, N, H', W'], a view
+        acc = _grouped_mac(src, 3, ker.reshape(co, ci, kh * kw), lp.comp_shift,
+                           _abs_max(codes_in))
+        acc = acc.reshape(co, n, oh, ow).transpose(1, 0, 2, 3)
     else:  # depthwise: no compensation can arise (tight fls never clamp)
         acc = np.einsum("nchwkl,ckl->nchw", win, ker[:, 0])
     out_fmt = qg.plan.tensors[node.outputs[0]]
@@ -146,15 +207,10 @@ def _run_fc(node, codes_in, qg: QuantizedGraph):
     lp = qg.plan.layers[node.name]
     ker = qg.kernels[node.name]  # [U, D]
     x = codes_in.reshape(codes_in.shape[0], -1)  # NCHW row-major flatten
-    if (lp.comp_shift > 0).any():
-        shifts = lp.comp_shift[:, lp.in_groups]  # [U, D]
-        acc = np.zeros((x.shape[0], ker.shape[0]), dtype=np.int64)
-        for u in range(ker.shape[0]):
-            prods = x * ker[u][None, :]
-            prods = rounding_shift(prods, shifts[u][None, :])
-            acc[:, u] = prods.sum(axis=1)
-    else:
-        acc = np.einsum("nd,ud->nu", x, ker)
+    u, d = ker.shape
+    t = _fc_group_size(node.name, lp, d)
+    src = x.reshape(len(x), d // t, t).transpose(2, 1, 0)  # [T, G, N], a view
+    acc = _grouped_mac(src, 1, ker.reshape(u, d // t, t), lp.comp_shift, _abs_max(x)).T
     out_fmt = qg.plan.tensors[node.outputs[0]]
     return _finish_accumulator(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
 
@@ -172,7 +228,7 @@ def _div_half_even(acc: np.ndarray, divisor: int) -> np.ndarray:
 def _run_pool(node, codes_in):
     wh, ww = node.attr_pair("window")
     stride = node.attrs.get("stride", node.attrs.get("window"))
-    win = _int_windows(codes_in, wh, ww, _as_pair(stride), node.attr_pair("pad", 0))
+    win = _windows(codes_in, wh, ww, _as_pair(stride), node.attr_pair("pad", 0))
     if node.kind == "maxpool":
         return win.max(axis=(4, 5))
     return _div_half_even(win.sum(axis=(4, 5)), wh * ww)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chanq.fixedpoint import (
     QFormat,
@@ -102,6 +104,54 @@ class TestRoundingShift:
         acc = np.array([300, 300, 5])
         got = rounding_shift(acc, np.array([3, 1, -2]))
         np.testing.assert_array_equal(got, [38, 150, 20])
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+SHIFTS = st.integers(-93, 93)  # output shifts of fls in [-31, 31]
+
+
+def _oracle_shift(acc: int, shift: int) -> int:
+    """Python big-int reference: half-even right shift, saturating left shift."""
+    if shift >= 0:
+        q, r = divmod(acc, 2**shift)
+        if 2 * r > 2**shift or (2 * r == 2**shift and q % 2 == 1):
+            q += 1
+        return q
+    return min(max(acc << -shift, -(2**63)), 2**63 - 1)
+
+
+class TestRoundingShiftEdges:
+    def test_left_shift_saturates(self):
+        assert rounding_shift(2**31 - 1, -40) == 2**63 - 1
+        assert rounding_shift(-(2**31), -40) == -(2**63)
+        assert rounding_shift(1, -63) == 2**63 - 1
+        assert rounding_shift(-1, -63) == -(2**63)
+        assert rounding_shift(0, -93) == 0
+
+    def test_large_right_shifts_round_to_zero(self):
+        assert rounding_shift(5, 64) == 0
+        assert rounding_shift(-5, 70) == 0
+        assert rounding_shift(-(2**63), 64) == 0  # -1/2 ties to even 0
+        assert rounding_shift(2**63 - 1, 93) == 0
+
+    def test_shift_63(self):
+        assert rounding_shift(-(2**63), 63) == -1
+        assert rounding_shift(2**63 - 1, 63) == 1
+        assert rounding_shift(2**62, 63) == 0  # tie at 1/2 -> even 0
+        assert rounding_shift(-(2**62), 63) == 0
+        assert rounding_shift(2**62 + 1, 63) == 1
+
+    @given(INT64, SHIFTS)
+    def test_matches_big_int_oracle(self, acc, shift):
+        assert int(rounding_shift(acc, shift)) == _oracle_shift(acc, shift)
+
+    @given(st.lists(st.tuples(INT64, SHIFTS), min_size=1, max_size=40))
+    def test_broadcast_lanes_match_oracle(self, lanes):
+        acc = np.array([a for a, _ in lanes], dtype=np.int64)
+        shift = np.array([s for _, s in lanes], dtype=np.int64)
+        got = rounding_shift(acc[:, None], shift[:, None] + np.array([0, 1]))
+        for k, (a, s) in enumerate(lanes):
+            assert [int(v) for v in got[k]] == [_oracle_shift(a, s), _oracle_shift(a, s + 1)]
 
 
 class TestMacProduct:

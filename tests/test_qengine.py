@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from chanq.fixedpoint import QFormat, quantize
-from chanq.graph import Graph, LayerSpec, execute_float, validate
-from chanq.planner import QuantPlan, TensorFormat, solve_plan
+from chanq import qengine
+from chanq.cli import main
+from chanq.fixedpoint import rounding_shift
+from chanq.flsolver import default_classifier
+from chanq.graph import Graph, GraphError, LayerSpec, execute_float, validate
+from chanq.planner import MODES, LayerPlan, QuantPlan, TensorFormat, solve_plan
 from chanq.profiling import collect_stats
 from chanq.qengine import (
     QuantizedGraph,
@@ -319,3 +322,154 @@ class TestSqnrReport:
         rep = sqnr_report(acts, res.captured, plan)
         assert rep["t1"]["per_channel"].shape == (4,)
         assert np.isfinite(rep["t1"]["pooled"])
+
+
+# ---------------------------------------------------------------------------
+# The per-pair loop the grouped MAC replaced, kept as its oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_conv(node, codes_in, qg):
+    """Integer conv/depthwise layer: one product array per (out, in) pair,
+    each rounding-shifted by its compensation shift, summed in int64."""
+    from chanq.tensorops import _windows
+
+    lp = qg.plan.layers[node.name]
+    ker = qg.kernels[node.name]
+    win = _windows(codes_in, ker.shape[2], ker.shape[3],
+                   node.attr_pair("stride", 1), node.attr_pair("pad", 0))
+    n, oh, ow = win.shape[0], win.shape[2], win.shape[3]
+    acc = np.zeros((n, ker.shape[0], oh, ow), dtype=np.int64)
+    for j in range(ker.shape[0]):
+        for i in range(ker.shape[1]):
+            src = i if node.kind == "conv" else j  # depthwise pairs channel j with itself
+            prods = win[:, src] * ker[j, i]  # [N, H', W', Kh, Kw]
+            acc[:, j] += rounding_shift(prods, int(lp.comp_shift[j, i])).sum(axis=(3, 4))
+    out_fmt = qg.plan.tensors[node.outputs[0]]
+    return qengine._finish_accumulator(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
+
+
+def _oracle_fc(node, codes_in, qg):
+    lp = qg.plan.layers[node.name]
+    ker = qg.kernels[node.name]  # [U, D]
+    x = codes_in.reshape(codes_in.shape[0], -1)
+    shifts = lp.comp_shift[:, lp.in_groups]  # [U, D]
+    acc = np.zeros((x.shape[0], ker.shape[0]), dtype=np.int64)
+    for u in range(ker.shape[0]):
+        acc[:, u] = rounding_shift(x * ker[u][None, :], shifts[u][None, :]).sum(axis=1)
+    out_fmt = qg.plan.tensors[node.outputs[0]]
+    return qengine._finish_accumulator(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
+
+
+def _check_layers_against_oracle(qg, x) -> int:
+    """Run the engine, then replay every conv/fc layer through the oracle on
+    the captured input codes; returns the number of shifted pairs seen."""
+    g, plan = qg.graph, qg.plan
+    res = execute_quantized(qg, x, capture=g.activation_names())
+    codes = {g.input_name: quantize_tensor(x, plan.tensors[g.input_name], plan.bit_width)}
+    codes.update({k: v.astype(np.int64) for k, v in res.captured.items()})
+    shifted = 0
+    for node in g.nodes:
+        if node.kind not in ("conv", "depthwise_conv", "fc"):
+            continue
+        oracle = _oracle_fc if node.kind == "fc" else _oracle_conv
+        want, clipped = oracle(node, codes[node.inputs[0]], qg)
+        np.testing.assert_array_equal(codes[node.outputs[0]], want, err_msg=node.name)
+        assert res.saturation[node.name] == clipped, node.name
+        shifted += int((plan.layers[node.name].comp_shift > 0).sum())
+    return shifted
+
+
+class TestGroupedMacOracle:
+    @pytest.mark.parametrize("arch", ["classifier", "hetero_conv", "homogeneous", "residual",
+                                      "concat", "depthwise"])
+    def test_codes_and_saturation_match_per_pair_loop(self, arch):
+        from chanq.synthetic import SynthSpec, build_graph, gen_dataset
+
+        spec = SynthSpec(arch=arch, in_channels=3, channels=4, image_size=8, samples=12,
+                         scale_span_bits=4.0, input_scale_span_bits=4.0, seed=2)
+        g = build_graph(spec)
+        x, _ = gen_dataset(g, spec)
+        stats = collect_stats(g, [x])
+        # the engine sees only fls: the shipped 8-bit family classifier stands
+        # in at 16 bits, whose own corpus takes minutes to build
+        knn = default_classifier(8)
+        shifted = 0
+        for bw in (8, 16):
+            for mode in MODES:
+                qg = quantize_params(g, solve_plan(g, stats, mode, bit_width=bw, knn_model=knn))
+                shifted += _check_layers_against_oracle(qg, x)
+        assert shifted > 0  # the compensation path ran
+
+    def test_int64_path_is_exact_beyond_float64(self):
+        # 24-bit codes: max|x| * max|w| * I * T = 2**23 * 2**23 * 256 >= 2**53,
+        # so the MAC must leave float64, whose sums here would drop low bits
+        rng = np.random.default_rng(11)
+        m, o, i, t = 5, 3, 8, 32
+        x = rng.integers(2**23 - 4096, 2**23, size=(m, i, t))
+        ker = rng.integers(2**22, 2**23, size=(o, i, t))
+        comp = rng.integers(0, 3, size=(o, i))
+        comp[0] = 0  # one output channel takes the GEMM path alone
+        acc = qengine._grouped_mac(x.transpose(2, 1, 0), 1, ker, comp, int(x.max()))
+        want = [[sum(int(rounding_shift(int(x[r, c, k]) * int(ker[u, c, k]), int(comp[u, c])))
+                     for c in range(i) for k in range(t)) for u in range(o)] for r in range(m)]
+        assert acc.dtype == np.int64
+        assert acc.T.tolist() == want
+        in_float = x.reshape(m, -1).astype(np.float64) @ ker[0].reshape(-1).astype(np.float64)
+        assert in_float.astype(np.int64).tolist() != [row[0] for row in want]
+
+    def test_24_bit_fc_matches_oracle(self):
+        rng = np.random.default_rng(12)
+        fc = LayerSpec("f0", "fc", ["x"], ["y"], params={"weight": "f0.weight", "bias": "f0.bias"})
+        g = validate(Graph("x", (1, 4, 8, 8), [fc], {
+            "f0.weight": rng.normal(0, 0.5, size=(3, 256)).astype(np.float32),
+            "f0.bias": rng.normal(0, 0.1, size=3).astype(np.float32)}))
+        ifm = np.array([20, 21, 22, 20])
+        ker_fl = np.array([[23, 19, 20, 20]] * 3)
+        comp = np.array([[3, 0, 2, 0]] * 3)
+        bias_fl = ker_fl[0] + ifm - comp[0]
+        assert (bias_fl == bias_fl[0]).all()
+        plan = QuantPlan(mode="cw_max", bit_width=24)
+        plan.tensors["x"] = TensorFormat(fls=ifm, signed=np.full(4, True))
+        plan.tensors["y"] = TensorFormat(fls=np.full(3, 18), signed=np.full(3, True))
+        plan.layers["f0"] = LayerPlan(
+            ker_fl=ker_fl, bias_fl=np.full(3, bias_fl[0]), shift=np.full(3, bias_fl[0] - 18),
+            comp_shift=comp, ker_fl_layerwise=21, in_groups=np.repeat(np.arange(4), 64))
+        qg = quantize_params(g, plan)
+        x = rng.normal(0, 2.0, size=(6, 4, 8, 8)).astype(np.float32)
+        assert _check_layers_against_oracle(qg, x) > 0
+
+
+class TestFcGroupLayout:
+    def test_non_contiguous_groups_raise(self):
+        g, x, stats = _toy_net_and_data()
+        plan = solve_plan(g, stats, "cw_max")
+        qg = quantize_params(g, plan)
+        fc = next(n for n in g.nodes if n.kind == "fc")
+        lp = plan.layers[fc.name]
+        lp.in_groups = lp.in_groups.reshape(lp.comp_shift.shape[1], -1).T.ravel()  # interleaved
+        with pytest.raises(GraphError, match="contiguous blocks"):
+            execute_quantized(qg, x[:2])
+        with pytest.raises(GraphError, match="contiguous blocks"):
+            quantize_params(g, plan)
+
+    def test_eval_exits_2_with_one_line(self, tmp_path, capsys):
+        import json
+
+        assert main(["gen-synthetic", "--arch", "hetero_conv", "--channels", "4",
+                     "--image-size", "8", "--samples", "8", "--seed", "3",
+                     "--out", str(tmp_path / "m")]) == 0
+        model = ["--model", str(tmp_path / "m" / "model.json")]
+        data = ["--dataset", str(tmp_path / "m" / "data.qtsr")]
+        assert main(["profile", *model, *data, "--out", str(tmp_path / "s.json")]) == 0
+        assert main(["quantize", *model, "--stats", str(tmp_path / "s.json"), "--mode", "cw_max",
+                     "--out", str(tmp_path / "q")]) == 0
+        plan_path = tmp_path / "q" / "plan.json"
+        doc = json.loads(plan_path.read_text())
+        fc = next(ld for ld in doc["layers"].values() if ld["in_groups"] is not None)
+        fc["in_groups"] = fc["in_groups"][::-1]
+        plan_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["eval", *model, *data, "--plan", str(plan_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "contiguous blocks" in err

@@ -7,7 +7,7 @@ SQNR comparisons can be reproduced at desk scale.
 
 __version__ = "0.1.0"
 
-from .fixedpoint import QFormat, dequantize, fl_from_max, mac_product, quantize, rounding_shift
+from .fixedpoint import QFormat, dequantize, fl_from_max, quantize, rounding_shift
 from .flsolver import (
     classify_pdf,
     label_channel,
@@ -29,7 +29,6 @@ __all__ = [
     "dequantize",
     "fl_from_max",
     "rounding_shift",
-    "mac_product",
     "Graph",
     "GraphError",
     "LayerSpec",

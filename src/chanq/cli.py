@@ -54,7 +54,10 @@ def _load_dataset(path) -> np.ndarray:
         data = data[None]
     if data.ndim != 4 and data.ndim != 2:
         raise TensorFileError(f"{path}: expected a batch of inputs, got rank {data.ndim}")
-    return data.astype(np.float32)
+    data = data.astype(np.float32)
+    if not np.isfinite(data).all():
+        raise TensorFileError(f"{path}: dataset holds non-finite values")
+    return data
 
 
 def _profile_subset(data: np.ndarray, n: int | None, seed: int) -> np.ndarray:
@@ -225,10 +228,8 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _activation_fls(g, stats, mode, bitwidth):
-    plan = solve_plan(g, stats, mode, bit_width=bitwidth)
-    names = [t for t in g.activation_names()]
-    return np.concatenate([plan.tensors[t].fls for t in names])
+def _activation_fls(g, plan):
+    return np.concatenate([plan.tensors[t].fls for t in g.activation_names()])
 
 
 def cmd_sweep_profile_size(args) -> int:
@@ -239,7 +240,8 @@ def cmd_sweep_profile_size(args) -> int:
     sweep_modes = ("cw_max", "cw_laplace")
 
     ref_stats = collect_stats(g, _iter_batches(data, args.batch))
-    ref_fls = {m: _activation_fls(g, ref_stats, m, args.bitwidth) for m in sweep_modes}
+    ref_fls = {m: _activation_fls(g, solve_plan(g, ref_stats, m, bit_width=args.bitwidth))
+               for m in sweep_modes}
 
     rows = []
     doc = {"sizes": sizes, "draws": args.draws, "modes": {m: [] for m in sweep_modes}}
@@ -251,13 +253,11 @@ def cmd_sweep_profile_size(args) -> int:
             for d in range(args.draws)
         ]
         for mode in sweep_modes:
-            fls_draws = np.array(
-                [_activation_fls(g, stats, mode, args.bitwidth) for stats in draw_stats]
-            )
+            plans = [solve_plan(g, stats, mode, bit_width=args.bitwidth) for stats in draw_stats]
+            fls_draws = np.array([_activation_fls(g, plan) for plan in plans])
             match = float(np.mean(fls_draws == ref_fls[mode][None, :]))
             variance = float(np.mean(np.var(fls_draws, axis=0)))
-            plan = solve_plan(g, draw_stats[0], mode, bit_width=args.bitwidth)
-            qg = quantize_params(g, plan)
+            qg = quantize_params(g, plans[0])
             res = _evaluate(g, {mode: qg}, data, labels, set(), args.batch)[mode]
             rows.append([mode, size, match, variance, res["top1_agreement"]])
             doc["modes"][mode].append(

@@ -80,39 +80,28 @@ def dequantize(codes, q: QFormat) -> np.ndarray:
     return codes.astype(np.float64) * (2.0**-q.frac_len)
 
 
-def fl_from_max(max_abs: float, bit_width: int, signed: bool) -> int:
+def fl_from_max(max_abs, bit_width: int, signed):
     """Largest fractional length whose range still covers ``max_abs``.
 
-    Reserves enough integer bits to include at least the max value; an
-    all-zero extent (max_abs == 0) gets the finest representable fl.
+    Reserves enough integer bits to include at least the max value, i.e.
+    the largest fl with ``max_abs <= max_code * 2**-fl``, clipped to
+    [FL_MIN, FL_MAX]. With ``max_abs = m_a * 2**e_a`` and ``max_code =
+    m_c * 2**e_c`` (mantissas in [1/2, 1)) that fl is exactly
+    ``e_c - e_a - (m_a > m_c)``. An all-zero extent (max_abs == 0) gets the
+    finest representable fl. Works elementwise over arrays (``signed`` may
+    be per channel); a scalar extent gives an int. NaN, infinite and
+    negative extents raise ValueError.
     """
-    if max_abs < 0:
-        raise ValueError("max_abs must be >= 0")
-    if max_abs == 0:
-        return FL_MAX
-    max_code = 2 ** (bit_width - 1) - 1 if signed else 2**bit_width - 1
-    # Initial guess from logs, then exact fix-up: max_code * 2.0**-fl and the
-    # comparison are both exact in float64 for fl in [-31, 31].
-    fl = int(np.floor(np.log2(max_code / max_abs)))
-    fl = min(max(fl, FL_MIN), FL_MAX)
-    while fl > FL_MIN and max_abs > max_code * 2.0**-fl:
-        fl -= 1
-    while fl < FL_MAX and max_abs <= max_code * 2.0 ** -(fl + 1):
-        fl += 1
-    return fl
-
-
-def fl_from_max_array(max_abs, bit_width: int, signed) -> np.ndarray:
-    """Vectorized :func:`fl_from_max` over per-channel maxima.
-
-    ``signed`` may be a scalar or a per-channel boolean array.
-    """
-    max_abs = np.atleast_1d(np.asarray(max_abs, dtype=np.float64))
-    signed = np.broadcast_to(np.asarray(signed, dtype=bool), max_abs.shape)
-    return np.array(
-        [fl_from_max(m, bit_width, s) for m, s in zip(max_abs, signed)],
-        dtype=np.int64,
-    )
+    max_abs = np.asarray(max_abs, dtype=np.float64)
+    bad = max_abs[~(max_abs >= 0) | np.isinf(max_abs)]  # NaN fails >= 0
+    if bad.size:
+        raise ValueError(f"max_abs must be finite and >= 0, got {bad[0]}")
+    max_code = np.where(signed, 2.0 ** (bit_width - 1) - 1, 2.0**bit_width - 1)
+    m_abs, e_abs = np.frexp(max_abs)
+    m_code, e_code = np.frexp(max_code)
+    fl = np.clip(e_code - e_abs - (m_abs > m_code), FL_MIN, FL_MAX)
+    fl = np.where(max_abs == 0, FL_MAX, fl).astype(np.int64)
+    return int(fl) if fl.ndim == 0 else fl
 
 
 def _shift_right_half_even(acc: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -148,12 +137,6 @@ def rounding_shift(acc, shift, out: QFormat | None = None) -> np.ndarray:
     if out is not None:
         res = np.clip(res, out.min_code, out.max_code)
     return res[()]
-
-
-def mac_product(a_code, a_fl: int, w_code, w_fl: int) -> tuple[np.ndarray, int]:
-    """Exact integer product of operand codes; product fl is the sum of fls."""
-    prod = np.asarray(a_code, dtype=np.int64) * np.asarray(w_code, dtype=np.int64)
-    return prod, a_fl + w_fl
 
 
 def saturate_accumulator(acc) -> tuple[np.ndarray, int]:

@@ -46,6 +46,10 @@ class LayerSpec:
             raise GraphError(f"node {self.name}: missing attribute {key!r}")
         return ops._as_pair(v)
 
+    def pool_stride(self):
+        """Pooling stride; defaults to the window."""
+        return self.attr_pair("stride", self.attrs.get("window"))
+
 
 @dataclass
 class Graph:
@@ -64,6 +68,11 @@ class Graph:
 
     def consumers(self, tensor: str) -> list[LayerSpec]:
         return [n for n in self.nodes if tensor in n.inputs]
+
+    def feeds_only_relu(self, tensor: str) -> bool:
+        """True when the tensor has consumers and every one is a relu."""
+        consumers = self.consumers(tensor)
+        return bool(consumers) and all(c.kind == "relu" for c in consumers)
 
     def activation_names(self) -> list[str]:
         names = [self.input_name]
@@ -132,9 +141,7 @@ def _infer_shape(node: LayerSpec, in_shapes: list[tuple], params: dict) -> tuple
     if kind in ("maxpool", "avgpool"):
         (n, c, h, w) = in_shapes[0]
         wh, ww = node.attr_pair("window")
-        stride = node.attr_pair("stride", node.attrs.get("window"))
-        pad = node.attr_pair("pad", 0)
-        oh, ow = ops.conv_output_hw(h, w, wh, ww, stride, pad)
+        oh, ow = ops.conv_output_hw(h, w, wh, ww, node.pool_stride(), node.attr_pair("pad", 0))
         return (n, c, oh, ow)
     if kind == "add":
         a, b = in_shapes
@@ -344,8 +351,7 @@ def _run_node(node: LayerSpec, inputs: list[np.ndarray], params: dict) -> np.nda
     if kind == "relu":
         return ops.relu(inputs[0])
     if kind in ("maxpool", "avgpool"):
-        stride = node.attrs.get("stride", node.attrs.get("window"))
-        return ops.pool(inputs[0], kind[:3], node.attr_pair("window"), stride,
+        return ops.pool(inputs[0], kind[:3], node.attr_pair("window"), node.pool_stride(),
                         node.attr_pair("pad", 0))
     if kind == "add":
         return ops.add_elementwise(inputs[0], inputs[1])
@@ -358,10 +364,7 @@ def effective_output(g: Graph, node: LayerSpec) -> str:
     """A layer's output as it feeds forward: the relu output when the layer
     is solely consumed by a relu (fused view), else the layer's own tensor."""
     out = node.outputs[0]
-    consumers = g.consumers(out)
-    if consumers and all(c.kind == "relu" for c in consumers):
-        return consumers[0].outputs[0]
-    return out
+    return g.consumers(out)[0].outputs[0] if g.feeds_only_relu(out) else out
 
 
 def execute_float(g: Graph, x: np.ndarray, capture=()) -> tuple[np.ndarray, dict]:

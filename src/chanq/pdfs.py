@@ -3,8 +3,9 @@
 Families: laplace, gaussian, and a heavy-tailed quartic-decay density
 (``super_cauchy``) truncated to a finite scale-normalized window, plus a
 uniform family kept for tests. Fitting matches location to the mean and
-scale to the variance; for the truncated family the scale comes from a
-bisection against the numerically integrated model variance.
+scale to the variance; every family's variance is scale**2 times a
+constant (for the truncated family, a numerically integrated one), so the
+scale is sigma over that constant's square root.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ def fit_pdf(mean: float, sigma: float, family: str,
             truncation: float = DEFAULT_TRUNCATION) -> PdfModel:
     """Fit a model of the given family to a channel's mean and sigma.
 
-    The truncated family's scale is found by bisection so that its
-    numerically integrated variance matches sigma**2 to 1e-6 relative.
+    The scale is the one whose model variance equals sigma**2; for the
+    truncated family that is sigma / sqrt(quartic_unit_variance(truncation)).
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive to fit a density")
@@ -125,24 +126,8 @@ def fit_pdf(mean: float, sigma: float, family: str,
         return PdfModel("uniform", float(mean), float(sigma) * sqrt(3.0))
     if family != "super_cauchy":
         raise ValueError(f"unknown family {family!r}")
-    target = float(sigma) ** 2
-    lo, hi = sigma / 8.0, sigma * 8.0
-
-    def var_at(gamma):
-        return model_variance(PdfModel("super_cauchy", float(mean), gamma, truncation))
-
-    # Variance grows monotonically with the scale.
-    while var_at(lo) > target:
-        lo /= 2.0
-    while var_at(hi) < target:
-        hi *= 2.0
-    while (hi - lo) > 1e-6 * lo:
-        mid = 0.5 * (lo + hi)
-        if var_at(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return PdfModel("super_cauchy", float(mean), 0.5 * (lo + hi), truncation)
+    scale = float(sigma) / sqrt(quartic_unit_variance(truncation))
+    return PdfModel("super_cauchy", float(mean), scale, truncation)
 
 
 _SC_INVCDF_CACHE: dict[float, tuple[np.ndarray, np.ndarray]] = {}

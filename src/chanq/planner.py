@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flsolver
-from .fixedpoint import QFormat, fl_from_max, fl_from_max_array
+from .fixedpoint import fl_from_max
 from .graph import Graph
 from .profiling import ChannelStats, TensorStats, standardized_moments
 
@@ -34,9 +34,6 @@ class TensorFormat:
     fls: np.ndarray  # int64 [C]
     signed: np.ndarray  # bool [C]
     layer_wide: bool = False  # single fl spans the tensor (FC outputs, layerwise mode)
-
-    def qformat(self, bit_width: int, channel: int) -> QFormat:
-        return QFormat(bit_width, int(self.fls[channel]), bool(self.signed[channel]))
 
 
 @dataclass
@@ -86,22 +83,6 @@ def coordinate_layer(fl_ifm, fl_ker_tight, fl_ofm, fl_ker_layerwise: int):
     return adjusted, bias_fl, shift, comp
 
 
-def _tight_kernel_fls(node_kind: str, w: np.ndarray, bit_width: int,
-                      layerwise_input: bool) -> np.ndarray:
-    absw = np.abs(w)
-    if node_kind == "conv":
-        maxes = absw.max(axis=(2, 3))  # [Co, Ci]
-    elif node_kind == "depthwise_conv":
-        maxes = absw.max(axis=(1, 2, 3))[:, None]  # [C, 1]
-    else:  # fc: one fl per unit, or one per layer on a layer-wise path
-        if layerwise_input:
-            maxes = np.full((w.shape[0], 1), absw.max())
-        else:
-            maxes = absw.max(axis=1)[:, None]  # [U, 1], broadcast over groups later
-    shape = maxes.shape
-    return fl_from_max_array(maxes.ravel(), bit_width, True).reshape(shape)
-
-
 class _PlanBuilder:
     def __init__(self, g: Graph, stats: dict, mode: str, bit_width: int, knn_model):
         self.g = g
@@ -118,22 +99,18 @@ class _PlanBuilder:
 
     def _unsigned(self, name: str) -> bool:
         producer = self.g.producer(name)
-        if producer is not None and producer.kind == "relu":
-            return True
-        consumers = self.g.consumers(name)
-        return bool(consumers) and all(c.kind == "relu" for c in consumers)
+        return (producer is not None and producer.kind == "relu") or self.g.feeds_only_relu(name)
 
-    def _fl_one(self, cs: ChannelStats, idx: int, signed: bool) -> int:
-        mode = self.mode
-        if mode in ("layerwise_max", "cw_max"):
-            return fl_from_max(float(cs.max_abs[idx]), self.bit_width, signed)
-        if cs.degenerate[idx]:
-            return fl_from_max(float(cs.max_abs[idx]), self.bit_width, signed)
-        if mode == "cw_pdf_aware":
-            family = flsolver.classify_pdf(standardized_moments(cs)[idx], self.knn)
-        else:
-            family = _MODE_FAMILY[mode]
-        return flsolver.optimal_fl(cs, family, self.bit_width, signed, channel=idx)
+    def _fls(self, cs: ChannelStats, signed: bool) -> np.ndarray:
+        """Per-channel fls of one stats record under the plan's mode."""
+        fls = fl_from_max(cs.max_abs, self.bit_width, signed)
+        if self.mode in ("layerwise_max", "cw_max"):
+            return fls
+        feats = standardized_moments(cs)
+        for i in np.flatnonzero(~cs.degenerate):  # degenerate channels keep the MAX rule
+            family = _MODE_FAMILY.get(self.mode) or flsolver.classify_pdf(feats[i], self.knn)
+            fls[i] = flsolver.optimal_fl(cs, family, self.bit_width, signed, channel=i)
+        return fls
 
     def _stats_based_format(self, name: str) -> TensorFormat:
         ts = self._tensor_stats(name)
@@ -141,33 +118,31 @@ class _PlanBuilder:
         signed = not self._unsigned(name)
         producer = self.g.producer(name)
         layer_wide = self.mode == "layerwise_max" or (producer is not None and producer.kind == "fc")
-        if layer_wide:
-            fl = self._fl_one(ts.pooled, 0, signed)
-            fls = np.full(channels, fl, dtype=np.int64)
-        else:
-            fls = np.array(
-                [self._fl_one(ts.per_channel, i, signed) for i in range(channels)],
-                dtype=np.int64,
-            )
-        return TensorFormat(fls=fls, signed=np.full(channels, signed), layer_wide=layer_wide)
+        cs = ts.pooled if layer_wide else ts.per_channel
+        if cs.n_channels != (1 if layer_wide else channels):
+            raise PlanError(f"stats for tensor {name!r} have {cs.n_channels} channels, "
+                            f"the graph has {channels}")
+        try:
+            fls = self._fls(cs, signed)
+        except ValueError as e:
+            raise PlanError(f"tensor {name!r}: {e}") from None
+        return TensorFormat(fls=np.broadcast_to(fls, channels).copy(),
+                            signed=np.full(channels, signed), layer_wide=layer_wide)
 
-    def _input_groups(self, node) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]:
-        """Per-group input fls for coordination, plus the fc element map."""
-        in_name = node.inputs[0]
-        fmt = self.plan.tensors[in_name]
-        in_shape = self.g.shapes[in_name]
-        if node.kind in ("conv", "depthwise_conv"):
-            return fmt.fls, fmt.signed, None, False
+    def _input_groups(self, node) -> tuple[np.ndarray, np.ndarray | None]:
+        """Input fls shaped for :func:`coordinate_layer` (conv [Ci],
+        depthwise [C, 1], fc [G]), plus the fc element -> group map."""
+        fmt = self.plan.tensors[node.inputs[0]]
+        if node.kind == "conv":
+            return fmt.fls, None
+        if node.kind == "depthwise_conv":
+            return fmt.fls[:, None], None  # pair channel c with output c
         # fc: group by source channel; layer-wide paths collapse to one group
+        in_shape = self.g.shapes[node.inputs[0]]
         if fmt.layer_wide:
-            groups = np.zeros(int(np.prod(in_shape[1:])), dtype=np.int64)
-            return fmt.fls[:1], fmt.signed[:1], groups, True
-        if len(in_shape) == 4:
-            spatial = in_shape[2] * in_shape[3]
-            groups = np.repeat(np.arange(in_shape[1], dtype=np.int64), spatial)
-        else:
-            groups = np.arange(in_shape[1], dtype=np.int64)
-        return fmt.fls, fmt.signed, groups, False
+            return fmt.fls[:1], np.zeros(int(np.prod(in_shape[1:])), dtype=np.int64)
+        spatial = int(np.prod(in_shape[2:]))
+        return fmt.fls, np.repeat(np.arange(in_shape[1], dtype=np.int64), spatial)
 
     def build(self) -> QuantPlan:
         g, plan = self.g, self.plan
@@ -207,27 +182,21 @@ class _PlanBuilder:
 
     def _coordinate(self, node) -> None:
         w = self.g.params[node.params["weight"]]
-        ifm_fls, _, in_groups, layerwise_input = self._input_groups(node)
-        floor = fl_from_max(float(np.abs(w).max()), self.bit_width, True)
-        if self.mode == "layerwise_max":
-            tight = np.full(
-                (w.shape[0], 1 if node.kind != "conv" else w.shape[1]), floor, dtype=np.int64
-            )
+        absw = np.abs(w)
+        ifm, in_groups = self._input_groups(node)
+        floor = fl_from_max(absw.max(), self.bit_width, True)
+        # tight kernel fls: one per layer on a layer-wise path, else per
+        # (out, in) pair for conv and per output for depthwise and fc
+        if self.mode == "layerwise_max" or (
+                node.kind == "fc" and self.plan.tensors[node.inputs[0]].layer_wide):
+            maxes = absw.max()
+        elif node.kind == "conv":
+            maxes = absw.max(axis=(2, 3))
         else:
-            tight = _tight_kernel_fls(node.kind, w, self.bit_width, layerwise_input)
-        out_fmt = self.plan.tensors[node.outputs[0]]
-        ofm_fls = out_fmt.fls
-
-        if node.kind == "conv":
-            ker, bias_fl, shift, comp = coordinate_layer(ifm_fls, tight, ofm_fls, floor)
-        elif node.kind == "depthwise_conv":
-            ifm = ifm_fls[:, None]  # pair channel c with output c
-            ker, bias_fl, shift, comp = coordinate_layer(ifm, tight, ofm_fls, floor)
-        else:  # fc
-            n_groups = 1 if layerwise_input else int(ifm_fls.shape[0])
-            tight = np.broadcast_to(tight, (w.shape[0], n_groups)).copy()
-            ifm = ifm_fls[:1] if layerwise_input else ifm_fls
-            ker, bias_fl, shift, comp = coordinate_layer(ifm, tight, ofm_fls, floor)
+            maxes = absw.reshape(len(w), -1).max(axis=1)[:, None]
+        tight = np.broadcast_to(fl_from_max(maxes, self.bit_width, True), (len(w), ifm.shape[-1]))
+        ker, bias_fl, shift, comp = coordinate_layer(
+            ifm, tight, self.plan.tensors[node.outputs[0]].fls, floor)
         self.plan.layers[node.name] = LayerPlan(
             ker_fl=ker,
             bias_fl=bias_fl,

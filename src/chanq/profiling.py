@@ -20,25 +20,6 @@ from .graph import Graph, execute_float
 
 MAX_ORDER = 6
 
-_FIELD_NAMES = (
-    "count",
-    "minv",
-    "maxv",
-    "max_abs",
-    "mean",
-    "m2",
-    "m3",
-    "m4",
-    "m5",
-    "m6",
-    "nu1",
-    "nu2",
-    "nu3",
-    "nu4",
-    "nu5",
-    "nu6",
-)
-
 
 @dataclass
 class ChannelStats:
@@ -275,6 +256,9 @@ def collect_stats(g: Graph, dataset, include_params: bool = True) -> dict:
 # ---------------------------------------------------------------------------
 # JSON stats dump
 # ---------------------------------------------------------------------------
+
+_FIELD_NAMES = tuple(f.name for f in fields(ChannelStats))
+
 
 def _encode_array(a: np.ndarray) -> list:
     return [None if not np.isfinite(v) else float(v) for v in np.asarray(a, dtype=np.float64)]

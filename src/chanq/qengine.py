@@ -19,7 +19,7 @@ import numpy as np
 from .fixedpoint import rounding_shift, saturate_accumulator
 from .graph import Graph, GraphError
 from .planner import LayerPlan, QuantPlan, TensorFormat
-from .tensorops import _as_pair, _windows
+from .tensorops import _windows
 
 # Largest temporary of the integer MAC, in elements (one row at least).
 _BLOCK_ELEMS = 2**16
@@ -227,8 +227,7 @@ def _div_half_even(acc: np.ndarray, divisor: int) -> np.ndarray:
 
 def _run_pool(node, codes_in):
     wh, ww = node.attr_pair("window")
-    stride = node.attrs.get("stride", node.attrs.get("window"))
-    win = _windows(codes_in, wh, ww, _as_pair(stride), node.attr_pair("pad", 0))
+    win = _windows(codes_in, wh, ww, node.pool_stride(), node.attr_pair("pad", 0))
     if node.kind == "maxpool":
         return win.max(axis=(4, 5))
     return _div_half_even(win.sum(axis=(4, 5)), wh * ww)
@@ -338,12 +337,8 @@ def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
 # Fidelity reporting
 # ---------------------------------------------------------------------------
 
-def sqnr_db(x: np.ndarray, xhat: np.ndarray, axis=None):
-    """10*log10(sum x^2 / sum (x-xhat)^2); inf when exact, NaN when x is 0."""
-    x = np.asarray(x, dtype=np.float64)
-    err = x - np.asarray(xhat, dtype=np.float64)
-    sig = np.sum(x * x, axis=axis)
-    noise = np.sum(err * err, axis=axis)
+def _db(sig, noise):
+    """10*log10(sig / noise); inf where noise is 0, NaN where sig is 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 10.0 * np.log10(sig / noise)
     out = np.where(noise == 0, np.inf, out)
@@ -352,17 +347,11 @@ def sqnr_db(x: np.ndarray, xhat: np.ndarray, axis=None):
 
 def sqnr_report(float_acts: dict, quant_acts: dict, plan: QuantPlan) -> dict:
     """Per-tensor, per-channel SQNR in dB for matching capture sets."""
-    report = {}
+    acc = SqnrAccumulator(plan)
     for name, x in float_acts.items():
-        if name not in quant_acts:
-            continue
-        xhat = dequantize_tensor(np.asarray(quant_acts[name], dtype=np.int64), plan.tensors[name])
-        reduce_axes = tuple(i for i in range(x.ndim) if i != 1)
-        report[name] = {
-            "per_channel": sqnr_db(x, xhat, axis=reduce_axes),
-            "pooled": float(sqnr_db(x.ravel(), xhat.ravel())),
-        }
-    return report
+        if name in quant_acts:
+            acc.update(name, x, quant_acts[name])
+    return acc.report()
 
 
 class SqnrAccumulator:
@@ -387,19 +376,9 @@ class SqnrAccumulator:
         self._noise[name] += noise
 
     def report(self) -> dict:
-        out = {}
-        for name in self._sig:
-            sig, noise = self._sig[name], self._noise[name]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                per = 10.0 * np.log10(sig / noise)
-            per = np.where(noise == 0, np.inf, per)
-            per = np.where(sig == 0, np.nan, per)
-            tot_s, tot_n = float(sig.sum()), float(noise.sum())
-            if tot_s == 0:
-                pooled = float("nan")
-            elif tot_n == 0:
-                pooled = float("inf")
-            else:
-                pooled = 10.0 * np.log10(tot_s / tot_n)
-            out[name] = {"per_channel": per, "pooled": pooled}
-        return out
+        """``{name: {"per_channel": dB [C], "pooled": dB}}`` over all updates."""
+        return {
+            name: {"per_channel": _db(sig, self._noise[name]),
+                   "pooled": float(_db(sig.sum(), self._noise[name].sum()))}
+            for name, sig in self._sig.items()
+        }

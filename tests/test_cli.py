@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chanq.cli import main
+from chanq.tensorfile import read_tensor, write_tensor
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +156,28 @@ class TestCompareAndSweep:
             assert len(doc["modes"][mode]) == 1
             entry = doc["modes"][mode][0]
             assert 0.0 <= entry["fl_match_fraction"] <= 1.0
+
+
+class TestNonFinite:
+    def test_compare_on_inf_dataset_is_data_error(self, bundle, tmp_path, capsys):
+        data = read_tensor(bundle / "data.qtsr")
+        data.flat[0] = np.inf
+        write_tensor(tmp_path / "inf.qtsr", data)
+        rc = main(["compare", "--model", str(bundle / "model.json"),
+                   "--dataset", str(tmp_path / "inf.qtsr"), "--out", str(tmp_path / "cmp")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "non-finite" in err and "Traceback" not in err
+
+    def test_quantize_on_nan_stats_is_data_error(self, bundle, profiled, tmp_path, capsys):
+        doc = json.loads(profiled.read_text())
+        for td in doc["tensors"].values():
+            td["per_channel"]["max_abs"][0] = None  # stats files store NaN as null
+            td["pooled"]["max_abs"][0] = None
+        stats = tmp_path / "nan_stats.json"
+        stats.write_text(json.dumps(doc))
+        rc = main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(stats),
+                   "--mode", "cw_laplace", "--out", str(tmp_path / "q")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "finite" in err and "Traceback" not in err

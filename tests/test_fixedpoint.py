@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chanq.fixedpoint import (
+    FL_MAX,
+    FL_MIN,
     QFormat,
     dequantize,
     fl_from_max,
-    mac_product,
     quantize,
     rounding_shift,
     saturate_accumulator,
@@ -76,6 +77,75 @@ class TestFlFromMax:
                     assert max_abs <= q.max_value
                 if fl < 31:  # maximality: one step finer would not cover
                     assert max_abs > q.max_code * 2.0 ** -(fl + 1)
+
+    def test_scalar_gives_int_array_gives_int64(self):
+        assert type(fl_from_max(5.3, 8, True)) is int
+        got = fl_from_max(np.array([1.0, 1.0, 0.0]), 8, np.array([True, False, True]))
+        assert got.dtype == np.int64 and got.tolist() == [6, 7, FL_MAX]
+
+    def test_non_finite_or_negative_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf, -1.0, [1.0, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                fl_from_max(bad, 8, True)
+
+    def test_subnormal_gets_finest_fl(self):
+        assert fl_from_max(5e-324, 8, True) == FL_MAX
+        assert fl_from_max(np.array([5e-324, 2.0**-1030]), 24, False).tolist() == [FL_MAX] * 2
+
+
+def _loop_fl_from_max(max_abs: float, bit_width: int, signed: bool) -> int:
+    """The iterative MAX rule the closed form replaced, kept as its oracle:
+    a log2 guess, then exact fix-up steps in both directions."""
+    if max_abs == 0:
+        return FL_MAX
+    max_code = 2 ** (bit_width - 1) - 1 if signed else 2**bit_width - 1
+    fl = int(np.floor(np.log2(max_code / max_abs)))
+    fl = min(max(fl, FL_MIN), FL_MAX)
+    while fl > FL_MIN and max_abs > max_code * 2.0**-fl:
+        fl -= 1
+    while fl < FL_MAX and max_abs <= max_code * 2.0 ** -(fl + 1):
+        fl += 1
+    return fl
+
+
+BIT_WIDTHS = st.integers(2, 24)
+
+
+@st.composite
+def _extent(draw, bit_width: int, signed: bool) -> float:
+    """Zero, any normal magnitude, or an exact range edge of the format at
+    some fl (past the clip range too), or one ulp either side of that edge."""
+    max_code = 2 ** (bit_width - 1) - 1 if signed else 2**bit_width - 1
+    edge = max_code * 2.0 ** -draw(st.integers(FL_MIN - 4, FL_MAX + 4))
+    near = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), 0.0]
+    return float(draw(st.sampled_from(near) | st.floats(1e-300, 1e300)))
+
+
+@st.composite
+def _lanes(draw):
+    bit_width = draw(BIT_WIDTHS)
+    signed = draw(st.lists(st.booleans(), min_size=1, max_size=24))
+    return bit_width, signed, [draw(_extent(bit_width, s)) for s in signed]
+
+
+@st.composite
+def _one_extent(draw):
+    bit_width, signed = draw(BIT_WIDTHS), draw(st.booleans())
+    return bit_width, signed, draw(_extent(bit_width, signed))
+
+
+class TestFlFromMaxOracle:
+    @given(_one_extent())
+    def test_scalar_matches_loop(self, case):
+        bit_width, signed, max_abs = case
+        assert fl_from_max(max_abs, bit_width, signed) == _loop_fl_from_max(max_abs, bit_width, signed)
+
+    @given(_lanes())
+    def test_array_with_per_channel_sign_matches_loop(self, case):
+        bit_width, signed, max_abs = case
+        got = fl_from_max(np.array(max_abs), bit_width, np.array(signed))
+        want = [_loop_fl_from_max(m, bit_width, s) for m, s in zip(max_abs, signed)]
+        assert got.tolist() == want
 
 
 class TestRoundingShift:
@@ -154,16 +224,7 @@ class TestRoundingShiftEdges:
             assert [int(v) for v in got[k]] == [_oracle_shift(a, s), _oracle_shift(a, s + 1)]
 
 
-class TestMacProduct:
-    def test_examples(self):
-        prod, fl = mac_product(32, 6, 16, 5)
-        assert prod == 512 and fl == 11
-        assert 512 * 2.0**-11 == 0.25
-        prod, _ = mac_product(-128, 0, -128, 0)
-        assert prod == 16384
-        prod, _ = mac_product(0, 4, 99, 4)
-        assert prod == 0
-
+class TestSaturateAccumulator:
     def test_saturate_counts(self):
         acc, clipped = saturate_accumulator(np.array([2**40, -5, 3]))
         assert clipped == 1

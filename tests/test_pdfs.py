@@ -48,14 +48,15 @@ class TestFitting:
         assert m.scale == 1.5 and m.location == 2.0
 
     def test_quartic_scale_regression_constant(self):
-        # unit-variance scale found by the bisection oracle, frozen here
+        # unit-variance scale found by the bisection the closed form replaced
         m = pdfs.fit_pdf(0.0, 1.0, "super_cauchy")
-        assert m.scale == pytest.approx(1.0313868895, rel=3e-6)
+        assert m.scale == pytest.approx(1.0313868895, rel=1e-7)
 
     def test_quartic_variance_matches_target(self):
+        # exact by construction: scale**2 * unit variance == sigma**2
         for sigma in (0.1, 1.0, 7.5):
             m = pdfs.fit_pdf(0.0, sigma, "super_cauchy")
-            assert pdfs.model_variance(m) == pytest.approx(sigma**2, rel=1e-5)
+            assert pdfs.model_variance(m) == pytest.approx(sigma**2, rel=1e-12)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):

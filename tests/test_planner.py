@@ -126,6 +126,12 @@ class TestSolvePlanModes:
         with pytest.raises(PlanError, match="t0"):
             solve_plan(g, stats, "cw_max")
 
+    def test_stats_for_another_model_rejected(self):
+        g = _conv_graph()
+        stats = _stats_for(_conv_graph(ci=3), np.random.default_rng(3))
+        with pytest.raises(PlanError, match="'x'.* 3 channels"):
+            solve_plan(g, stats, "cw_max")
+
     def test_unknown_mode(self):
         g = _conv_graph()
         with pytest.raises(PlanError):

@@ -12,13 +12,13 @@ from chanq.planner import MODES, LayerPlan, QuantPlan, TensorFormat, solve_plan
 from chanq.profiling import collect_stats
 from chanq.qengine import (
     QuantizedGraph,
+    SqnrAccumulator,
     dequantize_tensor,
     execute_quantized,
     load_quantized,
     quantize_params,
     quantize_tensor,
     save_quantized,
-    sqnr_db,
     sqnr_report,
 )
 
@@ -296,21 +296,32 @@ class TestExecutionProperties:
         assert r1.output.tobytes() == r2.output.tobytes()
 
 
+def _one_channel_sqnr(x, codes, fl=0):
+    """(per-channel dB, pooled dB) of one signed channel at fractional length fl."""
+    plan = QuantPlan("cw_max", 8, tensors={"t": TensorFormat(np.array([fl]), np.array([True]))})
+    acc = SqnrAccumulator(plan)
+    acc.update("t", np.asarray(x, np.float64)[:, None], np.asarray(codes)[:, None])
+    rep = acc.report()["t"]
+    assert rep["per_channel"].shape == (1,)
+    return float(rep["per_channel"][0]), rep["pooled"]
+
+
 class TestSqnrReport:
     def test_exact_match_is_inf(self):
-        assert sqnr_db(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == np.inf
+        assert _one_channel_sqnr([1.0, 2.0], [1, 2]) == (np.inf, np.inf)
 
     def test_zero_estimate_is_zero_db(self):
-        x = np.array([1.0, -1.0, 1.0])
-        assert sqnr_db(x, np.zeros(3)) == pytest.approx(0.0)
+        per, pooled = _one_channel_sqnr([1.0, -1.0, 1.0], [0, 0, 0])
+        assert per == pytest.approx(0.0) and pooled == pytest.approx(0.0)
 
     def test_twenty_db_example(self):
-        x = np.ones(4)
-        xhat = x - 0.1
-        assert sqnr_db(x, xhat) == pytest.approx(20.0)
+        # error one tenth of the signal: 10*log10(100) dB
+        per, pooled = _one_channel_sqnr([5.0] * 4, [18] * 4, fl=2)
+        assert per == pytest.approx(20.0) and pooled == pytest.approx(20.0)
 
     def test_zero_signal_sentinel(self):
-        assert np.isnan(sqnr_db(np.zeros(3), np.ones(3)))
+        per, pooled = _one_channel_sqnr([0.0] * 3, [1] * 3)
+        assert np.isnan(per) and np.isnan(pooled)
 
     def test_report_shapes(self):
         g, x, stats = _toy_net_and_data()

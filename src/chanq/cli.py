@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import GraphError, Graph, effective_output, fold_batchnorm, load_model
-from .planner import MODES, PlanError, load_plan, solve_plan
+from .planner import MODES, PlanError, check_plan, load_plan, solve_plan
 from .profiling import collect_stats, dump_stats, load_stats
 from .qengine import (
     SqnrAccumulator,
@@ -156,7 +156,9 @@ def cmd_eval(args) -> int:
     if blob.exists():
         qg = load_quantized(g, plan_path, blob)
     else:
-        qg = quantize_params(g, load_plan(plan_path))
+        plan = load_plan(plan_path)
+        check_plan(g, plan)
+        qg = quantize_params(g, plan)
     data = _load_dataset(args.dataset)
     labels = read_tensor(args.labels) if args.labels else None
     capture = set(g.activation_names()) if args.capture == "all" else set(args.capture.split(","))

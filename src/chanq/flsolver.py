@@ -10,8 +10,10 @@ selects the best-fit family per channel.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
@@ -23,47 +25,56 @@ DEFAULT_PANELS = 200_000
 GRID_HALF_WIDTH = 30.0  # integration span in scale units, per family support
 
 
-def _grid(model: pdfs.PdfModel, panels: int):
-    half = max(model.half_support if np.isfinite(model.half_support) else 0.0, GRID_HALF_WIDTH)
-    span = half * model.scale
-    lo, hi = model.location - span, model.location + span
-    h = (hi - lo) / panels
-    xs = lo + (np.arange(panels) + 0.5) * h
-    return xs, pdfs.density(model, xs), h
-
-
 class _NoiseGrid:
-    """Composite-midpoint noise integral over a fixed grid, evaluated per
-    format by aggregating panels into quantization cells via prefix sums.
+    """Composite-midpoint noise integral of one density family, on a fixed
+    grid in standardized coordinates u = (x - location) / scale.
 
-    Regrouping sum_i w_i (x_i - Q(x_i))^2 by the cell each midpoint lands
-    in gives the identical quantity; with <= 2^B cells per format this is
-    hundreds of times cheaper than re-quantizing the whole grid per fl.
+    Every model of a family (at one truncation) is an affine image of its
+    unit-scale model, so the weights f(u_i) * h_u and their moment prefix
+    sums serve every channel: a format's cell edges and codes map into u,
+    and the noise is scale**2 times the standardized one. Regrouping
+    sum_i w_i (x_i - Q(x_i))^2 by the cell each midpoint lands in gives the
+    identical quantity; with <= 2^B cells per format this is hundreds of
+    times cheaper than re-quantizing the whole grid per fl.
     """
 
-    def __init__(self, model: pdfs.PdfModel, panels: int = DEFAULT_PANELS):
-        self.xs, p, h = _grid(model, panels)
-        w = p * h
-        self.s0 = np.concatenate([[0.0], np.cumsum(w)])
-        self.s1 = np.concatenate([[0.0], np.cumsum(w * self.xs)])
-        self.s2 = np.concatenate([[0.0], np.cumsum(w * self.xs**2)])
+    def __init__(self, family: str, truncation: float | None = None,
+                 panels: int = DEFAULT_PANELS):
+        unit = pdfs.PdfModel(family, 0.0, 1.0, truncation)
+        half = max(unit.half_support if np.isfinite(unit.half_support) else 0.0, GRID_HALF_WIDTH)
+        h = 2.0 * half / panels
+        self.u = -half + (np.arange(panels) + 0.5) * h
+        w = pdfs.density(unit, self.u) * h
+        # prefix sums of the zeroth, first and second moments of w in u
+        self.prefix = [np.concatenate([[0.0], np.cumsum(w * self.u**k)]) for k in range(3)]
 
-    def noise(self, q: QFormat) -> float:
-        xs = self.xs
+    def extent(self, model: pdfs.PdfModel) -> tuple[float, float]:
+        """First and last grid midpoints of the model, in x."""
+        return (model.location + model.scale * float(self.u[0]),
+                model.location + model.scale * float(self.u[-1]))
+
+    def noise(self, model: pdfs.PdfModel, q: QFormat) -> float:
+        mu, s = model.location, model.scale
         step = 2.0**-q.frac_len
-        scale = 2.0**q.frac_len
-        k_lo = int(np.clip(np.rint(xs[0] * scale), q.min_code, q.max_code))
-        k_hi = int(np.clip(np.rint(xs[-1] * scale), q.min_code, q.max_code))
+        k_lo, k_hi = (int(np.clip(np.rint(x * 2.0**q.frac_len), q.min_code, q.max_code))
+                      for x in self.extent(model))
+        codes = np.arange(k_lo, k_hi + 1) * step  # dyadic, so exact
         # cell k holds values rounding (then saturating) to code k
-        edges = (np.arange(k_lo, k_hi) + 0.5) * step
-        idx = np.searchsorted(xs, edges, side="left")
-        bounds = np.concatenate([[0], idx, [len(xs)]])
-        lo, hi = bounds[:-1], bounds[1:]
-        v = np.arange(k_lo, k_hi + 1) * step
-        m0 = self.s0[hi] - self.s0[lo]
-        m1 = self.s1[hi] - self.s1[lo]
-        m2 = self.s2[hi] - self.s2[lo]
-        return float(np.sum(m2 - 2.0 * v * m1 + v * v * m0))
+        idx = np.searchsorted(self.u, (codes[:-1] + 0.5 * step - mu) / s, side="left")
+        bounds = np.concatenate([[0], idx, [len(self.u)]])
+        m0, m1, m2 = (np.diff(p[bounds]) for p in self.prefix)
+        v = (codes - mu) / s
+        return s * s * float(np.sum(m2 - 2.0 * v * m1 + v * v * m0))
+
+
+def _noise_grid(model: pdfs.PdfModel, panels: int, grids: dict | None) -> _NoiseGrid:
+    # ``grids`` is a caller-owned memo, so a grid lives as long as the one
+    # solve (or corpus build) that shares it
+    key = (model.family, model.truncation, panels)
+    grids = {} if grids is None else grids
+    if key not in grids:
+        grids[key] = _NoiseGrid(*key)
+    return grids[key]
 
 
 def sqnr_noise(model: pdfs.PdfModel, q: QFormat, panels: int = DEFAULT_PANELS) -> float:
@@ -72,34 +83,35 @@ def sqnr_noise(model: pdfs.PdfModel, q: QFormat, panels: int = DEFAULT_PANELS) -
     Composite midpoint quadrature over location +/- max(support, 30) scale
     units; saturation to the extreme code is the overload behavior.
     """
-    return _NoiseGrid(model, panels).noise(q)
+    return _noise_grid(model, panels, None).noise(model, q)
 
 
-def _scan_lower_bound(xs, bit_width: int, signed) -> int:
+def _scan_lower_bound(extent, bit_width: int, signed) -> int:
     # Any fl whose range covers twice the grid extent dominates all coarser
     # fls pointwise (dyadic grids nest and neither saturates there), so the
     # argmin scan can start at the finest such fl.
-    span = max(abs(float(xs[0])), abs(float(xs[-1])))
+    span = max(abs(extent[0]), abs(extent[1]))
     return fl_from_max(2.0 * span, bit_width, signed)
 
 
 def optimal_fl(stats: ChannelStats, family: str, bit_width: int = 8,
                signed: bool = True, channel: int = 0,
-               panels: int = DEFAULT_PANELS) -> int:
+               panels: int = DEFAULT_PANELS, grids: dict | None = None) -> int:
     """SQNR-optimal integer fractional length for one channel.
 
     Balances granular against overload error by explicit argmin over
     integer fls; ties break toward the smaller fl (wider range). Channels
-    with sigma == 0 fall back to the MAX rule.
+    with sigma == 0 fall back to the MAX rule. Callers solving many
+    channels pass one ``grids`` dict so each family's grid is built once.
     """
     sigma = float(stats.sigma[channel])
     if sigma <= 0:
         return fl_from_max(float(stats.max_abs[channel]), bit_width, signed)
     model = fit_pdf(stats, family, channel=channel)
-    grid = _NoiseGrid(model, panels)
+    grid = _noise_grid(model, panels, grids)
     best_fl, best_noise = None, np.inf
-    for fl in range(_scan_lower_bound(grid.xs, bit_width, signed), FL_MAX + 1):
-        noise = grid.noise(QFormat(bit_width, fl, signed))
+    for fl in range(_scan_lower_bound(grid.extent(model), bit_width, signed), FL_MAX + 1):
+        noise = grid.noise(model, QFormat(bit_width, fl, signed))
         if noise < best_noise:
             best_fl, best_noise = fl, noise
     return best_fl
@@ -123,9 +135,10 @@ def empirical_quant_mse(samples: np.ndarray, q: QFormat) -> float:
 LABEL_FAMILIES = ("laplace", "super_cauchy")
 
 
-def label_channel(samples, bit_width: int = 8, signed: bool = True) -> str:
+def label_channel(samples, bit_width: int = 8, signed: bool = True,
+                  grids: dict | None = None) -> str:
     """Best-fit family for a channel: lowest empirical MSE at each family's
-    optimal fl. Ties go to laplace."""
+    optimal fl. Ties go to laplace. ``grids`` is passed to :func:`optimal_fl`."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < 100:
         raise ValueError(f"need at least 100 samples to label a channel, got {samples.size}")
@@ -134,7 +147,7 @@ def label_channel(samples, bit_width: int = 8, signed: bool = True) -> str:
         raise ValueError("cannot label a degenerate (sigma == 0) channel")
     best = None
     for family in LABEL_FAMILIES:  # laplace first, so ties keep laplace
-        fl = optimal_fl(stats, family, bit_width, signed)
+        fl = optimal_fl(stats, family, bit_width, signed, grids=grids)
         mse = empirical_quant_mse(samples, QFormat(bit_width, fl, signed))
         if best is None or mse < best[0]:
             best = (mse, family)
@@ -185,6 +198,7 @@ def build_labeled_corpus(n_channels: int, seed: int, samples_per_channel: int = 
     Returns (features [N, 5], labels list, true_families list).
     """
     rng = np.random.default_rng(seed)
+    grids: dict = {}
     feats, labels, true = [], [], []
     for i in range(n_channels):
         family = LABEL_FAMILIES[i % 2]
@@ -193,7 +207,7 @@ def build_labeled_corpus(n_channels: int, seed: int, samples_per_channel: int = 
         samples = pdfs.sample(model, samples_per_channel, rng)
         stats = stats_from_samples(samples)
         feats.append(standardized_moments(stats)[0])
-        labels.append(label_channel(samples, bit_width))
+        labels.append(label_channel(samples, bit_width, grids=grids))
         true.append(family)
     return np.array(feats), labels, true
 
@@ -204,17 +218,16 @@ _DEFAULT_KNN: dict[int, KnnModel] = {}
 def default_classifier(bit_width: int = 8) -> KnnModel:
     """Shared classifier for the PDF-aware mode.
 
-    The 8-bit model ships with the package (a frozen synthetic corpus);
-    other bit widths build a fresh corpus on first use.
+    A bit width whose frozen synthetic corpus ships with the package
+    (``data/knn_default_<bits>.json``) loads it; any other builds a fresh
+    corpus on first use.
     """
     if bit_width not in _DEFAULT_KNN:
-        if bit_width == 8:
-            import json
-            from importlib import resources
-
-            raw = resources.files("chanq").joinpath("data/knn_default.json").read_text()
-            doc = json.loads(raw)
-            _DEFAULT_KNN[8] = train_knn(np.asarray(doc["features"]), doc["labels"], k=doc["k"])
+        shipped = resources.files("chanq").joinpath(f"data/knn_default_{bit_width}.json")
+        if shipped.is_file():
+            doc = json.loads(shipped.read_text())
+            _DEFAULT_KNN[bit_width] = train_knn(np.asarray(doc["features"]), doc["labels"],
+                                                k=doc["k"])
         else:
             feats, labels, _ = build_labeled_corpus(400, seed=20240801, bit_width=bit_width)
             _DEFAULT_KNN[bit_width] = train_knn(feats, labels)

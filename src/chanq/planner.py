@@ -90,6 +90,7 @@ class _PlanBuilder:
         self.mode = mode
         self.bit_width = bit_width
         self.knn = knn_model
+        self.grids = {}  # flsolver noise grids, shared by every channel of this solve
         self.plan = QuantPlan(mode=mode, bit_width=bit_width)
 
     def _tensor_stats(self, name: str) -> TensorStats:
@@ -109,7 +110,8 @@ class _PlanBuilder:
         feats = standardized_moments(cs)
         for i in np.flatnonzero(~cs.degenerate):  # degenerate channels keep the MAX rule
             family = _MODE_FAMILY.get(self.mode) or flsolver.classify_pdf(feats[i], self.knn)
-            fls[i] = flsolver.optimal_fl(cs, family, self.bit_width, signed, channel=i)
+            fls[i] = flsolver.optimal_fl(cs, family, self.bit_width, signed, channel=i,
+                                         grids=self.grids)
         return fls
 
     def _stats_based_format(self, name: str) -> TensorFormat:
@@ -215,6 +217,22 @@ def solve_plan(g: Graph, stats: dict, mode: str, bit_width: int = 8,
     if mode == "cw_pdf_aware" and knn_model is None:
         knn_model = flsolver.default_classifier(bit_width)
     return _PlanBuilder(g, stats, mode, bit_width, knn_model).build()
+
+
+def check_plan(g: Graph, plan: QuantPlan) -> None:
+    """Raise PlanError at the first place where a loaded plan does not fit
+    the graph: a linear node without a layer entry, or a tensor whose
+    format is missing or has another channel count."""
+    for node in g.nodes:
+        if node.kind in ("conv", "depthwise_conv", "fc") and node.name not in plan.layers:
+            raise PlanError(f"plan has no layer entry for node {node.name!r}")
+    for name in g.activation_names():
+        if name not in plan.tensors:
+            raise PlanError(f"plan has no format for tensor {name!r}")
+        channels = len(plan.tensors[name].fls)
+        if channels != g.channels(name):
+            raise PlanError(f"plan format of tensor {name!r} has {channels} channels, "
+                            f"the graph has {g.channels(name)}")
 
 
 # ---------------------------------------------------------------------------

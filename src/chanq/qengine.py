@@ -18,7 +18,7 @@ import numpy as np
 
 from .fixedpoint import rounding_shift, saturate_accumulator
 from .graph import Graph, GraphError
-from .planner import LayerPlan, QuantPlan, TensorFormat
+from .planner import LayerPlan, PlanError, QuantPlan, TensorFormat
 from .tensorops import _windows
 
 # Largest temporary of the integer MAC, in elements (one row at least).
@@ -285,10 +285,16 @@ def execute_quantized(qg: QuantizedGraph, x: np.ndarray, capture=()) -> QuantRun
 # Quantized model files
 # ---------------------------------------------------------------------------
 
+def _kernel_dtype(bit_width: int) -> np.dtype:
+    """Narrowest little-endian integer that holds kernel codes of the width."""
+    return np.dtype("i1" if bit_width <= 8 else "<i2" if bit_width <= 16 else "<i4")
+
+
 def save_quantized(qg: QuantizedGraph, plan_path, blob_path) -> None:
     """Write the plan JSON (with a quantized-parameter index) plus the code blob.
 
-    Kernel codes are stored as int8, bias codes as int32, little-endian,
+    Kernel codes are stored as int8 up to 8 bits, int16 up to 16 and int32
+    above (see :func:`_kernel_dtype`), bias codes as int32, little-endian,
     addressed by byte offsets recorded in the plan document.
     """
     import json
@@ -296,10 +302,11 @@ def save_quantized(qg: QuantizedGraph, plan_path, blob_path) -> None:
 
     from .planner import plan_to_json
 
+    kdtype = _kernel_dtype(qg.plan.bit_width)
     blob = bytearray()
     index = {}
     for name in sorted(qg.kernels):
-        k = np.ascontiguousarray(qg.kernels[name].astype(np.int8))
+        k = np.ascontiguousarray(qg.kernels[name].astype(kdtype))
         b = np.ascontiguousarray(qg.biases[name].astype("<i4"))
         index[name] = {
             "kernel": {"offset": len(blob), "len": k.nbytes, "dims": list(k.shape)},
@@ -313,23 +320,44 @@ def save_quantized(qg: QuantizedGraph, plan_path, blob_path) -> None:
     Path(blob_path).write_bytes(bytes(blob))
 
 
+def _read_codes(blob: bytes, ref: dict, dtype, dims: list, what: str) -> np.ndarray:
+    dtype = np.dtype(dtype)
+    if ref["dims"] != dims:
+        raise PlanError(f"{what}: plan stores dims {ref['dims']}, the graph has {dims}")
+    n = int(np.prod(dims))
+    if ref["len"] != n * dtype.itemsize or ref["offset"] + ref["len"] > len(blob):
+        raise PlanError(f"{what}: {ref['len']} bytes at offset {ref['offset']} do not hold "
+                        f"{n} {dtype.name} codes in a {len(blob)}-byte blob")
+    return np.frombuffer(blob, dtype, count=n, offset=ref["offset"]).reshape(dims).astype(np.int64)
+
+
 def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
-    """Reload a quantized model; inverse of :func:`save_quantized`."""
+    """Reload a quantized model; inverse of :func:`save_quantized`.
+
+    Raises PlanError when the plan or the blob does not fit the graph.
+    """
     import json
     from pathlib import Path
 
-    from .planner import plan_from_json
+    from .planner import check_plan, plan_from_json
 
     doc = json.loads(Path(plan_path).read_text())
     plan = plan_from_json(doc)
+    check_plan(g, plan)
     blob = Path(blob_path).read_bytes()
+    qparams = doc.get("qparams", {})
     kernels, biases = {}, {}
-    for name, ref in doc.get("qparams", {}).items():
-        kref, bref = ref["kernel"], ref["bias"]
-        k = np.frombuffer(blob, dtype=np.int8, count=kref["len"], offset=kref["offset"])
-        kernels[name] = k.reshape(kref["dims"]).astype(np.int64)
-        b = np.frombuffer(blob, dtype="<i4", count=bref["len"] // 4, offset=bref["offset"])
-        biases[name] = b.reshape(bref["dims"]).astype(np.int64)
+    for node in g.nodes:
+        if node.kind not in ("conv", "depthwise_conv", "fc"):
+            continue
+        if node.name not in qparams:
+            raise PlanError(f"plan has no quantized parameters for node {node.name!r}")
+        ref = qparams[node.name]
+        dims = list(g.params[node.params["weight"]].shape)
+        kernels[node.name] = _read_codes(blob, ref["kernel"], _kernel_dtype(plan.bit_width),
+                                         dims, f"node {node.name!r} kernel")
+        biases[node.name] = _read_codes(blob, ref["bias"], "<i4", dims[:1],
+                                        f"node {node.name!r} bias")
     return QuantizedGraph(graph=g, plan=plan, kernels=kernels, biases=biases)
 
 

@@ -119,6 +119,68 @@ class TestQuantizeEval:
         assert doc["quant_top1"] == doc["top1_agreement"]
 
 
+class TestQuantizedFiles:
+    def test_16bit_quantize_then_eval_keeps_codes(self, bundle, profiled, tmp_path):
+        from chanq.graph import load_model
+        from chanq.planner import solve_plan
+        from chanq.profiling import load_stats
+        from chanq.qengine import execute_quantized, quantize_params
+
+        q = tmp_path / "q16"
+        assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                     "--mode", "cw_max", "--bitwidth", "16", "--out", str(q)]) == 0
+        assert main(["eval", "--model", str(bundle / "model.json"),
+                     "--dataset", str(bundle / "data.qtsr"), "--plan", str(q / "plan.json"),
+                     "--out", str(tmp_path / "r"), "--trace-out", str(tmp_path / "tr")]) == 0
+        g = load_model(bundle / "model.json")
+        qg = quantize_params(g, solve_plan(g, load_stats(profiled), "cw_max", bit_width=16))
+        assert max(int(abs(k).max()) for k in qg.kernels.values()) > 127
+        names = g.activation_names()
+        ref = execute_quantized(qg, read_tensor(bundle / "data.qtsr"), capture=names)
+        for name in names:
+            np.testing.assert_array_equal(read_tensor(tmp_path / "tr" / f"{name}.qtsr"),
+                                          ref.captured[name])
+
+    @pytest.mark.parametrize("arch,channels", [("classifier", 4), ("hetero_conv", 6)])
+    @pytest.mark.parametrize("with_blob", [True, False])
+    def test_plan_for_another_model_is_data_error(self, bundle, tmp_path, capsys,
+                                                  arch, channels, with_blob):
+        other = tmp_path / "other"
+        assert main(["gen-synthetic", "--arch", arch, "--in-channels", "4",
+                     "--channels", str(channels), "--image-size", "8", "--samples", "24",
+                     "--seed", "5", "--out", str(other)]) == 0
+        assert main(["profile", "--model", str(other / "model.json"),
+                     "--dataset", str(other / "data.qtsr"), "--out", str(other / "s.json")]) == 0
+        assert main(["quantize", "--model", str(other / "model.json"),
+                     "--stats", str(other / "s.json"), "--mode", "cw_max",
+                     "--out", str(other / "q")]) == 0
+        args = ["eval", "--model", str(bundle / "model.json"),
+                "--dataset", str(bundle / "data.qtsr"), "--plan", str(other / "q" / "plan.json"),
+                "--out", str(tmp_path / "r")]
+        if not with_blob:  # quantize the plan afresh instead of loading its codes
+            args += ["--qweights", str(tmp_path / "absent.bin")]
+        capsys.readouterr()
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert ("no layer entry" in err) if arch == "classifier" else ("channels" in err)
+
+    def test_truncated_qweights_is_data_error(self, bundle, profiled, tmp_path, capsys):
+        q = tmp_path / "q"
+        assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                     "--mode", "cw_max", "--out", str(q)]) == 0
+        blob = (q / "qweights.bin").read_bytes()
+        (q / "qweights.bin").write_bytes(blob[:-3])
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(bundle / "model.json"),
+                   "--dataset", str(bundle / "data.qtsr"), "--plan", str(q / "plan.json"),
+                   "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "byte blob" in err and "Traceback" not in err
+
+
 class TestCompareAndSweep:
     def test_compare_table(self, bundle, tmp_path):
         out = tmp_path / "cmp"

@@ -1,13 +1,20 @@
 """Solver tests: noise integral oracles, optimal fl, labeling, kNN."""
 
+import dataclasses
+import json
+from importlib import resources
+from math import exp, inf
+
 import numpy as np
 import pytest
 
-from chanq import pdfs
-from chanq.fixedpoint import QFormat
+from chanq import flsolver, pdfs
+from chanq.fixedpoint import FL_MAX, QFormat, fl_from_max
 from chanq.flsolver import (
+    build_labeled_corpus,
     classify_pdf,
     empirical_quant_mse,
+    fit_pdf,
     label_channel,
     optimal_fl,
     sqnr_noise,
@@ -86,6 +93,123 @@ class TestSqnrNoise:
         assert all(noises[i] < noises[i + 1] for i in range(kmin, len(noises) - 1))
 
 
+def laplace_noise(mu, b, q):
+    """Exact noise of a Laplace(mu, b) input under the saturating uniform
+    quantizer (the clipped-quantizer analysis of ACIQ, Banner et al.,
+    arXiv 1810.05723): per code cell, the closed-form integral of
+    (x - v)^2 p(x) on each side of mu; the end cells reach to infinity."""
+    step = 2.0**-q.frac_len
+
+    def one_side(t0, t1, d):
+        # integral over t in [t0, t1] of (t + d)^2 exp(-t / b) / (2 b)
+        def antiderivative(t):
+            if t == inf:
+                return 0.0
+            return -0.5 * exp(-t / b) * ((t + d) ** 2 + 2.0 * b * (t + d) + 2.0 * b * b)
+        return antiderivative(t1) - antiderivative(t0)
+
+    total = 0.0
+    for k in range(q.min_code, q.max_code + 1):
+        lo = -inf if k == q.min_code else (k - 0.5) * step
+        hi = inf if k == q.max_code else (k + 0.5) * step
+        v = k * step
+        total += one_side(max(lo - mu, 0.0), max(hi - mu, 0.0), mu - v)  # x above mu
+        total += one_side(max(mu - hi, 0.0), max(mu - lo, 0.0), v - mu)  # x below mu
+    return total
+
+
+class TestLaplaceClosedForm:
+    @pytest.mark.parametrize("sigma", [1.0, 0.01])
+    @pytest.mark.parametrize("mean_in_sigmas", [0.0, 0.3, -2.0])
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_grid_matches_closed_form(self, sigma, mean_in_sigmas, signed):
+        m = pdfs.fit_pdf(mean_in_sigmas * sigma, sigma, "laplace")
+        fl0 = int(np.round(-np.log2(sigma)))
+        # from overload-dominated through the optimum to granular-dominated
+        for fl in range(fl0 - 3, fl0 + 12, 2):
+            q = QFormat(8, fl, signed)
+            exact = laplace_noise(m.location, m.scale, q)
+            assert sqnr_noise(m, q) == pytest.approx(exact, rel=1e-6)
+
+
+class _PerChannelGrid:
+    """Reference solver: a fresh composite-midpoint grid in x for every
+    channel, with the same cell regrouping. The standardized grid must
+    pick the same fls."""
+
+    def __init__(self, model, panels=200_000):
+        half = max(model.half_support if np.isfinite(model.half_support) else 0.0, 30.0)
+        span = half * model.scale
+        lo, hi = model.location - span, model.location + span
+        h = (hi - lo) / panels
+        self.xs = lo + (np.arange(panels) + 0.5) * h
+        w = pdfs.density(model, self.xs) * h
+        self.s0 = np.concatenate([[0.0], np.cumsum(w)])
+        self.s1 = np.concatenate([[0.0], np.cumsum(w * self.xs)])
+        self.s2 = np.concatenate([[0.0], np.cumsum(w * self.xs**2)])
+
+    def noise(self, q):
+        xs = self.xs
+        step = 2.0**-q.frac_len
+        scale = 2.0**q.frac_len
+        k_lo = int(np.clip(np.rint(xs[0] * scale), q.min_code, q.max_code))
+        k_hi = int(np.clip(np.rint(xs[-1] * scale), q.min_code, q.max_code))
+        edges = (np.arange(k_lo, k_hi) + 0.5) * step
+        idx = np.searchsorted(xs, edges, side="left")
+        bounds = np.concatenate([[0], idx, [len(xs)]])
+        lo, hi = bounds[:-1], bounds[1:]
+        v = np.arange(k_lo, k_hi + 1) * step
+        m0 = self.s0[hi] - self.s0[lo]
+        m1 = self.s1[hi] - self.s1[lo]
+        m2 = self.s2[hi] - self.s2[lo]
+        return float(np.sum(m2 - 2.0 * v * m1 + v * v * m0))
+
+    def optimal_fl(self, bit_width, signed):
+        span = max(abs(float(self.xs[0])), abs(float(self.xs[-1])))
+        best_fl, best_noise = None, np.inf
+        for fl in range(fl_from_max(2.0 * span, bit_width, signed), FL_MAX + 1):
+            noise = self.noise(QFormat(bit_width, fl, signed))
+            if noise < best_noise:
+                best_fl, best_noise = fl, noise
+        return best_fl
+
+
+def oracle_sweep_cases(seed, n):
+    """Seeded channels: sigma over 2^+-12, |mean| / sigma up to 100 (a
+    fifth at mean 0), three families, both signednesses, 4-16 bits."""
+    rng = np.random.default_rng(seed)
+    base = stats_from_samples(np.array([0.0, 1.0]))
+    for i in range(n):
+        sigma = 2.0 ** rng.uniform(-12.0, 12.0)
+        ratio = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 2.0)
+        mean = 0.0 if rng.random() < 0.2 else sigma * ratio
+        stats = dataclasses.replace(base, mean=np.array([mean]), m2=np.array([sigma * sigma]))
+        yield (stats, ("laplace", "super_cauchy", "gaussian")[i % 3],
+               int(rng.integers(4, 17)), bool(rng.integers(0, 2)))
+
+
+class TestStandardizedGridOracle:
+    def test_fls_match_per_channel_grid(self):
+        grids = {}
+        for stats, family, bit_width, signed in oracle_sweep_cases(seed=12, n=200):
+            got = optimal_fl(stats, family, bit_width, signed, grids=grids)
+            oracle = _PerChannelGrid(fit_pdf(stats, family))
+            want = oracle.optimal_fl(bit_width, signed)
+            if got != want:
+                # a flip is allowed only between fls whose noises tie below roundoff
+                a, b = (oracle.noise(QFormat(bit_width, fl, signed)) for fl in (got, want))
+                assert abs(a - b) <= 1e-12 * max(a, b), (family, bit_width, signed, got, want)
+        assert {key[0] for key in grids} == {"laplace", "super_cauchy", "gaussian"}
+
+    def test_grid_is_shared_per_family(self):
+        grids = {}
+        for scale in (1.0, 8.0):
+            stats = stats_from_samples(np.random.default_rng(0).laplace(1.0, scale, 1000))
+            optimal_fl(stats, "laplace", 8, True, grids=grids)
+            optimal_fl(stats, "super_cauchy", 8, True, grids=grids)
+        assert len(grids) == 2
+
+
 class TestOptimalFl:
     def test_matches_monte_carlo_brute_force(self):
         rng = np.random.default_rng(2)
@@ -145,6 +269,49 @@ class TestLabelChannel:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             label_channel(np.ones(10), 8)
+
+
+class TestShippedCorpus:
+    @staticmethod
+    def shipped(bit_width):
+        path = resources.files("chanq").joinpath(f"data/knn_default_{bit_width}.json")
+        return json.loads(path.read_text())
+
+    def test_8bit_corpus_rebuilds(self):
+        doc = self.shipped(8)
+        feats, labels, _ = build_labeled_corpus(len(doc["labels"]), seed=doc["seed"],
+                                                samples_per_channel=doc["samples_per_channel"],
+                                                bit_width=8)
+        assert labels == doc["labels"]
+        np.testing.assert_allclose(feats, doc["features"], rtol=1e-9)
+
+    def test_16bit_corpus_prefix_rebuilds(self):
+        # the corpus draws channels one after another, so a short build
+        # reproduces the shipped corpus's first rows
+        doc = self.shipped(16)
+        assert (doc["bit_width"], doc["k"], len(doc["labels"])) == (16, 12, 400)
+        feats, labels, _ = build_labeled_corpus(16, seed=doc["seed"],
+                                                samples_per_channel=doc["samples_per_channel"],
+                                                bit_width=16)
+        assert labels == doc["labels"][:16]
+        np.testing.assert_allclose(feats, doc["features"][:16], rtol=1e-9)
+
+
+    def test_default_classifier_builds_only_unshipped_widths(self, monkeypatch):
+        built = []
+
+        def fake_corpus(n, seed, bit_width):
+            built.append(bit_width)
+            return np.random.default_rng(0).normal(size=(n, 5)), ["laplace"] * n, None
+
+        monkeypatch.setattr(flsolver, "build_labeled_corpus", fake_corpus)
+        monkeypatch.setattr(flsolver, "_DEFAULT_KNN", {})
+        for bit_width in (8, 16):
+            assert len(flsolver.default_classifier(bit_width).labels) == len(
+                self.shipped(bit_width)["labels"])
+        assert built == []
+        assert len(flsolver.default_classifier(12).labels) == 400
+        assert built == [12]
 
 
 class TestKnn:

@@ -308,10 +308,17 @@ def _add_model_args(p):
     p.add_argument("--weights", default=None, help="weights blob (defaults to manifest reference)")
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bitwidth", type=int, default=8)
-    p.add_argument("--batch", type=int, default=32)
+_COMMON = {
+    "seed": dict(type=int, default=0),
+    "bitwidth": dict(type=int, default=8),
+    "batch": dict(type=int, default=32),
+}
+
+
+def _add_common(p, *names):
+    # each command takes only the shared flags it reads
+    for name in names:
+        p.add_argument(f"--{name}", **_COMMON[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--profile-samples", type=int, default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "seed", "batch")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("quantize", help="solve a plan and quantize parameters")
@@ -331,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", required=True)
     p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--out", required=True, help="output directory for plan.json + qweights.bin")
-    _add_common(p)
+    _add_common(p, "bitwidth")
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("eval", help="evaluate a quantized model against float")
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capture", default="all", help="comma-separated tensor names or 'all'")
     p.add_argument("--trace-out", default=None, help="directory for integer activation dumps")
     p.add_argument("--out", required=True, help="report prefix (.txt/.json)")
-    _add_common(p)
+    _add_common(p, "batch")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="side-by-side report across all plan modes")
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default=None)
     p.add_argument("--profile-samples", type=int, default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "seed", "bitwidth", "batch")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep-profile-size", help="fl stability vs profiling sample count")
@@ -362,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated sample counts")
     p.add_argument("--draws", type=int, default=10)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "seed", "bitwidth", "batch")
     p.set_defaults(func=cmd_sweep_profile_size)
 
     p = sub.add_parser("gen-synthetic", help="generate a seeded model + toy dataset")

@@ -38,12 +38,11 @@ class _NoiseGrid:
     times cheaper than re-quantizing the whole grid per fl.
     """
 
-    def __init__(self, family: str, truncation: float | None = None,
-                 panels: int = DEFAULT_PANELS):
+    def __init__(self, family: str, truncation: float | None = None):
         unit = pdfs.PdfModel(family, 0.0, 1.0, truncation)
         half = max(unit.half_support if np.isfinite(unit.half_support) else 0.0, GRID_HALF_WIDTH)
-        h = 2.0 * half / panels
-        self.u = -half + (np.arange(panels) + 0.5) * h
+        h = 2.0 * half / DEFAULT_PANELS
+        self.u = -half + (np.arange(DEFAULT_PANELS) + 0.5) * h
         w = pdfs.density(unit, self.u) * h
         # prefix sums of the zeroth, first and second moments of w in u
         self.prefix = [np.concatenate([[0.0], np.cumsum(w * self.u**k)]) for k in range(3)]
@@ -67,23 +66,23 @@ class _NoiseGrid:
         return s * s * float(np.sum(m2 - 2.0 * v * m1 + v * v * m0))
 
 
-def _noise_grid(model: pdfs.PdfModel, panels: int, grids: dict | None) -> _NoiseGrid:
+def _noise_grid(model: pdfs.PdfModel, grids: dict | None) -> _NoiseGrid:
     # ``grids`` is a caller-owned memo, so a grid lives as long as the one
     # solve (or corpus build) that shares it
-    key = (model.family, model.truncation, panels)
+    key = (model.family, model.truncation)
     grids = {} if grids is None else grids
     if key not in grids:
         grids[key] = _NoiseGrid(*key)
     return grids[key]
 
 
-def sqnr_noise(model: pdfs.PdfModel, q: QFormat, panels: int = DEFAULT_PANELS) -> float:
+def sqnr_noise(model: pdfs.PdfModel, q: QFormat) -> float:
     """Expected squared quantization error of the model under the format.
 
     Composite midpoint quadrature over location +/- max(support, 30) scale
     units; saturation to the extreme code is the overload behavior.
     """
-    return _noise_grid(model, panels, None).noise(model, q)
+    return _NoiseGrid(model.family, model.truncation).noise(model, q)
 
 
 def _scan_lower_bound(extent, bit_width: int, signed) -> int:
@@ -95,8 +94,7 @@ def _scan_lower_bound(extent, bit_width: int, signed) -> int:
 
 
 def optimal_fl(stats: ChannelStats, family: str, bit_width: int = 8,
-               signed: bool = True, channel: int = 0,
-               panels: int = DEFAULT_PANELS, grids: dict | None = None) -> int:
+               signed: bool = True, channel: int = 0, grids: dict | None = None) -> int:
     """SQNR-optimal integer fractional length for one channel.
 
     Balances granular against overload error by explicit argmin over
@@ -107,22 +105,14 @@ def optimal_fl(stats: ChannelStats, family: str, bit_width: int = 8,
     sigma = float(stats.sigma[channel])
     if sigma <= 0:
         return fl_from_max(float(stats.max_abs[channel]), bit_width, signed)
-    model = fit_pdf(stats, family, channel=channel)
-    grid = _noise_grid(model, panels, grids)
+    model = pdfs.fit_pdf(float(stats.mean[channel]), sigma, family)
+    grid = _noise_grid(model, grids)
     best_fl, best_noise = None, np.inf
     for fl in range(_scan_lower_bound(grid.extent(model), bit_width, signed), FL_MAX + 1):
         noise = grid.noise(model, QFormat(bit_width, fl, signed))
         if noise < best_noise:
             best_fl, best_noise = fl, noise
     return best_fl
-
-
-def fit_pdf(stats: ChannelStats, family: str, channel: int = 0) -> pdfs.PdfModel:
-    """Fit a density of the family to the channel's mean and sigma."""
-    sigma = float(stats.sigma[channel])
-    if sigma <= 0:
-        raise ValueError("cannot fit a density to a degenerate (sigma == 0) channel")
-    return pdfs.fit_pdf(float(stats.mean[channel]), sigma, family)
 
 
 def empirical_quant_mse(samples: np.ndarray, q: QFormat) -> float:

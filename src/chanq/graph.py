@@ -291,7 +291,6 @@ def fold_batchnorm(g: Graph) -> Graph:
     """
     params = dict(g.params)
     nodes = []
-    folded_into = {}  # bn output tensor -> linear node name
     by_output = {}
     for node in g.nodes:
         by_output[node.outputs[0]] = node
@@ -325,7 +324,6 @@ def fold_batchnorm(g: Graph) -> Graph:
         params[target.params["bias"]] = ((b - mean) * scale + beta).astype(np.float32)
         # The folded layer takes over the bn's output tensor name.
         target.outputs = list(node.outputs)
-        folded_into[node.outputs[0]] = target.name
 
     folded = Graph(input_name=g.input_name, input_dims=g.input_dims, nodes=nodes, params=params)
     # Drop parameter tensors belonging to removed bn nodes.

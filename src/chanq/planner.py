@@ -70,15 +70,10 @@ def coordinate_layer(fl_ifm, fl_ker_tight, fl_ofm, fl_ker_layerwise: int):
     ofm = np.asarray(fl_ofm, dtype=np.int64)
     floor = int(fl_ker_layerwise)
 
-    psum = tight + ifm
-    adder = psum.min(axis=1)
-    bias_fl = adder
+    bias_fl = (tight + ifm).min(axis=1)  # the per-output adder fl
     adjusted = bias_fl[:, None] - ifm
-    comp = np.zeros_like(adjusted)
-    below = adjusted < floor
-    if below.any():
-        comp = np.where(below, floor + ifm - adder[:, None], 0)
-        adjusted = np.where(below, floor, adjusted)
+    comp = np.maximum(floor - adjusted, 0)
+    adjusted = np.maximum(adjusted, floor)
     shift = bias_fl - ofm
     return adjusted, bias_fl, shift, comp
 
@@ -267,24 +262,35 @@ def plan_to_json(plan: QuantPlan) -> dict:
 
 
 def plan_from_json(doc: dict) -> QuantPlan:
-    if doc.get("version") != 1:
-        raise PlanError(f"unsupported plan version {doc.get('version')}")
-    plan = QuantPlan(mode=doc["mode"], bit_width=int(doc["bit_width"]))
-    for name, td in doc["tensors"].items():
-        plan.tensors[name] = TensorFormat(
-            fls=np.asarray(td["fl"], dtype=np.int64),
-            signed=np.asarray(td["signed"], dtype=bool),
-            layer_wide=bool(td["layer_wide"]),
-        )
-    for name, ld in doc["layers"].items():
-        plan.layers[name] = LayerPlan(
-            ker_fl=np.asarray(ld["ker_fl"], dtype=np.int64),
-            bias_fl=np.asarray(ld["bias_fl"], dtype=np.int64),
-            shift=np.asarray(ld["shift"], dtype=np.int64),
-            comp_shift=np.asarray(ld["comp_shift"], dtype=np.int64),
-            ker_fl_layerwise=int(ld["ker_fl_layerwise"]),
-            in_groups=None if ld["in_groups"] is None else np.asarray(ld["in_groups"], dtype=np.int64),
-        )
+    """Inverse of :func:`plan_to_json`; a missing key or a value of the
+    wrong type raises PlanError naming where it is."""
+    where = "plan"
+    try:
+        if doc.get("version") != 1:
+            raise PlanError(f"unsupported plan version {doc.get('version')}")
+        plan = QuantPlan(mode=doc["mode"], bit_width=int(doc["bit_width"]))
+        for name, td in doc["tensors"].items():
+            where = f"plan tensor {name!r}"
+            plan.tensors[name] = TensorFormat(
+                fls=np.asarray(td["fl"], dtype=np.int64),
+                signed=np.asarray(td["signed"], dtype=bool),
+                layer_wide=bool(td["layer_wide"]),
+            )
+        for name, ld in doc["layers"].items():
+            where = f"plan layer {name!r}"
+            plan.layers[name] = LayerPlan(
+                ker_fl=np.asarray(ld["ker_fl"], dtype=np.int64),
+                bias_fl=np.asarray(ld["bias_fl"], dtype=np.int64),
+                shift=np.asarray(ld["shift"], dtype=np.int64),
+                comp_shift=np.asarray(ld["comp_shift"], dtype=np.int64),
+                ker_fl_layerwise=int(ld["ker_fl_layerwise"]),
+                in_groups=None if ld["in_groups"] is None
+                else np.asarray(ld["in_groups"], dtype=np.int64),
+            )
+    except KeyError as e:
+        raise PlanError(f"{where}: missing key {e.args[0]!r}") from None
+    except (TypeError, AttributeError) as e:
+        raise PlanError(f"{where}: malformed value ({e})") from None
     return plan
 
 

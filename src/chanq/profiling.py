@@ -2,10 +2,9 @@
 
 Signed central moments up to order 6 accumulate in one streaming pass via
 power sums shifted by a per-channel anchor (first value seen), which keeps
-them pairwise-merge-safe and numerically stable far from zero. Odd-order
-absolute central moments have no exact finite streaming form, so each
-channel also retains its raw samples; merges concatenate the buffers, so
-merged statistics equal whole-dataset statistics.
+them numerically stable far from zero. Odd-order absolute central moments
+have no exact finite streaming form, so each channel also retains its raw
+samples; statistics over several updates equal whole-dataset statistics.
 """
 
 from __future__ import annotations
@@ -58,9 +57,6 @@ class ChannelStats:
     def degenerate(self) -> np.ndarray:
         return self.m2 <= 0.0
 
-    def channel(self, i: int) -> "ChannelStats":
-        return ChannelStats(**{f.name: getattr(self, f.name)[i : i + 1] for f in fields(self)})
-
 
 def standardized_moments(stats: ChannelStats) -> np.ndarray:
     """Scale/shift-invariant feature vectors (nu1, nu3, nu4, nu5, nu6), [C, 5].
@@ -83,7 +79,7 @@ def _rebase(sums: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 
 class StatsAccumulator:
-    """Streaming per-channel accumulator; update, merge, then snapshot."""
+    """Streaming per-channel accumulator; update, then snapshot."""
 
     def __init__(self, channels: int):
         self.channels = channels
@@ -114,22 +110,6 @@ class StatsAccumulator:
         self.maxv = np.maximum(self.maxv, values.max(axis=1))
         self._chunks.append(values.copy())
 
-    def merge(self, other: "StatsAccumulator") -> "StatsAccumulator":
-        """Combine two partial accumulations; associative up to roundoff."""
-        if self.channels != other.channels:
-            raise ValueError("channel counts differ")
-        if other.shift is None:
-            return self._copy()
-        if self.shift is None:
-            return other._copy()
-        out = self._copy()
-        out.sums = self.sums + _rebase(other.sums, other.shift - self.shift)
-        out.count = self.count + other.count
-        out.minv = np.minimum(self.minv, other.minv)
-        out.maxv = np.maximum(self.maxv, other.maxv)
-        out._chunks = list(self._chunks) + list(other._chunks)
-        return out
-
     def pooled(self) -> "StatsAccumulator":
         """Collapse all channels into one (for layer-wide formats)."""
         out = StatsAccumulator(1)
@@ -143,16 +123,6 @@ class StatsAccumulator:
         out.minv = self.minv.min(keepdims=True)
         out.maxv = self.maxv.max(keepdims=True)
         out._chunks = [c.reshape(1, -1) for c in self._chunks]
-        return out
-
-    def _copy(self) -> "StatsAccumulator":
-        out = StatsAccumulator(self.channels)
-        out.count = self.count.copy()
-        out.minv = self.minv.copy()
-        out.maxv = self.maxv.copy()
-        out.shift = None if self.shift is None else self.shift.copy()
-        out.sums = self.sums.copy()
-        out._chunks = list(self._chunks)
         return out
 
     def snapshot(self) -> ChannelStats:
@@ -217,8 +187,8 @@ def channel_major(arr: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported activation rank {arr.ndim}")
 
 
-def collect_stats(g: Graph, dataset, include_params: bool = True) -> dict:
-    """Accumulate stats for every activation tensor (and parameters) over a dataset.
+def collect_stats(g: Graph, dataset) -> dict:
+    """Accumulate stats for every activation tensor and parameter over a dataset.
 
     Activation statistics pool over batch and spatial positions per channel;
     parameter statistics are exact since the values are fully known.
@@ -244,12 +214,11 @@ def collect_stats(g: Graph, dataset, include_params: bool = True) -> dict:
         name: TensorStats("activation", acc.snapshot(), acc.pooled().snapshot())
         for name, acc in accs.items()
     }
-    if include_params:
-        for pname, arr in g.params.items():
-            cm = np.asarray(arr, dtype=np.float64).reshape(arr.shape[0], -1)
-            acc = StatsAccumulator(cm.shape[0])
-            acc.update(cm)
-            result[pname] = TensorStats("parameter", acc.snapshot(), acc.pooled().snapshot())
+    for pname, arr in g.params.items():
+        cm = np.asarray(arr, dtype=np.float64).reshape(arr.shape[0], -1)
+        acc = StatsAccumulator(cm.shape[0])
+        acc.update(cm)
+        result[pname] = TensorStats("parameter", acc.snapshot(), acc.pooled().snapshot())
     return result
 
 
@@ -296,15 +265,23 @@ def dump_stats(stats: dict, path) -> None:
 
 
 def load_stats(path) -> dict:
+    """Inverse of :func:`dump_stats`; a missing key or a value of the wrong
+    type raises ValueError naming where it is."""
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported stats file version {doc.get('version')}")
-    return {
-        name: TensorStats(
-            kind=td["kind"],
-            per_channel=_decode_stats(td["per_channel"]),
-            pooled=_decode_stats(td["pooled"]),
-        )
-        for name, td in doc["tensors"].items()
-    }
+    stats, where = {}, "stats file"
+    try:
+        if doc.get("version") != 1:
+            raise ValueError(f"unsupported stats file version {doc.get('version')}")
+        for name, td in doc["tensors"].items():
+            where = f"stats of tensor {name!r}"
+            stats[name] = TensorStats(
+                kind=td["kind"],
+                per_channel=_decode_stats(td["per_channel"]),
+                pooled=_decode_stats(td["pooled"]),
+            )
+    except KeyError as e:
+        raise ValueError(f"{where}: missing key {e.args[0]!r}") from None
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"{where}: malformed value ({e})") from None
+    return stats

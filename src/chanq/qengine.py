@@ -216,8 +216,7 @@ def _run_fc(node, codes_in, qg: QuantizedGraph):
 
 
 def _div_half_even(acc: np.ndarray, divisor: int) -> np.ndarray:
-    if divisor & (divisor - 1) == 0:
-        return rounding_shift(acc, int(divisor).bit_length() - 1)
+    # floor division, then round up past the half and on odd ties
     q = acc // divisor
     r = acc - q * divisor
     q = q + (2 * r > divisor)
@@ -352,12 +351,19 @@ def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
             continue
         if node.name not in qparams:
             raise PlanError(f"plan has no quantized parameters for node {node.name!r}")
-        ref = qparams[node.name]
         dims = list(g.params[node.params["weight"]].shape)
-        kernels[node.name] = _read_codes(blob, ref["kernel"], _kernel_dtype(plan.bit_width),
-                                         dims, f"node {node.name!r} kernel")
-        biases[node.name] = _read_codes(blob, ref["bias"], "<i4", dims[:1],
-                                        f"node {node.name!r} bias")
+        try:
+            ref = qparams[node.name]
+            kernels[node.name] = _read_codes(blob, ref["kernel"], _kernel_dtype(plan.bit_width),
+                                             dims, f"node {node.name!r} kernel")
+            biases[node.name] = _read_codes(blob, ref["bias"], "<i4", dims[:1],
+                                            f"node {node.name!r} bias")
+        except KeyError as e:
+            raise PlanError(f"quantized parameters of node {node.name!r}: "
+                            f"missing key {e.args[0]!r}") from None
+        except TypeError as e:
+            raise PlanError(f"quantized parameters of node {node.name!r}: "
+                            f"malformed value ({e})") from None
     return QuantizedGraph(graph=g, plan=plan, kernels=kernels, biases=biases)
 
 

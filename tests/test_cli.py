@@ -1,6 +1,9 @@
 """CLI command tests: exit codes, determinism, file plumbing."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -243,3 +246,73 @@ class TestNonFinite:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and "finite" in err and "Traceback" not in err
+
+
+class TestMalformedDocuments:
+    """A JSON document missing a key exits 2 with one line naming the key."""
+
+    def _quantized(self, bundle, profiled, tmp_path):
+        q = tmp_path / "q"
+        assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                     "--mode", "cw_max", "--out", str(q)]) == 0
+        return q
+
+    def _eval(self, bundle, q, tmp_path):
+        return main(["eval", "--model", str(bundle / "model.json"),
+                     "--dataset", str(bundle / "data.qtsr"), "--plan", str(q / "plan.json"),
+                     "--out", str(tmp_path / "r")])
+
+    def _quantize(self, bundle, stats, tmp_path):
+        return main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(stats),
+                     "--mode", "cw_max", "--out", str(tmp_path / "q2")])
+
+    @staticmethod
+    def _assert_one_line(capsys, rc, key):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"missing key {key!r}" in err
+
+    def test_plan_of_version_only(self, bundle, profiled, tmp_path, capsys):
+        q = self._quantized(bundle, profiled, tmp_path)
+        (q / "plan.json").write_text(json.dumps({"version": 1}))
+        capsys.readouterr()
+        self._assert_one_line(capsys, self._eval(bundle, q, tmp_path), "mode")
+
+    def test_qparams_kernel_without_offset(self, bundle, profiled, tmp_path, capsys):
+        q = self._quantized(bundle, profiled, tmp_path)
+        doc = json.loads((q / "plan.json").read_text())
+        del doc["qparams"]["conv0"]["kernel"]["offset"]
+        (q / "plan.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        self._assert_one_line(capsys, self._eval(bundle, q, tmp_path), "offset")
+
+    def test_stats_of_version_only(self, bundle, tmp_path, capsys):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({"version": 1}))
+        self._assert_one_line(capsys, self._quantize(bundle, stats, tmp_path), "tensors")
+
+    def test_stats_channel_record_without_mean(self, bundle, profiled, tmp_path, capsys):
+        doc = json.loads(profiled.read_text())
+        del doc["tensors"]["t1"]["per_channel"]["mean"]
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(doc))
+        self._assert_one_line(capsys, self._quantize(bundle, stats, tmp_path), "mean")
+
+
+def test_runtime_loads_no_scipy():
+    # the package and its CLI run on numpy alone; scipy is a test dependency
+    import chanq
+
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import chanq, chanq.cli\n"
+        "for m in pkgutil.iter_modules(chanq.__path__):\n"
+        "    importlib.import_module('chanq.' + m.name)\n"
+        "assert chanq.cli.main(['--help']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(chanq.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == "[]"

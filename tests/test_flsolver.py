@@ -14,7 +14,6 @@ from chanq.flsolver import (
     build_labeled_corpus,
     classify_pdf,
     empirical_quant_mse,
-    fit_pdf,
     label_channel,
     optimal_fl,
     sqnr_noise,
@@ -67,8 +66,8 @@ class TestSqnrNoise:
         m = pdfs.fit_pdf(0.0, 1.0, "laplace")
         for fl in (2, 5, 8):
             q = QFormat(8, fl, True)
-            a = sqnr_noise(m, q, panels=200_000)
-            b = sqnr_noise(m, q, panels=400_000)
+            a = sqnr_noise(m, q)
+            b = dense_noise(m, q, panels=400_000)
             assert a == pytest.approx(b, rel=1e-4)
 
     def test_laplace_sweep_unimodal_and_matches_monte_carlo(self):
@@ -193,7 +192,8 @@ class TestStandardizedGridOracle:
         grids = {}
         for stats, family, bit_width, signed in oracle_sweep_cases(seed=12, n=200):
             got = optimal_fl(stats, family, bit_width, signed, grids=grids)
-            oracle = _PerChannelGrid(fit_pdf(stats, family))
+            oracle = _PerChannelGrid(
+                pdfs.fit_pdf(float(stats.mean[0]), float(stats.sigma[0]), family))
             want = oracle.optimal_fl(bit_width, signed)
             if got != want:
                 # a flip is allowed only between fls whose noises tie below roundoff

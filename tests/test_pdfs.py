@@ -16,6 +16,14 @@ class TestQuarticTailDensity:
         total, _ = integrate.quad(lambda u: np.sqrt(2) / (np.pi * (1 + u**4)), -np.inf, np.inf)
         assert total == pytest.approx(1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("t", [1.0, 5.0, 15.0, 30.0])
+    def test_closed_forms_match_quadrature(self, t):
+        density = lambda u: np.sqrt(2.0) / (np.pi * (1.0 + u**4))  # noqa: E731
+        mass, _ = integrate.quad(density, -t, t)
+        second, _ = integrate.quad(lambda u: u**2 * density(u), -t, t)
+        assert pdfs.quartic_norm_const(t) == pytest.approx(mass, rel=1e-15)
+        assert pdfs.quartic_unit_variance(t) == pytest.approx(second / mass, rel=1e-15)
+
     def test_truncation_mass_close_to_one(self):
         # renormalization constant differs from 1 by < 1e-3 at half-width 15
         assert abs(pdfs.quartic_norm_const(15.0) - 1.0) < 1e-3

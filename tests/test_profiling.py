@@ -1,4 +1,4 @@
-"""Channel statistics tests: moments, invariances, streaming merges."""
+"""Channel statistics tests: moments, invariances, streaming updates."""
 
 import numpy as np
 import pytest
@@ -68,37 +68,37 @@ class TestFeatureInvariance:
         assert np.all(np.isnan(standardized_moments(s)))
 
 
-class TestStreamingMerge:
-    def test_merge_halves_equals_whole(self):
+class TestStreamingUpdates:
+    def test_two_updates_equal_one(self):
         rng = np.random.default_rng(5)
         data = rng.normal(3.0, 2.0, size=(4, 10000))
         whole = StatsAccumulator(4)
         whole.update(data)
-        a, b = StatsAccumulator(4), StatsAccumulator(4)
-        a.update(data[:, :5000])
-        b.update(data[:, 5000:])
-        merged = a.merge(b).snapshot()
+        halves = StatsAccumulator(4)
+        halves.update(data[:, :5000])
+        halves.update(data[:, 5000:])
+        got = halves.snapshot()
         ref = whole.snapshot()
         for field in ("mean", "m2", "m3", "m4", "m5", "m6", "nu1", "nu3", "nu4", "nu5", "nu6"):
-            np.testing.assert_allclose(getattr(merged, field), getattr(ref, field),
+            np.testing.assert_allclose(getattr(got, field), getattr(ref, field),
                                        rtol=1e-9, atol=1e-12)
-        np.testing.assert_array_equal(merged.count, ref.count)
-        np.testing.assert_array_equal(merged.minv, ref.minv)
-        np.testing.assert_array_equal(merged.maxv, ref.maxv)
+        np.testing.assert_array_equal(got.count, ref.count)
+        np.testing.assert_array_equal(got.minv, ref.minv)
+        np.testing.assert_array_equal(got.maxv, ref.maxv)
 
-    def test_merge_far_from_zero(self):
+    def test_updates_far_from_zero(self):
         # anchored power sums stay stable with a large common offset
         rng = np.random.default_rng(6)
         data = rng.normal(0, 1, size=(2, 8000)) + 5000.0
-        a, b = StatsAccumulator(2), StatsAccumulator(2)
-        a.update(data[:, :3000])
-        b.update(data[:, 3000:])
-        merged = a.merge(b).snapshot()
+        halves = StatsAccumulator(2)
+        halves.update(data[:, :3000])
+        halves.update(data[:, 3000:])
+        got = halves.snapshot()
         whole = StatsAccumulator(2)
         whole.update(data)
         ref = whole.snapshot()
-        np.testing.assert_allclose(merged.m4, ref.m4, rtol=1e-9)
-        np.testing.assert_allclose(merged.nu4, ref.nu4, rtol=1e-9)
+        np.testing.assert_allclose(got.m4, ref.m4, rtol=1e-9)
+        np.testing.assert_allclose(got.nu4, ref.nu4, rtol=1e-9)
 
     def test_pooled_matches_flat(self):
         rng = np.random.default_rng(7)

@@ -1,5 +1,7 @@
 """Integer engine tests: hand-traced datapaths, oracle equivalence, replay."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,23 @@ def _toy_net_and_data(seed=3, arch="hetero_conv"):
     x, _ = gen_dataset(g, spec)
     stats = collect_stats(g, [x[i] for i in range(16)])
     return g, x, stats
+
+
+class TestAvgPoolRounding:
+    @pytest.mark.parametrize("window", [(1, 1), (2, 2), (2, 3), (3, 3)],
+                             ids=lambda w: f"{w[0]}x{w[1]}")
+    @pytest.mark.parametrize("high", [20, 2**40], ids=["small", "wide"])
+    def test_window_mean_is_half_even(self, window, high):
+        # small codes make exact ties common; large ones need int64 sums
+        wh, ww = window
+        rng = np.random.default_rng([wh, ww, high.bit_length()])
+        x = rng.integers(-high, high + 1, size=(2, 3, 6, 6))
+        node = LayerSpec("p0", "avgpool", ["x"], ["y"], attrs={"window": list(window)})
+        got = qengine._run_pool(node, x)
+        assert got.shape == (2, 3, 6 // wh, 6 // ww)
+        for n, c, i, j in np.ndindex(got.shape):
+            total = int(x[n, c, i * wh:(i + 1) * wh, j * ww:(j + 1) * ww].sum())
+            assert got[n, c, i, j] == round(Fraction(total, wh * ww))  # round() is half-even
 
 
 class TestExecutionProperties:

@@ -198,53 +198,64 @@ def validate(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 def load_model(manifest_path, weights_path=None) -> Graph:
-    """Load and validate a model from its manifest + weights blob."""
+    """Load and validate a model from its manifest + weights blob.
+
+    A missing key or a wrongly typed value raises GraphError naming where it is.
+    """
     manifest_path = Path(manifest_path)
     try:
         doc = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise GraphError(f"cannot parse manifest {manifest_path}: {e}") from e
-    if doc.get("version") != 1:
-        raise GraphError(f"{manifest_path}: unsupported manifest version {doc.get('version')}")
-    if weights_path is None:
-        rel = doc.get("weights")
-        if rel is None:
-            raise GraphError(f"{manifest_path}: no weights file given or referenced")
-        weights_path = manifest_path.parent / rel
-    blob = Path(weights_path).read_bytes()
 
     params = {}
     nodes = []
-    for nd in doc["nodes"]:
-        spec = LayerSpec(
-            name=nd["name"],
-            kind=nd["kind"],
-            inputs=list(nd["inputs"]),
-            outputs=list(nd["outputs"]),
-            attrs=dict(nd.get("attrs", {})),
-        )
-        for role, ref in nd.get("params", {}).items():
-            offset, length, dims = int(ref["offset"]), int(ref["len"]), tuple(ref["dims"])
-            expected = 4 * int(np.prod(dims, dtype=np.int64))
-            if length != expected:
-                raise GraphError(
-                    f"node {spec.name}: parameter {role!r} length {length} bytes "
-                    f"!= {expected} for dims {list(dims)}"
-                )
-            if offset + length > len(blob):
-                raise GraphError(f"node {spec.name}: parameter {role!r} overruns weights file")
-            arr = np.frombuffer(blob, dtype="<f4", count=length // 4, offset=offset)
-            pname = f"{spec.name}.{role}"
-            params[pname] = arr.reshape(dims).copy()
-            spec.params[role] = pname
-        nodes.append(spec)
+    where = str(manifest_path)
+    try:
+        if doc.get("version") != 1:
+            raise GraphError(f"{manifest_path}: unsupported manifest version {doc.get('version')}")
+        if weights_path is None:
+            rel = doc.get("weights")
+            if rel is None:
+                raise GraphError(f"{manifest_path}: no weights file given or referenced")
+            weights_path = manifest_path.parent / rel
+        blob = Path(weights_path).read_bytes()
 
-    g = Graph(
-        input_name=doc["input"]["name"],
-        input_dims=tuple(doc["input"]["dims"]),
-        nodes=nodes,
-        params=params,
-    )
+        for i, nd in enumerate(doc["nodes"]):
+            where = f"{manifest_path}: nodes[{i}]"
+            spec = LayerSpec(
+                name=nd["name"],
+                kind=nd["kind"],
+                inputs=list(nd["inputs"]),
+                outputs=list(nd["outputs"]),
+                attrs=dict(nd.get("attrs", {})),
+            )
+            for role, ref in nd.get("params", {}).items():
+                offset, length, dims = int(ref["offset"]), int(ref["len"]), tuple(ref["dims"])
+                expected = 4 * int(np.prod(dims, dtype=np.int64))
+                if length != expected:
+                    raise GraphError(
+                        f"node {spec.name}: parameter {role!r} length {length} bytes "
+                        f"!= {expected} for dims {list(dims)}"
+                    )
+                if offset + length > len(blob):
+                    raise GraphError(f"node {spec.name}: parameter {role!r} overruns weights file")
+                arr = np.frombuffer(blob, dtype="<f4", count=length // 4, offset=offset)
+                pname = f"{spec.name}.{role}"
+                params[pname] = arr.reshape(dims).copy()
+                spec.params[role] = pname
+            nodes.append(spec)
+        where = str(manifest_path)
+        g = Graph(
+            input_name=doc["input"]["name"],
+            input_dims=tuple(doc["input"]["dims"]),
+            nodes=nodes,
+            params=params,
+        )
+    except KeyError as e:
+        raise GraphError(f"{where}: missing key {e.args[0]!r}") from None
+    except (TypeError, AttributeError) as e:
+        raise GraphError(f"{where}: malformed value ({e})") from None
     return validate(g)
 
 

@@ -4,7 +4,8 @@ Signed central moments up to order 6 accumulate in one streaming pass via
 power sums shifted by a per-channel anchor (first value seen), which keeps
 them numerically stable far from zero. Odd-order absolute central moments
 have no exact finite streaming form, so each channel also retains its raw
-samples; statistics over several updates equal whole-dataset statistics.
+samples (float32 when they arrive as float32: widening them later is
+exact); statistics over several updates equal whole-dataset statistics.
 """
 
 from __future__ import annotations
@@ -92,7 +93,9 @@ class StatsAccumulator:
 
     def update(self, values: np.ndarray) -> None:
         """Add samples, shape [C, M]."""
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
+        raw = values.astype(np.float32 if values.dtype == np.float32 else np.float64)  # a copy
+        values = raw.astype(np.float64, copy=False)
         if values.ndim != 2 or values.shape[0] != self.channels:
             raise ValueError(f"expected [C={self.channels}, M] samples, got {values.shape}")
         if values.shape[1] == 0:
@@ -108,7 +111,7 @@ class StatsAccumulator:
         self.count += values.shape[1]
         self.minv = np.minimum(self.minv, values.min(axis=1))
         self.maxv = np.maximum(self.maxv, values.max(axis=1))
-        self._chunks.append(values.copy())
+        self._chunks.append(raw)
 
     def pooled(self) -> "StatsAccumulator":
         """Collapse all channels into one (for layer-wide formats)."""

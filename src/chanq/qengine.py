@@ -19,10 +19,8 @@ import numpy as np
 from .fixedpoint import rounding_shift, saturate_accumulator
 from .graph import Graph, GraphError
 from .planner import LayerPlan, PlanError, QuantPlan, TensorFormat
-from .tensorops import _windows
+from .tensorops import _BLOCK_ELEMS, _tap_mac, _tap_reduce, _windows
 
-# Largest temporary of the integer MAC, in elements (one row at least).
-_BLOCK_ELEMS = 2**16
 # Integers below this magnitude, and sums of them, are exact in float64.
 _FLOAT_EXACT = 2**53
 
@@ -198,7 +196,7 @@ def _run_conv(node, codes_in, qg: QuantizedGraph):
                            _abs_max(codes_in))
         acc = acc.reshape(co, n, oh, ow).transpose(1, 0, 2, 3)
     else:  # depthwise: no compensation can arise (tight fls never clamp)
-        acc = np.einsum("nchwkl,ckl->nchw", win, ker[:, 0])
+        acc = _tap_mac(win, ker[:, 0])
     out_fmt = qg.plan.tensors[node.outputs[0]]
     return _finish_accumulator(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
 
@@ -228,8 +226,8 @@ def _run_pool(node, codes_in):
     wh, ww = node.attr_pair("window")
     win = _windows(codes_in, wh, ww, node.pool_stride(), node.attr_pair("pad", 0))
     if node.kind == "maxpool":
-        return win.max(axis=(4, 5))
-    return _div_half_even(win.sum(axis=(4, 5)), wh * ww)
+        return _tap_reduce(win, np.maximum)
+    return _div_half_even(_tap_reduce(win, np.add), wh * ww)
 
 
 def _run_add(node, a, b, qg: QuantizedGraph):

@@ -3,12 +3,27 @@
 These are the float32 baselines: they feed profiling, serve as the
 accuracy reference for the integer engine, and double as oracles in
 tests. All functions are pure; inputs are never modified.
+
+Convolutions and fc layers sum their products in float64 (one BLAS GEMM
+over im2col rows for conv, one multiply-accumulate per tap for
+depthwise) and round once to float32. A product of two float32 values is
+exact in float64, so the error of that sum is bounded (Higham, *Accuracy
+and Stability of Numerical Algorithms*, ch. 3). Every lane the bound
+cannot place on one side of a float32 rounding midpoint is recomputed
+exactly with ``math.fsum``. Each output is therefore the float32 nearest
+to the exact sum plus bias, ties to even, whatever order the BLAS sums in.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+# Largest temporary of a block of output rows, in elements (one row at least).
+_BLOCK_ELEMS = 2**16
+_U = 2.0**-53  # unit roundoff of float64
 
 
 class ShapeError(ValueError):
@@ -44,6 +59,102 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride, pad) -> np.ndarray:
     return win[:, :, ::sh, ::sw, :, :]
 
 
+def _gamma(n: int) -> float:
+    # Higham's gamma_n = n*u / (1 - n*u): the relative error bound of an n-term float64 sum
+    return n * _U / (1 - n * _U)
+
+
+def _unsettled(y: np.ndarray, mag: np.ndarray, k: int) -> np.ndarray:
+    """Lanes where float32(y) may differ from the float32 nearest the exact sum.
+
+    ``y`` is the float64 sum of K products, in any order, with a bias added
+    last, and ``mag`` the float64 sum of the products' magnitudes. The exact
+    sum lies within gamma_K * mag + u * |y| of ``y``; the bound below uses
+    gamma_{K+2} and 3u so that it also covers the rounding of ``mag``, of
+    the bound and of y -+ bound. Rounding to float32 is monotone, so a lane
+    is settled when both ends of that interval round alike.
+    """
+    err = _gamma(k + 2) * mag + 3 * _U * np.abs(y)
+    lo = (y - err).astype(np.float32)
+    hi = (y + err).astype(np.float32)
+    return (lo != hi) & np.isfinite(y)
+
+
+def _nearest_f32(c: np.ndarray, w: np.ndarray, b: float) -> np.float32:
+    """The float32 nearest to the exact ``sum(c * w) + b``, ties to even.
+
+    Exact when ``c`` and ``w`` hold float32 values (their products are then
+    exact in float64); wider operands get their float64 products summed
+    exactly, which is still independent of order.
+    """
+    terms = [*(c * w).tolist(), float(b)]
+    r = math.fsum(terms)  # the exact sum rounded once, to float64
+    f = np.float32(r)
+    if float(f) != r:
+        # float32(r) is wrong only where r landed on a float32 midpoint that
+        # the exact sum misses; the sign of the exact residual picks the side
+        g = np.nextafter(f, np.float32(math.copysign(np.inf, r - float(f))))
+        residual = math.fsum(terms + [-r])
+        if r == (float(f) + float(g)) / 2 and residual:
+            f = max(f, g) if residual > 0 else min(f, g)
+    return f
+
+
+def _round_lanes(y: np.ndarray, mag: np.ndarray, k: int, operands) -> np.ndarray:
+    """Round the float64 sums ``y`` to float32, each as its exact sum would.
+
+    ``operands(*index)`` gives the (c, w, b) of one lane for the lanes that
+    :func:`_unsettled` flags.
+    """
+    out = y.astype(np.float32)
+    for idx in zip(*np.nonzero(_unsettled(y, mag, k))):
+        out[idx] = _nearest_f32(*operands(*idx))
+    return out
+
+
+def _rows_dot(src: np.ndarray, row_ndim: int, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Correctly rounded float32 of ``rows @ w.T + bias``.
+
+    The leading ``row_ndim`` axes of ``src`` index M rows, and its other
+    axes the K operands of each row (any strides: a window view is not
+    copied whole). ``w`` is [O, K]. Returns [M, O]. Rows are gathered
+    (im2col, Chellapilla et al. 2006) in blocks, so no float64 temporary
+    exceeds ``_BLOCK_ELEMS``.
+    """
+    lead = src.shape[:row_ndim]
+    m, (o, k) = math.prod(lead), w.shape
+    w64 = w.T.astype(np.float64)
+    w_abs = np.abs(w64)
+    b = np.asarray(bias, dtype=np.float64)
+    out = np.empty((m, o), dtype=np.float32)
+    rows = max(1, _BLOCK_ELEMS // max(k, o))
+    for r0 in range(0, m, rows):
+        r1 = min(r0 + rows, m)
+        cols = src[np.unravel_index(np.arange(r0, r1), lead)].reshape(r1 - r0, k)
+        cols = cols.astype(np.float64)
+        out[r0:r1] = _round_lanes(cols @ w64 + b, np.abs(cols) @ w_abs, k,
+                                  lambda i, j: (cols[i], w64[:, j], b[j]))
+    return out
+
+
+def _tap_mac(win: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Per-channel MAC over a [N, C, H', W', Kh, Kw] window view with a
+    [C, Kh, Kw] kernel, one tap at a time, accumulated in the kernel's dtype."""
+    acc = np.zeros(win.shape[:4], dtype=kernel.dtype)
+    for u, v in np.ndindex(kernel.shape[1:]):
+        acc += win[..., u, v] * kernel[:, u, v, None, None]
+    return acc
+
+
+def _tap_reduce(win: np.ndarray, op) -> np.ndarray:
+    """Fold the Kh*Kw taps of a [..., Kh, Kw] window view with the ufunc ``op``."""
+    taps = np.ndindex(win.shape[-2:])
+    out = win[(..., *next(taps))].copy()
+    for u, v in taps:
+        op(out, win[..., u, v], out=out)
+    return out
+
+
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride=1, pad=0) -> np.ndarray:
     """Cross-correlation with zero padding plus per-output-channel bias."""
     if x.ndim != 4 or kernel.ndim != 4:
@@ -54,10 +165,10 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride=1, pad=0)
         raise ShapeError(f"kernel input channels {ck} != input channels {ci}")
     if bias.shape != (co,):
         raise ShapeError(f"bias shape {bias.shape} != ({co},)")
-    conv_output_hw(h, w, kh, kw, stride, pad)
-    win = _windows(x, kh, kw, stride, pad)
-    out = np.einsum("nihwkl,oikl->nohw", win, kernel, dtype=np.float64)
-    return (out + bias[None, :, None, None]).astype(np.float32)
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
+    win = _windows(x, kh, kw, stride, pad).transpose(0, 2, 3, 1, 4, 5)  # [N, H', W', Ci, Kh, Kw]
+    out = _rows_dot(win, 3, kernel.reshape(co, -1), bias)
+    return np.ascontiguousarray(out.reshape(n, oh, ow, co).transpose(0, 3, 1, 2))
 
 
 def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride=1, pad=0) -> np.ndarray:
@@ -72,8 +183,19 @@ def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride
         raise ShapeError(f"bias shape {bias.shape} != ({c},)")
     conv_output_hw(h, w, kh, kw, stride, pad)
     win = _windows(x, kh, kw, stride, pad)
-    out = np.einsum("nchwkl,ckl->nchw", win, kernel[:, 0], dtype=np.float64)
-    return (out + bias[None, :, None, None]).astype(np.float32)
+    win_abs = _windows(np.abs(x), kh, kw, stride, pad)
+    k64 = kernel[:, 0].astype(np.float64)
+    k_abs = np.abs(k64)
+    b = np.asarray(bias, dtype=np.float64)
+    out = np.empty(win.shape[:4], dtype=np.float32)
+    rows = max(1, _BLOCK_ELEMS // math.prod(out.shape[1:]))
+    for n0 in range(0, n, rows):
+        blk = win[n0:n0 + rows]
+        y = _tap_mac(blk, k64) + b[:, None, None]
+        out[n0:n0 + rows] = _round_lanes(
+            y, _tap_mac(win_abs[n0:n0 + rows], k_abs), kh * kw,
+            lambda i, j, r, s: (blk[i, j, r, s].ravel(), k64[j].ravel(), b[j]))
+    return out
 
 
 def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -86,7 +208,7 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.
         raise ShapeError(f"fc input dim {x.shape[1]} != weight dim {weights.shape[1]}")
     if bias.shape != (weights.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} != ({weights.shape[0]},)")
-    return (x.astype(np.float64) @ weights.T.astype(np.float64) + bias).astype(np.float32)
+    return _rows_dot(x, 1, weights, bias)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -104,9 +226,10 @@ def pool(x: np.ndarray, kind: str, window, stride=None, pad=0) -> np.ndarray:
     wh, ww = _as_pair(window)
     stride = window if stride is None else stride
     conv_output_hw(x.shape[2], x.shape[3], wh, ww, stride, pad)
-    win = _windows(x, wh, ww, stride, pad)
+    # the order of the float32 window sum follows the input's strides: fix them
+    win = _windows(np.ascontiguousarray(x), wh, ww, stride, pad)
     if kind == "max":
-        out = win.max(axis=(4, 5))
+        out = _tap_reduce(win, np.maximum)
     elif kind == "avg":
         out = win.sum(axis=(4, 5)) / float(wh * ww)
     else:

@@ -299,6 +299,20 @@ class TestMalformedDocuments:
         stats.write_text(json.dumps(doc))
         self._assert_one_line(capsys, self._quantize(bundle, stats, tmp_path), "mean")
 
+    @pytest.mark.parametrize("key", ["nodes", "offset"])
+    def test_manifest_without_key(self, bundle, tmp_path, capsys, key):
+        doc = json.loads((bundle / "model.json").read_text())
+        if key == "nodes":
+            del doc["nodes"]
+        else:
+            del doc["nodes"][0]["params"]["weight"]["offset"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        (tmp_path / "weights.bin").write_bytes((bundle / "weights.bin").read_bytes())
+        rc = main(["profile", "--model", str(model), "--dataset", str(bundle / "data.qtsr"),
+                   "--out", str(tmp_path / "s.json")])
+        self._assert_one_line(capsys, rc, key)
+
 
 def test_runtime_loads_no_scipy():
     # the package and its CLI run on numpy alone; scipy is a test dependency

@@ -1,5 +1,7 @@
 """Channel statistics tests: moments, invariances, streaming updates."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,20 @@ class TestStreamingUpdates:
         np.testing.assert_allclose(pooled.mean, flat.mean, rtol=1e-9)
         np.testing.assert_allclose(pooled.m2, flat.m2, rtol=1e-9)
         np.testing.assert_allclose(pooled.nu4, flat.nu4, rtol=1e-9)
+
+    def test_float32_samples_keep_their_width_and_give_the_same_stats(self):
+        # raw chunks stay float32 (half the memory); widening them later is exact
+        rng = np.random.default_rng(12)
+        data = (rng.standard_t(3, size=(3, 2000)) * 40 + 7).astype(np.float32)
+        narrow, wide = StatsAccumulator(3), StatsAccumulator(3)
+        for chunk in (data[:, :700], data[:, 700:]):
+            narrow.update(chunk)
+            wide.update(chunk.astype(np.float64))
+        assert narrow._chunks[0].dtype == np.float32
+        for acc_a, acc_b in ((narrow, wide), (narrow.pooled(), wide.pooled())):
+            a, b = acc_a.snapshot(), acc_b.snapshot()
+            for f in fields(a):
+                assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
 
 
 def _conv_relu_graph():

@@ -24,7 +24,8 @@ for max_abs in (0.5, 5.3, 100.0):
 print("\n== Rounding shifts (half-to-even) ==")
 out = QFormat(8, 0, True)
 for acc, s in ((300, 3), (4, 3), (12, 3), (100000, 1)):
-    print(f"  {acc} >> {s} = {int(rounding_shift(acc, s, out))}"
+    code = np.clip(rounding_shift(acc, s), out.min_code, out.max_code)  # narrow to 8 bits
+    print(f"  {acc} >> {s} = {int(code)}"
           f"   (exact {acc / 2**s})")
 
 print("\nA 0.5 tie rounds to the even neighbor: 4>>3 -> 0, 12>>3 -> 2.")

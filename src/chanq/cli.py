@@ -52,8 +52,8 @@ def _load_dataset(path) -> np.ndarray:
     data = read_tensor(path)
     if data.ndim == 3:
         data = data[None]
-    if data.ndim != 4 and data.ndim != 2:
-        raise TensorFileError(f"{path}: expected a batch of inputs, got rank {data.ndim}")
+    if data.ndim not in (2, 4) or data.size == 0:
+        raise TensorFileError(f"{path}: expected a non-empty batch of inputs, got {data.shape}")
     data = data.astype(np.float32)
     if not np.isfinite(data).all():
         raise TensorFileError(f"{path}: dataset holds non-finite values")

@@ -119,13 +119,12 @@ def _shift_left_saturating(acc: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return np.where(wrapped, np.where(acc < 0, INT64_MIN, INT64_MAX), res)
 
 
-def rounding_shift(acc, shift, out: QFormat | None = None) -> np.ndarray:
+def rounding_shift(acc, shift) -> np.ndarray:
     """Rescale accumulator codes by 2**(-shift) with half-even rounding.
 
     Elementwise over ``acc`` and ``shift`` broadcast together. Negative
     shifts multiply and saturate to the int64 range; right shifts of 64 or
-    more give 0. If ``out`` is given the result is saturated to its code
-    range.
+    more give 0.
     """
     acc = np.asarray(acc, dtype=np.int64)
     shift = np.asarray(shift, dtype=np.int64)
@@ -134,8 +133,6 @@ def rounding_shift(acc, shift, out: QFormat | None = None) -> np.ndarray:
         res = np.where(shift >= 64, 0, res)
     if shift.min(initial=0) < 0:  # shifts of -64 and less wrap for every acc but 0 and -1
         res = np.where(shift < 0, _shift_left_saturating(acc, np.clip(-shift, 0, 63)), res)
-    if out is not None:
-        res = np.clip(res, out.min_code, out.max_code)
     return res[()]
 
 

@@ -4,8 +4,10 @@ The MAX rule reserves integer bits for the observed extreme value; the
 moment-based rules fit a density to the channel's mean/sigma and pick the
 integer fractional length minimizing expected squared quantization error
 (granular error inside the representable range plus overload error from
-saturating the tails). A small kNN over standardized absolute moments
-selects the best-fit family per channel.
+saturating the tails). That error is exact and elementary: one closed-form
+term per cell edge, as in the clipped-quantizer analyses of ACIQ (Banner et
+al., arXiv 1810.05723) and of Lin et al. (arXiv 1511.06393). A small kNN
+over standardized absolute moments selects the best-fit family per channel.
 """
 
 from __future__ import annotations
@@ -21,98 +23,80 @@ from . import pdfs
 from .fixedpoint import FL_MAX, QFormat, dequantize, fl_from_max, quantize
 from .profiling import ChannelStats, standardized_moments, stats_from_samples
 
-DEFAULT_PANELS = 200_000
-GRID_HALF_WIDTH = 30.0  # integration span in scale units, per family support
+SCAN_HALF_WIDTH = 30.0  # the scan starts at the finest fl covering 2 (|mean| + this many scales)
+TAIL_HALF_WIDTH = 40.0  # cell edges this many scales out on an unbounded density are dropped
 
 
-class _NoiseGrid:
-    """Composite-midpoint noise integral of one density family, on a fixed
-    grid in standardized coordinates u = (x - location) / scale.
+def _noise_curve(model: pdfs.PdfModel, bit_width: int, signed: bool, fls) -> np.ndarray:
+    """Expected squared quantization error of the model at each fl in ``fls``.
 
-    Every model of a family (at one truncation) is an affine image of its
-    unit-scale model, so the weights f(u_i) * h_u and their moment prefix
-    sums serve every channel: a format's cell edges and codes map into u,
-    and the noise is scale**2 times the standardized one. Regrouping
-    sum_i w_i (x_i - Q(x_i))^2 by the cell each midpoint lands in gives the
-    identical quantity; with <= 2^B cells per format this is hundreds of
-    times cheaper than re-quantizing the whole grid per fl.
+    In u = (x - location) / scale, with code step h and c the distance from
+    the mean to the code it rounds (and saturates) to, the cell integrals of
+    (u - code)^2 p(u) sum, by parts, to one term per edge e between codes:
+
+        noise / scale^2 = Var U + c^2 - 2 h sum_e T(|e|),  T(t) = E[(U - t)+].
+
+    Each edge is shared by its two cells, T is elementary (pdfs.tail_excess),
+    and a pairwise sum per fl keeps rounding near 1e-16 Var U / noise. As
+    T(|e|) <= T(0), noise >= Var U + c^2 - 2 T(0) h (edge count): fls this
+    bound puts above twice the best are not summed and score inf.
     """
-
-    def __init__(self, family: str, truncation: float | None = None):
-        unit = pdfs.PdfModel(family, 0.0, 1.0, truncation)
-        half = max(unit.half_support if np.isfinite(unit.half_support) else 0.0, GRID_HALF_WIDTH)
-        h = 2.0 * half / DEFAULT_PANELS
-        self.u = -half + (np.arange(DEFAULT_PANELS) + 0.5) * h
-        w = pdfs.density(unit, self.u) * h
-        # prefix sums of the zeroth, first and second moments of w in u
-        self.prefix = [np.concatenate([[0.0], np.cumsum(w * self.u**k)]) for k in range(3)]
-
-    def extent(self, model: pdfs.PdfModel) -> tuple[float, float]:
-        """First and last grid midpoints of the model, in x."""
-        return (model.location + model.scale * float(self.u[0]),
-                model.location + model.scale * float(self.u[-1]))
-
-    def noise(self, model: pdfs.PdfModel, q: QFormat) -> float:
-        mu, s = model.location, model.scale
-        step = 2.0**-q.frac_len
-        k_lo, k_hi = (int(np.clip(np.rint(x * 2.0**q.frac_len), q.min_code, q.max_code))
-                      for x in self.extent(model))
-        codes = np.arange(k_lo, k_hi + 1) * step  # dyadic, so exact
-        # cell k holds values rounding (then saturating) to code k
-        idx = np.searchsorted(self.u, (codes[:-1] + 0.5 * step - mu) / s, side="left")
-        bounds = np.concatenate([[0], idx, [len(self.u)]])
-        m0, m1, m2 = (np.diff(p[bounds]) for p in self.prefix)
-        v = (codes - mu) / s
-        return s * s * float(np.sum(m2 - 2.0 * v * m1 + v * v * m0))
-
-
-def _noise_grid(model: pdfs.PdfModel, grids: dict | None) -> _NoiseGrid:
-    # ``grids`` is a caller-owned memo, so a grid lives as long as the one
-    # solve (or corpus build) that shares it
-    key = (model.family, model.truncation)
-    grids = {} if grids is None else grids
-    if key not in grids:
-        grids[key] = _NoiseGrid(*key)
-    return grids[key]
+    fls = np.asarray(fls, dtype=np.int64)
+    unit = pdfs.PdfModel(model.family, 0.0, 1.0, model.truncation)
+    mu, s = model.location, model.scale
+    fmt = QFormat(bit_width, 0, signed)
+    scale, step = np.ldexp(1.0, fls), np.ldexp(1.0, -fls)
+    half = unit.half_support if np.isfinite(unit.half_support) else TAIL_HALF_WIDTH
+    # edges (k + 1/2) step for k in [min_code, max_code - 1], within mu +- half * s
+    first = np.clip(np.ceil((mu - half * s) * scale - 0.5), fmt.min_code, fmt.max_code)
+    last = np.clip(np.floor((mu + half * s) * scale - 0.5), fmt.min_code - 1, fmt.max_code - 1)
+    count = np.maximum(last - first + 1, 0).astype(np.int64)
+    c = (np.clip(np.rint(mu * scale), fmt.min_code, fmt.max_code) * step - mu) / s
+    base = pdfs.model_variance(unit) + c * c
+    bound = base - 2.0 * float(pdfs.tail_excess(unit, 0.0)) * count * step / s
+    noise = np.full(fls.shape, np.inf)
+    for pick in (bound <= 0, bound > 0):  # the second pass is pruned by the first's best
+        pick &= bound <= 2.0 * abs(noise.min())
+        n = count[pick]
+        starts = np.cumsum(n) - n
+        k = np.arange(n.sum()) - np.repeat(starts - first[pick].astype(np.int64), n)
+        u = ((k + 0.5) * np.repeat(step[pick], n) - mu) / s
+        sums = np.zeros(n.size)
+        if n.any():
+            sums[n > 0] = np.add.reduceat(pdfs.tail_excess(unit, np.abs(u)), starts[n > 0])
+        noise[pick] = base[pick] - 2.0 * step[pick] / s * sums
+    return s * s * noise
 
 
 def sqnr_noise(model: pdfs.PdfModel, q: QFormat) -> float:
-    """Expected squared quantization error of the model under the format.
-
-    Composite midpoint quadrature over location +/- max(support, 30) scale
-    units; saturation to the extreme code is the overload behavior.
-    """
-    return _NoiseGrid(model.family, model.truncation).noise(model, q)
-
-
-def _scan_lower_bound(extent, bit_width: int, signed) -> int:
-    # Any fl whose range covers twice the grid extent dominates all coarser
-    # fls pointwise (dyadic grids nest and neither saturates there), so the
-    # argmin scan can start at the finest such fl.
-    span = max(abs(extent[0]), abs(extent[1]))
-    return fl_from_max(2.0 * span, bit_width, signed)
+    """Expected squared quantization error of the model under the format:
+    the exact integral of (x - Q(x))^2 against the density, where Q rounds
+    half-even to a code and saturates (see :func:`_noise_curve`). Edges
+    TAIL_HALF_WIDTH scales out on a laplace or gaussian model are dropped,
+    which moves it by under (1 + h) exp(-40) scale^2 per side, h the step in
+    scales."""
+    return float(_noise_curve(model, q.bit_width, q.signed, [q.frac_len])[0])
 
 
 def optimal_fl(stats: ChannelStats, family: str, bit_width: int = 8,
-               signed: bool = True, channel: int = 0, grids: dict | None = None) -> int:
+               signed: bool = True, channel: int = 0) -> int:
     """SQNR-optimal integer fractional length for one channel.
 
-    Balances granular against overload error by explicit argmin over
-    integer fls; ties break toward the smaller fl (wider range). Channels
-    with sigma == 0 fall back to the MAX rule. Callers solving many
-    channels pass one ``grids`` dict so each family's grid is built once.
+    Scores every fl from the finest whose range covers twice |mean| +
+    SCAN_HALF_WIDTH scales (it dominates all coarser fls: dyadic grids nest
+    and neither saturates there) up to FL_MAX in one pass. Noises within
+    1e-12 relative of the minimum tie; ties go to the smaller fl (wider
+    range). Channels with sigma == 0 fall back to the MAX rule.
     """
     sigma = float(stats.sigma[channel])
     if sigma <= 0:
         return fl_from_max(float(stats.max_abs[channel]), bit_width, signed)
     model = pdfs.fit_pdf(float(stats.mean[channel]), sigma, family)
-    grid = _noise_grid(model, grids)
-    best_fl, best_noise = None, np.inf
-    for fl in range(_scan_lower_bound(grid.extent(model), bit_width, signed), FL_MAX + 1):
-        noise = grid.noise(model, QFormat(bit_width, fl, signed))
-        if noise < best_noise:
-            best_fl, best_noise = fl, noise
-    return best_fl
+    span = abs(model.location) + SCAN_HALF_WIDTH * model.scale
+    fls = np.arange(fl_from_max(2.0 * span, bit_width, signed), FL_MAX + 1)
+    noise = _noise_curve(model, bit_width, signed, fls)
+    best = noise.min()
+    return int(fls[np.argmax(noise <= best + 1e-12 * abs(best))])
 
 
 def empirical_quant_mse(samples: np.ndarray, q: QFormat) -> float:
@@ -125,10 +109,9 @@ def empirical_quant_mse(samples: np.ndarray, q: QFormat) -> float:
 LABEL_FAMILIES = ("laplace", "super_cauchy")
 
 
-def label_channel(samples, bit_width: int = 8, signed: bool = True,
-                  grids: dict | None = None) -> str:
+def label_channel(samples, bit_width: int = 8, signed: bool = True) -> str:
     """Best-fit family for a channel: lowest empirical MSE at each family's
-    optimal fl. Ties go to laplace. ``grids`` is passed to :func:`optimal_fl`."""
+    optimal fl. Ties go to laplace."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < 100:
         raise ValueError(f"need at least 100 samples to label a channel, got {samples.size}")
@@ -137,7 +120,7 @@ def label_channel(samples, bit_width: int = 8, signed: bool = True,
         raise ValueError("cannot label a degenerate (sigma == 0) channel")
     best = None
     for family in LABEL_FAMILIES:  # laplace first, so ties keep laplace
-        fl = optimal_fl(stats, family, bit_width, signed, grids=grids)
+        fl = optimal_fl(stats, family, bit_width, signed)
         mse = empirical_quant_mse(samples, QFormat(bit_width, fl, signed))
         if best is None or mse < best[0]:
             best = (mse, family)
@@ -188,7 +171,6 @@ def build_labeled_corpus(n_channels: int, seed: int, samples_per_channel: int = 
     Returns (features [N, 5], labels list, true_families list).
     """
     rng = np.random.default_rng(seed)
-    grids: dict = {}
     feats, labels, true = [], [], []
     for i in range(n_channels):
         family = LABEL_FAMILIES[i % 2]
@@ -197,7 +179,7 @@ def build_labeled_corpus(n_channels: int, seed: int, samples_per_channel: int = 
         samples = pdfs.sample(model, samples_per_channel, rng)
         stats = stats_from_samples(samples)
         feats.append(standardized_moments(stats)[0])
-        labels.append(label_channel(samples, bit_width, grids=grids))
+        labels.append(label_channel(samples, bit_width))
         true.append(family)
     return np.array(feats), labels, true
 

@@ -31,6 +31,10 @@ class GraphError(ValueError):
     """Invalid manifest, weights, or graph structure."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass
 class LayerSpec:
     name: str
@@ -41,10 +45,16 @@ class LayerSpec:
     params: dict = field(default_factory=dict)  # role -> parameter tensor name
 
     def attr_pair(self, key, default=None):
+        """An integer or [h, w] attribute as a pair: pads >= 0, the rest >= 1."""
         v = self.attrs.get(key, default)
         if v is None:
             raise GraphError(f"node {self.name}: missing attribute {key!r}")
-        return ops._as_pair(v)
+        pair = list(v) if isinstance(v, (list, tuple)) else [v, v]
+        low = 0 if key == "pad" else 1
+        if len(pair) != 2 or not all(_is_int(x) and x >= low for x in pair):
+            raise GraphError(f"node {self.name}: attribute {key!r} must be an integer >= {low} "
+                             f"or a pair of them, got {v!r}")
+        return int(pair[0]), int(pair[1])
 
     def pool_stride(self):
         """Pooling stride; defaults to the window."""
@@ -158,25 +168,34 @@ def _infer_shape(node: LayerSpec, in_shapes: list[tuple], params: dict) -> tuple
 
 def validate(g: Graph) -> Graph:
     """Order nodes, check names/shapes, and annotate relu consumers."""
+    if not isinstance(g.input_name, str):
+        raise GraphError(f"input name must be a string, got {g.input_name!r}")
+    if len(g.input_dims) < 2 or not all(_is_int(d) and d >= 1 for d in g.input_dims):
+        raise GraphError(f"input dims must be two or more positive integers, got {g.input_dims}")
     seen = {g.input_name}
     for node in g.nodes:
+        if not all(isinstance(t, str) for t in [node.name, *node.inputs, *node.outputs]):
+            raise GraphError(f"node {node.name!r}: node and tensor names must be strings")
         if node.kind not in KINDS:
             raise GraphError(f"node {node.name}: unknown kind {node.kind!r}")
+        arity = 2 if node.kind in ("add", "concat") else 1
+        if len(node.inputs) != arity:
+            raise GraphError(f"node {node.name}: {node.kind} takes {arity} input(s), "
+                             f"got {len(node.inputs)}")
         if len(node.outputs) != 1:
             raise GraphError(f"node {node.name}: exactly one output tensor required")
-        for t in node.outputs:
-            if t in seen:
-                raise GraphError(f"tensor {t!r} produced more than once (node {node.name})")
-            seen.add(t)
+        if node.outputs[0] in seen:
+            raise GraphError(f"tensor {node.outputs[0]!r} produced more than once "
+                             f"(node {node.name})")
+        seen.add(node.outputs[0])
         for role in _PARAM_ROLES.get(node.kind, ()):
             if role not in node.params:
                 raise GraphError(f"node {node.name}: missing parameter {role!r}")
             if node.params[role] not in g.params:
                 raise GraphError(f"node {node.name}: parameter tensor {node.params[role]!r} not loaded")
-    produced = {g.input_name} | {t for n in g.nodes for t in n.outputs}
     for node in g.nodes:
         for t in node.inputs:
-            if t not in produced:
+            if t not in seen:
                 raise GraphError(f"node {node.name}: input tensor {t!r} is not produced anywhere")
     g.nodes = topological_order(g.nodes, {g.input_name})
 
@@ -252,9 +271,11 @@ def load_model(manifest_path, weights_path=None) -> Graph:
             nodes=nodes,
             params=params,
         )
+    except GraphError:
+        raise
     except KeyError as e:
         raise GraphError(f"{where}: missing key {e.args[0]!r}") from None
-    except (TypeError, AttributeError) as e:
+    except (TypeError, AttributeError, ValueError, OverflowError) as e:
         raise GraphError(f"{where}: malformed value ({e})") from None
     return validate(g)
 

@@ -11,7 +11,7 @@ sigma over that constant's square root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan, log, pi, sqrt
+from math import erfc, pi, sqrt
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class PdfModel:
 
     @property
     def half_support(self) -> float:
-        """Half-width used for integration grids, in scale units."""
+        """Half-width of the support in scale units; inf for laplace and gaussian."""
         if self.family == "super_cauchy":
             return self.truncation if self.truncation is not None else DEFAULT_TRUNCATION
         if self.family == "uniform":
@@ -49,24 +49,27 @@ def _quartic_unit(u: np.ndarray) -> np.ndarray:
     return sqrt(2.0) / (pi * (1.0 + u**4))
 
 
-def _quartic_integrals(t: float) -> tuple[float, float]:
-    # Integrals of 1/(1+u^4) and u^2/(1+u^4) over [-t, t], from the partial
-    # fractions of 1/(1+u^4) over u^2 +- sqrt(2)u + 1.
+def _quartic_tails(t):
+    # Integrals of 1/(1+u^4), u/(1+u^4) and u^2/(1+u^4) over [t, inf), t >= 0,
+    # from the partial fractions of 1/(1+u^4) over u^2 +- sqrt(2)u + 1. Pi
+    # minus their two atans is one atan2 and their log ratio a log1p, so every
+    # term keeps its relative accuracy as t grows.
     r2 = sqrt(2.0)
-    log_part = log((t * t + r2 * t + 1.0) / (t * t - r2 * t + 1.0))
-    atan_part = 2.0 * atan(r2 * t + 1.0) + 2.0 * atan(r2 * t - 1.0)
-    return (log_part + atan_part) / (2.0 * r2), (atan_part - log_part) / (2.0 * r2)
+    log_part = np.log1p(2.0 * r2 * t / (t * t - r2 * t + 1.0))
+    atan_part = 2.0 * np.arctan2(r2 * t, t * t - 1.0)
+    return ((atan_part - log_part) / (4.0 * r2), 0.5 * np.arctan2(1.0, t * t),
+            (atan_part + log_part) / (4.0 * r2))
 
 
 def quartic_norm_const(truncation: float = DEFAULT_TRUNCATION) -> float:
     """Mass of the unit quartic-tail density inside +/- truncation."""
-    return sqrt(2.0) / pi * _quartic_integrals(truncation)[0]
+    return float(1.0 - 2.0 * sqrt(2.0) / pi * _quartic_tails(truncation)[0])
 
 
 def quartic_unit_variance(truncation: float = DEFAULT_TRUNCATION) -> float:
     """Variance of the truncated, renormalized unit quartic-tail density."""
-    mass, second = _quartic_integrals(truncation)
-    return second / mass
+    i0, _, i2 = _quartic_tails(truncation)
+    return float((pi / sqrt(2.0) - 2.0 * i2) / (pi / sqrt(2.0) - 2.0 * i0))
 
 
 def density(model: PdfModel, x) -> np.ndarray:
@@ -79,10 +82,8 @@ def density(model: PdfModel, x) -> np.ndarray:
         return np.exp(-0.5 * u**2) / (model.scale * sqrt(2.0 * pi))
     if model.family == "uniform":
         return np.where(np.abs(u) <= 1.0, 0.5 / model.scale, 0.0)
-    t = model.truncation if model.truncation is not None else DEFAULT_TRUNCATION
-    inside = np.abs(u) < t
-    vals = _quartic_unit(u) / (model.scale * quartic_norm_const(t))
-    return np.where(inside, vals, 0.0)
+    t = model.half_support
+    return np.where(np.abs(u) < t, _quartic_unit(u) / (model.scale * quartic_norm_const(t)), 0.0)
 
 
 def model_variance(model: PdfModel) -> float:
@@ -93,8 +94,27 @@ def model_variance(model: PdfModel) -> float:
         return model.scale**2
     if model.family == "uniform":
         return model.scale**2 / 3.0
-    t = model.truncation if model.truncation is not None else DEFAULT_TRUNCATION
-    return model.scale**2 * quartic_unit_variance(t)
+    return model.scale**2 * quartic_unit_variance(model.half_support)
+
+
+def tail_excess(model: PdfModel, t) -> np.ndarray:
+    """E[(U - t)+] for t >= 0, where U = (X - location) / scale (vectorized).
+
+    Closed form for every family; it is the only property of the density
+    that the quantization-noise functional of :mod:`chanq.flsolver` needs.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if model.family == "laplace":
+        return 0.5 * np.exp(-t)
+    if model.family == "gaussian":
+        upper = 0.5 * np.asarray(np.frompyfunc(erfc, 1, 1)(t / sqrt(2.0)), dtype=np.float64)
+        return np.exp(-0.5 * t * t) / sqrt(2.0 * pi) - t * upper
+    if model.family == "uniform":
+        return 0.25 * (1.0 - np.minimum(t, 1.0)) ** 2
+    trunc = model.half_support
+    t = np.minimum(t, trunc)
+    (i0, i1, _), (j0, j1, _) = _quartic_tails(t), _quartic_tails(trunc)
+    return sqrt(2.0) / (pi * quartic_norm_const(trunc)) * ((i1 - j1) - t * (i0 - j0))
 
 
 def normalization(model: PdfModel, panels: int = 400_000) -> float:
@@ -138,7 +158,7 @@ def sample(model: PdfModel, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(model.location, model.scale, n)
     if model.family == "uniform":
         return rng.uniform(model.location - model.scale, model.location + model.scale, n)
-    t = model.truncation if model.truncation is not None else DEFAULT_TRUNCATION
+    t = model.half_support
     if t not in _SC_INVCDF_CACHE:
         u = np.linspace(-t, t, 2**17 + 1)
         pdf = _quartic_unit(u)

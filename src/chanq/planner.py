@@ -17,7 +17,7 @@ import numpy as np
 from . import flsolver
 from .fixedpoint import fl_from_max
 from .graph import Graph
-from .profiling import ChannelStats, TensorStats, standardized_moments
+from .profiling import ChannelStats, standardized_moments
 
 MODES = ("layerwise_max", "cw_max", "cw_laplace", "cw_scauchy", "cw_pdf_aware")
 _MODE_FAMILY = {"cw_laplace": "laplace", "cw_scauchy": "super_cauchy"}
@@ -85,17 +85,7 @@ class _PlanBuilder:
         self.mode = mode
         self.bit_width = bit_width
         self.knn = knn_model
-        self.grids = {}  # flsolver noise grids, shared by every channel of this solve
         self.plan = QuantPlan(mode=mode, bit_width=bit_width)
-
-    def _tensor_stats(self, name: str) -> TensorStats:
-        if name not in self.stats:
-            raise PlanError(f"missing profiling stats for tensor {name!r}")
-        return self.stats[name]
-
-    def _unsigned(self, name: str) -> bool:
-        producer = self.g.producer(name)
-        return (producer is not None and producer.kind == "relu") or self.g.feeds_only_relu(name)
 
     def _fls(self, cs: ChannelStats, signed: bool) -> np.ndarray:
         """Per-channel fls of one stats record under the plan's mode."""
@@ -105,17 +95,17 @@ class _PlanBuilder:
         feats = standardized_moments(cs)
         for i in np.flatnonzero(~cs.degenerate):  # degenerate channels keep the MAX rule
             family = _MODE_FAMILY.get(self.mode) or flsolver.classify_pdf(feats[i], self.knn)
-            fls[i] = flsolver.optimal_fl(cs, family, self.bit_width, signed, channel=i,
-                                         grids=self.grids)
+            fls[i] = flsolver.optimal_fl(cs, family, self.bit_width, signed, channel=i)
         return fls
 
     def _stats_based_format(self, name: str) -> TensorFormat:
-        ts = self._tensor_stats(name)
+        if name not in self.stats:
+            raise PlanError(f"missing profiling stats for tensor {name!r}")
         channels = self.g.channels(name)
-        signed = not self._unsigned(name)
-        producer = self.g.producer(name)
-        layer_wide = self.mode == "layerwise_max" or (producer is not None and producer.kind == "fc")
-        cs = ts.pooled if layer_wide else ts.per_channel
+        kind = getattr(self.g.producer(name), "kind", None)  # None for the graph input
+        signed = not (kind == "relu" or self.g.feeds_only_relu(name))
+        layer_wide = self.mode == "layerwise_max" or kind == "fc"
+        cs = self.stats[name].pooled if layer_wide else self.stats[name].per_channel
         if cs.n_channels != (1 if layer_wide else channels):
             raise PlanError(f"stats for tensor {name!r} have {cs.n_channels} channels, "
                             f"the graph has {channels}")
@@ -216,15 +206,31 @@ def solve_plan(g: Graph, stats: dict, mode: str, bit_width: int = 8,
 
 def check_plan(g: Graph, plan: QuantPlan) -> None:
     """Raise PlanError at the first place where a loaded plan does not fit
-    the graph: a linear node without a layer entry, or a tensor whose
-    format is missing or has another channel count."""
+    the graph: a linear node without a layer entry or with arrays of other
+    shapes, or a tensor whose format is missing or has another channel
+    count."""
     for node in g.nodes:
-        if node.kind in ("conv", "depthwise_conv", "fc") and node.name not in plan.layers:
+        if node.kind not in ("conv", "depthwise_conv", "fc"):
+            continue
+        if node.name not in plan.layers:
             raise PlanError(f"plan has no layer entry for node {node.name!r}")
+        lp = plan.layers[node.name]
+        co = g.channels(node.outputs[0])
+        # an fc layer may have any group count; the engine checks it against in_groups
+        groups = {"conv": g.channels(node.inputs[0]), "depthwise_conv": 1}.get(
+            node.kind, lp.ker_fl.shape[-1] if lp.ker_fl.ndim else 0)
+        if (lp.ker_fl.shape != (co, groups) or lp.comp_shift.shape != (co, groups)
+                or lp.bias_fl.shape != (co,) or lp.shift.shape != (co,)):
+            raise PlanError(f"plan layer {node.name!r}: array shapes do not fit the graph's "
+                            f"{co} output channels")
     for name in g.activation_names():
         if name not in plan.tensors:
             raise PlanError(f"plan has no format for tensor {name!r}")
-        channels = len(plan.tensors[name].fls)
+        fmt = plan.tensors[name]
+        if fmt.fls.ndim != 1 or fmt.signed.shape != fmt.fls.shape:
+            raise PlanError(f"plan format of tensor {name!r}: fl and signed are not "
+                            f"two lists of one length")
+        channels = len(fmt.fls)
         if channels != g.channels(name):
             raise PlanError(f"plan format of tensor {name!r} has {channels} channels, "
                             f"the graph has {g.channels(name)}")
@@ -268,6 +274,8 @@ def plan_from_json(doc: dict) -> QuantPlan:
     try:
         if doc.get("version") != 1:
             raise PlanError(f"unsupported plan version {doc.get('version')}")
+        if doc["mode"] not in MODES:
+            raise PlanError(f"unknown plan mode {doc['mode']!r}")
         plan = QuantPlan(mode=doc["mode"], bit_width=int(doc["bit_width"]))
         for name, td in doc["tensors"].items():
             where = f"plan tensor {name!r}"
@@ -287,9 +295,11 @@ def plan_from_json(doc: dict) -> QuantPlan:
                 in_groups=None if ld["in_groups"] is None
                 else np.asarray(ld["in_groups"], dtype=np.int64),
             )
+    except PlanError:
+        raise
     except KeyError as e:
         raise PlanError(f"{where}: missing key {e.args[0]!r}") from None
-    except (TypeError, AttributeError) as e:
+    except (TypeError, AttributeError, ValueError, OverflowError) as e:
         raise PlanError(f"{where}: malformed value ({e})") from None
     return plan
 

@@ -145,23 +145,9 @@ class StatsAccumulator:
             for k in (2, 4, 6):
                 nu[k] = np.where(sigma > 0, m[k] / sigma**k, np.nan)
         return ChannelStats(
-            count=self.count.copy(),
-            minv=self.minv.copy(),
-            maxv=self.maxv.copy(),
-            max_abs=np.maximum(np.abs(self.minv), np.abs(self.maxv)),
-            mean=mean,
-            m2=m[2],
-            m3=m[3],
-            m4=m[4],
-            m5=m[5],
-            m6=m[6],
-            nu1=nu[1],
-            nu2=nu[2],
-            nu3=nu[3],
-            nu4=nu[4],
-            nu5=nu[5],
-            nu6=nu[6],
-        )
+            count=self.count.copy(), minv=self.minv.copy(), maxv=self.maxv.copy(),
+            max_abs=np.maximum(np.abs(self.minv), np.abs(self.maxv)), mean=mean,
+            **{f"m{k}": v for k, v in m.items()}, **{f"nu{k}": v for k, v in nu.items()})
 
 
 @dataclass

@@ -12,13 +12,16 @@ concatenation all run in the integer domain.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .fixedpoint import rounding_shift, saturate_accumulator
 from .graph import Graph, GraphError
-from .planner import LayerPlan, PlanError, QuantPlan, TensorFormat
+from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, check_plan,
+                      plan_from_json)
 from .tensorops import _BLOCK_ELEMS, _tap_mac, _tap_reduce, _windows
 
 # Integers below this magnitude, and sums of them, are exact in float64.
@@ -333,16 +336,13 @@ def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
 
     Raises PlanError when the plan or the blob does not fit the graph.
     """
-    import json
-    from pathlib import Path
-
-    from .planner import check_plan, plan_from_json
-
     doc = json.loads(Path(plan_path).read_text())
     plan = plan_from_json(doc)
     check_plan(g, plan)
     blob = Path(blob_path).read_bytes()
     qparams = doc.get("qparams", {})
+    if not isinstance(qparams, dict):
+        raise PlanError(f"plan qparams must be an object, got {qparams!r}")
     kernels, biases = {}, {}
     for node in g.nodes:
         if node.kind not in ("conv", "depthwise_conv", "fc"):

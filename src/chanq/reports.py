@@ -19,14 +19,7 @@ def fmt_value(v, nd: int = 3) -> str:
         return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    v = float(v)
-    if np.isnan(v):
-        return "nan"
-    if np.isposinf(v):
-        return "inf"
-    if np.isneginf(v):
-        return "-inf"
-    return f"{v:.{nd}f}"
+    return f"{float(v):.{nd}f}"  # nan, inf and -inf print as such
 
 
 def render_table(headers: list, rows: list, title: str = "") -> str:

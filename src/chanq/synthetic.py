@@ -68,47 +68,34 @@ class _Builder:
         self.counter += 1
         return f"t{self.counter}"
 
-    def conv(self, src: str, ci: int, co: int, k: int = 3, pad: int = 0,
-             span_bits: float = 0.0, name: str | None = None) -> str:
-        name = name or f"conv{len(self.nodes)}"
-        w = self.rng.normal(0.0, 1.0 / np.sqrt(ci * k * k), size=(co, ci, k, k))
-        w *= channel_scale_ladder(co, span_bits)[:, None, None, None]
-        b = self.rng.normal(0.0, 0.05, size=co)
+    def _linear(self, name: str, kind: str, src: str, w, b, attrs=None) -> str:
         out = self._tname()
-        node = LayerSpec(name, "conv", [src], [out],
-                         attrs={"stride": [1, 1], "pad": [pad, pad]})
         self.params[f"{name}.weight"] = w.astype(np.float32)
         self.params[f"{name}.bias"] = b.astype(np.float32)
-        node.params = {"weight": f"{name}.weight", "bias": f"{name}.bias"}
-        self.nodes.append(node)
+        self.nodes.append(LayerSpec(name, kind, [src], [out], attrs=attrs or {},
+                                    params={"weight": f"{name}.weight", "bias": f"{name}.bias"}))
         return out
+
+    def conv(self, src: str, ci: int, co: int, k: int = 3, pad: int = 0,
+             span_bits: float = 0.0, name: str | None = None) -> str:
+        w = self.rng.normal(0.0, 1.0 / np.sqrt(ci * k * k), size=(co, ci, k, k))
+        w *= channel_scale_ladder(co, span_bits)[:, None, None, None]
+        return self._linear(name or f"conv{len(self.nodes)}", "conv", src, w,
+                            self.rng.normal(0.0, 0.05, size=co),
+                            {"stride": [1, 1], "pad": [pad, pad]})
 
     def depthwise(self, src: str, c: int, k: int = 3, pad: int = 0,
                   span_bits: float = 0.0) -> str:
-        name = f"dwconv{len(self.nodes)}"
         w = self.rng.normal(0.0, 1.0 / k, size=(c, 1, k, k))
         w *= channel_scale_ladder(c, span_bits)[:, None, None, None]
-        b = self.rng.normal(0.0, 0.05, size=c)
-        out = self._tname()
-        node = LayerSpec(name, "depthwise_conv", [src], [out],
-                         attrs={"stride": [1, 1], "pad": [pad, pad]})
-        self.params[f"{name}.weight"] = w.astype(np.float32)
-        self.params[f"{name}.bias"] = b.astype(np.float32)
-        node.params = {"weight": f"{name}.weight", "bias": f"{name}.bias"}
-        self.nodes.append(node)
-        return out
+        return self._linear(f"dwconv{len(self.nodes)}", "depthwise_conv", src, w,
+                            self.rng.normal(0.0, 0.05, size=c),
+                            {"stride": [1, 1], "pad": [pad, pad]})
 
     def fc(self, src: str, d: int, units: int, name: str | None = None) -> str:
-        name = name or f"fc{len(self.nodes)}"
         w = self.rng.normal(0.0, 1.0 / np.sqrt(d), size=(units, d))
-        b = self.rng.normal(0.0, 0.05, size=units)
-        out = self._tname()
-        node = LayerSpec(name, "fc", [src], [out])
-        self.params[f"{name}.weight"] = w.astype(np.float32)
-        self.params[f"{name}.bias"] = b.astype(np.float32)
-        node.params = {"weight": f"{name}.weight", "bias": f"{name}.bias"}
-        self.nodes.append(node)
-        return out
+        return self._linear(name or f"fc{len(self.nodes)}", "fc", src, w,
+                            self.rng.normal(0.0, 0.05, size=units))
 
     def simple(self, kind: str, src: str, **attrs) -> str:
         out = self._tname()

@@ -8,6 +8,7 @@ dtype codes: 0=float32, 1=int8, 2=uint8, 3=int32. Data is row-major.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -43,19 +44,20 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 def read_tensor(path) -> np.ndarray:
     path = Path(path)
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise TensorFileError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        version, dtype_code, rank = struct.unpack("<IBB", f.read(6))
-        if version != VERSION:
-            raise TensorFileError(f"{path}: unsupported version {version}")
-        if dtype_code not in _CODE_DTYPES:
-            raise TensorFileError(f"{path}: unknown dtype code {dtype_code}")
-        dims = struct.unpack(f"<{rank}Q", f.read(8 * rank))
-        dtype = _CODE_DTYPES[dtype_code]
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        data = f.read(count * dtype.itemsize)
-        if len(data) != count * dtype.itemsize:
-            raise TensorFileError(f"{path}: truncated data section")
-    return np.frombuffer(data, dtype=dtype).reshape(dims).copy()
+    blob = path.read_bytes()
+    if blob[:4] != MAGIC:
+        raise TensorFileError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
+    if len(blob) < 10 or len(blob) < 10 + 8 * blob[9]:  # byte 9 is the rank
+        raise TensorFileError(f"{path}: truncated header")
+    version, dtype_code, rank = struct.unpack_from("<IBB", blob, 4)
+    if version != VERSION:
+        raise TensorFileError(f"{path}: unsupported version {version}")
+    if dtype_code not in _CODE_DTYPES:
+        raise TensorFileError(f"{path}: unknown dtype code {dtype_code}")
+    dims = struct.unpack_from(f"<{rank}Q", blob, 10)
+    dtype = _CODE_DTYPES[dtype_code]
+    # garbled dims must not reach numpy, whose int64 product can wrap
+    if math.prod(dims) * dtype.itemsize > len(blob) - 10 - 8 * rank:
+        raise TensorFileError(f"{path}: truncated data section")
+    return np.frombuffer(blob, dtype=dtype, count=math.prod(dims),
+                         offset=10 + 8 * rank).reshape(dims).copy()

@@ -314,6 +314,55 @@ class TestMalformedDocuments:
         self._assert_one_line(capsys, rc, key)
 
 
+class TestManifestFailsClosed:
+    """A manifest with a wrongly shaped value exits 2 with one line, whichever
+    command loads it."""
+
+    @staticmethod
+    def _model(bundle, tmp_path, mutate):
+        doc = json.loads((bundle / "model.json").read_text())
+        mutate(doc["nodes"])
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        (tmp_path / "weights.bin").write_bytes((bundle / "weights.bin").read_bytes())
+        return str(model)
+
+    @staticmethod
+    def _assert_one_line(capsys, rc, words):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert words in err
+
+    def _profile(self, model, bundle, tmp_path):
+        return main(["profile", "--model", model, "--dataset", str(bundle / "data.qtsr"),
+                     "--out", str(tmp_path / "s.json")])
+
+    def test_node_without_inputs(self, bundle, tmp_path, capsys):
+        model = self._model(bundle, tmp_path, lambda nodes: nodes[0].update(inputs=[]))
+        self._assert_one_line(capsys, self._profile(model, bundle, tmp_path),
+                              "conv takes 1 input(s), got 0")
+
+    def test_stride_with_null(self, bundle, tmp_path, capsys):
+        model = self._model(bundle, tmp_path,
+                            lambda nodes: nodes[0]["attrs"].update(stride=[1, None]))
+        self._assert_one_line(capsys, self._profile(model, bundle, tmp_path),
+                              "attribute 'stride' must be an integer >= 1")
+
+    def test_node_name_as_list(self, bundle, profiled, tmp_path, capsys):
+        q = tmp_path / "q"
+        assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                     "--mode", "cw_max", "--out", str(q)]) == 0
+        capsys.readouterr()
+        model = self._model(bundle, tmp_path, lambda nodes: nodes[1].update(name=["relu1"]))
+        rc = main(["quantize", "--model", model, "--stats", str(profiled), "--mode", "cw_max",
+                   "--out", str(tmp_path / "q2")])
+        self._assert_one_line(capsys, rc, "names must be strings")
+        rc = main(["eval", "--model", model, "--dataset", str(bundle / "data.qtsr"),
+                   "--plan", str(q / "plan.json"), "--out", str(tmp_path / "r")])
+        self._assert_one_line(capsys, rc, "names must be strings")
+
+
 def test_runtime_loads_no_scipy():
     # the package and its CLI run on numpy alone; scipy is a test dependency
     import chanq

@@ -150,17 +150,15 @@ class TestFlFromMaxOracle:
 
 class TestRoundingShift:
     def test_examples(self):
-        out = QFormat(8, 0, True)
-        assert rounding_shift(300, 3, out) == 38
-        assert rounding_shift(100000, 1, out) == 127
-        assert rounding_shift(5, -2, out) == 20
+        assert rounding_shift(300, 3) == 38
+        assert rounding_shift(100000, 1) == 50000
+        assert rounding_shift(5, -2) == 20
 
     def test_half_even_ties(self):
-        out = QFormat(8, 0, True)
-        assert rounding_shift(4, 3, out) == 0  # 0.5 -> even 0
-        assert rounding_shift(12, 3, out) == 2  # 1.5 -> even 2
-        assert rounding_shift(-4, 3, out) == 0
-        assert rounding_shift(-12, 3, out) == -2
+        assert rounding_shift(4, 3) == 0  # 0.5 -> even 0
+        assert rounding_shift(12, 3) == 2  # 1.5 -> even 2
+        assert rounding_shift(-4, 3) == 0
+        assert rounding_shift(-12, 3) == -2
 
     def test_matches_float_division(self):
         rng = np.random.default_rng(1)

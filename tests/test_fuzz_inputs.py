@@ -1,0 +1,131 @@
+"""Garbled inputs: every command either runs or exits 2 with one line.
+
+Hypothesis replaces one field of ``model.json``, ``plan.json`` or
+``stats.json``, or truncates or flips one bit of ``data.qtsr``,
+``weights.bin`` or ``qweights.bin``, then runs each command that reads the
+file. Replacement numbers stay small, so that no garbled size can ask for
+more memory than the test machine has.
+"""
+
+import contextlib
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from chanq.cli import main
+
+FILES = ("model.json", "weights.bin", "data.qtsr", "stats.json", "plan.json", "qweights.bin")
+COMMANDS = {  # the commands that read each file
+    "model.json": ("profile", "quantize", "eval"),
+    "weights.bin": ("profile", "quantize", "eval"),
+    "data.qtsr": ("profile", "eval"),
+    "stats.json": ("quantize",),
+    "plan.json": ("eval",),
+    "qweights.bin": ("eval",),
+}
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(-1e3, 1e3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300]),
+    st.text(max_size=4), st.lists(st.integers(-2, 20), max_size=4), st.just({}),
+)
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    assert main(["gen-synthetic", "--arch", "residual", "--in-channels", "2", "--channels", "2",
+                 "--image-size", "6", "--samples", "8", "--seed", "3", "--out", str(d)]) == 0
+    assert main(["profile", "--model", str(d / "model.json"), "--dataset", str(d / "data.qtsr"),
+                 "--out", str(d / "stats.json")]) == 0
+    assert main(["quantize", "--model", str(d / "model.json"), "--stats", str(d / "stats.json"),
+                 "--mode", "cw_laplace", "--out", str(d)]) == 0
+    return d
+
+
+def _paths(doc, prefix=()):
+    """Every field of a JSON document, as a key path."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    out = []
+    for key, value in items:
+        out.append(prefix + (key,))
+        out.extend(_paths(value, prefix + (key,)))
+    return out
+
+
+def _run(d: Path, command: str) -> tuple[int, str]:
+    model = ["--model", str(d / "model.json"), "--weights", str(d / "weights.bin")]
+    argv = {
+        "profile": ["profile", *model, "--dataset", str(d / "data.qtsr"),
+                    "--out", str(d / "s.json")],
+        "quantize": ["quantize", *model, "--stats", str(d / "stats.json"),
+                     "--mode", "cw_laplace", "--out", str(d / "q")],
+        "eval": ["eval", *model, "--dataset", str(d / "data.qtsr"),
+                 "--plan", str(d / "plan.json"), "--qweights", str(d / "qweights.bin"),
+                 "--out", str(d / "report")],
+    }[command]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _check_every_reader(bundle, name, garble):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for f in FILES:
+            shutil.copy(bundle / f, d / f)
+        garble(d / name)
+        for command in COMMANDS[name]:
+            rc, err = _run(d, command)
+            assert rc == 0 or (rc == 2 and err.count("\n") == 1 and err.startswith("error: ")), \
+                (command, rc, err)
+
+
+@pytest.mark.parametrize("name", ["model.json", "stats.json", "plan.json"])
+def test_replaced_json_field(bundle, name):
+    doc = json.loads((bundle / name).read_text())
+
+    @SETTINGS
+    @given(path=st.sampled_from(_paths(doc)), value=JSON_VALUES)
+    def check(path, value):
+        def garble(p):
+            new = json.loads(p.read_text())
+            node = new
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            p.write_text(json.dumps(new))
+
+        _check_every_reader(bundle, name, garble)
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["data.qtsr", "weights.bin", "qweights.bin"])
+def test_truncated_or_flipped_blob(bundle, name):
+    size = (bundle / name).stat().st_size
+
+    @SETTINGS
+    @given(cut=st.booleans(), pos=st.integers(0, 8 * size - 1))
+    def check(cut, pos):
+        def garble(p):
+            blob = bytearray(p.read_bytes())
+            if cut:
+                blob = blob[:pos // 8]
+            else:
+                blob[pos // 8] ^= 1 << (pos % 8)
+            p.write_bytes(bytes(blob))
+
+        _check_every_reader(bundle, name, garble)
+
+    check()

@@ -46,6 +46,21 @@ class TestNormalization:
         assert pdfs.normalization(m) == pytest.approx(1.0, abs=1e-6)
 
 
+class TestTailExcess:
+    @pytest.mark.parametrize("family", ["laplace", "gaussian", "uniform", "super_cauchy"])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.7071, 1.0, 2.5, 9.0, 14.9, 16.0])
+    def test_matches_quadrature(self, family, t):
+        # E[(U - t)+] of the unit model against its defining integral; far
+        # out, where the closed forms cancel, to 1e-15 absolute (T(0) >= 1/4)
+        unit = pdfs.PdfModel(family, 0.0, 1.0, 15.0 if family == "super_cauchy" else None)
+        top = min(unit.half_support, 60.0)
+        want = 0.0
+        if t < top:
+            want, _ = integrate.quad(lambda u: (u - t) * pdfs.density(unit, u), t, top,
+                                     epsabs=0.0, epsrel=1e-13, limit=200)
+        assert pdfs.tail_excess(unit, t) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 class TestFitting:
     def test_laplace_scale(self):
         m = pdfs.fit_pdf(0.0, np.sqrt(2.0), "laplace")

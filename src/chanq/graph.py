@@ -250,7 +250,10 @@ def load_model(manifest_path, weights_path=None) -> Graph:
                 attrs=dict(nd.get("attrs", {})),
             )
             for role, ref in nd.get("params", {}).items():
-                offset, length, dims = int(ref["offset"]), int(ref["len"]), tuple(ref["dims"])
+                offset, length, dims = ref["offset"], ref["len"], tuple(ref["dims"])
+                if not all(_is_int(v) for v in (offset, length, *dims)):
+                    raise GraphError(f"node {spec.name}: parameter {role!r} offset, len and "
+                                     f"dims must be integers")
                 expected = 4 * int(np.prod(dims, dtype=np.int64))
                 if length != expected:
                     raise GraphError(

@@ -15,11 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flsolver
-from .fixedpoint import fl_from_max
-from .graph import Graph
+from .fixedpoint import FL_MAX, FL_MIN, fl_from_max
+from .graph import Graph, _is_int
 from .profiling import ChannelStats, standardized_moments
 
 MODES = ("layerwise_max", "cw_max", "cw_laplace", "cw_scauchy", "cw_pdf_aware")
+# A bias fl is a kernel fl plus an input fl, and a shift a bias fl less an output fl.
+SHIFT_MAX = 3 * FL_MAX
 _MODE_FAMILY = {"cw_laplace": "laplace", "cw_scauchy": "super_cauchy"}
 
 
@@ -199,6 +201,8 @@ def solve_plan(g: Graph, stats: dict, mode: str, bit_width: int = 8,
     """Produce the complete quantization recipe for a (batchnorm-free) graph."""
     if mode not in MODES:
         raise PlanError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if not 2 <= bit_width <= 32:
+        raise PlanError(f"bit width {bit_width} outside [2, 32]")
     if mode == "cw_pdf_aware" and knn_model is None:
         knn_model = flsolver.default_classifier(bit_width)
     return _PlanBuilder(g, stats, mode, bit_width, knn_model).build()
@@ -207,8 +211,12 @@ def solve_plan(g: Graph, stats: dict, mode: str, bit_width: int = 8,
 def check_plan(g: Graph, plan: QuantPlan) -> None:
     """Raise PlanError at the first place where a loaded plan does not fit
     the graph: a linear node without a layer entry or with arrays of other
-    shapes, or a tensor whose format is missing or has another channel
-    count."""
+    shapes, a tensor whose format is missing or has another channel count,
+    or a number out of its range (a bit width outside [2, 32], fls outside
+    [FL_MIN, FL_MAX], bias fls outside twice that, shifts outside
+    [-SHIFT_MAX, SHIFT_MAX], a negative compensation shift)."""
+    if not 2 <= plan.bit_width <= 32:
+        raise PlanError(f"plan bit width {plan.bit_width} outside [2, 32]")
     for node in g.nodes:
         if node.kind not in ("conv", "depthwise_conv", "fc"):
             continue
@@ -223,6 +231,11 @@ def check_plan(g: Graph, plan: QuantPlan) -> None:
                 or lp.bias_fl.shape != (co,) or lp.shift.shape != (co,)):
             raise PlanError(f"plan layer {node.name!r}: array shapes do not fit the graph's "
                             f"{co} output channels")
+        _check_range(f"plan layer {node.name!r}", ker_fl=(lp.ker_fl, FL_MIN, FL_MAX),
+                     ker_fl_layerwise=(lp.ker_fl_layerwise, FL_MIN, FL_MAX),
+                     bias_fl=(lp.bias_fl, 2 * FL_MIN, 2 * FL_MAX),
+                     shift=(lp.shift, -SHIFT_MAX, SHIFT_MAX),
+                     comp_shift=(lp.comp_shift, 0, np.inf))
     for name in g.activation_names():
         if name not in plan.tensors:
             raise PlanError(f"plan has no format for tensor {name!r}")
@@ -234,6 +247,15 @@ def check_plan(g: Graph, plan: QuantPlan) -> None:
         if channels != g.channels(name):
             raise PlanError(f"plan format of tensor {name!r} has {channels} channels, "
                             f"the graph has {g.channels(name)}")
+        _check_range(f"plan format of tensor {name!r}", fl=(fmt.fls, FL_MIN, FL_MAX))
+
+
+def _check_range(where: str, **arrays) -> None:
+    for key, (values, lo, hi) in arrays.items():
+        values = np.asarray(values)
+        if values.size and not (lo <= values.min() and values.max() <= hi):
+            bad = values[(values < lo) | (values > hi)].flat[0]
+            raise PlanError(f"{where}: {key} {bad} outside [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -267,33 +289,53 @@ def plan_to_json(plan: QuantPlan) -> dict:
     }
 
 
+def _json_array(value, dtype) -> np.ndarray:
+    """A JSON list (nested, or a lone value) as an int64 or bool array; a
+    fraction, a boolean among integers or any other type raises ValueError."""
+    arr = np.asarray(value, dtype=object)
+    ok = _is_int if dtype is np.int64 else (lambda v: isinstance(v, bool))
+    for v in arr.flat:
+        if not ok(v):
+            raise ValueError(f"expected {'integers' if dtype is np.int64 else 'booleans'}, "
+                             f"got {v!r}")
+    return arr.astype(dtype)
+
+
+def _json_scalar(value, dtype):
+    arr = _json_array(value, dtype)
+    if arr.ndim:
+        raise ValueError(f"expected one value, got {value!r}")
+    return arr.item()
+
+
 def plan_from_json(doc: dict) -> QuantPlan:
     """Inverse of :func:`plan_to_json`; a missing key or a value of the
-    wrong type raises PlanError naming where it is."""
+    wrong type (a fraction or a boolean where an integer belongs, too)
+    raises PlanError naming where it is."""
     where = "plan"
     try:
         if doc.get("version") != 1:
             raise PlanError(f"unsupported plan version {doc.get('version')}")
         if doc["mode"] not in MODES:
             raise PlanError(f"unknown plan mode {doc['mode']!r}")
-        plan = QuantPlan(mode=doc["mode"], bit_width=int(doc["bit_width"]))
+        plan = QuantPlan(mode=doc["mode"], bit_width=_json_scalar(doc["bit_width"], np.int64))
         for name, td in doc["tensors"].items():
             where = f"plan tensor {name!r}"
             plan.tensors[name] = TensorFormat(
-                fls=np.asarray(td["fl"], dtype=np.int64),
-                signed=np.asarray(td["signed"], dtype=bool),
-                layer_wide=bool(td["layer_wide"]),
+                fls=_json_array(td["fl"], np.int64),
+                signed=_json_array(td["signed"], bool),
+                layer_wide=_json_scalar(td["layer_wide"], bool),
             )
         for name, ld in doc["layers"].items():
             where = f"plan layer {name!r}"
             plan.layers[name] = LayerPlan(
-                ker_fl=np.asarray(ld["ker_fl"], dtype=np.int64),
-                bias_fl=np.asarray(ld["bias_fl"], dtype=np.int64),
-                shift=np.asarray(ld["shift"], dtype=np.int64),
-                comp_shift=np.asarray(ld["comp_shift"], dtype=np.int64),
-                ker_fl_layerwise=int(ld["ker_fl_layerwise"]),
+                ker_fl=_json_array(ld["ker_fl"], np.int64),
+                bias_fl=_json_array(ld["bias_fl"], np.int64),
+                shift=_json_array(ld["shift"], np.int64),
+                comp_shift=_json_array(ld["comp_shift"], np.int64),
+                ker_fl_layerwise=_json_scalar(ld["ker_fl_layerwise"], np.int64),
                 in_groups=None if ld["in_groups"] is None
-                else np.asarray(ld["in_groups"], dtype=np.int64),
+                else _json_array(ld["in_groups"], np.int64),
             )
     except PlanError:
         raise

@@ -92,25 +92,27 @@ class StatsAccumulator:
         self._chunks: list[np.ndarray] = []
 
     def update(self, values: np.ndarray) -> None:
-        """Add samples, shape [C, M]."""
+        """Add samples, shape [C, M]. The samples are retained until the
+        snapshot (a float32 or float64 ``values`` as it is, not a copy), so
+        the caller must not change them meanwhile."""
         values = np.asarray(values)
-        raw = values.astype(np.float32 if values.dtype == np.float32 else np.float64)  # a copy
-        values = raw.astype(np.float64, copy=False)
-        if values.ndim != 2 or values.shape[0] != self.channels:
-            raise ValueError(f"expected [C={self.channels}, M] samples, got {values.shape}")
-        if values.shape[1] == 0:
+        raw = values.astype(np.float32 if values.dtype == np.float32 else np.float64, copy=False)
+        if raw.ndim != 2 or raw.shape[0] != self.channels:
+            raise ValueError(f"expected [C={self.channels}, M] samples, got {raw.shape}")
+        if raw.shape[1] == 0:
             return
         if self.shift is None:
-            self.shift = values[:, 0].copy()
-        y = values - self.shift[:, None]
-        p = np.ones_like(y)
+            self.shift = raw[:, 0].astype(np.float64)
+        y = raw - self.shift[:, None]  # float64: widening float32 is exact
         self.sums[0] += y.shape[1]
-        for k in range(1, MAX_ORDER + 1):
+        self.sums[1] += y.sum(axis=1)
+        p = y
+        for k in range(2, MAX_ORDER + 1):
             p = p * y
             self.sums[k] += p.sum(axis=1)
-        self.count += values.shape[1]
-        self.minv = np.minimum(self.minv, values.min(axis=1))
-        self.maxv = np.maximum(self.maxv, values.max(axis=1))
+        self.count += raw.shape[1]
+        self.minv = np.minimum(self.minv, raw.min(axis=1))
+        self.maxv = np.maximum(self.maxv, raw.max(axis=1))
         self._chunks.append(raw)
 
     def pooled(self) -> "StatsAccumulator":
@@ -186,7 +188,7 @@ def collect_stats(g: Graph, dataset) -> dict:
     accs: dict[str, StatsAccumulator] = {}
     n_batches = 0
     for batch in dataset:
-        batch = np.asarray(batch, dtype=np.float32)
+        batch = np.array(batch, dtype=np.float32)  # own it: the accumulators keep views of it
         if batch.ndim == 3:
             batch = batch[None]
         _, captured = execute_float(g, batch, capture=names)
@@ -231,8 +233,16 @@ def _encode_stats(cs: ChannelStats) -> dict:
 
 
 def _decode_stats(doc: dict) -> ChannelStats:
+    """One channel record; ValueError where no profile could have written it."""
     kw = {name: _decode_array(doc[name]) for name in _FIELD_NAMES}
-    kw["count"] = kw["count"].astype(np.int64)
+    count = kw["count"]
+    if not np.all((count >= 0) & (count <= 2**53) & (count == np.floor(count))):  # NaN fails
+        raise ValueError(f"count must hold whole numbers, got {count.tolist()}")
+    if not np.all(kw["m2"] >= 0):
+        raise ValueError(f"m2 must be >= 0, got {kw['m2'].tolist()}")
+    if np.any(kw["minv"] > kw["maxv"]):
+        raise ValueError("minv exceeds maxv")
+    kw["count"] = count.astype(np.int64)
     return ChannelStats(**kw)
 
 
@@ -271,6 +281,6 @@ def load_stats(path) -> dict:
             )
     except KeyError as e:
         raise ValueError(f"{where}: missing key {e.args[0]!r}") from None
-    except (TypeError, AttributeError) as e:
+    except (TypeError, AttributeError, ValueError) as e:
         raise ValueError(f"{where}: malformed value ({e})") from None
     return stats

@@ -1,13 +1,26 @@
 """Bit-exact 8-bit execution: quantized parameters, 32-bit accumulation,
 and the per-output-channel shift schedule from the plan.
 
-Products of input and kernel codes accumulate exactly: as one grouped
-GEMM in float64 while every sum stays below 2**53, in int64 otherwise;
-products of compensated pairs are rounded half-even one by one. The
-accumulator is checked against the 32-bit range (clips are counted,
-not fatal), shifted into the output format with half-even rounding, and
-saturated to the per-channel 8-bit range. ReLU, pooling, addition and
-concatenation all run in the integer domain.
+Integer codes travel between nodes as float64, from the quantized input
+to the output: every code, product and sum the engine forms is an
+integer below 2**53, so float64 holds it exactly and numpy's BLAS and
+ufuncs run on it without casts. Each step keeps that exactness:
+
+- A linear layer's MAC is one grouped GEMM while
+  max|x| * max|ker| * I * T + 2**31 < 2**53, which also bounds the bias
+  add. Products of compensated pairs are rounded half-even one by one,
+  in float32 lanes while max|x| * max|ker| * (T + 1) < 2**24.
+- The epilogue is one fused pass: add the bias, count and clip to the
+  int32 range, multiply by 2**-shift (a power of two: exact), ``np.rint``
+  (half to even), clip to the output range (Jacob et al., arXiv
+  1712.05877, with power-of-two scales).
+- Average pooling is ``np.rint(sum / (wh * ww))``, addition aligns its
+  operands with ``np.rint(v * 2**-s)``; ReLU, max pooling and
+  concatenation need no rounding.
+
+Where a bound fails (wide codes, e.g. 24-bit layers), that layer runs
+in int64 with :func:`saturate_accumulator`, :func:`rounding_shift` and
+``_div_half_even``, which also serve as the test oracles of the float path.
 """
 
 from __future__ import annotations
@@ -18,14 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .fixedpoint import rounding_shift, saturate_accumulator
+from .fixedpoint import INT32_MAX, INT32_MIN, rounding_shift, saturate_accumulator
 from .graph import Graph, GraphError
 from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, check_plan,
                       plan_from_json)
 from .tensorops import _BLOCK_ELEMS, _tap_mac, _tap_reduce, _windows
 
-# Integers below this magnitude, and sums of them, are exact in float64.
+# Integers below these magnitudes, and sums of them, are exact in float64 and float32.
 _FLOAT_EXACT = 2**53
+_FLOAT32_EXACT = 2**24
 
 
 @dataclass
@@ -55,14 +69,14 @@ def _channel_shape(arr_ndim: int):
 
 
 def quantize_tensor(x: np.ndarray, fmt: TensorFormat, bit_width: int) -> np.ndarray:
-    """Quantize a float activation tensor with its per-channel formats."""
+    """Quantize a float activation tensor with its per-channel formats;
+    the integer codes come as float64."""
     x = np.asarray(x, dtype=np.float64)
     cshape = _channel_shape(x.ndim)
     scale = (2.0 ** fmt.fls.astype(np.float64)).reshape(cshape)
     lo, hi = _code_bounds(fmt, bit_width)
     codes = np.rint(x * scale)
-    codes = np.clip(codes, lo.reshape(cshape), hi.reshape(cshape))
-    return codes.astype(np.int64)
+    return np.clip(codes, lo.reshape(cshape), hi.reshape(cshape), out=codes)
 
 
 def dequantize_tensor(codes: np.ndarray, fmt: TensorFormat) -> np.ndarray:
@@ -120,14 +134,29 @@ def _fc_group_size(node_name: str, lp: LayerPlan, d: int) -> int:
 
 def _finish_accumulator(acc, bias_codes, lp: LayerPlan, out_fmt: TensorFormat,
                         bit_width: int, channel_axis: int = 1):
+    """Add the bias, saturate to int32 (counting clipped lanes), shift into
+    the output format with half-even rounding and clip to its range.
+
+    A float64 accumulator takes the fused pass (|shift| <= 93 keeps
+    2**-shift a normal number), an int64 one :func:`saturate_accumulator`
+    and :func:`rounding_shift`. Returns the codes in the accumulator's
+    dtype and the clip count.
+    """
     cshape = [1] * acc.ndim
     cshape[channel_axis] = -1
-    acc = acc + bias_codes.reshape(cshape)
-    acc, clipped = saturate_accumulator(acc)
-    shifted = rounding_shift(acc, lp.shift.reshape(cshape))
     lo, hi = _code_bounds(out_fmt, bit_width)
-    out = np.clip(shifted, lo.reshape(cshape), hi.reshape(cshape))
-    return out, clipped
+    lo, hi = lo.reshape(cshape), hi.reshape(cshape)
+    if acc.dtype == np.int64:
+        acc, clipped = saturate_accumulator(acc + bias_codes.reshape(cshape))
+        return np.clip(rounding_shift(acc, lp.shift.reshape(cshape)), lo, hi), clipped
+    acc = acc + bias_codes.reshape(cshape)
+    clipped = 0
+    if acc.min(initial=0) < INT32_MIN or acc.max(initial=0) > INT32_MAX:
+        clipped = int(np.count_nonzero((acc < INT32_MIN) | (acc > INT32_MAX)))
+        np.clip(acc, INT32_MIN, INT32_MAX, out=acc)
+    acc *= (2.0 ** -lp.shift).reshape(cshape)
+    np.rint(acc, out=acc)
+    return np.clip(acc, lo, hi, out=acc), clipped
 
 
 def _abs_max(codes: np.ndarray) -> int:
@@ -141,65 +170,97 @@ def _grouped_mac(src: np.ndarray, row_ndim: int, ker: np.ndarray, comp: np.ndarr
     ``src`` is a [*taps, I, *rows] view of the input codes: T taps (in one
     or more axes) and I inputs for each of the M rows indexed by its last
     ``row_ndim`` axes. ``ker`` is [O, I, T] and ``comp`` [O, I] the right
-    shift applied to each product of a pair. Returns the int64 accumulator
-    [O, M] with
+    shift applied to each product of a pair. Returns the accumulator [O, M]
+    with
 
         acc[o, m] = sum_i sum_t round_half_even(x[t, i, m] * ker[o, i, t] / 2**comp[o, i]).
 
     Unshifted pairs run as one GEMM, with the kernels of shifted pairs
     zeroed. For each tap, the products of the shifted pairs are rounded one
     by one; a one-hot GEMM then adds each pair's sum into its output.
-    Both run in float64 when max|x| * max|ker| * I * T < 2**53, so that
-    every product and partial sum is an exact integer, and in int64 otherwise.
-    Rows go in blocks so that no temporary exceeds ``_BLOCK_ELEMS``.
+    While max|x| * max|ker| * I * T + 2**31 < 2**53 every product and
+    partial sum, and the bias added later, is an exact integer in float64,
+    and the accumulator is float64; otherwise it is int64. On the float
+    path the shifted products are rounded in float32 lanes, half the
+    traffic, when max|x| * max|ker| * (T + 1) < 2**24 bounds each pair's
+    sum. Rows go in blocks so that no temporary exceeds ``_BLOCK_ELEMS``.
     """
     o_n, i_n, t_n = ker.shape
     lead = src.shape[src.ndim - row_ndim:]
     n_rows = int(np.prod(lead))
     po, pi = np.nonzero(comp)
+    p_n = len(po)
     shifts = comp[po, pi][:, None]
-    in_float = x_max * _abs_max(ker) * i_n * t_n < _FLOAT_EXACT
+    k_max = _abs_max(ker)
+    in_float = _float_path(x_max, k_max, i_n * t_n)
     dt = np.float64 if in_float else np.int64
     k_gemm = np.where(comp[:, :, None] == 0, ker, 0).transpose(0, 2, 1).reshape(o_n, -1).astype(dt)
     k_pairs = ker[po, pi].T[:, :, None]  # [T, P, 1]
-    if in_float:
-        k_pairs = k_pairs * 2.0 ** -shifts  # a power of two: exact
-
-        def rounded(prods):
-            return np.rint(prods, out=prods)  # half-even
-    else:
-        def rounded(prods):
-            return rounding_shift(prods, shifts)
     scatter = (np.arange(o_n)[:, None] == po).astype(dt)  # [O, P] one-hot
-    rows = max(1, _BLOCK_ELEMS // max(i_n * t_n, len(po), o_n))
-    acc = np.empty((o_n, n_rows), dtype=np.int64)
+    rows = max(1, _BLOCK_ELEMS // max(i_n * t_n, p_n, o_n))
+    if in_float:
+        lane_dt = _pair_lane_dtype(x_max, k_max, t_n)
+        k_pairs = (k_pairs * 2.0 ** -shifts).astype(lane_dt)  # a power of two: exact
+        part_buf, lane_buf = np.empty((2, p_n * rows), dtype=lane_dt)
+
+        def pair_sums(x):
+            xl, nr = x.astype(lane_dt, copy=False), x.shape[-1]
+            part = part_buf[:p_n * nr].reshape(p_n, nr)
+            lane = lane_buf[:p_n * nr].reshape(p_n, nr)
+            for t in range(t_n):
+                dst = lane if t else part
+                np.take(xl[t], pi, axis=0, out=dst, mode="clip")
+                dst *= k_pairs[t]
+                np.rint(dst, out=dst)  # half-even
+                if t:
+                    part += lane
+            return part
+    else:
+        def pair_sums(x):
+            part = np.zeros((p_n, x.shape[-1]), dtype=np.int64)
+            for t in range(t_n):
+                part += rounding_shift(x[t, pi] * k_pairs[t], shifts)
+            return part
+    acc = np.empty((o_n, n_rows), dtype=dt)
     for r0 in range(0, n_rows, rows):
         r1 = min(r0 + rows, n_rows)
         x = src[(...,) + np.unravel_index(np.arange(r0, r1), lead)]
         x = x.reshape(t_n, i_n, r1 - r0).astype(dt, copy=False)
-        block = k_gemm @ x.reshape(t_n * i_n, -1)
-        if len(po):
-            part = np.zeros((len(po), r1 - r0), dtype=dt)
-            for t in range(t_n):
-                part += rounded(x[t, pi] * k_pairs[t])
-            block += scatter @ part
-        acc[:, r0:r1] = block
+        block = acc[:, r0:r1]
+        np.matmul(k_gemm, x.reshape(t_n * i_n, -1), out=block)
+        if p_n:
+            block += scatter @ pair_sums(x)
     return acc
+
+
+def _float_path(x_max: int, k_max: int, terms: int) -> bool:
+    """Whether sums of ``terms`` products of codes up to ``x_max`` and
+    ``k_max``, plus an int32 bias, are exact integers in float64."""
+    return x_max * k_max * terms + 2**31 < _FLOAT_EXACT
+
+
+def _pair_lane_dtype(x_max: int, k_max: int, taps: int):
+    """float32 when a pair's rounded products and their sum over ``taps``
+    stay exact integers in it, else float64."""
+    return np.float32 if x_max * k_max * (taps + 1) < _FLOAT32_EXACT else np.float64
 
 
 def _run_conv(node, codes_in, qg: QuantizedGraph):
     lp = qg.plan.layers[node.name]
     ker = qg.kernels[node.name]
     co, ci, kh, kw = ker.shape
-    win = _windows(codes_in, kh, kw, node.attr_pair("stride", 1), node.attr_pair("pad", 0))
+    stride, pad = node.attr_pair("stride", 1), node.attr_pair("pad", 0)
     if node.kind == "conv":
+        win = _windows(codes_in, kh, kw, stride, pad)
         n, _, oh, ow = win.shape[:4]
         src = win.transpose(4, 5, 1, 0, 2, 3)  # [Kh, Kw, Ci, N, H', W'], a view
         acc = _grouped_mac(src, 3, ker.reshape(co, ci, kh * kw), lp.comp_shift,
                            _abs_max(codes_in))
         acc = acc.reshape(co, n, oh, ow).transpose(1, 0, 2, 3)
     else:  # depthwise: no compensation can arise (tight fls never clamp)
-        acc = _tap_mac(win, ker[:, 0])
+        dt = np.float64 if _float_path(_abs_max(codes_in), _abs_max(ker), kh * kw) else np.int64
+        win = _windows(codes_in.astype(dt, copy=False), kh, kw, stride, pad)
+        acc = _tap_mac(win, ker[:, 0].astype(dt))  # accumulates in the kernel's dtype
     out_fmt = qg.plan.tensors[node.outputs[0]]
     return _finish_accumulator(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
 
@@ -227,24 +288,36 @@ def _div_half_even(acc: np.ndarray, divisor: int) -> np.ndarray:
 
 def _run_pool(node, codes_in):
     wh, ww = node.attr_pair("window")
+    if node.kind == "avgpool" and _abs_max(codes_in) * wh * ww >= 2**52:
+        codes_in = codes_in.astype(np.int64)  # window sums past float64's exact range
     win = _windows(codes_in, wh, ww, node.pool_stride(), node.attr_pair("pad", 0))
     if node.kind == "maxpool":
         return _tap_reduce(win, np.maximum)
-    return _div_half_even(_tap_reduce(win, np.add), wh * ww)
+    total = _tap_reduce(win, np.add)
+    if total.dtype == np.int64:
+        return _div_half_even(total, wh * ww)
+    # below 2**52 the float64 quotient lies on the same side of every half
+    # as the exact one (a non-tie is at least 1/(2*wh*ww) from it), and a
+    # true tie is exact, so rint rounds the mean half to even
+    return np.rint(np.divide(total, wh * ww, out=total), out=total)
 
 
 def _run_add(node, a, b, qg: QuantizedGraph):
+    """Align both operands to the finer common fl of each channel, add, and
+    shift into the output format. Codes below 2**53 make every step exact in
+    float64: a power-of-two scale, then ``np.rint`` (half to even)."""
     fa = qg.plan.tensors[node.inputs[0]].fls
     fb = qg.plan.tensors[node.inputs[1]].fls
     out_fmt = qg.plan.tensors[node.outputs[0]]
     common = np.minimum(fa, fb)  # per-channel alignment target
     cshape = _channel_shape(a.ndim)
-    a = rounding_shift(a, (fa - common).reshape(cshape))
-    b = rounding_shift(b, (fb - common).reshape(cshape))
-    total = a + b
-    shifted = rounding_shift(total, (common - out_fmt.fls).reshape(cshape))
+
+    def shifted(v, shift):
+        return np.rint(v * (2.0 ** -shift).reshape(cshape))
+
+    total = shifted(a, fa - common) + shifted(b, fb - common)
     lo, hi = _code_bounds(out_fmt, qg.plan.bit_width)
-    return np.clip(shifted, lo.reshape(cshape), hi.reshape(cshape))
+    return np.clip(shifted(total, common - out_fmt.fls), lo.reshape(cshape), hi.reshape(cshape))
 
 
 def execute_quantized(qg: QuantizedGraph, x: np.ndarray, capture=()) -> QuantRunResult:
@@ -271,13 +344,14 @@ def execute_quantized(qg: QuantizedGraph, x: np.ndarray, capture=()) -> QuantRun
             out = np.concatenate(ins, axis=1)
         else:
             raise GraphError(f"node {node.name}: kind {node.kind!r} not executable quantized")
-        codes[node.outputs[0]] = out
+        codes[node.outputs[0]] = out.astype(np.float64, copy=False)  # the int64 paths' codes too
     captured = {
         name: compact_codes(codes[name], plan.tensors[name], plan.bit_width)
         for name in capture
         if name in codes
     }
-    out_f = dequantize_tensor(codes[g.output_name], plan.tensors[g.output_name])
+    # + 0.0 turns the -0.0 that rint leaves on small negatives into 0.0
+    out_f = dequantize_tensor(codes[g.output_name] + 0.0, plan.tensors[g.output_name])
     return QuantRunResult(output=out_f, captured=captured, saturation=saturation)
 
 

@@ -363,6 +363,86 @@ class TestManifestFailsClosed:
         self._assert_one_line(capsys, rc, "names must be strings")
 
 
+class TestNumbersFailClosed:
+    """A plan, manifest or stats number that no writer could have produced
+    exits 2 with one line, where it was once truncated or used as given."""
+
+    @staticmethod
+    def _assert_one_line(capsys, rc, words):
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert words in err
+
+    @pytest.mark.parametrize("field, value, words", [
+        ("fl", 4.7, "expected integers, got 4.7"),
+        ("fl", True, "expected integers, got True"),
+        ("fl", 40, "fl 40 outside [-31, 31]"),
+        ("shift", -2000, "shift -2000 outside [-93, 93]"),
+        ("comp_shift", -1, "comp_shift -1 outside [0, inf]"),
+        ("bias_fl", 0.5, "expected integers, got 0.5"),
+        ("signed", 1, "expected booleans, got 1"),
+        ("bit_width", 8.0, "expected integers, got 8.0"),
+        ("bit_width", 64, "plan bit width 64 outside [2, 32]"),
+    ])
+    def test_plan_number(self, bundle, profiled, tmp_path, capsys, field, value, words):
+        q = tmp_path / "q"
+        assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                     "--mode", "cw_max", "--out", str(q)]) == 0
+        doc = json.loads((q / "plan.json").read_text())
+        if field == "bit_width":
+            doc["bit_width"] = value
+        elif field in ("fl", "signed"):
+            doc["tensors"]["input"][field][0] = value
+        else:
+            doc["layers"]["conv0"][field][0] = (value if field in ("shift", "bias_fl")
+                                                else [value] * len(doc["layers"]["conv0"][field][0]))
+        (q / "plan.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(bundle / "model.json"),
+                   "--dataset", str(bundle / "data.qtsr"), "--plan", str(q / "plan.json"),
+                   "--out", str(tmp_path / "r")])
+        self._assert_one_line(capsys, rc, words)
+
+    @pytest.mark.parametrize("key, value", [("offset", 4.5), ("len", True), ("dims", [2.0, 4])])
+    def test_manifest_number(self, bundle, tmp_path, capsys, key, value):
+        doc = json.loads((bundle / "model.json").read_text())
+        ref = doc["nodes"][0]["params"]["weight"]
+        ref[key] = value if key != "dims" else value + ref["dims"][2:]
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        (tmp_path / "weights.bin").write_bytes((bundle / "weights.bin").read_bytes())
+        rc = main(["profile", "--model", str(tmp_path / "model.json"),
+                   "--dataset", str(bundle / "data.qtsr"), "--out", str(tmp_path / "s.json")])
+        self._assert_one_line(capsys, rc, "offset, len and dims must be integers")
+
+    @pytest.mark.parametrize("field, words", [
+        ("count", "count must hold whole numbers"),
+        ("count_fraction", "count must hold whole numbers"),
+        ("m2", "m2 must be >= 0"),
+        ("minv", "minv exceeds maxv"),
+    ])
+    def test_stats_record(self, bundle, profiled, tmp_path, capsys, field, words):
+        import warnings
+
+        doc = json.loads(profiled.read_text())
+        rec = doc["tensors"]["t1"]["per_channel"]
+        if field == "count":
+            rec["count"] = [None] * len(rec["count"])  # NaN, as a stats file stores it
+        elif field == "count_fraction":
+            rec["count"][0] += 0.5
+        elif field == "m2":
+            rec["m2"][0] = -5.0
+        else:
+            rec["minv"][0] = rec["maxv"][0] + 1.0
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way to the message
+            rc = main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(stats),
+                       "--mode", "cw_max", "--out", str(tmp_path / "q")])
+        self._assert_one_line(capsys, rc, words)
+
+
 def test_runtime_loads_no_scipy():
     # the package and its CLI run on numpy alone; scipy is a test dependency
     import chanq

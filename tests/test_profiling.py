@@ -127,6 +127,16 @@ class TestStreamingUpdates:
             for f in fields(a):
                 assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
 
+    def test_update_keeps_the_callers_chunk_and_gives_the_same_stats(self):
+        data = np.arange(24, dtype=np.float32).reshape(2, 12) ** 1.5
+        kept, copied = StatsAccumulator(2), StatsAccumulator(2)
+        kept.update(data)
+        copied.update(data.copy())
+        assert kept._chunks[0] is data
+        a, b = kept.snapshot(), copied.snapshot()
+        for f in fields(a):
+            assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
+
 
 def _conv_relu_graph():
     conv = LayerSpec("c0", "conv", ["x"], ["t0"], attrs={"stride": 1, "pad": 0},
@@ -150,6 +160,21 @@ class TestCollectStats:
         assert stats["c0.weight"].kind == "parameter"
         # activations pool batch and spatial: 3 samples x 16 positions
         assert int(stats["t0"].per_channel.count[0]) == 48
+
+    def test_dataset_reusing_one_buffer(self):
+        g = _conv_relu_graph()
+        rng = np.random.default_rng(10)
+        data = [rng.normal(size=(1, 2, 4, 4)).astype(np.float32) for _ in range(3)]
+        buf = np.empty_like(data[0])
+
+        def refilled():
+            for d in data:
+                buf[...] = d
+                yield buf
+
+        a, b = collect_stats(g, data)["x"].per_channel, collect_stats(g, refilled())["x"].per_channel
+        for f in fields(a):
+            assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chanq import qengine
 from chanq.cli import main
@@ -503,3 +505,162 @@ class TestFcGroupLayout:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and "contiguous blocks" in err
+
+
+# ---------------------------------------------------------------------------
+# The float64 datapath against the int64 one
+# ---------------------------------------------------------------------------
+
+INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
+_ACC_MAX = 2**53 - 2**31  # the largest accumulator the MAC hands the float epilogue
+
+
+@st.composite
+def _epilogue_lane(draw):
+    """(accumulator, bias, shift): any lane, a sum on an int32 edge, or a tie."""
+    bias = draw(st.integers(INT32_MIN, INT32_MAX))
+    kind = draw(st.sampled_from(["any", "edge", "tie"]))
+    if kind == "tie":  # the biased sum is an odd multiple of 2**(shift - 1)
+        shift = draw(st.integers(1, 31))
+        k = draw(st.integers(INT32_MIN >> shift, (INT32_MAX >> shift) - 1))
+        return k * 2**shift + 2 ** (shift - 1) - bias, bias, shift
+    shift = draw(st.integers(-93, 93))
+    if kind == "edge":
+        total = draw(st.sampled_from([INT32_MIN - 1, INT32_MIN, INT32_MAX, INT32_MAX + 1]))
+        return total - bias, bias, shift
+    return draw(st.integers(-_ACC_MAX, _ACC_MAX)), bias, shift
+
+
+class TestFloatEpilogue:
+    @given(lanes=st.lists(_epilogue_lane(), min_size=1, max_size=30),
+           signed=st.booleans(), bit_width=st.sampled_from([8, 16]))
+    def test_fused_pass_matches_int64_path(self, lanes, signed, bit_width):
+        acc, bias, shift = (np.array(v, dtype=np.int64) for v in zip(*lanes))
+        c = len(lanes)
+        lp = LayerPlan(ker_fl=np.zeros((c, 1), np.int64), bias_fl=np.zeros(c, np.int64),
+                       shift=shift, comp_shift=np.zeros((c, 1), np.int64), ker_fl_layerwise=0)
+        fmt = TensorFormat(fls=np.zeros(c, np.int64), signed=np.full(c, signed))
+        want, want_clipped = qengine._finish_accumulator(acc[None], bias, lp, fmt, bit_width)
+        got, clipped = qengine._finish_accumulator(acc[None].astype(np.float64), bias, lp, fmt,
+                                                   bit_width)
+        assert want.dtype == np.int64 and got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        assert clipped == want_clipped
+
+
+class TestFloatAvgPool:
+    @pytest.mark.parametrize("window", [(1, 1), (2, 2), (2, 3), (3, 3)],
+                             ids=lambda w: f"{w[0]}x{w[1]}")
+    @pytest.mark.parametrize("high", [20, 2**40], ids=["small", "wide"])
+    def test_rint_of_mean_matches_div_half_even(self, window, high):
+        rng = np.random.default_rng([high.bit_length(), *window])
+        x = rng.integers(-high, high + 1, size=(2, 3, 6, 6))
+        x[0, 0, :window[0], :window[1]] = high  # a window at the bound
+        node = LayerSpec("p0", "avgpool", ["x"], ["y"], attrs={"window": list(window)})
+        want = qengine._run_pool(node, x)  # int64 codes: _div_half_even
+        got = qengine._run_pool(node, x.astype(np.float64))
+        assert want.dtype == np.int64 and got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+
+def _pair_oracle(x, ker, comp):
+    """acc[o, m] of :func:`qengine._grouped_mac` from Python integers, x [M, I, T]."""
+    return [[sum(int(rounding_shift(int(x[m, i, t]) * int(ker[o, i, t]), int(comp[o, i])))
+                 for i in range(x.shape[1]) for t in range(x.shape[2]))
+             for m in range(len(x))] for o in range(len(ker))]
+
+
+class TestFloat32PairLanes:
+    @pytest.mark.parametrize("x_max, k_max, taps, lane", [
+        (455, 4097, 8, np.float32),  # x_max * k_max * (T + 1) = 2**24 - 1
+        (1024, 2048, 7, np.float64),  # = 2**24
+    ], ids=["2^24-1", "2^24"])
+    def test_lane_dtype_and_codes(self, monkeypatch, x_max, k_max, taps, lane):
+        assert x_max * k_max * (taps + 1) == 2**24 - (lane is np.float32)
+        rng = np.random.default_rng(taps)
+        m, o, i = 6, 3, 4
+        x = rng.integers(-x_max, x_max + 1, size=(m, i, taps))
+        x[0], x[1] = x_max, -x_max
+        ker = rng.integers(-k_max, k_max + 1, size=(o, i, taps))
+        ker[:, 0] = k_max
+        ker[1, 1] = k_max - 1  # odd products: halves at a shift of 1
+        comp = rng.integers(0, 4, size=(o, i))
+        comp[:, :2] = 1
+        picked = []
+        pick = qengine._pair_lane_dtype
+        monkeypatch.setattr(qengine, "_pair_lane_dtype", lambda *a: picked.append(pick(*a))
+                            or picked[-1])
+        acc = qengine._grouped_mac(x.astype(np.float64).transpose(2, 1, 0), 1, ker, comp, x_max)
+        assert picked == [lane]
+        assert acc.dtype == np.float64
+        assert acc.T.tolist() == [[float(v) for v in row] for row in
+                                  np.array(_pair_oracle(x, ker, comp)).T.tolist()]
+
+
+def _count_int64_calls(monkeypatch) -> list:
+    """Record every call the engine makes to its int64 primitives."""
+    calls = []
+    for name in ("rounding_shift", "saturate_accumulator", "_div_half_even"):
+        fn = getattr(qengine, name)
+        monkeypatch.setattr(qengine, name,
+                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    return calls
+
+
+class TestFloatPathTaken:
+    @pytest.mark.parametrize("bit_width", [8, 30])
+    def test_depthwise_layer(self, monkeypatch, bit_width):
+        # 30-bit codes: max|x| * max|ker| * 9 taps passes 2**53, so the layer runs in int64
+        rng = np.random.default_rng(bit_width)
+        node = LayerSpec("d0", "depthwise_conv", ["x"], ["y"], attrs={"stride": 1, "pad": 1},
+                         params={"weight": "d0.weight", "bias": "d0.bias"})
+        g = validate(Graph("x", (1, 3, 6, 6), [node], {
+            "d0.weight": rng.normal(0, 0.5, size=(3, 1, 3, 3)).astype(np.float32),
+            "d0.bias": rng.normal(0, 0.1, size=3).astype(np.float32)}))
+        x = (rng.normal(0, 1, size=(4, 3, 6, 6)) * [[[[1.0]], [[8.0]], [[0.1]]]]).astype(np.float32)
+        qg = quantize_params(g, solve_plan(g, collect_stats(g, [x]), "cw_max", bit_width=bit_width))
+        calls = _count_int64_calls(monkeypatch)
+        execute_quantized(qg, x)
+        monkeypatch.undo()
+        assert (calls == []) == (bit_width == 8), calls
+        _check_layers_against_oracle(qg, x)
+
+    def test_eight_bit_classifier_never_calls_the_int64_primitives(self, monkeypatch):
+        # a silent fallback to the int64 path would keep the codes and lose the speed
+        from chanq.synthetic import SynthSpec, build_graph, gen_dataset
+
+        spec = SynthSpec(arch="classifier", channels=8, image_size=8, samples=16,
+                         input_scale_span_bits=4.0, seed=1)
+        g = build_graph(spec)
+        x, _ = gen_dataset(g, spec)
+        plan = solve_plan(g, collect_stats(g, [x]), "cw_laplace")
+        assert sum(int((lp.comp_shift > 0).sum()) for lp in plan.layers.values()) > 0
+        qg = quantize_params(g, plan)
+        calls = _count_int64_calls(monkeypatch)
+        execute_quantized(qg, x)
+        assert calls == []
+
+
+class TestFloatAdd:
+    @given(data=st.data(), bit_width=st.sampled_from([8, 16]), signed=st.booleans())
+    def test_alignment_and_output_shift_match_int64_path(self, data, bit_width, signed):
+        from types import SimpleNamespace
+
+        c = data.draw(st.integers(1, 4))
+        fls = st.lists(st.integers(-31, 31), min_size=c, max_size=c)
+        fa, fb, fo = (np.array(data.draw(fls)) for _ in range(3))
+        half = 2 ** (bit_width - 1)
+        lo, hi = (-half, half - 1) if signed else (0, 2 * half - 1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a, b = (rng.integers(lo, hi + 1, size=(2, c, 3, 3)) for _ in range(2))
+        plan = QuantPlan("cw_max", bit_width, tensors={
+            name: TensorFormat(fls=f, signed=np.full(c, signed))
+            for name, f in (("a", fa), ("b", fb), ("y", fo))})
+        node = LayerSpec("s0", "add", ["a", "b"], ["y"])
+        got = qengine._run_add(node, a.astype(np.float64), b.astype(np.float64),
+                               SimpleNamespace(plan=plan))
+        common = np.minimum(fa, fb)[None, :, None, None]
+        total = (rounding_shift(a, fa[None, :, None, None] - common)
+                 + rounding_shift(b, fb[None, :, None, None] - common))
+        want = np.clip(rounding_shift(total, common - fo[None, :, None, None]), lo, hi)
+        np.testing.assert_array_equal(got, want)

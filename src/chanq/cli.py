@@ -202,6 +202,7 @@ def cmd_compare(args) -> int:
 
     qgs = {mode: quantize_params(g, solve_plan(g, stats, mode, bit_width=args.bitwidth))
            for mode in MODES}
+    del stats  # release the profiling samples: the evaluation needs only the plans
     per_mode = _evaluate(g, qgs, data, labels, capture, args.batch)
 
     rows = []
@@ -244,30 +245,33 @@ def cmd_sweep_profile_size(args) -> int:
     ref_stats = collect_stats(g, _iter_batches(data, args.batch))
     ref_fls = {m: _activation_fls(g, solve_plan(g, ref_stats, m, bit_width=args.bitwidth))
                for m in sweep_modes}
+    del ref_stats  # it holds samples of the whole dataset
 
     rows = []
     doc = {"sizes": sizes, "draws": args.draws, "modes": {m: [] for m in sweep_modes}}
     for size in sizes:
-        # both modes see the same profiling draws
-        draw_stats = [
-            collect_stats(g, _iter_batches(_profile_subset(data, size, args.seed + 1000 * d),
-                                           args.batch))
-            for d in range(args.draws)
-        ]
+        # both modes see the same profiling draws; each draw's stats go once solved
+        plans = {m: [] for m in sweep_modes}
+        for d in range(args.draws):
+            stats = collect_stats(g, _iter_batches(_profile_subset(data, size, args.seed + 1000 * d),
+                                                   args.batch))
+            for mode in sweep_modes:
+                plans[mode].append(solve_plan(g, stats, mode, bit_width=args.bitwidth))
+            del stats
+        qgs = {mode: quantize_params(g, plans[mode][0]) for mode in sweep_modes}
+        per_mode = _evaluate(g, qgs, data, labels, set(), args.batch)
         for mode in sweep_modes:
-            plans = [solve_plan(g, stats, mode, bit_width=args.bitwidth) for stats in draw_stats]
-            fls_draws = np.array([_activation_fls(g, plan) for plan in plans])
+            fls_draws = np.array([_activation_fls(g, plan) for plan in plans[mode]])
             match = float(np.mean(fls_draws == ref_fls[mode][None, :]))
             variance = float(np.mean(np.var(fls_draws, axis=0)))
-            qg = quantize_params(g, plans[0])
-            res = _evaluate(g, {mode: qg}, data, labels, set(), args.batch)[mode]
-            rows.append([mode, size, match, variance, res["top1_agreement"]])
+            agreement = per_mode[mode]["top1_agreement"]
+            rows.append([mode, size, match, variance, agreement])
             doc["modes"][mode].append(
                 {
                     "size": size,
                     "fl_match_fraction": match,
                     "fl_variance": variance,
-                    "top1_agreement": res["top1_agreement"],
+                    "top1_agreement": agreement,
                 }
             )
     text = render_table(

@@ -1,17 +1,24 @@
 """Per-channel activation and parameter statistics over a profiling dataset.
 
-Signed central moments up to order 6 accumulate in one streaming pass via
-power sums shifted by a per-channel anchor (first value seen), which keeps
-them numerically stable far from zero. Odd-order absolute central moments
-have no exact finite streaming form, so each channel also retains its raw
-samples (float32 when they arrive as float32: widening them later is
-exact); statistics over several updates equal whole-dataset statistics.
+Signed central moments up to order 6 come from power sums shifted by a
+per-channel anchor (first value seen), which keeps them numerically stable
+far from zero. Odd-order absolute central moments have no exact finite
+streaming form, so each channel retains its raw samples (float32 when they
+arrive as float32: widening them later is exact); statistics over several
+updates equal whole-dataset statistics.
+
+Records are computed on first read: :func:`collect_stats` keeps the samples
+and folds them into a tensor's per-channel or pooled record only when that
+record is read, so a plan pays for the records its mode reads. A tensor's
+samples live until both of its records have been read or its
+:class:`TensorStats` is dropped.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -80,43 +87,50 @@ def _rebase(sums: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 
 class StatsAccumulator:
-    """Streaming per-channel accumulator; update, then snapshot."""
+    """Per-channel accumulator: update with samples, then snapshot."""
 
     def __init__(self, channels: int):
         self.channels = channels
         self.count = np.zeros(channels, dtype=np.int64)
         self.minv = np.full(channels, np.inf)
         self.maxv = np.full(channels, -np.inf)
-        self.shift = None  # per-channel anchor, fixed at first update
+        self.shift = None  # per-channel anchor, fixed by the first chunk
         self.sums = np.zeros((MAX_ORDER + 1, channels))
         self._chunks: list[np.ndarray] = []
+        self._folded = 0  # leading chunks already in count, min, max and sums
 
     def update(self, values: np.ndarray) -> None:
-        """Add samples, shape [C, M]. The samples are retained until the
-        snapshot (a float32 or float64 ``values`` as it is, not a copy), so
-        the caller must not change them meanwhile."""
+        """Add samples, shape [C, M]. The samples are retained (a float32 or
+        float64 ``values`` as it is, not a copy), so the caller must not
+        change them while the accumulator lives."""
         values = np.asarray(values)
         raw = values.astype(np.float32 if values.dtype == np.float32 else np.float64, copy=False)
         if raw.ndim != 2 or raw.shape[0] != self.channels:
             raise ValueError(f"expected [C={self.channels}, M] samples, got {raw.shape}")
-        if raw.shape[1] == 0:
-            return
-        if self.shift is None:
-            self.shift = raw[:, 0].astype(np.float64)
-        y = raw - self.shift[:, None]  # float64: widening float32 is exact
-        self.sums[0] += y.shape[1]
-        self.sums[1] += y.sum(axis=1)
-        p = y
-        for k in range(2, MAX_ORDER + 1):
-            p = p * y
-            self.sums[k] += p.sum(axis=1)
-        self.count += raw.shape[1]
-        self.minv = np.minimum(self.minv, raw.min(axis=1))
-        self.maxv = np.maximum(self.maxv, raw.max(axis=1))
-        self._chunks.append(raw)
+        if raw.shape[1] > 0:
+            self._chunks.append(raw)
+
+    def _fold(self) -> None:
+        """Fold the chunks not folded yet into count, min, max and the shifted
+        power sums, in arrival order."""
+        for raw in self._chunks[self._folded:]:
+            if self.shift is None:
+                self.shift = raw[:, 0].astype(np.float64)
+            y = raw - self.shift[:, None]  # float64: widening float32 is exact
+            self.sums[0] += y.shape[1]
+            self.sums[1] += y.sum(axis=1)
+            p = y * y
+            self.sums[2] += p.sum(axis=1)
+            for k in range(3, MAX_ORDER + 1):
+                self.sums[k] += np.multiply(p, y, out=p).sum(axis=1)
+            self.count += raw.shape[1]
+            self.minv = np.minimum(self.minv, raw.min(axis=1))
+            self.maxv = np.maximum(self.maxv, raw.max(axis=1))
+        self._folded = len(self._chunks)
 
     def pooled(self) -> "StatsAccumulator":
         """Collapse all channels into one (for layer-wide formats)."""
+        self._fold()
         out = StatsAccumulator(1)
         if self.shift is None:
             return out
@@ -128,9 +142,11 @@ class StatsAccumulator:
         out.minv = self.minv.min(keepdims=True)
         out.maxv = self.maxv.max(keepdims=True)
         out._chunks = [c.reshape(1, -1) for c in self._chunks]
+        out._folded = len(out._chunks)
         return out
 
     def snapshot(self) -> ChannelStats:
+        self._fold()
         if self.shift is None:
             raise ValueError("no samples accumulated")
         n = self.count.astype(np.float64)
@@ -138,12 +154,17 @@ class StatsAccumulator:
         central = _rebase(self.sums, -self.sums[1] / n)
         m = {k: central[k] / n for k in range(2, MAX_ORDER + 1)}
         sigma = np.sqrt(np.maximum(m[2], 0.0))
-        buf = np.concatenate(self._chunks, axis=1)
-        dev = np.abs(buf - mean[:, None])
+        absm = np.empty((3, self.channels))  # E|x - mean|^k, k = 1, 3, 5
+        for c in range(self.channels):  # a row at a time keeps the temporaries small
+            dev = np.subtract(np.concatenate([ch[c] for ch in self._chunks]), mean[c:c + 1])
+            np.abs(dev, out=dev)
+            absm[0, c] = dev.mean()
+            absm[1, c] = np.power(dev, 3).mean()  # not d*d*d: other bits
+            absm[2, c] = np.power(dev, 5, out=dev).mean()
         with np.errstate(divide="ignore", invalid="ignore"):
             nu = {}
-            for k in (1, 3, 5):
-                nu[k] = np.where(sigma > 0, (dev**k).mean(axis=1) / sigma**k, np.nan)
+            for i, k in enumerate((1, 3, 5)):
+                nu[k] = np.where(sigma > 0, absm[i] / sigma**k, np.nan)
             for k in (2, 4, 6):
                 nu[k] = np.where(sigma > 0, m[k] / sigma**k, np.nan)
         return ChannelStats(
@@ -152,13 +173,30 @@ class StatsAccumulator:
             **{f"m{k}": v for k, v in m.items()}, **{f"nu{k}": v for k, v in nu.items()})
 
 
-@dataclass
 class TensorStats:
-    """Per-channel stats plus the tensor-pooled record (one pseudo-channel)."""
+    """Per-channel stats plus the tensor-pooled record (one pseudo-channel).
 
-    kind: str  # activation | parameter
-    per_channel: ChannelStats
-    pooled: ChannelStats
+    Each record is computed from the accumulator the first time it is read;
+    once both have been, the accumulator and its samples are let go.
+    """
+
+    def __init__(self, kind: str, acc: StatsAccumulator | None = None):
+        self.kind = kind  # activation | parameter
+        self._acc = acc
+
+    def _record(self, other: str, make) -> ChannelStats:
+        record = make(self._acc)
+        if other in self.__dict__:  # the other record is cached too
+            self._acc = None
+        return record
+
+    @cached_property
+    def per_channel(self) -> ChannelStats:
+        return self._record("pooled", StatsAccumulator.snapshot)
+
+    @cached_property
+    def pooled(self) -> ChannelStats:
+        return self._record("per_channel", lambda acc: acc.pooled().snapshot())
 
 
 def stats_from_samples(samples) -> ChannelStats:
@@ -182,7 +220,9 @@ def collect_stats(g: Graph, dataset) -> dict:
     """Accumulate stats for every activation tensor and parameter over a dataset.
 
     Activation statistics pool over batch and spatial positions per channel;
-    parameter statistics are exact since the values are fully known.
+    parameter statistics are exact since the values are fully known. Each
+    returned :class:`TensorStats` keeps its tensor's samples (parameters as
+    a copy) until both of its records have been read or it is dropped.
     """
     names = g.activation_names()
     accs: dict[str, StatsAccumulator] = {}
@@ -192,8 +232,8 @@ def collect_stats(g: Graph, dataset) -> dict:
         if batch.ndim == 3:
             batch = batch[None]
         _, captured = execute_float(g, batch, capture=names)
-        for name, value in captured.items():
-            cm = channel_major(value)
+        for name in list(captured):  # each capture goes once its channel-major copy exists
+            cm = channel_major(captured.pop(name))
             if name not in accs:
                 accs[name] = StatsAccumulator(cm.shape[0])
             accs[name].update(cm)
@@ -201,15 +241,13 @@ def collect_stats(g: Graph, dataset) -> dict:
     if n_batches == 0:
         raise ValueError("profiling dataset is empty")
 
-    result = {
-        name: TensorStats("activation", acc.snapshot(), acc.pooled().snapshot())
-        for name, acc in accs.items()
-    }
+    result = {name: TensorStats("activation", acc) for name, acc in accs.items()}
     for pname, arr in g.params.items():
-        cm = np.asarray(arr, dtype=np.float64).reshape(arr.shape[0], -1)
-        acc = StatsAccumulator(cm.shape[0])
-        acc.update(cm)
-        result[pname] = TensorStats("parameter", acc.snapshot(), acc.pooled().snapshot())
+        acc = StatsAccumulator(arr.shape[0])
+        acc.update(np.array(arr, dtype=np.float64).reshape(arr.shape[0], -1))  # own a copy
+        result[pname] = TensorStats("parameter", acc)
+    if any(not ts._acc._chunks for ts in result.values()):
+        raise ValueError("no samples accumulated")
     return result
 
 
@@ -274,11 +312,9 @@ def load_stats(path) -> dict:
             raise ValueError(f"unsupported stats file version {doc.get('version')}")
         for name, td in doc["tensors"].items():
             where = f"stats of tensor {name!r}"
-            stats[name] = TensorStats(
-                kind=td["kind"],
-                per_channel=_decode_stats(td["per_channel"]),
-                pooled=_decode_stats(td["pooled"]),
-            )
+            ts = stats[name] = TensorStats(td["kind"])
+            ts.per_channel = _decode_stats(td["per_channel"])
+            ts.pooled = _decode_stats(td["pooled"])
     except KeyError as e:
         raise ValueError(f"{where}: missing key {e.args[0]!r}") from None
     except (TypeError, AttributeError, ValueError) as e:

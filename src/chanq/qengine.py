@@ -34,7 +34,7 @@ import numpy as np
 from .fixedpoint import INT32_MAX, INT32_MIN, rounding_shift, saturate_accumulator
 from .graph import Graph, GraphError
 from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, check_plan,
-                      plan_from_json)
+                      plan_from_json, plan_to_json)
 from .tensorops import _BLOCK_ELEMS, _tap_mac, _tap_reduce, _windows
 
 # Integers below these magnitudes, and sums of them, are exact in float64 and float32.
@@ -371,11 +371,6 @@ def save_quantized(qg: QuantizedGraph, plan_path, blob_path) -> None:
     above (see :func:`_kernel_dtype`), bias codes as int32, little-endian,
     addressed by byte offsets recorded in the plan document.
     """
-    import json
-    from pathlib import Path
-
-    from .planner import plan_to_json
-
     kdtype = _kernel_dtype(qg.plan.bit_width)
     blob = bytearray()
     index = {}

@@ -222,6 +222,49 @@ class TestCompareAndSweep:
             entry = doc["modes"][mode][0]
             assert 0.0 <= entry["fl_match_fraction"] <= 1.0
 
+    def test_sweep_report_equals_one_evaluation_per_mode_and_size(self, bundle, tmp_path):
+        # the sweep evaluates both modes of a size together; the oracle runs
+        # one evaluation per (mode, size) and must give the same report bytes
+        from chanq.cli import _activation_fls, _evaluate, _load_dataset, _profile_subset
+        from chanq.graph import load_model
+        from chanq.planner import solve_plan
+        from chanq.profiling import collect_stats
+        from chanq.qengine import quantize_params
+        from chanq.reports import render_table, write_report
+
+        sizes, draws, seed = [8, 20], 2, 3
+        assert main(["sweep-profile-size", "--model", str(bundle / "model.json"),
+                     "--dataset", str(bundle / "data.qtsr"), "--labels", str(bundle / "labels.qtsr"),
+                     "--sizes", "8,20", "--draws", str(draws), "--seed", str(seed), "--batch", "16",
+                     "--out", str(tmp_path / "sweep")]) == 0
+
+        g = load_model(bundle / "model.json")
+        data, labels = _load_dataset(bundle / "data.qtsr"), read_tensor(bundle / "labels.qtsr")
+        batches = lambda x: [x[i:i + 16] for i in range(0, len(x), 16)]  # noqa: E731
+        ref_stats = collect_stats(g, batches(data))
+        rows, doc = [], {"sizes": sizes, "draws": draws, "modes": {"cw_max": [], "cw_laplace": []}}
+        for size in sizes:
+            draw_stats = [collect_stats(g, batches(_profile_subset(data, size, seed + 1000 * d)))
+                          for d in range(draws)]
+            for mode in ("cw_max", "cw_laplace"):
+                ref_fls = _activation_fls(g, solve_plan(g, ref_stats, mode))
+                plans = [solve_plan(g, st, mode) for st in draw_stats]
+                fls = np.array([_activation_fls(g, plan) for plan in plans])
+                match = float(np.mean(fls == ref_fls[None, :]))
+                variance = float(np.mean(np.var(fls, axis=0)))
+                res = _evaluate(g, {mode: quantize_params(g, plans[0])}, data, labels, set(), 16)
+                agreement = res[mode]["top1_agreement"]
+                rows.append([mode, size, match, variance, agreement])
+                doc["modes"][mode].append({"size": size, "fl_match_fraction": match,
+                                           "fl_variance": variance, "top1_agreement": agreement})
+        text = render_table(
+            ["mode", "profile_samples", "fl_match_fraction", "fl_variance", "top1_agreement"],
+            rows, title=f"profiling-size sweep ({draws} draws per size)")
+        write_report(tmp_path / "oracle", text, doc)
+        for suffix in (".txt", ".json"):
+            assert ((tmp_path / "sweep").with_suffix(suffix).read_bytes()
+                    == (tmp_path / "oracle").with_suffix(suffix).read_bytes())
+
 
 class TestNonFinite:
     def test_compare_on_inf_dataset_is_data_error(self, bundle, tmp_path, capsys):

@@ -1,11 +1,14 @@
-"""Channel statistics tests: moments, invariances, streaming updates."""
+"""Channel statistics tests: moments, invariances, streaming updates,
+records computed on first read."""
 
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from chanq.graph import Graph, LayerSpec, validate
+from chanq.planner import MODES, solve_plan
 from chanq.profiling import (
     StatsAccumulator,
     collect_stats,
@@ -14,6 +17,12 @@ from chanq.profiling import (
     standardized_moments,
     stats_from_samples,
 )
+from chanq.synthetic import SynthSpec, build_graph, gen_dataset
+
+
+def _same_bits(a, b):
+    for f in fields(a):
+        assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
 
 
 class TestBasicStats:
@@ -123,9 +132,7 @@ class TestStreamingUpdates:
             wide.update(chunk.astype(np.float64))
         assert narrow._chunks[0].dtype == np.float32
         for acc_a, acc_b in ((narrow, wide), (narrow.pooled(), wide.pooled())):
-            a, b = acc_a.snapshot(), acc_b.snapshot()
-            for f in fields(a):
-                assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
+            _same_bits(acc_a.snapshot(), acc_b.snapshot())
 
     def test_update_keeps_the_callers_chunk_and_gives_the_same_stats(self):
         data = np.arange(24, dtype=np.float32).reshape(2, 12) ** 1.5
@@ -133,9 +140,24 @@ class TestStreamingUpdates:
         kept.update(data)
         copied.update(data.copy())
         assert kept._chunks[0] is data
-        a, b = kept.snapshot(), copied.snapshot()
-        for f in fields(a):
-            assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
+        _same_bits(kept.snapshot(), copied.snapshot())
+
+    def test_snapshot_after_every_update_equals_one_at_the_end(self):
+        # the fold runs chunk by chunk in arrival order, however often it is asked for
+        rng = np.random.default_rng(13)
+        chunks = [(rng.laplace(size=(3, m)) * 30 + 500).astype(np.float32) for m in (5, 900, 1, 77)]
+        eager, late = StatsAccumulator(3), StatsAccumulator(3)
+        for chunk in chunks:
+            eager.update(chunk)
+            eager.snapshot()
+            eager.pooled().snapshot()
+            late.update(chunk)
+        _same_bits(eager.snapshot(), late.snapshot())
+        _same_bits(eager.pooled().snapshot(), late.pooled().snapshot())
+
+    def test_update_checks_the_shape_at_once(self):
+        with pytest.raises(ValueError, match=r"expected \[C=2, M\] samples"):
+            StatsAccumulator(2).update(np.zeros((3, 4)))
 
 
 def _conv_relu_graph():
@@ -172,9 +194,8 @@ class TestCollectStats:
                 buf[...] = d
                 yield buf
 
-        a, b = collect_stats(g, data)["x"].per_channel, collect_stats(g, refilled())["x"].per_channel
-        for f in fields(a):
-            assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
+        _same_bits(collect_stats(g, data)["x"].per_channel,
+                   collect_stats(g, refilled())["x"].per_channel)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -195,3 +216,70 @@ class TestCollectStats:
         # identical dump bytes when repeated
         dump_stats(stats, tmp_path / "s2.json")
         assert (tmp_path / "s.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
+
+    def test_parameter_records_own_their_values(self):
+        g = _conv_relu_graph()
+        g.params["c0.weight"] = np.arange(4, dtype=np.float64).reshape(2, 2, 1, 1) - 1.5
+        data = [np.ones((1, 2, 4, 4), np.float32)]
+        ref = collect_stats(g, data)["c0.weight"]
+        ref.per_channel, ref.pooled  # read now, from the values as they were
+        stats = collect_stats(g, data)
+        g.params["c0.weight"][...] = 100.0  # after collect_stats, before any record is read
+        _same_bits(stats["c0.weight"].per_channel, ref.per_channel)
+        _same_bits(stats["c0.weight"].pooled, ref.pooled)
+
+    def test_batch_of_no_samples_fails_inside_collect_stats(self):
+        with pytest.raises(ValueError, match="no samples accumulated"):
+            collect_stats(_conv_relu_graph(), [np.zeros((0, 2, 4, 4), np.float32)])
+
+
+@pytest.fixture(scope="module")
+def hetero():
+    spec = SynthSpec(arch="hetero_conv", in_channels=3, channels=4, image_size=8, samples=24,
+                     input_scale_span_bits=3.0, seed=3)
+    g = build_graph(spec)
+    x, _ = gen_dataset(g, spec)
+    return g, [x[i:i + 8] for i in range(0, len(x), 8)]
+
+
+class TestRecordsOnFirstRead:
+    def test_dump_bytes_do_not_depend_on_read_order(self, hetero, tmp_path):
+        g, batches = hetero
+        dumps = []
+        for first in ("per_channel", "pooled", None):
+            stats = collect_stats(g, batches)
+            if first:
+                for ts in stats.values():
+                    getattr(ts, first)
+            dump_stats(stats, tmp_path / f"{first}.json")
+            dumps.append((tmp_path / f"{first}.json").read_bytes())
+        assert dumps[0] == dumps[1] == dumps[2]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_solve_computes_only_the_records_it_reads(self, hetero, mode, monkeypatch):
+        g, batches = hetero
+        stats = collect_stats(g, batches)
+        calls = []
+        snapshot = StatsAccumulator.snapshot
+        monkeypatch.setattr(StatsAccumulator, "snapshot",
+                            lambda acc: calls.append(acc.channels) or snapshot(acc))
+        solve_plan(g, stats, mode)
+        computed = {(name, rec) for name, ts in stats.items()
+                    for rec in ("per_channel", "pooled") if rec in vars(ts)}
+        if mode == "layerwise_max":
+            expected = {(t, "pooled") for t in ("input", "t1", "t3", "t5")}
+        else:
+            expected = {(t, "per_channel") for t in ("input", "t1", "t3")} | {("t5", "pooled")}
+        assert computed == expected
+        assert len(calls) == len(expected) == 4
+
+    def test_samples_are_released_once_both_records_are_read(self, hetero):
+        g, batches = hetero
+        ts = collect_stats(g, batches)["t1"]
+        acc = weakref.ref(ts._acc)
+        chunk = weakref.ref(ts._acc._chunks[0])
+        ts.pooled
+        assert acc() is not None
+        ts.per_channel
+        assert acc() is None and chunk() is None
+        assert ts.per_channel is ts.per_channel  # computed once, then cached

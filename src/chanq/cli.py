@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import GraphError, Graph, effective_output, fold_batchnorm, load_model
+from .graph import GraphError, Graph, effective_output, execute_float, fold_batchnorm, load_model
 from .planner import MODES, PlanError, check_plan, load_plan, solve_plan
 from .profiling import collect_stats, dump_stats, load_stats
 from .qengine import (
@@ -104,8 +104,6 @@ def _evaluate(g, qgs: dict, data, labels, capture, batch) -> dict:
     The float reference runs once per batch for every quantized model;
     returns ``{mode: result}``.
     """
-    from .graph import execute_float
-
     accs = {mode: SqnrAccumulator(qg.plan) for mode, qg in qgs.items()}
     agree = dict.fromkeys(qgs, 0)
     quant_correct = dict.fromkeys(qgs, 0)
@@ -162,6 +160,9 @@ def cmd_eval(args) -> int:
     data = _load_dataset(args.dataset)
     labels = read_tensor(args.labels) if args.labels else None
     capture = set(g.activation_names()) if args.capture == "all" else set(args.capture.split(","))
+    unknown = sorted(capture - set(g.activation_names()))
+    if unknown:
+        raise GraphError(f"--capture: the model has no tensor {unknown[0]!r}")
     res = _evaluate(g, {qg.plan.mode: qg}, data, labels, capture, args.batch)[qg.plan.mode]
 
     rows = []
@@ -239,7 +240,6 @@ def cmd_sweep_profile_size(args) -> int:
     g = _load_graph(args)
     data = _load_dataset(args.dataset)
     labels = read_tensor(args.labels) if args.labels else None
-    sizes = [int(s) for s in args.sizes.split(",")]
     sweep_modes = ("cw_max", "cw_laplace")
 
     ref_stats = collect_stats(g, _iter_batches(data, args.batch))
@@ -248,8 +248,8 @@ def cmd_sweep_profile_size(args) -> int:
     del ref_stats  # it holds samples of the whole dataset
 
     rows = []
-    doc = {"sizes": sizes, "draws": args.draws, "modes": {m: [] for m in sweep_modes}}
-    for size in sizes:
+    doc = {"sizes": args.sizes, "draws": args.draws, "modes": {m: [] for m in sweep_modes}}
+    for size in args.sizes:
         # both modes see the same profiling draws; each draw's stats go once solved
         plans = {m: [] for m in sweep_modes}
         for d in range(args.draws):
@@ -307,6 +307,13 @@ def cmd_gen_synthetic(args) -> int:
 # Argument wiring
 # ---------------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """argparse type of a positive integer count."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _add_model_args(p):
     p.add_argument("--model", required=True, help="model manifest (JSON)")
     p.add_argument("--weights", default=None, help="weights blob (defaults to manifest reference)")
@@ -315,7 +322,7 @@ def _add_model_args(p):
 _COMMON = {
     "seed": dict(type=int, default=0),
     "bitwidth": dict(type=int, default=8),
-    "batch": dict(type=int, default=32),
+    "batch": dict(type=_count, default=32),
 }
 
 
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="collect per-channel stats over a dataset")
     _add_model_args(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--profile-samples", type=int, default=None)
+    p.add_argument("--profile-samples", type=_count, default=None)
     p.add_argument("--out", required=True)
     _add_common(p, "seed", "batch")
     p.set_defaults(func=cmd_profile)
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--labels", default=None)
-    p.add_argument("--profile-samples", type=int, default=None)
+    p.add_argument("--profile-samples", type=_count, default=None)
     p.add_argument("--out", required=True)
     _add_common(p, "seed", "bitwidth", "batch")
     p.set_defaults(func=cmd_compare)
@@ -370,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--labels", default=None)
-    p.add_argument("--sizes", required=True, help="comma-separated sample counts")
-    p.add_argument("--draws", type=int, default=10)
+    p.add_argument("--sizes", required=True, type=lambda v: [_count(s) for s in v.split(",")],
+                   help="comma-separated sample counts")
+    p.add_argument("--draws", type=_count, default=10)
     p.add_argument("--out", required=True)
     _add_common(p, "seed", "bitwidth", "batch")
     p.set_defaults(func=cmd_sweep_profile_size)

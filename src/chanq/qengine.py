@@ -6,7 +6,8 @@ to the output: every code, product and sum the engine forms is an
 integer below 2**53, so float64 holds it exactly and numpy's BLAS and
 ufuncs run on it without casts. Each step keeps that exactness:
 
-- A linear layer's MAC is one grouped GEMM while
+- A linear layer's MAC runs over the float engine's im2col column blocks
+  (:func:`tensorops._col_blocks`): one grouped GEMM per block while
   max|x| * max|ker| * I * T + 2**31 < 2**53, which also bounds the bias
   add. Products of compensated pairs are rounded half-even one by one,
   in float32 lanes while max|x| * max|ker| * (T + 1) < 2**24.
@@ -35,7 +36,7 @@ from .fixedpoint import INT32_MAX, INT32_MIN, rounding_shift, saturate_accumulat
 from .graph import Graph, GraphError
 from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, check_plan,
                       plan_from_json, plan_to_json)
-from .tensorops import _BLOCK_ELEMS, _tap_mac, _tap_reduce, _windows
+from .tensorops import _col_blocks, _conv_cols, _tap_reduce, _windows
 
 # Integers below these magnitudes, and sums of them, are exact in float64 and float32.
 _FLOAT_EXACT = 2**53
@@ -163,17 +164,17 @@ def _abs_max(codes: np.ndarray) -> int:
     return max(int(codes.max(initial=0)), -int(codes.min(initial=0)))
 
 
-def _grouped_mac(src: np.ndarray, row_ndim: int, ker: np.ndarray, comp: np.ndarray,
+def _grouped_mac(cols: np.ndarray, batch_axis: int, ker: np.ndarray, comp: np.ndarray,
                  x_max: int) -> np.ndarray:
     """Exact grouped integer MAC.
 
-    ``src`` is a [*taps, I, *rows] view of the input codes: T taps (in one
-    or more axes) and I inputs for each of the M rows indexed by its last
-    ``row_ndim`` axes. ``ker`` is [O, I, T] and ``comp`` [O, I] the right
-    shift applied to each product of a pair. Returns the accumulator [O, M]
-    with
+    ``cols`` is a column view of the input codes (see
+    :func:`tensorops._col_blocks`) whose operands are I inputs of T taps
+    each, for the M output positions at and after ``batch_axis``. ``ker`` is
+    [O, I, T] and ``comp`` [O, I] the right shift applied to each product of
+    a pair. Returns the accumulator [O, *positions] with
 
-        acc[o, m] = sum_i sum_t round_half_even(x[t, i, m] * ker[o, i, t] / 2**comp[o, i]).
+        acc[o, m] = sum_i sum_t round_half_even(x[i, t, m] * ker[o, i, t] / 2**comp[o, i]).
 
     Unshifted pairs run as one GEMM, with the kernels of shifted pairs
     zeroed. For each tap, the products of the shifted pairs are rounded one
@@ -183,33 +184,29 @@ def _grouped_mac(src: np.ndarray, row_ndim: int, ker: np.ndarray, comp: np.ndarr
     and the accumulator is float64; otherwise it is int64. On the float
     path the shifted products are rounded in float32 lanes, half the
     traffic, when max|x| * max|ker| * (T + 1) < 2**24 bounds each pair's
-    sum. Rows go in blocks so that no temporary exceeds ``_BLOCK_ELEMS``.
+    sum.
     """
     o_n, i_n, t_n = ker.shape
-    lead = src.shape[src.ndim - row_ndim:]
-    n_rows = int(np.prod(lead))
+    pos = cols.shape[batch_axis:]
     po, pi = np.nonzero(comp)
     p_n = len(po)
     shifts = comp[po, pi][:, None]
     k_max = _abs_max(ker)
     in_float = _float_path(x_max, k_max, i_n * t_n)
     dt = np.float64 if in_float else np.int64
-    k_gemm = np.where(comp[:, :, None] == 0, ker, 0).transpose(0, 2, 1).reshape(o_n, -1).astype(dt)
+    k_gemm = np.where(comp[:, :, None] == 0, ker, 0).reshape(o_n, -1).astype(dt)
     k_pairs = ker[po, pi].T[:, :, None]  # [T, P, 1]
     scatter = (np.arange(o_n)[:, None] == po).astype(dt)  # [O, P] one-hot
-    rows = max(1, _BLOCK_ELEMS // max(i_n * t_n, p_n, o_n))
     if in_float:
         lane_dt = _pair_lane_dtype(x_max, k_max, t_n)
         k_pairs = (k_pairs * 2.0 ** -shifts).astype(lane_dt)  # a power of two: exact
-        part_buf, lane_buf = np.empty((2, p_n * rows), dtype=lane_dt)
 
         def pair_sums(x):
-            xl, nr = x.astype(lane_dt, copy=False), x.shape[-1]
-            part = part_buf[:p_n * nr].reshape(p_n, nr)
-            lane = lane_buf[:p_n * nr].reshape(p_n, nr)
+            xl = x.astype(lane_dt, copy=False)
+            part, lane = np.empty((2, p_n, x.shape[-1]), dtype=lane_dt)
             for t in range(t_n):
                 dst = lane if t else part
-                np.take(xl[t], pi, axis=0, out=dst, mode="clip")
+                np.take(xl[:, t], pi, axis=0, out=dst, mode="clip")
                 dst *= k_pairs[t]
                 np.rint(dst, out=dst)  # half-even
                 if t:
@@ -219,18 +216,15 @@ def _grouped_mac(src: np.ndarray, row_ndim: int, ker: np.ndarray, comp: np.ndarr
         def pair_sums(x):
             part = np.zeros((p_n, x.shape[-1]), dtype=np.int64)
             for t in range(t_n):
-                part += rounding_shift(x[t, pi] * k_pairs[t], shifts)
+                part += rounding_shift(x[pi, t] * k_pairs[t], shifts)
             return part
-    acc = np.empty((o_n, n_rows), dtype=dt)
-    for r0 in range(0, n_rows, rows):
-        r1 = min(r0 + rows, n_rows)
-        x = src[(...,) + np.unravel_index(np.arange(r0, r1), lead)]
-        x = x.reshape(t_n, i_n, r1 - r0).astype(dt, copy=False)
-        block = acc[:, r0:r1]
-        np.matmul(k_gemm, x.reshape(t_n * i_n, -1), out=block)
+    acc = np.empty((o_n, int(np.prod(pos))), dtype=dt)
+    for at, x in _col_blocks(cols, batch_axis, max(i_n * t_n, p_n, o_n), dt):
+        block = acc[:, at]
+        np.matmul(k_gemm, x, out=block)
         if p_n:
-            block += scatter @ pair_sums(x)
-    return acc
+            block += scatter @ pair_sums(x.reshape(i_n, t_n, -1))
+    return acc.reshape(o_n, *pos)
 
 
 def _float_path(x_max: int, k_max: int, terms: int) -> bool:
@@ -249,18 +243,17 @@ def _run_conv(node, codes_in, qg: QuantizedGraph):
     lp = qg.plan.layers[node.name]
     ker = qg.kernels[node.name]
     co, ci, kh, kw = ker.shape
-    stride, pad = node.attr_pair("stride", 1), node.attr_pair("pad", 0)
+    cols = _conv_cols(codes_in, kh, kw, node.attr_pair("stride", 1), node.attr_pair("pad", 0))
     if node.kind == "conv":
-        win = _windows(codes_in, kh, kw, stride, pad)
-        n, _, oh, ow = win.shape[:4]
-        src = win.transpose(4, 5, 1, 0, 2, 3)  # [Kh, Kw, Ci, N, H', W'], a view
-        acc = _grouped_mac(src, 3, ker.reshape(co, ci, kh * kw), lp.comp_shift,
+        acc = _grouped_mac(cols, 3, ker.reshape(co, ci, kh * kw), lp.comp_shift,
                            _abs_max(codes_in))
-        acc = acc.reshape(co, n, oh, ow).transpose(1, 0, 2, 3)
     else:  # depthwise: no compensation can arise (tight fls never clamp)
         dt = np.float64 if _float_path(_abs_max(codes_in), _abs_max(ker), kh * kw) else np.int64
-        win = _windows(codes_in.astype(dt, copy=False), kh, kw, stride, pad)
-        acc = _tap_mac(win, ker[:, 0].astype(dt))  # accumulates in the kernel's dtype
+        k = ker.reshape(co, 1, kh * kw).astype(dt)
+        acc = np.empty((co, 1, int(np.prod(cols.shape[3:]))), dtype=dt)
+        for at, x in _col_blocks(cols, 3, co * kh * kw, dt):
+            np.matmul(k, x.reshape(co, kh * kw, -1), out=acc[..., at])
+    acc = acc.reshape(co, *cols.shape[3:]).transpose(1, 0, 2, 3)  # [N, Co, H', W']
     out_fmt = qg.plan.tensors[node.outputs[0]]
     return _finish_accumulator(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
 
@@ -271,8 +264,8 @@ def _run_fc(node, codes_in, qg: QuantizedGraph):
     x = codes_in.reshape(codes_in.shape[0], -1)  # NCHW row-major flatten
     u, d = ker.shape
     t = _fc_group_size(node.name, lp, d)
-    src = x.reshape(len(x), d // t, t).transpose(2, 1, 0)  # [T, G, N], a view
-    acc = _grouped_mac(src, 1, ker.reshape(u, d // t, t), lp.comp_shift, _abs_max(x)).T
+    cols = x.reshape(len(x), d // t, t).transpose(1, 2, 0)  # [G, T, N], a view
+    acc = _grouped_mac(cols, 2, ker.reshape(u, d // t, t), lp.comp_shift, _abs_max(x)).T
     out_fmt = qg.plan.tensors[node.outputs[0]]
     return _finish_accumulator(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
 

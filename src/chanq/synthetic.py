@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, LayerSpec, save_model, validate
+from .graph import Graph, LayerSpec, execute_float, save_model, validate
+from .pdfs import PdfModel, sample
 from .tensorfile import write_tensor
 
 ARCHS = ("classifier", "hetero_conv", "homogeneous", "residual", "concat", "depthwise")
@@ -175,8 +176,6 @@ def _draw_inputs(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     elif spec.input_family == "laplace":
         x = rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=shape)
     else:  # heavy: gaussian core with sparse quartic-tail outliers
-        from .pdfs import PdfModel, sample
-
         x = rng.normal(0.0, 1.0, size=shape)
         n = int(np.prod(shape))
         mask = rng.random(n) < 0.02
@@ -192,8 +191,6 @@ def _draw_inputs(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
 
 def gen_dataset(g: Graph, spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
     """Inputs plus frozen-teacher labels (argmax of the float network)."""
-    from .graph import execute_float
-
     rng = np.random.default_rng(spec.seed + 1)
     x = _draw_inputs(spec, rng)
     labels = np.empty(spec.samples, dtype=np.int32)

@@ -4,9 +4,10 @@ These are the float32 baselines: they feed profiling, serve as the
 accuracy reference for the integer engine, and double as oracles in
 tests. All functions are pure; inputs are never modified.
 
-Convolutions and fc layers sum their products in float64 (one BLAS GEMM
-over im2col rows for conv, one multiply-accumulate per tap for
-depthwise) and round once to float32. A product of two float32 values is
+Conv, depthwise and fc layers share one im2col column layout (operands
+first, output positions last; Chellapilla et al. 2006), copied in blocks
+by :func:`_col_blocks` for both engines. Each block is one grouped float64
+GEMM, rounded once to float32. A product of two float32 values is
 exact in float64, so the error of that sum is bounded (Higham, *Accuracy
 and Stability of Numerical Algorithms*, ch. 3). Every lane the bound
 cannot place on one side of a float32 rounding midpoint is recomputed
@@ -21,7 +22,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# Largest temporary of a block of output rows, in elements (one row at least).
+# Largest block of im2col columns or of its outputs, in elements (one column at least).
 _BLOCK_ELEMS = 2**16
 _U = 2.0**-53  # unit roundoff of float64
 
@@ -112,38 +113,51 @@ def _round_lanes(y: np.ndarray, mag: np.ndarray, k: int, operands) -> np.ndarray
     return out
 
 
-def _rows_dot(src: np.ndarray, row_ndim: int, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Correctly rounded float32 of ``rows @ w.T + bias``.
+def _col_blocks(cols: np.ndarray, batch_axis: int, col_elems: int, dtype):
+    """Yield ``(positions, block)`` over the columns of the view ``cols``.
 
-    The leading ``row_ndim`` axes of ``src`` index M rows, and its other
-    axes the K operands of each row (any strides: a window view is not
-    copied whole). ``w`` is [O, K]. Returns [M, O]. Rows are gathered
-    (im2col, Chellapilla et al. 2006) in blocks, so no float64 temporary
-    exceeds ``_BLOCK_ELEMS``.
+    Axes before ``batch_axis`` index the K operands of a column, the batch
+    axis and those after it the output positions. ``block`` is a [K, m]
+    copy in ``dtype`` of the columns at the ``positions`` slice of the
+    flattened positions. Blocks take whole samples and split one only when
+    its columns pass ``_BLOCK_ELEMS``: at ``col_elems`` elements a column,
+    no block is larger unless one column is.
     """
-    lead = src.shape[:row_ndim]
-    m, (o, k) = math.prod(lead), w.shape
-    w64 = w.T.astype(np.float64)
+    k, pos = math.prod(cols.shape[:batch_axis]), cols.shape[batch_axis:]
+    cap = max(1, _BLOCK_ELEMS // col_elems)
+    # split the first axis one index of which holds no more than cap columns
+    axis = next(a for a in range(len(pos)) if math.prod(pos[a + 1:]) <= cap)
+    step, start = cap // math.prod(pos[axis + 1:]), 0
+    for prefix in np.ndindex(pos[:axis]):
+        for a in range(0, pos[axis], step):
+            idx = (slice(None),) * batch_axis + prefix + (slice(a, a + step),)
+            block = np.ascontiguousarray(cols[idx], dtype=dtype).reshape(k, -1)
+            yield slice(start, start + block.shape[1]), block
+            start += block.shape[1]
+
+
+def _rows_dot(cols: np.ndarray, batch_axis: int, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Correctly rounded float32 of the grouped ``w @ cols + bias``.
+
+    ``cols`` is a column view (see :func:`_col_blocks`) of G groups of K
+    operands, ``w`` is [G, O, K] and ``bias`` [G*O]: conv and fc are one
+    group, depthwise is G = C, O = 1. Returns [G*O, *positions].
+    """
+    (g, o, k), pos = w.shape, cols.shape[batch_axis:]
+    w64 = w.astype(np.float64)
     w_abs = np.abs(w64)
-    b = np.asarray(bias, dtype=np.float64)
-    out = np.empty((m, o), dtype=np.float32)
-    rows = max(1, _BLOCK_ELEMS // max(k, o))
-    for r0 in range(0, m, rows):
-        r1 = min(r0 + rows, m)
-        cols = src[np.unravel_index(np.arange(r0, r1), lead)].reshape(r1 - r0, k)
-        cols = cols.astype(np.float64)
-        out[r0:r1] = _round_lanes(cols @ w64 + b, np.abs(cols) @ w_abs, k,
-                                  lambda i, j: (cols[i], w64[:, j], b[j]))
-    return out
+    b = np.asarray(bias, dtype=np.float64).reshape(g, o, 1)
+    out = np.empty((g, o, math.prod(pos)), dtype=np.float32)
+    for at, x in _col_blocks(cols, batch_axis, g * max(k, o), np.float64):
+        x = x.reshape(g, k, -1)
+        out[..., at] = _round_lanes(w64 @ x + b, w_abs @ np.abs(x), k,
+                                    lambda i, j, r: (x[i, :, r], w64[i, j], b[i, j, 0]))
+    return out.reshape(g * o, *pos)
 
 
-def _tap_mac(win: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Per-channel MAC over a [N, C, H', W', Kh, Kw] window view with a
-    [C, Kh, Kw] kernel, one tap at a time, accumulated in the kernel's dtype."""
-    acc = np.zeros(win.shape[:4], dtype=kernel.dtype)
-    for u, v in np.ndindex(kernel.shape[1:]):
-        acc += win[..., u, v] * kernel[:, u, v, None, None]
-    return acc
+def _conv_cols(x: np.ndarray, kh: int, kw: int, stride, pad) -> np.ndarray:
+    # -> [C, Kh, Kw, N, H', W'], the column view of a convolution (batch axis 3)
+    return _windows(x, kh, kw, stride, pad).transpose(1, 4, 5, 0, 2, 3)
 
 
 def _tap_reduce(win: np.ndarray, op) -> np.ndarray:
@@ -159,43 +173,30 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride=1, pad=0)
     """Cross-correlation with zero padding plus per-output-channel bias."""
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input/kernel, got {x.shape} and {kernel.shape}")
-    n, ci, h, w = x.shape
+    _, ci, h, w = x.shape
     co, ck, kh, kw = kernel.shape
     if ck != ci:
         raise ShapeError(f"kernel input channels {ck} != input channels {ci}")
     if bias.shape != (co,):
         raise ShapeError(f"bias shape {bias.shape} != ({co},)")
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
-    win = _windows(x, kh, kw, stride, pad).transpose(0, 2, 3, 1, 4, 5)  # [N, H', W', Ci, Kh, Kw]
-    out = _rows_dot(win, 3, kernel.reshape(co, -1), bias)
-    return np.ascontiguousarray(out.reshape(n, oh, ow, co).transpose(0, 3, 1, 2))
+    conv_output_hw(h, w, kh, kw, stride, pad)
+    out = _rows_dot(_conv_cols(x, kh, kw, stride, pad), 3, kernel.reshape(1, co, -1), bias)
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
 def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride=1, pad=0) -> np.ndarray:
     """Per-channel convolution: output channel c depends only on input channel c."""
     if x.ndim != 4 or kernel.ndim != 4 or kernel.shape[1] != 1:
         raise ShapeError(f"depthwise expects kernel [C,1,Kh,Kw], got {kernel.shape}")
-    n, c, h, w = x.shape
+    _, c, h, w = x.shape
     ck, _, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"kernel channels {ck} != input channels {c}")
     if bias.shape != (c,):
         raise ShapeError(f"bias shape {bias.shape} != ({c},)")
     conv_output_hw(h, w, kh, kw, stride, pad)
-    win = _windows(x, kh, kw, stride, pad)
-    win_abs = _windows(np.abs(x), kh, kw, stride, pad)
-    k64 = kernel[:, 0].astype(np.float64)
-    k_abs = np.abs(k64)
-    b = np.asarray(bias, dtype=np.float64)
-    out = np.empty(win.shape[:4], dtype=np.float32)
-    rows = max(1, _BLOCK_ELEMS // math.prod(out.shape[1:]))
-    for n0 in range(0, n, rows):
-        blk = win[n0:n0 + rows]
-        y = _tap_mac(blk, k64) + b[:, None, None]
-        out[n0:n0 + rows] = _round_lanes(
-            y, _tap_mac(win_abs[n0:n0 + rows], k_abs), kh * kw,
-            lambda i, j, r, s: (blk[i, j, r, s].ravel(), k64[j].ravel(), b[j]))
-    return out
+    out = _rows_dot(_conv_cols(x, kh, kw, stride, pad), 3, kernel.reshape(c, 1, -1), bias)
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
 def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -208,7 +209,7 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.
         raise ShapeError(f"fc input dim {x.shape[1]} != weight dim {weights.shape[1]}")
     if bias.shape != (weights.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} != ({weights.shape[0]},)")
-    return _rows_dot(x, 1, weights, bias)
+    return np.ascontiguousarray(_rows_dot(x.T, 1, weights[None], bias).T)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -121,6 +121,38 @@ class TestQuantizeEval:
         assert 0.0 <= doc["top1_agreement"] <= 1.0
         assert doc["quant_top1"] == doc["top1_agreement"]
 
+    def test_capture_of_unknown_tensor_is_data_error(self, bundle, profiled, tmp_path, capsys):
+        q = tmp_path / "q"
+        assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                     "--mode", "cw_max", "--out", str(q)]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(bundle / "model.json"),
+                   "--dataset", str(bundle / "data.qtsr"), "--plan", str(q / "plan.json"),
+                   "--capture", "t1,bogus", "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "'bogus'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep-profile-size", "--draws", "0"),
+    ("sweep-profile-size", "--sizes", "8,0"),
+    ("sweep-profile-size", "--sizes", "8,x"),
+    ("profile", "--profile-samples", "-30"),
+    ("compare", "--profile-samples", "0"),
+    ("profile", "--batch", "0"),
+    ("eval", "--batch", "-4"),
+])
+def test_non_positive_count_is_usage_error(tmp_path, capsys, command, flag, value):
+    args = {"sweep-profile-size": ["--sizes", "8"], "eval": ["--plan", "p.json"]}.get(command, [])
+    rc = main([command, "--model", "m.json", "--dataset", "d.qtsr", "--out", str(tmp_path / "o"),
+               *args, flag, value])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert [ln for ln in lines if ln.startswith("error:")] == [
+        f"error: argument {flag}: {value.split(',')[-1]!r} is not a positive integer"]
+    assert not any("Traceback" in ln for ln in lines)
+
 
 class TestQuantizedFiles:
     def test_16bit_quantize_then_eval_keeps_codes(self, bundle, profiled, tmp_path):

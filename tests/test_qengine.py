@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chanq import qengine
+from chanq import qengine, tensorops
 from chanq.cli import main
 from chanq.fixedpoint import rounding_shift
 from chanq.flsolver import default_classifier
@@ -25,6 +25,7 @@ from chanq.qengine import (
     save_quantized,
     sqnr_report,
 )
+from chanq.synthetic import ARCHS, SynthSpec, build_graph, gen_dataset
 
 
 def _single_conv(w, b, in_dims, attrs=None):
@@ -441,7 +442,7 @@ class TestGroupedMacOracle:
         ker = rng.integers(2**22, 2**23, size=(o, i, t))
         comp = rng.integers(0, 3, size=(o, i))
         comp[0] = 0  # one output channel takes the GEMM path alone
-        acc = qengine._grouped_mac(x.transpose(2, 1, 0), 1, ker, comp, int(x.max()))
+        acc = qengine._grouped_mac(x.transpose(1, 2, 0), 2, ker, comp, int(x.max()))
         want = [[sum(int(rounding_shift(int(x[r, c, k]) * int(ker[u, c, k]), int(comp[u, c])))
                      for c in range(i) for k in range(t)) for u in range(o)] for r in range(m)]
         assert acc.dtype == np.int64
@@ -469,6 +470,38 @@ class TestGroupedMacOracle:
         qg = quantize_params(g, plan)
         x = rng.normal(0, 2.0, size=(6, 4, 8, 8)).astype(np.float32)
         assert _check_layers_against_oracle(qg, x) > 0
+
+
+class TestBlockSplitting:
+    """Blocks of im2col columns, split inside a sample or one column each,
+    give the bits of the default blocking in both engines."""
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_bits_do_not_depend_on_block_size(self, monkeypatch, arch):
+        spec = SynthSpec(arch=arch, in_channels=3, channels=4, image_size=8, samples=3,
+                         scale_span_bits=4.0, input_scale_span_bits=4.0, seed=2)
+        g = build_graph(spec)
+        x, _ = gen_dataset(g, spec)
+        stats = collect_stats(g, [x])
+        # the 16-bit plan's compensated pairs take float64 lanes, the 8-bit one's float32
+        qgs = [quantize_params(g, solve_plan(g, stats, "cw_max", bit_width=bw)) for bw in (8, 16)]
+        assert any((lp.comp_shift > 0).any() for lp in qgs[1].plan.layers.values())
+        names = g.activation_names()
+
+        def run():
+            _, acts = execute_float(g, x, capture=names)
+            return ([acts[n].tobytes() for n in names]
+                    + [execute_quantized(qg, x, capture=names).captured[n].tobytes()
+                       for qg in qgs for n in names])
+
+        want = run()
+        windowed = [n for n in g.nodes if n.kind in ("conv", "depthwise_conv")]
+        # columns of one sample: at least K of the first output channel by H' * W'
+        assert min(g.params[n.params["weight"]][0].size * np.prod(g.shapes[n.outputs[0]][2:])
+                   for n in windowed) > 100
+        for elems in (1000, 100, 1):
+            monkeypatch.setattr(tensorops, "_BLOCK_ELEMS", elems)
+            assert run() == want, elems
 
 
 class TestFcGroupLayout:
@@ -590,7 +623,7 @@ class TestFloat32PairLanes:
         pick = qengine._pair_lane_dtype
         monkeypatch.setattr(qengine, "_pair_lane_dtype", lambda *a: picked.append(pick(*a))
                             or picked[-1])
-        acc = qengine._grouped_mac(x.astype(np.float64).transpose(2, 1, 0), 1, ker, comp, x_max)
+        acc = qengine._grouped_mac(x.astype(np.float64).transpose(1, 2, 0), 2, ker, comp, x_max)
         assert picked == [lane]
         assert acc.dtype == np.float64
         assert acc.T.tolist() == [[float(v) for v in row] for row in

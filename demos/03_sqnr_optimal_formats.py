@@ -25,12 +25,12 @@ for fl in range(0, 9):
     print(f"{fl:2d} |  {a:12.3e} |     {mc:12.3e} |  +-{q.max_value:9.3f}")
 
 stats = stats_from_samples(samples)
-print("\nargmin of the analytic curve:", optimal_fl(stats, "laplace", 8, True))
+print("\nargmin of the analytic curve:", optimal_fl(stats, "laplace", 8, True)[0])
 print("(coarse fls waste resolution; fine fls clip the tails)")
 
 print("\n== The same tradeoff under a heavy-tailed model ==")
 for family in ("gaussian", "laplace", "super_cauchy"):
-    fl = optimal_fl(stats, family, 8, True)
+    fl = int(optimal_fl(stats, family, 8, True)[0])
     print(f"  fitted {family:13s} -> optimal fl {fl} "
           f"(range +-{QFormat(8, fl, True).max_value:.2f})")
 print("heavier assumed tails reserve more integer bits for the same sigma")

@@ -35,7 +35,7 @@ for family in ("laplace", "super_cauchy"):
 print("\n== kNN on a small fresh corpus ==")
 feats, labels, true = build_labeled_corpus(120, seed=5, samples_per_channel=20_000)
 model = train_knn(feats[:90], labels[:90], k=12)
-pred = [classify_pdf(f, model) for f in feats[90:]]
+pred = classify_pdf(feats[90:], model)
 acc = float(np.mean([p == l for p, l in zip(pred, labels[90:])]))
 print(f"  held-out accuracy on 30 channels: {acc:.2f}")
 
@@ -43,5 +43,5 @@ print("\n== The packaged default classifier (used by cw_pdf_aware) ==")
 knn = default_classifier(8)
 print(f"  {len(knn.labels)} training channels, k = {knn.k}")
 probe = sample(fit_pdf(0.0, 1.0, "super_cauchy"), 50_000, rng)
-feat = standardized_moments(stats_from_samples(probe))[0]
-print(f"  heavy-tailed probe classified as: {classify_pdf(feat, knn)}")
+feat = standardized_moments(stats_from_samples(probe))
+print(f"  heavy-tailed probe classified as: {classify_pdf(feat, knn)[0]}")

@@ -241,6 +241,8 @@ def cmd_sweep_profile_size(args) -> int:
     data = _load_dataset(args.dataset)
     labels = read_tensor(args.labels) if args.labels else None
     sweep_modes = ("cw_max", "cw_laplace")
+    if max(args.sizes) > len(data):
+        raise ValueError(f"--sizes {max(args.sizes)} exceeds the dataset's {len(data)} samples")
 
     ref_stats = collect_stats(g, _iter_batches(data, args.batch))
     ref_fls = {m: _activation_fls(g, solve_plan(g, ref_stats, m, bit_width=args.bitwidth))

@@ -1,34 +1,34 @@
-"""Fractional-length determination from channel statistics.
+"""Fractional-length rules that answer for all channels of a stats record at once.
 
 The MAX rule reserves integer bits for the observed extreme value; the
-moment-based rules fit a density to the channel's mean/sigma and pick the
+moment-based rules fit a density to each channel's mean/sigma and pick the
 integer fractional length minimizing expected squared quantization error
-(granular error inside the representable range plus overload error from
-saturating the tails). That error is exact and elementary: one closed-form
-term per cell edge, as in the clipped-quantizer analyses of ACIQ (Banner et
-al., arXiv 1810.05723) and of Lin et al. (arXiv 1511.06393). A small kNN
-over standardized absolute moments selects the best-fit family per channel.
+(granular inside the range, overload from saturated tails). That error is
+exact and elementary: one closed-form term per cell edge, as in ACIQ (Banner
+et al., arXiv 1810.05723) and Lin et al. (arXiv 1511.06393), summed for the
+channels of a family in one pass. A kNN over standardized absolute moments
+votes each channel's best-fit family, from one distance matrix per record.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import pdfs
-from .fixedpoint import FL_MAX, QFormat, dequantize, fl_from_max, quantize
+from .fixedpoint import FL_MAX, FL_MIN, QFormat, dequantize, fl_from_max, quantize
 from .profiling import ChannelStats, standardized_moments, stats_from_samples
 
 SCAN_HALF_WIDTH = 30.0  # the scan starts at the finest fl covering 2 (|mean| + this many scales)
 TAIL_HALF_WIDTH = 40.0  # cell edges this many scales out on an unbounded density are dropped
 
 
-def _noise_curve(model: pdfs.PdfModel, bit_width: int, signed: bool, fls) -> np.ndarray:
-    """Expected squared quantization error of the model at each fl in ``fls``.
+def _noise_curve(models, bit_width: int, signed: bool, fls) -> np.ndarray:
+    """Expected squared quantization error of each model at each fl of its
+    row of ``fls`` [rows, L]; the models share one family and truncation.
 
     In u = (x - location) / scale, with code step h and c the distance from
     the mean to the code it rounds (and saturates) to, the cell integrals of
@@ -37,13 +37,14 @@ def _noise_curve(model: pdfs.PdfModel, bit_width: int, signed: bool, fls) -> np.
         noise / scale^2 = Var U + c^2 - 2 h sum_e T(|e|),  T(t) = E[(U - t)+].
 
     Each edge is shared by its two cells, T is elementary (pdfs.tail_excess),
-    and a pairwise sum per fl keeps rounding near 1e-16 Var U / noise. As
-    T(|e|) <= T(0), noise >= Var U + c^2 - 2 T(0) h (edge count): fls this
-    bound puts above twice the best are not summed and score inf.
+    and a pairwise sum per row and fl keeps rounding near 1e-16 Var U / noise.
+    As T(|e|) <= T(0), noise >= Var U + c^2 - 2 T(0) h (edge count): fls this
+    bound puts above twice their row's best are not summed and score inf.
     """
     fls = np.asarray(fls, dtype=np.int64)
-    unit = pdfs.PdfModel(model.family, 0.0, 1.0, model.truncation)
-    mu, s = model.location, model.scale
+    unit = pdfs.PdfModel(models[0].family, 0.0, 1.0, models[0].truncation)
+    mu = np.broadcast_to(np.array([[m.location] for m in models]), fls.shape)
+    s = np.broadcast_to(np.array([[m.scale] for m in models]), fls.shape)
     fmt = QFormat(bit_width, 0, signed)
     scale, step = np.ldexp(1.0, fls), np.ldexp(1.0, -fls)
     half = unit.half_support if np.isfinite(unit.half_support) else TAIL_HALF_WIDTH
@@ -56,15 +57,15 @@ def _noise_curve(model: pdfs.PdfModel, bit_width: int, signed: bool, fls) -> np.
     bound = base - 2.0 * float(pdfs.tail_excess(unit, 0.0)) * count * step / s
     noise = np.full(fls.shape, np.inf)
     for pick in (bound <= 0, bound > 0):  # the second pass is pruned by the first's best
-        pick &= bound <= 2.0 * abs(noise.min())
+        pick &= bound <= 2.0 * np.abs(noise.min(axis=1, keepdims=True))
         n = count[pick]
         starts = np.cumsum(n) - n
         k = np.arange(n.sum()) - np.repeat(starts - first[pick].astype(np.int64), n)
-        u = ((k + 0.5) * np.repeat(step[pick], n) - mu) / s
+        u = ((k + 0.5) * np.repeat(step[pick], n) - np.repeat(mu[pick], n)) / np.repeat(s[pick], n)
         sums = np.zeros(n.size)
         if n.any():
             sums[n > 0] = np.add.reduceat(pdfs.tail_excess(unit, np.abs(u)), starts[n > 0])
-        noise[pick] = base[pick] - 2.0 * step[pick] / s * sums
+        noise[pick] = base[pick] - 2.0 * step[pick] / s[pick] * sums
     return s * s * noise
 
 
@@ -75,28 +76,36 @@ def sqnr_noise(model: pdfs.PdfModel, q: QFormat) -> float:
     TAIL_HALF_WIDTH scales out on a laplace or gaussian model are dropped,
     which moves it by under (1 + h) exp(-40) scale^2 per side, h the step in
     scales."""
-    return float(_noise_curve(model, q.bit_width, q.signed, [q.frac_len])[0])
+    return float(_noise_curve([model], q.bit_width, q.signed, [[q.frac_len]])[0, 0])
 
 
-def optimal_fl(stats: ChannelStats, family: str, bit_width: int = 8,
-               signed: bool = True, channel: int = 0) -> int:
-    """SQNR-optimal integer fractional length for one channel.
+def optimal_fl(stats: ChannelStats, family, bit_width: int = 8, signed: bool = True) -> np.ndarray:
+    """SQNR-optimal integer fractional lengths, int64 [C]; ``family`` is one
+    name or one per channel, and channels with sigma == 0 keep the MAX rule.
 
     Scores every fl from the finest whose range covers twice |mean| +
     SCAN_HALF_WIDTH scales (it dominates all coarser fls: dyadic grids nest
-    and neither saturates there) up to FL_MAX in one pass. Noises within
-    1e-12 relative of the minimum tie; ties go to the smaller fl (wider
-    range). Channels with sigma == 0 fall back to the MAX rule.
+    and neither saturates there) up to FL_MAX. Noises within 1e-12 relative
+    of a channel's minimum tie; ties go to the smaller fl (wider range).
     """
-    sigma = float(stats.sigma[channel])
-    if sigma <= 0:
-        return fl_from_max(float(stats.max_abs[channel]), bit_width, signed)
-    model = pdfs.fit_pdf(float(stats.mean[channel]), sigma, family)
-    span = abs(model.location) + SCAN_HALF_WIDTH * model.scale
-    fls = np.arange(fl_from_max(2.0 * span, bit_width, signed), FL_MAX + 1)
-    noise = _noise_curve(model, bit_width, signed, fls)
-    best = noise.min()
-    return int(fls[np.argmax(noise <= best + 1e-12 * abs(best))])
+    fls = fl_from_max(stats.max_abs, bit_width, signed)
+    families = np.broadcast_to(np.asarray(family), fls.shape)
+    live = ~(stats.sigma <= 0)  # a NaN sigma stays live, and fit_pdf rejects it
+    per_pass = max(1, 2**17 // ((FL_MAX - FL_MIN + 1) << bit_width))  # 2**17 edges, 1 MB an array
+    for fam in np.unique(families[live]):
+        group = np.flatnonzero(live & (families == fam))
+        for rows in np.split(group, range(per_pass, len(group), per_pass)):
+            models = [pdfs.fit_pdf(stats.mean[i], stats.sigma[i], str(fam)) for i in rows]
+            span = np.abs(stats.mean[rows]) + SCAN_HALF_WIDTH * np.array([m.scale for m in models])
+            # each row from its own scan start, repeated on the left: a repeat
+            # ties with its original, so the first (smaller) fl still wins
+            lo = fl_from_max(2.0 * span, bit_width, signed)[:, None]
+            cand = np.maximum(np.arange(lo.min(), FL_MAX + 1), lo)
+            noise = _noise_curve(models, bit_width, signed, cand)
+            best = noise.min(axis=1, keepdims=True)
+            pick = np.argmax(noise <= best + 1e-12 * np.abs(best), axis=1, keepdims=True)
+            fls[rows] = np.take_along_axis(cand, pick, axis=1)[:, 0]
+    return fls
 
 
 def empirical_quant_mse(samples: np.ndarray, q: QFormat) -> float:
@@ -118,13 +127,11 @@ def label_channel(samples, bit_width: int = 8, signed: bool = True) -> str:
     stats = stats_from_samples(samples)
     if float(stats.sigma[0]) <= 0:
         raise ValueError("cannot label a degenerate (sigma == 0) channel")
-    best = None
-    for family in LABEL_FAMILIES:  # laplace first, so ties keep laplace
-        fl = optimal_fl(stats, family, bit_width, signed)
-        mse = empirical_quant_mse(samples, QFormat(bit_width, fl, signed))
-        if best is None or mse < best[0]:
-            best = (mse, family)
-    return best[1]
+
+    def mse(family):
+        fl = int(optimal_fl(stats, family, bit_width, signed)[0])
+        return empirical_quant_mse(samples, QFormat(bit_width, fl, signed))
+    return min(LABEL_FAMILIES, key=mse)  # laplace first, so ties keep laplace
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +159,14 @@ def train_knn(features: np.ndarray, labels, k: int = 12) -> KnnModel:
     return KnnModel(points=(features - mu) / sd, labels=labels, feat_mean=mu, feat_scale=sd, k=k)
 
 
-def classify_pdf(features, model: KnnModel) -> str:
-    """Majority vote among the k nearest training points; ties -> laplace."""
+def classify_pdf(features, model: KnnModel) -> list:
+    """One family per row of ``features`` [C, F]: its k nearest points' vote; ties -> laplace."""
     f = (np.asarray(features, dtype=np.float64) - model.feat_mean) / model.feat_scale
-    d2 = np.sum((model.points - f) ** 2, axis=1)
-    nearest = np.argsort(d2, kind="stable")[: model.k]
-    votes = Counter(model.labels[i] for i in nearest)
-    top = max(votes.values())
-    winners = sorted(lbl for lbl, c in votes.items() if c == top)
-    return "laplace" if "laplace" in winners else winners[0]
+    d2 = np.sum((model.points - f[:, None, :]) ** 2, axis=2)  # [C, N]
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+    names = sorted(set(model.labels), key=lambda lbl: (lbl != "laplace", lbl))
+    votes = (np.asarray(model.labels)[nearest][..., None] == names).sum(axis=1)  # [C, names]
+    return [names[i] for i in np.argmax(votes == votes.max(axis=1, keepdims=True), axis=1)]
 
 
 def build_labeled_corpus(n_channels: int, seed: int, samples_per_channel: int = 20_000,

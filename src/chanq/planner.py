@@ -91,14 +91,11 @@ class _PlanBuilder:
 
     def _fls(self, cs: ChannelStats, signed: bool) -> np.ndarray:
         """Per-channel fls of one stats record under the plan's mode."""
-        fls = fl_from_max(cs.max_abs, self.bit_width, signed)
         if self.mode in ("layerwise_max", "cw_max"):
-            return fls
-        feats = standardized_moments(cs)
-        for i in np.flatnonzero(~cs.degenerate):  # degenerate channels keep the MAX rule
-            family = _MODE_FAMILY.get(self.mode) or flsolver.classify_pdf(feats[i], self.knn)
-            fls[i] = flsolver.optimal_fl(cs, family, self.bit_width, signed, channel=i)
-        return fls
+            return fl_from_max(cs.max_abs, self.bit_width, signed)
+        family = _MODE_FAMILY.get(self.mode) or flsolver.classify_pdf(
+            standardized_moments(cs), self.knn)
+        return flsolver.optimal_fl(cs, family, self.bit_width, signed)
 
     def _stats_based_format(self, name: str) -> TensorFormat:
         if name not in self.stats:
@@ -214,7 +211,8 @@ def check_plan(g: Graph, plan: QuantPlan) -> None:
     shapes, a tensor whose format is missing or has another channel count,
     or a number out of its range (a bit width outside [2, 32], fls outside
     [FL_MIN, FL_MAX], bias fls outside twice that, shifts outside
-    [-SHIFT_MAX, SHIFT_MAX], a negative compensation shift)."""
+    [-SHIFT_MAX, SHIFT_MAX], a negative compensation shift, or a nonzero
+    one on a depthwise layer, whose engine has none)."""
     if not 2 <= plan.bit_width <= 32:
         raise PlanError(f"plan bit width {plan.bit_width} outside [2, 32]")
     for node in g.nodes:
@@ -235,7 +233,7 @@ def check_plan(g: Graph, plan: QuantPlan) -> None:
                      ker_fl_layerwise=(lp.ker_fl_layerwise, FL_MIN, FL_MAX),
                      bias_fl=(lp.bias_fl, 2 * FL_MIN, 2 * FL_MAX),
                      shift=(lp.shift, -SHIFT_MAX, SHIFT_MAX),
-                     comp_shift=(lp.comp_shift, 0, np.inf))
+                     comp_shift=(lp.comp_shift, 0, 0 if node.kind == "depthwise_conv" else np.inf))
     for name in g.activation_names():
         if name not in plan.tensors:
             raise PlanError(f"plan has no format for tensor {name!r}")

@@ -61,16 +61,12 @@ class ChannelStats:
     def sigma(self) -> np.ndarray:
         return np.sqrt(np.maximum(self.m2, 0.0))
 
-    @property
-    def degenerate(self) -> np.ndarray:
-        return self.m2 <= 0.0
-
 
 def standardized_moments(stats: ChannelStats) -> np.ndarray:
     """Scale/shift-invariant feature vectors (nu1, nu3, nu4, nu5, nu6), [C, 5].
 
-    Rows of degenerate channels (sigma == 0) are NaN; check
-    ``stats.degenerate`` before use.
+    Rows of degenerate channels (sigma == 0) are NaN; ``flsolver.optimal_fl``
+    gives those channels the MAX rule, whatever the kNN makes of them.
     """
     return np.stack([stats.nu1, stats.nu3, stats.nu4, stats.nu5, stats.nu6], axis=1)
 

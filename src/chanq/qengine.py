@@ -126,15 +126,14 @@ def _fc_group_size(node_name: str, lp: LayerPlan, d: int) -> int:
     """Elements per input group of an fc plan, whose ``in_groups`` must map
     the D inputs onto its G groups as contiguous blocks of equal size."""
     g_n = lp.comp_shift.shape[1]
-    if (lp.in_groups is None or d % g_n
+    if (g_n == 0 or lp.in_groups is None or d % g_n
             or not np.array_equal(lp.in_groups, np.repeat(np.arange(g_n), d // g_n))):
         raise GraphError(f"plan layer {node_name!r}: fc input groups are not "
                          f"{g_n} contiguous blocks of equal size over {d} inputs")
     return d // g_n
 
 
-def _finish_accumulator(acc, bias_codes, lp: LayerPlan, out_fmt: TensorFormat,
-                        bit_width: int, channel_axis: int = 1):
+def _finish_accumulator(acc, bias_codes, lp: LayerPlan, out_fmt: TensorFormat, bit_width: int):
     """Add the bias, saturate to int32 (counting clipped lanes), shift into
     the output format with half-even rounding and clip to its range.
 
@@ -143,8 +142,7 @@ def _finish_accumulator(acc, bias_codes, lp: LayerPlan, out_fmt: TensorFormat,
     and :func:`rounding_shift`. Returns the codes in the accumulator's
     dtype and the clip count.
     """
-    cshape = [1] * acc.ndim
-    cshape[channel_axis] = -1
+    cshape = _channel_shape(acc.ndim)
     lo, hi = _code_bounds(out_fmt, bit_width)
     lo, hi = lo.reshape(cshape), hi.reshape(cshape)
     if acc.dtype == np.int64:

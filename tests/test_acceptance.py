@@ -102,7 +102,7 @@ def test_criterion_3_optimal_fl_oracle_equivalence():
             sigma = 2.0 ** rng.uniform(-3.0, 1.0)
             model = pdfs.fit_pdf(0.0, sigma, family)
             samples = pdfs.sample(model, 10**6, rng)
-            fl_analytic = optimal_fl(stats_from_samples(samples), family, 8, True)
+            fl_analytic = int(optimal_fl(stats_from_samples(samples), family, 8, True)[0])
             mses = [empirical_quant_mse(samples, QFormat(8, fl, True))
                     for fl in range(0, 11)]
             fl_mc = int(np.argmin(mses))
@@ -232,7 +232,7 @@ def test_criterion_7_knn_classifier_accuracy():
     split = 1500
     train_idx, test_idx = order[:split], order[split:]
     model = train_knn(feats[train_idx], [labels[i] for i in train_idx], k=12)
-    pred = [classify_pdf(feats[i], model) for i in test_idx]
+    pred = classify_pdf(feats[test_idx], model)
     acc = float(np.mean([p == labels[i] for p, i in zip(pred, test_idx)]))
     dt = time.time() - t0
     _report(7, "kNN best-fit-family accuracy", acc >= 0.80,

@@ -254,6 +254,16 @@ class TestCompareAndSweep:
             entry = doc["modes"][mode][0]
             assert 0.0 <= entry["fl_match_fraction"] <= 1.0
 
+    def test_sweep_size_past_the_dataset(self, bundle, tmp_path, capsys):
+        # 60 samples: a size of 500 would profile the whole dataset every draw
+        rc = main(["sweep-profile-size", "--model", str(bundle / "model.json"),
+                   "--dataset", str(bundle / "data.qtsr"), "--sizes", "8,500",
+                   "--draws", "2", "--out", str(tmp_path / "sweep")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: --sizes 500 exceeds the dataset's 60 samples\n"
+        assert not (tmp_path / "sweep.json").exists()
+
     def test_sweep_report_equals_one_evaluation_per_mode_and_size(self, bundle, tmp_path):
         # the sweep evaluates both modes of a size together; the oracle runs
         # one evaluation per (mode, size) and must give the same report bytes
@@ -478,6 +488,42 @@ class TestNumbersFailClosed:
                    "--dataset", str(bundle / "data.qtsr"), "--plan", str(q / "plan.json"),
                    "--out", str(tmp_path / "r")])
         self._assert_one_line(capsys, rc, words)
+
+    def _eval_edited_plan(self, model_dir, tmp_path, capsys, edit):
+        """Profile and quantize the model in cw_max, apply ``edit`` to the
+        plan document, and evaluate it; returns the exit code."""
+        model, data = str(model_dir / "model.json"), str(model_dir / "data.qtsr")
+        q = tmp_path / "q"
+        assert main(["profile", "--model", model, "--dataset", data,
+                     "--out", str(tmp_path / "s.json")]) == 0
+        assert main(["quantize", "--model", model, "--stats", str(tmp_path / "s.json"),
+                     "--mode", "cw_max", "--out", str(q)]) == 0
+        doc = json.loads((q / "plan.json").read_text())
+        edit(doc["layers"])
+        (q / "plan.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        return main(["eval", "--model", model, "--dataset", data, "--plan", str(q / "plan.json"),
+                     "--out", str(tmp_path / "r")])
+
+    def test_depthwise_comp_shift(self, tmp_path, capsys):
+        # the depthwise engine has no compensation path, so a shift there went unused
+        m = tmp_path / "m"
+        assert main(["gen-synthetic", "--arch", "depthwise", "--in-channels", "4",
+                     "--channels", "4", "--image-size", "8", "--samples", "24", "--seed", "5",
+                     "--out", str(m)]) == 0
+
+        def edit(layers):
+            layers["dwconv2"]["comp_shift"][0] = [3]
+        rc = self._eval_edited_plan(m, tmp_path, capsys, edit)
+        self._assert_one_line(capsys, rc, "plan layer 'dwconv2': comp_shift 3 outside [0, 0]")
+
+    def test_fc_without_input_groups(self, bundle, tmp_path, capsys):
+        # empty group rows pass the shape check (fc may have any group count)
+        def edit(layers):
+            for key in ("ker_fl", "comp_shift"):
+                layers["fc4"][key] = [[] for _ in layers["fc4"][key]]
+        rc = self._eval_edited_plan(bundle, tmp_path, capsys, edit)
+        self._assert_one_line(capsys, rc, "fc input groups are not 0 contiguous blocks")
 
     @pytest.mark.parametrize("key, value", [("offset", 4.5), ("len", True), ("dims", [2.0, 4])])
     def test_manifest_number(self, bundle, tmp_path, capsys, key, value):

@@ -1,6 +1,7 @@
 """The quick demos run end to end.
 
-Demos 03 and 06 call ``sqnr_noise``, ``optimal_fl`` and ``label_channel``.
+Demos 03 and 06 call ``sqnr_noise``, ``label_channel`` and the record-wide
+``optimal_fl`` and ``classify_pdf`` (one answer per channel).
 Demos 04 and 05 take tens of seconds each and are left out.
 """
 

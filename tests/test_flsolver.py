@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from collections import Counter
 from importlib import resources
 from math import exp, inf
 
@@ -19,7 +20,7 @@ from chanq.flsolver import (
     sqnr_noise,
     train_knn,
 )
-from chanq.profiling import stats_from_samples
+from chanq.profiling import ChannelStats, stats_from_samples
 
 
 def dense_noise(model, q, panels=200_000):
@@ -228,7 +229,7 @@ class TestPerChannelGridOracle:
     def test_fls_match_per_channel_grid(self):
         flips = []
         for stats, family, bit_width, signed in oracle_sweep_cases(seed=12, n=200):
-            got = optimal_fl(stats, family, bit_width, signed)
+            got = int(optimal_fl(stats, family, bit_width, signed)[0])
             model = pdfs.fit_pdf(float(stats.mean[0]), float(stats.sigma[0]), family)
             want = _PerChannelGrid(model).optimal_fl(bit_width, signed)
             if got != want:
@@ -251,7 +252,7 @@ class TestMpmathOracle:
         stats = dataclasses.replace(stats_from_samples(np.array([0.0, 1.0])),
                                     mean=np.array([0.3]), m2=np.array([1.0]))
         model = pdfs.fit_pdf(0.3, 1.0, family)
-        fl = optimal_fl(stats, family, bit_width, signed)
+        fl = int(optimal_fl(stats, family, bit_width, signed)[0])
         for f in (fl - 1, fl, fl + 1):
             q = QFormat(bit_width, f, signed)
             assert sqnr_noise(model, q) == pytest.approx(mp_noise(model, q), rel=rel)
@@ -261,7 +262,7 @@ class TestOptimalFl:
     def test_matches_monte_carlo_brute_force(self):
         rng = np.random.default_rng(2)
         stats = stats_from_samples(rng.laplace(0, 1 / np.sqrt(2), 10**6))
-        fl = optimal_fl(stats, "laplace", 8, True)
+        fl = int(optimal_fl(stats, "laplace", 8, True)[0])
         samples = rng.laplace(0, 1 / np.sqrt(2), 10**6)
         mses = [empirical_quant_mse(samples, QFormat(8, f, True)) for f in range(0, 11)]
         assert abs(fl - int(np.argmin(mses))) <= 1
@@ -271,14 +272,14 @@ class TestOptimalFl:
         base = rng.laplace(0, 1 / np.sqrt(2), 50_000)
         fl1 = optimal_fl(stats_from_samples(base), "laplace", 8, True)
         fl16 = optimal_fl(stats_from_samples(16.0 * base), "laplace", 8, True)
-        assert fl16 == fl1 - 4
+        assert fl16.tolist() == [fl1[0] - 4]
 
     def test_degenerate_channel(self):
         stats = stats_from_samples(np.zeros(500))
-        assert optimal_fl(stats, "laplace", 8, True) == 31
+        assert optimal_fl(stats, "laplace", 8, True).tolist() == [31]
         # constant nonzero channel falls back to the MAX rule
         stats = stats_from_samples(np.full(500, 5.0))
-        assert optimal_fl(stats, "laplace", 8, True) == 4
+        assert optimal_fl(stats, "laplace", 8, True).tolist() == [4]
 
     def test_tie_break_prefers_smaller_fl(self):
         # strictly-better fls always win; equal-noise ties keep the first
@@ -287,7 +288,141 @@ class TestOptimalFl:
         stats = stats_from_samples(rng.normal(0, 1, 50_000))
         fl_a = optimal_fl(stats, "gaussian", 8, True)
         fl_b = optimal_fl(stats, "gaussian", 8, True)
-        assert fl_a == fl_b  # deterministic
+        assert fl_a.tolist() == fl_b.tolist()  # deterministic
+
+
+def per_channel_optimal_fl(stats, family, bit_width, signed, channel):
+    """The former one-channel solver, with each fl scored on its own by
+    sqnr_noise: no pruning, no other rows, no repeated scan starts."""
+    sigma = float(stats.sigma[channel])
+    if sigma <= 0:
+        return fl_from_max(float(stats.max_abs[channel]), bit_width, signed)
+    model = pdfs.fit_pdf(float(stats.mean[channel]), sigma, family)
+    span = abs(model.location) + flsolver.SCAN_HALF_WIDTH * model.scale
+    fls = np.arange(fl_from_max(2.0 * span, bit_width, signed), FL_MAX + 1)
+    noise = np.array([sqnr_noise(model, QFormat(bit_width, int(fl), signed)) for fl in fls])
+    best = noise.min()
+    return int(fls[np.argmax(noise <= best + 1e-12 * abs(best))])
+
+
+def random_record(rng, channels):
+    """Channels with sigma over 2^+-12 and |mean| / sigma up to 100; about
+    one in four is degenerate (sigma 0), half of those all zero."""
+    sigma = 2.0 ** rng.uniform(-12.0, 12.0, channels)
+    mean = sigma * rng.choice([-1.0, 1.0], channels) * 10.0 ** rng.uniform(-3.0, 2.0, channels)
+    max_abs = np.abs(mean) + sigma * rng.uniform(1.0, 30.0, channels)
+    dead = rng.random(channels) < 0.25
+    mean[dead & (rng.random(channels) < 0.5)] = 0.0
+    sigma[dead] = 0.0
+    max_abs[dead] = np.abs(mean[dead])
+    zeros = {f.name: np.zeros(channels) for f in dataclasses.fields(ChannelStats)}
+    return ChannelStats(**{**zeros, "mean": mean, "m2": sigma * sigma, "max_abs": max_abs})
+
+
+ALL_FAMILIES = ("laplace", "super_cauchy", "gaussian", "uniform")
+
+
+class TestRecordSolver:
+    """optimal_fl solves a whole record at once; every channel must get the
+    fl the per-channel oracle gives it."""
+
+    def test_matches_per_channel_oracle(self):
+        rng = np.random.default_rng(31)
+        for case in range(40):
+            bit_width, signed = int(rng.integers(4, 17)), bool(rng.integers(0, 2))
+            stats = random_record(rng, int(rng.integers(1, 9)))
+            channels = stats.n_channels
+            family = (ALL_FAMILIES[case % 4] if case % 3 == 0
+                      else list(rng.choice(ALL_FAMILIES, channels)))
+            names = np.broadcast_to(np.asarray(family), channels)
+            got = optimal_fl(stats, family, bit_width, signed)
+            want = [per_channel_optimal_fl(stats, names[c], bit_width, signed, c)
+                    for c in range(channels)]
+            assert got.dtype == np.int64 and got.shape == (channels,)
+            assert got.tolist() == want, (case, bit_width, signed, list(names))
+
+    def test_passes_of_rows(self):
+        # at 8 bits a pass takes 2**17 // (63 * 2**8) = 8 rows: the record's 27
+        # live channels take four passes in one family, and two each (12 and
+        # 15 rows) in two
+        stats = random_record(np.random.default_rng(32), 40)
+        assert np.count_nonzero(stats.sigma > 0) == 27
+        for family in ("laplace", ["super_cauchy", "laplace"] * 20):
+            names = np.broadcast_to(np.asarray(family), 40)
+            want = [per_channel_optimal_fl(stats, names[c], 8, True, c) for c in range(40)]
+            assert optimal_fl(stats, family, 8, True).tolist() == want
+
+    def test_degenerate_channels_keep_the_max_rule(self):
+        stats = random_record(np.random.default_rng(33), 6)
+        stats = dataclasses.replace(stats, m2=np.array([0.0, 1.0, 0.0, 4.0, 0.0, 0.0]),
+                                    max_abs=np.array([0.0, 3.0, 5.0, 3.0, 0.1, 2.0**-40]),
+                                    mean=np.array([0.0, 0.5, -5.0, 1.0, 0.1, 2.0**-40]))
+        fls = optimal_fl(stats, "super_cauchy", 8, False)
+        dead = [0, 2, 4, 5]
+        assert fls[dead].tolist() == fl_from_max(stats.max_abs[dead], 8, False).tolist()
+        assert fls[0] == FL_MAX and fls[5] == FL_MAX  # 2**-40 needs a finer fl than 31
+
+    def test_nan_sigma_is_rejected(self):
+        stats = dataclasses.replace(random_record(np.random.default_rng(34), 3),
+                                    m2=np.array([1.0, np.nan, 0.0]))
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            optimal_fl(stats, "laplace", 8, True)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("bit_width, signed", [(4, False), (8, True), (16, False)])
+    def test_noise_rows_equal_sqnr_noise(self, family, bit_width, signed):
+        # rows of one pass are independent: each equals the one-model,
+        # one-fl evaluation bit for bit, and only fls more than twice the
+        # row's best are pruned (scored inf)
+        rng = np.random.default_rng(35)
+        sigma = 2.0 ** rng.uniform(-12.0, 12.0, 5)
+        mean = sigma * rng.choice([-1.0, 0.0, 1.0], 5) * 10.0 ** rng.uniform(-3.0, 2.0, 5)
+        models = [pdfs.fit_pdf(m, s, family) for m, s in zip(mean, sigma)]
+        start = fl_from_max(2.0 * (np.abs(mean) + 30.0 * sigma), bit_width, signed)[:, None]
+        cand = np.maximum(np.arange(start.min(), FL_MAX + 1), start)
+        noise = flsolver._noise_curve(models, bit_width, signed, cand)
+        assert noise.shape == cand.shape
+        for row, model, fls in zip(noise, models, cand):
+            want = np.array([sqnr_noise(model, QFormat(bit_width, int(fl), signed)) for fl in fls])
+            kept = np.isfinite(row)
+            assert row[kept].tolist() == want[kept].tolist()
+            assert np.all(want[~kept] > 2.0 * row.min() * (1 - 1e-9))
+
+
+def classify_one(feature, model):
+    """The former one-channel kNN vote: stable order, ties -> laplace."""
+    f = (np.asarray(feature, dtype=np.float64) - model.feat_mean) / model.feat_scale
+    nearest = np.argsort(np.sum((model.points - f) ** 2, axis=1), kind="stable")[: model.k]
+    votes = Counter(model.labels[i] for i in nearest)
+    winners = sorted(lbl for lbl, c in votes.items() if c == max(votes.values()))
+    return "laplace" if "laplace" in winners else winners[0]
+
+
+class TestClassifyRecord:
+    def test_default_classifier_matches_per_row_vote(self):
+        knn = flsolver.default_classifier(8)
+        rng = np.random.default_rng(36)
+        feats = np.vstack([np.asarray(knn.points[:40]) * knn.feat_scale + knn.feat_mean,
+                           knn.feat_mean + knn.feat_scale * rng.normal(size=(40, 5))])
+        assert classify_pdf(feats, knn) == [classify_one(f, knn) for f in feats]
+
+    def test_ties_match_per_row_vote(self):
+        # duplicated points and three labels, one sorting before laplace:
+        # many neighbourhoods split evenly
+        rng = np.random.default_rng(37)
+        points = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
+        labels = list(rng.choice(["gaussian", "laplace", "super_cauchy"], 60))
+        knn = train_knn(points, labels, k=6)
+        probes = rng.integers(0, 3, size=(50, 2)).astype(np.float64)
+        got = classify_pdf(probes, knn)
+        assert got == [classify_one(f, knn) for f in probes]
+        assert {"gaussian", "laplace"} <= set(got)
+
+    def test_degenerate_rows_get_a_label(self):
+        # NaN features (sigma == 0) are labeled without error; optimal_fl ignores the label
+        knn = flsolver.default_classifier(8)
+        got = classify_pdf(np.array([[np.nan] * 5, knn.feat_mean]), knn)
+        assert len(got) == 2 and got[1] == classify_one(knn.feat_mean, knn)
 
 
 class TestLabelChannel:
@@ -366,22 +501,22 @@ class TestKnn:
         rng = np.random.default_rng(7)
         feats = rng.normal(size=(20, 5))
         model = train_knn(feats, ["laplace"] * 20)
-        assert classify_pdf(rng.normal(size=5), model) == "laplace"
+        assert classify_pdf(rng.normal(size=(3, 5)), model) == ["laplace"] * 3
 
     def test_unanimous_neighborhood(self):
         rng = np.random.default_rng(8)
         a = rng.normal(0, 0.1, size=(12, 5))
         b = rng.normal(10, 0.1, size=(12, 5))
         model = train_knn(np.vstack([a, b]), ["laplace"] * 12 + ["super_cauchy"] * 12)
-        assert classify_pdf(a[0], model) == "laplace"
-        assert classify_pdf(b[0], model) == "super_cauchy"
+        assert classify_pdf(np.stack([a[0], b[0], a[1]]), model) == [
+            "laplace", "super_cauchy", "laplace"]
 
     def test_tie_goes_to_laplace(self):
         # symmetric 6/6 split in every neighborhood
         feats = np.zeros((24, 2))
         labels = (["laplace"] * 12 + ["super_cauchy"] * 12)
         model = train_knn(feats, labels)
-        assert classify_pdf(np.zeros(2), model) == "laplace"
+        assert classify_pdf(np.zeros((1, 2)), model) == ["laplace"]
 
     def test_too_small_training_set(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ class TestBasicStats:
         s = acc.snapshot()
         assert s.minv[0] == s.maxv[0] == s.mean[0] == 3.25
         assert s.m2[0] == 0.0
-        assert s.degenerate[0]
+        assert s.sigma[0] == 0.0
 
     def test_plus_minus_one(self):
         s = stats_from_samples([1.0, -1.0])
@@ -75,7 +75,7 @@ class TestFeatureInvariance:
 
     def test_degenerate_flagged(self):
         s = stats_from_samples(np.full(200, 1.0))
-        assert s.degenerate[0]
+        assert s.sigma[0] == 0.0
         assert np.all(np.isnan(standardized_moments(s)))
 
 

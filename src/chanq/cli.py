@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import GraphError, Graph, effective_output, execute_float, fold_batchnorm, load_model
-from .planner import MODES, PlanError, check_plan, load_plan, solve_plan
+from .planner import MODES, PlanError, load_plan, solve_plan
 from .profiling import collect_stats, dump_stats, load_stats
 from .qengine import (
     SqnrAccumulator,
@@ -58,6 +58,15 @@ def _load_dataset(path) -> np.ndarray:
     if not np.isfinite(data).all():
         raise TensorFileError(f"{path}: dataset holds non-finite values")
     return data
+
+
+def _load_labels(path, n: int) -> np.ndarray:
+    """Class labels of an ``n``-sample dataset: one whole number per sample."""
+    labels = read_tensor(path)
+    if labels.shape != (n,) or not (np.isfinite(labels) & (labels == np.rint(labels))).all():
+        raise TensorFileError(f"{path}: expected {n} whole-number labels, one per sample; "
+                              f"got {labels.size} {labels.dtype} values of shape {labels.shape}")
+    return labels.astype(np.int64)
 
 
 def _profile_subset(data: np.ndarray, n: int | None, seed: int) -> np.ndarray:
@@ -154,11 +163,9 @@ def cmd_eval(args) -> int:
     if blob.exists():
         qg = load_quantized(g, plan_path, blob)
     else:
-        plan = load_plan(plan_path)
-        check_plan(g, plan)
-        qg = quantize_params(g, plan)
+        qg = quantize_params(g, load_plan(plan_path))
     data = _load_dataset(args.dataset)
-    labels = read_tensor(args.labels) if args.labels else None
+    labels = _load_labels(args.labels, len(data)) if args.labels else None
     capture = set(g.activation_names()) if args.capture == "all" else set(args.capture.split(","))
     unknown = sorted(capture - set(g.activation_names()))
     if unknown:
@@ -193,7 +200,7 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     g = _load_graph(args)
     data = _load_dataset(args.dataset)
-    labels = read_tensor(args.labels) if args.labels else None
+    labels = _load_labels(args.labels, len(data)) if args.labels else None
     profile = _profile_subset(data, args.profile_samples, args.seed)
     stats = collect_stats(g, _iter_batches(profile, args.batch))
 
@@ -239,7 +246,7 @@ def _activation_fls(g, plan):
 def cmd_sweep_profile_size(args) -> int:
     g = _load_graph(args)
     data = _load_dataset(args.dataset)
-    labels = read_tensor(args.labels) if args.labels else None
+    labels = _load_labels(args.labels, len(data)) if args.labels else None
     sweep_modes = ("cw_max", "cw_laplace")
     if max(args.sizes) > len(data):
         raise ValueError(f"--sizes {max(args.sizes)} exceeds the dataset's {len(data)} samples")

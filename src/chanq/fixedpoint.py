@@ -134,10 +134,3 @@ def rounding_shift(acc, shift) -> np.ndarray:
     if shift.min(initial=0) < 0:  # shifts of -64 and less wrap for every acc but 0 and -1
         res = np.where(shift < 0, _shift_left_saturating(acc, np.clip(-shift, 0, 63)), res)
     return res[()]
-
-
-def saturate_accumulator(acc) -> tuple[np.ndarray, int]:
-    """Clamp accumulator sums to the 32-bit range, counting clipped lanes."""
-    acc = np.asarray(acc, dtype=np.int64)
-    clipped = int(np.count_nonzero((acc < INT32_MIN) | (acc > INT32_MAX)))
-    return np.clip(acc, INT32_MIN, INT32_MAX), clipped

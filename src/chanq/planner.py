@@ -198,28 +198,37 @@ def solve_plan(g: Graph, stats: dict, mode: str, bit_width: int = 8,
     """Produce the complete quantization recipe for a (batchnorm-free) graph."""
     if mode not in MODES:
         raise PlanError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if not 2 <= bit_width <= 32:
-        raise PlanError(f"bit width {bit_width} outside [2, 32]")
+    if not 2 <= bit_width <= 16:
+        raise PlanError(f"bit width {bit_width} outside [2, 16]")
     if mode == "cw_pdf_aware" and knn_model is None:
         knn_model = flsolver.default_classifier(bit_width)
     return _PlanBuilder(g, stats, mode, bit_width, knn_model).build()
 
 
 def check_plan(g: Graph, plan: QuantPlan) -> None:
-    """Raise PlanError at the first place where a loaded plan does not fit
-    the graph: a linear node without a layer entry or with arrays of other
+    """Raise PlanError at the first place where a plan does not fit the
+    graph: a linear node without a layer entry or with arrays of other
     shapes, a tensor whose format is missing or has another channel count,
-    or a number out of its range (a bit width outside [2, 32], fls outside
+    or a number out of its range (a bit width outside [2, 16], fls outside
     [FL_MIN, FL_MAX], bias fls outside twice that, shifts outside
     [-SHIFT_MAX, SHIFT_MAX], a negative compensation shift, or a nonzero
-    one on a depthwise layer, whose engine has none)."""
-    if not 2 <= plan.bit_width <= 32:
-        raise PlanError(f"plan bit width {plan.bit_width} outside [2, 32]")
+    one on a depthwise layer, whose engine has none).
+
+    It also rejects a linear layer whose fan-in F (conv Ci*Kh*Kw, depthwise
+    Kh*Kw, fc D) fails (2**bw - 1) * 2**(bw - 1) * F + 2**31 < 2**53, the
+    bound that keeps the integer engine's float64 sums exact."""
+    if not 2 <= plan.bit_width <= 16:
+        raise PlanError(f"plan bit width {plan.bit_width} outside [2, 16]")
+    max_fan_in = (2**53 - 2**31 - 1) // ((2**plan.bit_width - 1) * 2 ** (plan.bit_width - 1))
     for node in g.nodes:
         if node.kind not in ("conv", "depthwise_conv", "fc"):
             continue
         if node.name not in plan.layers:
             raise PlanError(f"plan has no layer entry for node {node.name!r}")
+        fan_in = g.params[node.params["weight"]][0].size  # the weights of one output
+        if fan_in > max_fan_in:
+            raise PlanError(f"plan layer {node.name!r}: fan-in {fan_in} exceeds {max_fan_in}, "
+                            f"the most whose {plan.bit_width}-bit sums stay exact")
         lp = plan.layers[node.name]
         co = g.channels(node.outputs[0])
         # an fc layer may have any group count; the engine checks it against in_groups

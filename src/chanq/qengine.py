@@ -1,5 +1,5 @@
-"""Bit-exact 8-bit execution: quantized parameters, 32-bit accumulation,
-and the per-output-channel shift schedule from the plan.
+"""Bit-exact 2- to 16-bit execution: quantized parameters, 32-bit
+accumulation, and the per-output-channel shift schedule from the plan.
 
 Integer codes travel between nodes as float64, from the quantized input
 to the output: every code, product and sum the engine forms is an
@@ -7,8 +7,8 @@ integer below 2**53, so float64 holds it exactly and numpy's BLAS and
 ufuncs run on it without casts. Each step keeps that exactness:
 
 - A linear layer's MAC runs over the float engine's im2col column blocks
-  (:func:`tensorops._col_blocks`): one grouped GEMM per block while
-  max|x| * max|ker| * I * T + 2**31 < 2**53, which also bounds the bias
+  (:func:`tensorops._col_blocks`): one grouped GEMM per block, exact under
+  :func:`planner.check_plan`'s fan-in bound, which also bounds the bias
   add. Products of compensated pairs are rounded half-even one by one,
   in float32 lanes while max|x| * max|ker| * (T + 1) < 2**24.
 - The epilogue is one fused pass: add the bias, count and clip to the
@@ -18,10 +18,6 @@ ufuncs run on it without casts. Each step keeps that exactness:
 - Average pooling is ``np.rint(sum / (wh * ww))``, addition aligns its
   operands with ``np.rint(v * 2**-s)``; ReLU, max pooling and
   concatenation need no rounding.
-
-Where a bound fails (wide codes, e.g. 24-bit layers), that layer runs
-in int64 with :func:`saturate_accumulator`, :func:`rounding_shift` and
-``_div_half_even``, which also serve as the test oracles of the float path.
 """
 
 from __future__ import annotations
@@ -32,14 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .fixedpoint import INT32_MAX, INT32_MIN, rounding_shift, saturate_accumulator
+# rounding_shift is not called here; perfbench/layers.py wraps qengine.rounding_shift
+from .fixedpoint import INT32_MAX, INT32_MIN, rounding_shift  # noqa: F401
 from .graph import Graph, GraphError
-from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, check_plan,
+from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, _check_range, check_plan,
                       plan_from_json, plan_to_json)
 from .tensorops import _col_blocks, _conv_cols, _tap_reduce, _windows
 
-# Integers below these magnitudes, and sums of them, are exact in float64 and float32.
-_FLOAT_EXACT = 2**53
+# Integers below this magnitude, and sums of them, are exact in float32.
 _FLOAT32_EXACT = 2**24
 
 
@@ -95,15 +91,14 @@ def compact_codes(codes: np.ndarray, fmt: TensorFormat, bit_width: int) -> np.nd
 
 def quantize_params(g: Graph, plan: QuantPlan) -> QuantizedGraph:
     """Quantize kernels at their adjusted per-channel fls and biases at the
-    adder fl (32-bit)."""
+    adder fl (32-bit). Raises PlanError where :func:`check_plan` does."""
+    check_plan(g, plan)
     kernels, biases = {}, {}
     bw = plan.bit_width
     kq_lo, kq_hi = -(2 ** (bw - 1)), 2 ** (bw - 1) - 1
     for node in g.nodes:
         if node.kind not in ("conv", "depthwise_conv", "fc"):
             continue
-        if node.name not in plan.layers:
-            raise GraphError(f"plan has no layer entry for node {node.name!r}")
         lp = plan.layers[node.name]
         w = np.asarray(g.params[node.params["weight"]], dtype=np.float64)
         b = np.asarray(g.params[node.params["bias"]], dtype=np.float64)
@@ -137,17 +132,12 @@ def _finish_accumulator(acc, bias_codes, lp: LayerPlan, out_fmt: TensorFormat, b
     """Add the bias, saturate to int32 (counting clipped lanes), shift into
     the output format with half-even rounding and clip to its range.
 
-    A float64 accumulator takes the fused pass (|shift| <= 93 keeps
-    2**-shift a normal number), an int64 one :func:`saturate_accumulator`
-    and :func:`rounding_shift`. Returns the codes in the accumulator's
-    dtype and the clip count.
+    One fused pass over the float64 accumulator: multiplying by 2**-shift
+    is exact (|shift| <= 93 keeps it a normal number) and ``np.rint``
+    rounds half to even. Returns the float64 codes and the clip count.
     """
     cshape = _channel_shape(acc.ndim)
     lo, hi = _code_bounds(out_fmt, bit_width)
-    lo, hi = lo.reshape(cshape), hi.reshape(cshape)
-    if acc.dtype == np.int64:
-        acc, clipped = saturate_accumulator(acc + bias_codes.reshape(cshape))
-        return np.clip(rounding_shift(acc, lp.shift.reshape(cshape)), lo, hi), clipped
     acc = acc + bias_codes.reshape(cshape)
     clipped = 0
     if acc.min(initial=0) < INT32_MIN or acc.max(initial=0) > INT32_MAX:
@@ -155,7 +145,7 @@ def _finish_accumulator(acc, bias_codes, lp: LayerPlan, out_fmt: TensorFormat, b
         np.clip(acc, INT32_MIN, INT32_MAX, out=acc)
     acc *= (2.0 ** -lp.shift).reshape(cshape)
     np.rint(acc, out=acc)
-    return np.clip(acc, lo, hi, out=acc), clipped
+    return np.clip(acc, lo.reshape(cshape), hi.reshape(cshape), out=acc), clipped
 
 
 def _abs_max(codes: np.ndarray) -> int:
@@ -177,58 +167,38 @@ def _grouped_mac(cols: np.ndarray, batch_axis: int, ker: np.ndarray, comp: np.nd
     Unshifted pairs run as one GEMM, with the kernels of shifted pairs
     zeroed. For each tap, the products of the shifted pairs are rounded one
     by one; a one-hot GEMM then adds each pair's sum into its output.
-    While max|x| * max|ker| * I * T + 2**31 < 2**53 every product and
-    partial sum, and the bias added later, is an exact integer in float64,
-    and the accumulator is float64; otherwise it is int64. On the float
-    path the shifted products are rounded in float32 lanes, half the
-    traffic, when max|x| * max|ker| * (T + 1) < 2**24 bounds each pair's
-    sum.
+    Under :func:`planner.check_plan`'s fan-in bound every product and
+    partial sum, and the bias added later, is an exact integer in the
+    float64 accumulator. The shifted products are rounded in float32
+    lanes, half the traffic, when max|x| * max|ker| * (T + 1) < 2**24
+    bounds each pair's sum.
     """
     o_n, i_n, t_n = ker.shape
     pos = cols.shape[batch_axis:]
     po, pi = np.nonzero(comp)
     p_n = len(po)
-    shifts = comp[po, pi][:, None]
-    k_max = _abs_max(ker)
-    in_float = _float_path(x_max, k_max, i_n * t_n)
-    dt = np.float64 if in_float else np.int64
-    k_gemm = np.where(comp[:, :, None] == 0, ker, 0).reshape(o_n, -1).astype(dt)
-    k_pairs = ker[po, pi].T[:, :, None]  # [T, P, 1]
-    scatter = (np.arange(o_n)[:, None] == po).astype(dt)  # [O, P] one-hot
-    if in_float:
-        lane_dt = _pair_lane_dtype(x_max, k_max, t_n)
-        k_pairs = (k_pairs * 2.0 ** -shifts).astype(lane_dt)  # a power of two: exact
-
-        def pair_sums(x):
-            xl = x.astype(lane_dt, copy=False)
-            part, lane = np.empty((2, p_n, x.shape[-1]), dtype=lane_dt)
-            for t in range(t_n):
-                dst = lane if t else part
-                np.take(xl[:, t], pi, axis=0, out=dst, mode="clip")
-                dst *= k_pairs[t]
-                np.rint(dst, out=dst)  # half-even
-                if t:
-                    part += lane
-            return part
-    else:
-        def pair_sums(x):
-            part = np.zeros((p_n, x.shape[-1]), dtype=np.int64)
-            for t in range(t_n):
-                part += rounding_shift(x[pi, t] * k_pairs[t], shifts)
-            return part
-    acc = np.empty((o_n, int(np.prod(pos))), dtype=dt)
-    for at, x in _col_blocks(cols, batch_axis, max(i_n * t_n, p_n, o_n), dt):
+    k_gemm = np.where(comp[:, :, None] == 0, ker, 0.0).reshape(o_n, -1)
+    scatter = (np.arange(o_n)[:, None] == po).astype(np.float64)  # [O, P] one-hot
+    lane_dt = _pair_lane_dtype(x_max, _abs_max(ker), t_n)
+    # [T, P, 1]; scaling by 2**-shift is exact, a power of two
+    k_pairs = (ker[po, pi].T[:, :, None] * 2.0 ** -comp[po, pi][:, None]).astype(lane_dt)
+    acc = np.empty((o_n, int(np.prod(pos))))
+    for at, x in _col_blocks(cols, batch_axis, max(i_n * t_n, p_n, o_n), np.float64):
         block = acc[:, at]
         np.matmul(k_gemm, x, out=block)
-        if p_n:
-            block += scatter @ pair_sums(x.reshape(i_n, t_n, -1))
+        if not p_n:
+            continue
+        xl = x.reshape(i_n, t_n, -1).astype(lane_dt, copy=False)
+        part, lane = np.empty((2, p_n, xl.shape[-1]), dtype=lane_dt)
+        for t in range(t_n):
+            dst = lane if t else part
+            np.take(xl[:, t], pi, axis=0, out=dst, mode="clip")
+            dst *= k_pairs[t]
+            np.rint(dst, out=dst)  # half-even
+            if t:
+                part += lane
+        block += scatter @ part
     return acc.reshape(o_n, *pos)
-
-
-def _float_path(x_max: int, k_max: int, terms: int) -> bool:
-    """Whether sums of ``terms`` products of codes up to ``x_max`` and
-    ``k_max``, plus an int32 bias, are exact integers in float64."""
-    return x_max * k_max * terms + 2**31 < _FLOAT_EXACT
 
 
 def _pair_lane_dtype(x_max: int, k_max: int, taps: int):
@@ -246,10 +216,9 @@ def _run_conv(node, codes_in, qg: QuantizedGraph):
         acc = _grouped_mac(cols, 3, ker.reshape(co, ci, kh * kw), lp.comp_shift,
                            _abs_max(codes_in))
     else:  # depthwise: no compensation can arise (tight fls never clamp)
-        dt = np.float64 if _float_path(_abs_max(codes_in), _abs_max(ker), kh * kw) else np.int64
-        k = ker.reshape(co, 1, kh * kw).astype(dt)
-        acc = np.empty((co, 1, int(np.prod(cols.shape[3:]))), dtype=dt)
-        for at, x in _col_blocks(cols, 3, co * kh * kw, dt):
+        k = ker.reshape(co, 1, kh * kw).astype(np.float64)
+        acc = np.empty((co, 1, int(np.prod(cols.shape[3:]))))
+        for at, x in _col_blocks(cols, 3, co * kh * kw, np.float64):
             np.matmul(k, x.reshape(co, kh * kw, -1), out=acc[..., at])
     acc = acc.reshape(co, *cols.shape[3:]).transpose(1, 0, 2, 3)  # [N, Co, H', W']
     out_fmt = qg.plan.tensors[node.outputs[0]]
@@ -268,28 +237,16 @@ def _run_fc(node, codes_in, qg: QuantizedGraph):
     return _finish_accumulator(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
 
 
-def _div_half_even(acc: np.ndarray, divisor: int) -> np.ndarray:
-    # floor division, then round up past the half and on odd ties
-    q = acc // divisor
-    r = acc - q * divisor
-    q = q + (2 * r > divisor)
-    ties = 2 * r == divisor
-    return q + (ties & ((q & 1) == 1))
-
-
 def _run_pool(node, codes_in):
     wh, ww = node.attr_pair("window")
-    if node.kind == "avgpool" and _abs_max(codes_in) * wh * ww >= 2**52:
-        codes_in = codes_in.astype(np.int64)  # window sums past float64's exact range
     win = _windows(codes_in, wh, ww, node.pool_stride(), node.attr_pair("pad", 0))
     if node.kind == "maxpool":
         return _tap_reduce(win, np.maximum)
     total = _tap_reduce(win, np.add)
-    if total.dtype == np.int64:
-        return _div_half_even(total, wh * ww)
-    # below 2**52 the float64 quotient lies on the same side of every half
-    # as the exact one (a non-tie is at least 1/(2*wh*ww) from it), and a
-    # true tie is exact, so rint rounds the mean half to even
+    # 16-bit codes keep window sums below 2**52, where the float64 quotient
+    # lies on the same side of every half as the exact one (a non-tie is at
+    # least 1/(2*wh*ww) from it), and a true tie is exact, so rint rounds
+    # the mean half to even
     return np.rint(np.divide(total, wh * ww, out=total), out=total)
 
 
@@ -335,7 +292,7 @@ def execute_quantized(qg: QuantizedGraph, x: np.ndarray, capture=()) -> QuantRun
             out = np.concatenate(ins, axis=1)
         else:
             raise GraphError(f"node {node.name}: kind {node.kind!r} not executable quantized")
-        codes[node.outputs[0]] = out.astype(np.float64, copy=False)  # the int64 paths' codes too
+        codes[node.outputs[0]] = out
     captured = {
         name: compact_codes(codes[name], plan.tensors[name], plan.bit_width)
         for name in capture
@@ -352,15 +309,15 @@ def execute_quantized(qg: QuantizedGraph, x: np.ndarray, capture=()) -> QuantRun
 
 def _kernel_dtype(bit_width: int) -> np.dtype:
     """Narrowest little-endian integer that holds kernel codes of the width."""
-    return np.dtype("i1" if bit_width <= 8 else "<i2" if bit_width <= 16 else "<i4")
+    return np.dtype("i1" if bit_width <= 8 else "<i2")
 
 
 def save_quantized(qg: QuantizedGraph, plan_path, blob_path) -> None:
     """Write the plan JSON (with a quantized-parameter index) plus the code blob.
 
-    Kernel codes are stored as int8 up to 8 bits, int16 up to 16 and int32
-    above (see :func:`_kernel_dtype`), bias codes as int32, little-endian,
-    addressed by byte offsets recorded in the plan document.
+    Kernel codes are stored as int8 up to 8 bits and int16 up to 16 (see
+    :func:`_kernel_dtype`), bias codes as int32, little-endian, addressed
+    by byte offsets recorded in the plan document.
     """
     kdtype = _kernel_dtype(qg.plan.bit_width)
     blob = bytearray()
@@ -394,7 +351,8 @@ def _read_codes(blob: bytes, ref: dict, dtype, dims: list, what: str) -> np.ndar
 def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
     """Reload a quantized model; inverse of :func:`save_quantized`.
 
-    Raises PlanError when the plan or the blob does not fit the graph.
+    Raises PlanError when the plan or the blob does not fit the graph, or
+    a kernel code lies outside the plan's signed bit width.
     """
     doc = json.loads(Path(plan_path).read_text())
     plan = plan_from_json(doc)
@@ -404,6 +362,7 @@ def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
     if not isinstance(qparams, dict):
         raise PlanError(f"plan qparams must be an object, got {qparams!r}")
     kernels, biases = {}, {}
+    half = 2 ** (plan.bit_width - 1)
     for node in g.nodes:
         if node.kind not in ("conv", "depthwise_conv", "fc"):
             continue
@@ -422,6 +381,8 @@ def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
         except TypeError as e:
             raise PlanError(f"quantized parameters of node {node.name!r}: "
                             f"malformed value ({e})") from None
+        # the plan's fan-in bound holds only for codes of its width
+        _check_range(f"node {node.name!r}", kernel=(kernels[node.name], -half, half - 1))
     return QuantizedGraph(graph=g, plan=plan, kernels=kernels, biases=biases)
 
 
@@ -455,7 +416,7 @@ class SqnrAccumulator:
         self._noise: dict[str, np.ndarray] = {}
 
     def update(self, name: str, x: np.ndarray, codes: np.ndarray) -> None:
-        xhat = dequantize_tensor(np.asarray(codes, dtype=np.int64), self.plan.tensors[name])
+        xhat = dequantize_tensor(np.asarray(codes), self.plan.tensors[name])
         x = np.asarray(x, dtype=np.float64)
         err = x - xhat
         axes = tuple(i for i in range(x.ndim) if i != 1)

@@ -448,6 +448,43 @@ class TestManifestFailsClosed:
         self._assert_one_line(capsys, rc, "names must be strings")
 
 
+class TestLabelsFailClosed:
+    """A labels file must hold one whole number per dataset sample (60 here)."""
+
+    @staticmethod
+    def _labels(bundle, tmp_path, case):
+        labels = read_tensor(bundle / "labels.qtsr")
+        path = tmp_path / "labels.qtsr"
+        write_tensor(path, {"twice": np.concatenate([labels, labels]),
+                            "fraction": labels.astype(np.float32) + 0.5,
+                            "short": labels[:-1]}[case])
+        return path
+
+    @pytest.mark.parametrize("case, words", [
+        ("twice", "expected 60 whole-number labels, one per sample; got 120"),
+        ("fraction", "expected 60 whole-number labels, one per sample; got 60 float32"),
+        ("short", "expected 60 whole-number labels, one per sample; got 59"),
+    ], ids=["twice", "fraction", "short"])
+    def test_eval(self, bundle, profiled, tmp_path, capsys, case, words):
+        q = tmp_path / "q"
+        assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                     "--mode", "cw_max", "--out", str(q)]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(bundle / "model.json"),
+                   "--dataset", str(bundle / "data.qtsr"),
+                   "--labels", str(self._labels(bundle, tmp_path, case)),
+                   "--plan", str(q / "plan.json"), "--out", str(tmp_path / "r")])
+        TestNumbersFailClosed._assert_one_line(capsys, rc, words)
+
+    @pytest.mark.parametrize("command", [["compare"], ["sweep-profile-size", "--sizes", "8"]])
+    def test_compare_and_sweep(self, bundle, tmp_path, capsys, command):
+        rc = main([command[0], "--model", str(bundle / "model.json"),
+                   "--dataset", str(bundle / "data.qtsr"), *command[1:],
+                   "--labels", str(self._labels(bundle, tmp_path, "short")),
+                   "--out", str(tmp_path / "r")])
+        TestNumbersFailClosed._assert_one_line(capsys, rc, "got 59")
+
+
 class TestNumbersFailClosed:
     """A plan, manifest or stats number that no writer could have produced
     exits 2 with one line, where it was once truncated or used as given."""
@@ -468,7 +505,8 @@ class TestNumbersFailClosed:
         ("bias_fl", 0.5, "expected integers, got 0.5"),
         ("signed", 1, "expected booleans, got 1"),
         ("bit_width", 8.0, "expected integers, got 8.0"),
-        ("bit_width", 64, "plan bit width 64 outside [2, 32]"),
+        ("bit_width", 64, "plan bit width 64 outside [2, 16]"),
+        ("bit_width", 24, "plan bit width 24 outside [2, 16]"),
     ])
     def test_plan_number(self, bundle, profiled, tmp_path, capsys, field, value, words):
         q = tmp_path / "q"
@@ -488,6 +526,44 @@ class TestNumbersFailClosed:
                    "--dataset", str(bundle / "data.qtsr"), "--plan", str(q / "plan.json"),
                    "--out", str(tmp_path / "r")])
         self._assert_one_line(capsys, rc, words)
+
+    def test_quantize_bitwidth_17(self, bundle, profiled, tmp_path, capsys):
+        rc = main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                   "--mode", "cw_max", "--bitwidth", "17", "--out", str(tmp_path / "q")])
+        self._assert_one_line(capsys, rc, "bit width 17 outside [2, 16]")
+
+    def test_kernel_code_outside_the_bit_width(self, bundle, profiled, tmp_path, capsys):
+        # a 12-bit plan stores kernels as int16, which holds codes past [-2048, 2047]
+        q = tmp_path / "q"
+        assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                     "--mode", "cw_max", "--bitwidth", "12", "--out", str(q)]) == 0
+        offset = json.loads((q / "plan.json").read_text())["qparams"]["conv0"]["kernel"]["offset"]
+        blob = bytearray((q / "qweights.bin").read_bytes())
+        blob[offset:offset + 2] = np.array(30000, "<i2").tobytes()
+        (q / "qweights.bin").write_bytes(bytes(blob))
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(bundle / "model.json"),
+                   "--dataset", str(bundle / "data.qtsr"), "--plan", str(q / "plan.json"),
+                   "--out", str(tmp_path / "r")])
+        self._assert_one_line(capsys, rc, "node 'conv0': kernel 30000 outside [-2048, 2047]")
+
+    def test_layer_too_wide_for_16_bits(self, tmp_path, capsys):
+        # fan-in 4,194,368: a 16-bit sum of its products can pass 2**53
+        from chanq.graph import Graph, LayerSpec, save_model, validate
+
+        dims = (1, 1, 64, 65537)
+        fc = LayerSpec("fc0", "fc", ["x"], ["y"], params={"weight": "w", "bias": "b"})
+        g = validate(Graph("x", dims, [fc], {"w": np.full((2, 64 * 65537), 0.5, np.float32),
+                                             "b": np.zeros(2, np.float32)}))
+        save_model(g, tmp_path / "model.json", tmp_path / "weights.bin")
+        write_tensor(tmp_path / "data.qtsr", np.ones(dims, np.float32))
+        model = ["--model", str(tmp_path / "model.json")]
+        assert main(["profile", *model, "--dataset", str(tmp_path / "data.qtsr"),
+                     "--out", str(tmp_path / "s.json")]) == 0
+        capsys.readouterr()
+        rc = main(["quantize", *model, "--stats", str(tmp_path / "s.json"), "--mode", "cw_max",
+                   "--bitwidth", "16", "--out", str(tmp_path / "q")])
+        self._assert_one_line(capsys, rc, "plan layer 'fc0': fan-in 4194368 exceeds 4194367")
 
     def _eval_edited_plan(self, model_dir, tmp_path, capsys, edit):
         """Profile and quantize the model in cw_max, apply ``edit`` to the

@@ -13,7 +13,6 @@ from chanq.fixedpoint import (
     fl_from_max,
     quantize,
     rounding_shift,
-    saturate_accumulator,
 )
 
 
@@ -220,13 +219,6 @@ class TestRoundingShiftEdges:
         got = rounding_shift(acc[:, None], shift[:, None] + np.array([0, 1]))
         for k, (a, s) in enumerate(lanes):
             assert [int(v) for v in got[k]] == [_oracle_shift(a, s), _oracle_shift(a, s + 1)]
-
-
-class TestSaturateAccumulator:
-    def test_saturate_counts(self):
-        acc, clipped = saturate_accumulator(np.array([2**40, -5, 3]))
-        assert clipped == 1
-        assert acc[0] == 2**31 - 1 and acc[1] == -5
 
 
 class TestExhaustiveProperties:

@@ -12,7 +12,8 @@ from chanq.cli import main
 from chanq.fixedpoint import rounding_shift
 from chanq.flsolver import default_classifier
 from chanq.graph import Graph, GraphError, LayerSpec, execute_float, validate
-from chanq.planner import MODES, LayerPlan, QuantPlan, TensorFormat, solve_plan
+from chanq.planner import (MODES, LayerPlan, PlanError, QuantPlan, TensorFormat, check_plan,
+                           solve_plan)
 from chanq.profiling import collect_stats
 from chanq.qengine import (
     QuantizedGraph,
@@ -250,12 +251,12 @@ def _toy_net_and_data(seed=3, arch="hetero_conv"):
 class TestAvgPoolRounding:
     @pytest.mark.parametrize("window", [(1, 1), (2, 2), (2, 3), (3, 3)],
                              ids=lambda w: f"{w[0]}x{w[1]}")
-    @pytest.mark.parametrize("high", [20, 2**40], ids=["small", "wide"])
-    def test_window_mean_is_half_even(self, window, high):
-        # small codes make exact ties common; large ones need int64 sums
+    @pytest.mark.parametrize("lo, hi", [(-20, 20), (-(2**15), 2**16 - 1)], ids=["small", "wide"])
+    def test_window_mean_is_half_even(self, window, lo, hi):
+        # small codes make exact ties common; wide ones span signed and unsigned 16-bit codes
         wh, ww = window
-        rng = np.random.default_rng([wh, ww, high.bit_length()])
-        x = rng.integers(-high, high + 1, size=(2, 3, 6, 6))
+        rng = np.random.default_rng([wh, ww, hi.bit_length()])
+        x = rng.integers(lo, hi + 1, size=(2, 3, 6, 6)).astype(np.float64)
         node = LayerSpec("p0", "avgpool", ["x"], ["y"], attrs={"window": list(window)})
         got = qengine._run_pool(node, x)
         assert got.shape == (2, 3, 6 // wh, 6 // ww)
@@ -358,8 +359,45 @@ class TestSqnrReport:
 
 
 # ---------------------------------------------------------------------------
-# The per-pair loop the grouped MAC replaced, kept as its oracle
+# The int64 datapath the float64 engine replaced, kept as its oracle
 # ---------------------------------------------------------------------------
+
+INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
+
+
+def _int64_epilogue(acc, bias_codes, lp, out_fmt, bit_width):
+    """:func:`qengine._finish_accumulator` on int64: add the bias, saturate
+    to int32 (counting clipped lanes), ``rounding_shift``, clip."""
+    cshape = qengine._channel_shape(acc.ndim)
+    acc = np.asarray(acc, dtype=np.int64) + bias_codes.reshape(cshape)
+    clipped = int(np.count_nonzero((acc < INT32_MIN) | (acc > INT32_MAX)))
+    acc = rounding_shift(np.clip(acc, INT32_MIN, INT32_MAX), lp.shift.reshape(cshape))
+    lo, hi = qengine._code_bounds(out_fmt, bit_width)
+    return np.clip(acc, lo.reshape(cshape), hi.reshape(cshape)), clipped
+
+
+def _div_half_even(acc: np.ndarray, divisor: int) -> np.ndarray:
+    """Integer division of int64 ``acc``, rounded half to even."""
+    # floor division, then round up past the half and on odd ties
+    q = acc // divisor
+    r = acc - q * divisor
+    q = q + (2 * r > divisor)
+    ties = 2 * r == divisor
+    return q + (ties & ((q & 1) == 1))
+
+
+class TestInt64Oracle:
+    def test_saturate_counts(self):
+        c = 3
+        lp = LayerPlan(ker_fl=np.zeros((c, 1), np.int64), bias_fl=np.zeros(c, np.int64),
+                       shift=np.zeros(c, np.int64), comp_shift=np.zeros((c, 1), np.int64),
+                       ker_fl_layerwise=0)
+        fmt = TensorFormat(fls=np.zeros(c, np.int64), signed=np.full(c, True))
+        acc, clipped = _int64_epilogue(np.array([[2**40, -5, 3]]), np.zeros(c, np.int64), lp,
+                                       fmt, 32)
+        assert clipped == 1
+        assert acc.tolist() == [[2**31 - 1, -5, 3]]
+
 
 def _oracle_conv(node, codes_in, qg):
     """Integer conv/depthwise layer: one product array per (out, in) pair,
@@ -378,7 +416,7 @@ def _oracle_conv(node, codes_in, qg):
             prods = win[:, src] * ker[j, i]  # [N, H', W', Kh, Kw]
             acc[:, j] += rounding_shift(prods, int(lp.comp_shift[j, i])).sum(axis=(3, 4))
     out_fmt = qg.plan.tensors[node.outputs[0]]
-    return qengine._finish_accumulator(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
+    return _int64_epilogue(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
 
 
 def _oracle_fc(node, codes_in, qg):
@@ -390,7 +428,7 @@ def _oracle_fc(node, codes_in, qg):
     for u in range(ker.shape[0]):
         acc[:, u] = rounding_shift(x * ker[u][None, :], shifts[u][None, :]).sum(axis=1)
     out_fmt = qg.plan.tensors[node.outputs[0]]
-    return qengine._finish_accumulator(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
+    return _int64_epilogue(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
 
 
 def _check_layers_against_oracle(qg, x) -> int:
@@ -398,7 +436,8 @@ def _check_layers_against_oracle(qg, x) -> int:
     the captured input codes; returns the number of shifted pairs seen."""
     g, plan = qg.graph, qg.plan
     res = execute_quantized(qg, x, capture=g.activation_names())
-    codes = {g.input_name: quantize_tensor(x, plan.tensors[g.input_name], plan.bit_width)}
+    codes = {g.input_name: quantize_tensor(x, plan.tensors[g.input_name],
+                                           plan.bit_width).astype(np.int64)}
     codes.update({k: v.astype(np.int64) for k, v in res.captured.items()})
     shifted = 0
     for node in g.nodes:
@@ -433,43 +472,87 @@ class TestGroupedMacOracle:
                 shifted += _check_layers_against_oracle(qg, x)
         assert shifted > 0  # the compensation path ran
 
-    def test_int64_path_is_exact_beyond_float64(self):
-        # 24-bit codes: max|x| * max|w| * I * T = 2**23 * 2**23 * 256 >= 2**53,
-        # so the MAC must leave float64, whose sums here would drop low bits
+    def test_sixteen_bit_extremes_are_exact(self):
+        # unsigned 16-bit codes up to 65535 against kernels down to -32768:
+        # products near 2**31, rounded in float64 lanes where shifted
         rng = np.random.default_rng(11)
         m, o, i, t = 5, 3, 8, 32
-        x = rng.integers(2**23 - 4096, 2**23, size=(m, i, t))
-        ker = rng.integers(2**22, 2**23, size=(o, i, t))
+        x = rng.integers(2**16 - 4096, 2**16, size=(m, i, t))
+        x[0] = 2**16 - 1
+        ker = rng.integers(-(2**15), -(2**15) + 4096, size=(o, i, t))
+        ker[1, :, ::2] = -(2**15)
         comp = rng.integers(0, 3, size=(o, i))
         comp[0] = 0  # one output channel takes the GEMM path alone
-        acc = qengine._grouped_mac(x.transpose(1, 2, 0), 2, ker, comp, int(x.max()))
-        want = [[sum(int(rounding_shift(int(x[r, c, k]) * int(ker[u, c, k]), int(comp[u, c])))
-                     for c in range(i) for k in range(t)) for u in range(o)] for r in range(m)]
-        assert acc.dtype == np.int64
-        assert acc.T.tolist() == want
-        in_float = x.reshape(m, -1).astype(np.float64) @ ker[0].reshape(-1).astype(np.float64)
-        assert in_float.astype(np.int64).tolist() != [row[0] for row in want]
+        acc = qengine._grouped_mac(x.astype(np.float64).transpose(1, 2, 0), 2, ker, comp,
+                                   int(x.max()))
+        assert acc.dtype == np.float64
+        assert acc.tolist() == [[float(v) for v in row] for row in _pair_oracle(x, ker, comp)]
 
-    def test_24_bit_fc_matches_oracle(self):
+    def test_16_bit_fc_extremes_match_oracle(self):
         rng = np.random.default_rng(12)
         fc = LayerSpec("f0", "fc", ["x"], ["y"], params={"weight": "f0.weight", "bias": "f0.bias"})
+        w = rng.normal(0, 0.5, size=(3, 256))
+        w[:, :64:3] = -10.0  # clips to kernel code -32768
         g = validate(Graph("x", (1, 4, 8, 8), [fc], {
-            "f0.weight": rng.normal(0, 0.5, size=(3, 256)).astype(np.float32),
+            "f0.weight": w.astype(np.float32),
             "f0.bias": rng.normal(0, 0.1, size=3).astype(np.float32)}))
-        ifm = np.array([20, 21, 22, 20])
-        ker_fl = np.array([[23, 19, 20, 20]] * 3)
+        ifm = np.array([12, 13, 14, 12])
+        ker_fl = np.array([[15, 11, 12, 12]] * 3)
         comp = np.array([[3, 0, 2, 0]] * 3)
         bias_fl = ker_fl[0] + ifm - comp[0]
         assert (bias_fl == bias_fl[0]).all()
-        plan = QuantPlan(mode="cw_max", bit_width=24)
-        plan.tensors["x"] = TensorFormat(fls=ifm, signed=np.full(4, True))
-        plan.tensors["y"] = TensorFormat(fls=np.full(3, 18), signed=np.full(3, True))
+        plan = QuantPlan(mode="cw_max", bit_width=16)
+        plan.tensors["x"] = TensorFormat(fls=ifm, signed=np.full(4, False))
+        plan.tensors["y"] = TensorFormat(fls=np.full(3, 6), signed=np.full(3, True))
         plan.layers["f0"] = LayerPlan(
-            ker_fl=ker_fl, bias_fl=np.full(3, bias_fl[0]), shift=np.full(3, bias_fl[0] - 18),
-            comp_shift=comp, ker_fl_layerwise=21, in_groups=np.repeat(np.arange(4), 64))
+            ker_fl=ker_fl, bias_fl=np.full(3, bias_fl[0]), shift=np.full(3, bias_fl[0] - 6),
+            comp_shift=comp, ker_fl_layerwise=13, in_groups=np.repeat(np.arange(4), 64))
         qg = quantize_params(g, plan)
-        x = rng.normal(0, 2.0, size=(6, 4, 8, 8)).astype(np.float32)
+        assert qg.kernels["f0"].min() == -(2**15)
+        x = np.abs(rng.normal(0, 4.0, size=(6, 4, 8, 8))).astype(np.float32)
+        x[:, 0, 0] = 100.0  # clips to input code 65535
+        assert quantize_tensor(x, plan.tensors["x"], 16).max() == 2**16 - 1
         assert _check_layers_against_oracle(qg, x) > 0
+
+
+class TestFanInBound:
+    """check_plan admits a linear layer only while its 16-bit sums stay exact
+    in float64: (2**16 - 1) * 2**15 * F + 2**31 < 2**53, so F <= 4,194,367."""
+
+    @staticmethod
+    def _fc(in_dims):
+        d = int(np.prod(in_dims[1:]))
+        w = np.full((1, d), -1.0, np.float32)  # kernel code -32768 at fl 15
+        w[0, ::2] = -32767 / 32768  # odd products: a sum past 2**53 would lose them
+        fc = LayerSpec("f0", "fc", ["x"], ["y"], params={"weight": "f0.weight", "bias": "f0.bias"})
+        g = validate(Graph("x", in_dims, [fc], {"f0.weight": w,
+                                                "f0.bias": np.full(1, -1.0, np.float32)}))
+        plan = QuantPlan(mode="cw_max", bit_width=16, tensors={
+            "x": TensorFormat(fls=np.array([0]), signed=np.array([False])),
+            "y": TensorFormat(fls=np.array([0]), signed=np.array([True]))})
+        plan.layers["f0"] = LayerPlan(
+            ker_fl=np.array([[15]]), bias_fl=np.array([15]), shift=np.array([15]),
+            comp_shift=np.array([[0]]), ker_fl_layerwise=15, in_groups=np.zeros(d, np.int64))
+        return g, plan
+
+    def test_widest_fc_is_exact(self):
+        g, plan = self._fc((1, 1, 53, 79139))  # F = 4,194,367
+        qg = quantize_params(g, plan)
+        x = np.full((1, 1, 53, 79139), 65535.0, np.float32)
+        x[..., 1::4] = 65533.0
+        codes = quantize_tensor(x, plan.tensors["x"], 16)
+        acc = qengine._grouped_mac(codes.reshape(1, 1, -1).transpose(1, 2, 0), 2,
+                                   qg.kernels["f0"][:, None], np.zeros((1, 1), np.int64), 65535)
+        want = sum(int(c) * int(k) for c, k in zip(codes.ravel().tolist(),
+                                                    qg.kernels["f0"].ravel().tolist()))
+        assert -(2**53) < want < -(2**52)
+        assert acc.ravel().tolist() == [float(want)]
+        _check_layers_against_oracle(qg, x)
+
+    def test_one_wider_is_rejected(self):
+        g, plan = self._fc((1, 1, 64, 65537))  # F = 4,194,368
+        with pytest.raises(PlanError, match="fan-in 4194368 exceeds 4194367"):
+            check_plan(g, plan)
 
 
 class TestBlockSplitting:
@@ -541,10 +624,9 @@ class TestFcGroupLayout:
 
 
 # ---------------------------------------------------------------------------
-# The float64 datapath against the int64 one
+# The float64 datapath against the int64 oracles
 # ---------------------------------------------------------------------------
 
-INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
 _ACC_MAX = 2**53 - 2**31  # the largest accumulator the MAC hands the float epilogue
 
 
@@ -573,10 +655,10 @@ class TestFloatEpilogue:
         lp = LayerPlan(ker_fl=np.zeros((c, 1), np.int64), bias_fl=np.zeros(c, np.int64),
                        shift=shift, comp_shift=np.zeros((c, 1), np.int64), ker_fl_layerwise=0)
         fmt = TensorFormat(fls=np.zeros(c, np.int64), signed=np.full(c, signed))
-        want, want_clipped = qengine._finish_accumulator(acc[None], bias, lp, fmt, bit_width)
+        want, want_clipped = _int64_epilogue(acc[None], bias, lp, fmt, bit_width)
         got, clipped = qengine._finish_accumulator(acc[None].astype(np.float64), bias, lp, fmt,
                                                    bit_width)
-        assert want.dtype == np.int64 and got.dtype == np.float64
+        assert got.dtype == np.float64
         np.testing.assert_array_equal(got, want)
         assert clipped == want_clipped
 
@@ -584,15 +666,17 @@ class TestFloatEpilogue:
 class TestFloatAvgPool:
     @pytest.mark.parametrize("window", [(1, 1), (2, 2), (2, 3), (3, 3)],
                              ids=lambda w: f"{w[0]}x{w[1]}")
-    @pytest.mark.parametrize("high", [20, 2**40], ids=["small", "wide"])
-    def test_rint_of_mean_matches_div_half_even(self, window, high):
-        rng = np.random.default_rng([high.bit_length(), *window])
-        x = rng.integers(-high, high + 1, size=(2, 3, 6, 6))
-        x[0, 0, :window[0], :window[1]] = high  # a window at the bound
+    @pytest.mark.parametrize("lo, hi", [(-20, 20), (-(2**15), 2**16 - 1)], ids=["small", "wide"])
+    def test_rint_of_mean_matches_div_half_even(self, window, lo, hi):
+        rng = np.random.default_rng([hi.bit_length(), *window])
+        x = rng.integers(lo, hi + 1, size=(2, 3, 6, 6))
+        x[0, 0, :window[0], :window[1]] = hi  # a window at the bound
+        x[0, 1, :window[0], :window[1]] = lo
         node = LayerSpec("p0", "avgpool", ["x"], ["y"], attrs={"window": list(window)})
-        want = qengine._run_pool(node, x)  # int64 codes: _div_half_even
+        win = tensorops._windows(x, *window, node.pool_stride(), (0, 0))
+        want = _div_half_even(tensorops._tap_reduce(win, np.add), window[0] * window[1])
         got = qengine._run_pool(node, x.astype(np.float64))
-        assert want.dtype == np.int64 and got.dtype == np.float64
+        assert got.dtype == np.float64
         np.testing.assert_array_equal(got, want)
 
 
@@ -630,20 +714,9 @@ class TestFloat32PairLanes:
                                   np.array(_pair_oracle(x, ker, comp)).T.tolist()]
 
 
-def _count_int64_calls(monkeypatch) -> list:
-    """Record every call the engine makes to its int64 primitives."""
-    calls = []
-    for name in ("rounding_shift", "saturate_accumulator", "_div_half_even"):
-        fn = getattr(qengine, name)
-        monkeypatch.setattr(qengine, name,
-                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
-    return calls
-
-
 class TestFloatPathTaken:
-    @pytest.mark.parametrize("bit_width", [8, 30])
-    def test_depthwise_layer(self, monkeypatch, bit_width):
-        # 30-bit codes: max|x| * max|ker| * 9 taps passes 2**53, so the layer runs in int64
+    @pytest.mark.parametrize("bit_width", [8, 16])
+    def test_depthwise_layer(self, bit_width):
         rng = np.random.default_rng(bit_width)
         node = LayerSpec("d0", "depthwise_conv", ["x"], ["y"], attrs={"stride": 1, "pad": 1},
                          params={"weight": "d0.weight", "bias": "d0.bias"})
@@ -652,26 +725,12 @@ class TestFloatPathTaken:
             "d0.bias": rng.normal(0, 0.1, size=3).astype(np.float32)}))
         x = (rng.normal(0, 1, size=(4, 3, 6, 6)) * [[[[1.0]], [[8.0]], [[0.1]]]]).astype(np.float32)
         qg = quantize_params(g, solve_plan(g, collect_stats(g, [x]), "cw_max", bit_width=bit_width))
-        calls = _count_int64_calls(monkeypatch)
-        execute_quantized(qg, x)
-        monkeypatch.undo()
-        assert (calls == []) == (bit_width == 8), calls
+        # the width's extreme codes: unsigned input 2**bw - 1 against kernel -2**(bw - 1)
+        qg.plan.tensors["x"].signed[:] = False
+        x[:, 0, 1:4, 1:4] = 1e6
+        qg.kernels["d0"][:, 0, 1, 1] = -(2 ** (bit_width - 1))
+        assert quantize_tensor(x, qg.plan.tensors["x"], bit_width).max() == 2**bit_width - 1
         _check_layers_against_oracle(qg, x)
-
-    def test_eight_bit_classifier_never_calls_the_int64_primitives(self, monkeypatch):
-        # a silent fallback to the int64 path would keep the codes and lose the speed
-        from chanq.synthetic import SynthSpec, build_graph, gen_dataset
-
-        spec = SynthSpec(arch="classifier", channels=8, image_size=8, samples=16,
-                         input_scale_span_bits=4.0, seed=1)
-        g = build_graph(spec)
-        x, _ = gen_dataset(g, spec)
-        plan = solve_plan(g, collect_stats(g, [x]), "cw_laplace")
-        assert sum(int((lp.comp_shift > 0).sum()) for lp in plan.layers.values()) > 0
-        qg = quantize_params(g, plan)
-        calls = _count_int64_calls(monkeypatch)
-        execute_quantized(qg, x)
-        assert calls == []
 
 
 class TestFloatAdd:

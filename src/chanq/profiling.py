@@ -1,17 +1,16 @@
 """Per-channel activation and parameter statistics over a profiling dataset.
 
-Signed central moments up to order 6 come from power sums shifted by a
-per-channel anchor (first value seen), which keeps them numerically stable
-far from zero. Odd-order absolute central moments have no exact finite
-streaming form, so each channel retains its raw samples (float32 when they
-arrive as float32: widening them later is exact); statistics over several
-updates equal whole-dataset statistics.
-
-Records are computed on first read: :func:`collect_stats` keeps the samples
-and folds them into a tensor's per-channel or pooled record only when that
-record is read, so a plan pays for the records its mode reads. A tensor's
-samples live until both of its records have been read or its
-:class:`TensorStats` is dropped.
+Each channel retains its raw samples (float32 when they arrive as float32:
+widening them later is exact); statistics over several updates equal
+whole-dataset statistics. A record computes each group of its fields the
+first time one of them is read, so a plan pays for what its mode reads:
+the extremes (count, min, max, max_abs: the MAX rule) come from a min/max
+fold; the moments (mean, m2..m6, nu2, nu4, nu6: the fitted families) from
+power sums shifted by a per-channel anchor (first value seen), stable far
+from zero; the odd absolute moments (nu1, nu3, nu5: the kNN features) have
+no exact finite streaming form, so they take a pass over the samples about
+the final mean. A tensor's samples live until both of its records have
+computed their absolute moments or its :class:`TensorStats` is dropped.
 """
 
 from __future__ import annotations
@@ -34,6 +33,8 @@ class ChannelStats:
 
     m2..m6 are central moments E[(x-mean)^k]; nu_k are standardized
     absolute moments E[|x-mean|^k] / sigma^k (NaN where sigma == 0).
+    A record taken from a :class:`StatsAccumulator` computes each group of
+    fields in ``_GROUP_OF`` on first read; a loaded one holds them all.
     """
 
     count: np.ndarray
@@ -53,13 +54,25 @@ class ChannelStats:
     nu5: np.ndarray
     nu6: np.ndarray
 
+    def __getattr__(self, name):  # reached only for a field a record over samples lacks
+        if name not in _GROUP_OF:
+            raise AttributeError(name)
+        self.__dict__.update(getattr(self._samples, _GROUP_OF[name])(self))
+        return self.__dict__[name]
+
     @property
     def n_channels(self) -> int:
-        return len(self.mean)
+        return len(self.count)
 
     @property
     def sigma(self) -> np.ndarray:
         return np.sqrt(np.maximum(self.m2, 0.0))
+
+
+# the field groups of a record, each computed by the _Samples method named
+_GROUP_OF = {**dict.fromkeys(("count", "minv", "maxv", "max_abs"), "extremes"),
+             **dict.fromkeys(("mean", "m2", "m3", "m4", "m5", "m6", "nu2", "nu4", "nu6"), "moments"),
+             **dict.fromkeys(("nu1", "nu3", "nu5"), "abs_moments")}
 
 
 def standardized_moments(stats: ChannelStats) -> np.ndarray:
@@ -82,23 +95,75 @@ def _rebase(sums: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Samples:
+    """Retained [C, M] chunks, or all their channels as one when ``pooled``;
+    each method computes one field group of a record taken over them."""
+
+    def __init__(self, chunks: tuple, pooled: bool):
+        self.chunks, self.pooled = chunks, pooled
+
+    def extremes(self, record: ChannelStats) -> dict:
+        channels = self.chunks[0].shape[0]
+        count = np.zeros(channels, dtype=np.int64)
+        minv, maxv = np.full(channels, np.inf), np.full(channels, -np.inf)
+        for raw in self.chunks:
+            count += raw.shape[1]
+            minv = np.minimum(minv, raw.min(axis=1))
+            maxv = np.maximum(maxv, raw.max(axis=1))
+        if self.pooled:
+            count, minv, maxv = count.sum(keepdims=True), minv.min(keepdims=True), maxv.max(keepdims=True)
+        return dict(count=count, minv=minv, maxv=maxv, max_abs=np.maximum(np.abs(minv), np.abs(maxv)))
+
+    def moments(self, record: ChannelStats) -> dict:
+        shift = self.chunks[0][:, 0].astype(np.float64)  # per-channel anchor: the first value seen
+        sums = np.zeros((MAX_ORDER + 1, len(shift)))  # sums[k] = sum((x - shift)^k)
+        for raw in self.chunks:
+            y = raw - shift[:, None]  # float64: widening float32 is exact
+            sums[0] += y.shape[1]
+            sums[1] += y.sum(axis=1)
+            p = y * y
+            sums[2] += p.sum(axis=1)
+            for k in range(3, MAX_ORDER + 1):
+                sums[k] += np.multiply(p, y, out=p).sum(axis=1)
+        if self.pooled:
+            shift, sums = shift[:1], _rebase(sums, shift - shift[0]).sum(axis=1, keepdims=True)
+        n = sums[0]  # the count: a sum of whole numbers, exact below 2**53
+        central = _rebase(sums, -sums[1] / n)
+        m = {k: central[k] / n for k in range(2, MAX_ORDER + 1)}
+        sigma = np.sqrt(np.maximum(m[2], 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nu = {f"nu{k}": np.where(sigma > 0, m[k] / sigma**k, np.nan) for k in (2, 4, 6)}
+        return dict(mean=shift + sums[1] / n, **{f"m{k}": v for k, v in m.items()}, **nu)
+
+    def abs_moments(self, record: ChannelStats) -> dict:
+        """The last group to need the samples: computes the other groups
+        first, and the record lets the samples go."""
+        mean, sigma, _ = record.mean, record.sigma, record.count
+        del record._samples
+        rows = [ch.reshape(1, -1) for ch in self.chunks] if self.pooled else self.chunks
+        absm = np.empty((3, len(mean)))  # E|x - mean|^k, k = 1, 3, 5
+        for c in range(len(mean)):  # a row at a time keeps the temporaries small
+            dev = np.subtract(np.concatenate([ch[c] for ch in rows]), mean[c:c + 1])
+            np.abs(dev, out=dev)
+            absm[0, c] = dev.mean()
+            absm[1, c] = np.power(dev, 3).mean()  # not d*d*d: other bits
+            absm[2, c] = np.power(dev, 5, out=dev).mean()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return {f"nu{k}": np.where(sigma > 0, absm[i] / sigma**k, np.nan)
+                    for i, k in enumerate((1, 3, 5))}
+
+
 class StatsAccumulator:
-    """Per-channel accumulator: update with samples, then snapshot."""
+    """Per-channel sample store: update with samples, then take records."""
 
     def __init__(self, channels: int):
         self.channels = channels
-        self.count = np.zeros(channels, dtype=np.int64)
-        self.minv = np.full(channels, np.inf)
-        self.maxv = np.full(channels, -np.inf)
-        self.shift = None  # per-channel anchor, fixed by the first chunk
-        self.sums = np.zeros((MAX_ORDER + 1, channels))
         self._chunks: list[np.ndarray] = []
-        self._folded = 0  # leading chunks already in count, min, max and sums
 
     def update(self, values: np.ndarray) -> None:
         """Add samples, shape [C, M]. The samples are retained (a float32 or
         float64 ``values`` as it is, not a copy), so the caller must not
-        change them while the accumulator lives."""
+        change them while the accumulator or a record taken from it lives."""
         values = np.asarray(values)
         raw = values.astype(np.float32 if values.dtype == np.float32 else np.float64, copy=False)
         if raw.ndim != 2 or raw.shape[0] != self.channels:
@@ -106,74 +171,28 @@ class StatsAccumulator:
         if raw.shape[1] > 0:
             self._chunks.append(raw)
 
-    def _fold(self) -> None:
-        """Fold the chunks not folded yet into count, min, max and the shifted
-        power sums, in arrival order."""
-        for raw in self._chunks[self._folded:]:
-            if self.shift is None:
-                self.shift = raw[:, 0].astype(np.float64)
-            y = raw - self.shift[:, None]  # float64: widening float32 is exact
-            self.sums[0] += y.shape[1]
-            self.sums[1] += y.sum(axis=1)
-            p = y * y
-            self.sums[2] += p.sum(axis=1)
-            for k in range(3, MAX_ORDER + 1):
-                self.sums[k] += np.multiply(p, y, out=p).sum(axis=1)
-            self.count += raw.shape[1]
-            self.minv = np.minimum(self.minv, raw.min(axis=1))
-            self.maxv = np.maximum(self.maxv, raw.max(axis=1))
-        self._folded = len(self._chunks)
-
-    def pooled(self) -> "StatsAccumulator":
-        """Collapse all channels into one (for layer-wide formats)."""
-        self._fold()
-        out = StatsAccumulator(1)
-        if self.shift is None:
-            return out
-        anchor = self.shift[:1]
-        rebased = _rebase(self.sums, self.shift - anchor[0])
-        out.shift = anchor.copy()
-        out.sums = rebased.sum(axis=1, keepdims=True)
-        out.count = self.count.sum(keepdims=True)
-        out.minv = self.minv.min(keepdims=True)
-        out.maxv = self.maxv.max(keepdims=True)
-        out._chunks = [c.reshape(1, -1) for c in self._chunks]
-        out._folded = len(out._chunks)
-        return out
+    def _record(self, pooled: bool) -> ChannelStats:
+        if not self._chunks:
+            raise ValueError("no samples accumulated")
+        record = object.__new__(ChannelStats)  # no field yet: each group comes on first read
+        record._samples = _Samples(tuple(self._chunks), pooled)
+        return record
 
     def snapshot(self) -> ChannelStats:
-        self._fold()
-        if self.shift is None:
-            raise ValueError("no samples accumulated")
-        n = self.count.astype(np.float64)
-        mean = self.shift + self.sums[1] / n
-        central = _rebase(self.sums, -self.sums[1] / n)
-        m = {k: central[k] / n for k in range(2, MAX_ORDER + 1)}
-        sigma = np.sqrt(np.maximum(m[2], 0.0))
-        absm = np.empty((3, self.channels))  # E|x - mean|^k, k = 1, 3, 5
-        for c in range(self.channels):  # a row at a time keeps the temporaries small
-            dev = np.subtract(np.concatenate([ch[c] for ch in self._chunks]), mean[c:c + 1])
-            np.abs(dev, out=dev)
-            absm[0, c] = dev.mean()
-            absm[1, c] = np.power(dev, 3).mean()  # not d*d*d: other bits
-            absm[2, c] = np.power(dev, 5, out=dev).mean()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nu = {}
-            for i, k in enumerate((1, 3, 5)):
-                nu[k] = np.where(sigma > 0, absm[i] / sigma**k, np.nan)
-            for k in (2, 4, 6):
-                nu[k] = np.where(sigma > 0, m[k] / sigma**k, np.nan)
-        return ChannelStats(
-            count=self.count.copy(), minv=self.minv.copy(), maxv=self.maxv.copy(),
-            max_abs=np.maximum(np.abs(self.minv), np.abs(self.maxv)), mean=mean,
-            **{f"m{k}": v for k, v in m.items()}, **{f"nu{k}": v for k, v in nu.items()})
+        """The per-channel record of the samples so far; later updates do not change it."""
+        return self._record(False)
+
+    def pooled(self) -> ChannelStats:
+        """The same with all channels as one (for layer-wide formats)."""
+        return self._record(True)
 
 
 class TensorStats:
     """Per-channel stats plus the tensor-pooled record (one pseudo-channel).
 
-    Each record is computed from the accumulator the first time it is read;
-    once both have been, the accumulator and its samples are let go.
+    Each record is taken from the accumulator the first time it is read;
+    once both have been, the accumulator is let go, and each record lets
+    the samples go once it has computed its absolute moments.
     """
 
     def __init__(self, kind: str, acc: StatsAccumulator | None = None):
@@ -192,7 +211,7 @@ class TensorStats:
 
     @cached_property
     def pooled(self) -> ChannelStats:
-        return self._record("per_channel", lambda acc: acc.pooled().snapshot())
+        return self._record("per_channel", StatsAccumulator.pooled)
 
 
 def stats_from_samples(samples) -> ChannelStats:

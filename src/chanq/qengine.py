@@ -83,9 +83,12 @@ def dequantize_tensor(codes: np.ndarray, fmt: TensorFormat) -> np.ndarray:
 
 
 def compact_codes(codes: np.ndarray, fmt: TensorFormat, bit_width: int) -> np.ndarray:
-    """Cast integer codes to the narrowest dump dtype (i8/u8/i32)."""
-    if bit_width <= 8:
-        return codes.astype(np.int8) if fmt.signed.all() else codes.astype(np.uint8)
+    """Cast integer codes to the narrowest dump dtype: int8 or uint8 up to 8 bits
+    when all channels or none are signed, otherwise int32 (tensor files have no int16)."""
+    if bit_width <= 8 and fmt.signed.all():
+        return codes.astype(np.int8)
+    if bit_width <= 8 and not fmt.signed.any():
+        return codes.astype(np.uint8)
     return codes.astype(np.int32)
 
 

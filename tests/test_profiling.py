@@ -1,7 +1,10 @@
 """Channel statistics tests: moments, invariances, streaming updates,
-records computed on first read."""
+field groups computed on first read."""
 
+import gc
+import itertools
 import weakref
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -10,19 +13,83 @@ import pytest
 from chanq.graph import Graph, LayerSpec, validate
 from chanq.planner import MODES, solve_plan
 from chanq.profiling import (
+    _GROUP_OF,
+    MAX_ORDER,
+    ChannelStats,
     StatsAccumulator,
+    _Samples,
+    _rebase,
     collect_stats,
     dump_stats,
     load_stats,
     standardized_moments,
     stats_from_samples,
 )
-from chanq.synthetic import SynthSpec, build_graph, gen_dataset
+from chanq.synthetic import ARCHS, SynthSpec, build_graph, gen_dataset
+
+GROUPS = ("extremes", "moments", "abs_moments")
 
 
 def _same_bits(a, b):
-    for f in fields(a):
-        assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
+    for f in fields(ChannelStats):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+
+
+def _eager_snapshot(count, minv, maxv, shift, sums, chunks) -> ChannelStats:
+    """Every field at once from a finished fold: the oracle for the lazy records."""
+    n = count.astype(np.float64)
+    mean = shift + sums[1] / n
+    central = _rebase(sums, -sums[1] / n)
+    m = {k: central[k] / n for k in range(2, MAX_ORDER + 1)}
+    sigma = np.sqrt(np.maximum(m[2], 0.0))
+    absm = np.empty((3, len(mean)))
+    for c in range(len(mean)):
+        dev = np.subtract(np.concatenate([ch[c] for ch in chunks]), mean[c:c + 1])
+        np.abs(dev, out=dev)
+        absm[0, c] = dev.mean()
+        absm[1, c] = np.power(dev, 3).mean()
+        absm[2, c] = np.power(dev, 5, out=dev).mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = {}
+        for i, k in enumerate((1, 3, 5)):
+            nu[k] = np.where(sigma > 0, absm[i] / sigma**k, np.nan)
+        for k in (2, 4, 6):
+            nu[k] = np.where(sigma > 0, m[k] / sigma**k, np.nan)
+    return ChannelStats(
+        count=count.copy(), minv=minv.copy(), maxv=maxv.copy(),
+        max_abs=np.maximum(np.abs(minv), np.abs(maxv)), mean=mean,
+        **{f"m{k}": v for k, v in m.items()}, **{f"nu{k}": v for k, v in nu.items()})
+
+
+def _eager_records(chunks) -> tuple:
+    """(per-channel, pooled) records of [C, M] chunks, one fold of count, min,
+    max and power sums for both, every field computed at once."""
+    channels = chunks[0].shape[0]
+    count = np.zeros(channels, dtype=np.int64)
+    minv, maxv = np.full(channels, np.inf), np.full(channels, -np.inf)
+    shift = chunks[0][:, 0].astype(np.float64)
+    sums = np.zeros((MAX_ORDER + 1, channels))
+    for raw in chunks:
+        y = raw - shift[:, None]
+        sums[0] += y.shape[1]
+        sums[1] += y.sum(axis=1)
+        p = y * y
+        sums[2] += p.sum(axis=1)
+        for k in range(3, MAX_ORDER + 1):
+            sums[k] += np.multiply(p, y, out=p).sum(axis=1)
+        count += raw.shape[1]
+        minv = np.minimum(minv, raw.min(axis=1))
+        maxv = np.maximum(maxv, raw.max(axis=1))
+    pooled = _eager_snapshot(count.sum(keepdims=True), minv.min(keepdims=True),
+                             maxv.max(keepdims=True), shift[:1].copy(),
+                             _rebase(sums, shift - shift[0]).sum(axis=1, keepdims=True),
+                             [c.reshape(1, -1) for c in chunks])
+    return _eager_snapshot(count, minv, maxv, shift, sums, chunks), pooled
+
+
+def _groups_computed(record) -> set:
+    return {_GROUP_OF[name] for name in vars(record) if name in _GROUP_OF}
 
 
 class TestBasicStats:
@@ -116,7 +183,7 @@ class TestStreamingUpdates:
         data = rng.normal(size=(3, 4000))
         acc = StatsAccumulator(3)
         acc.update(data)
-        pooled = acc.pooled().snapshot()
+        pooled = acc.pooled()
         flat = stats_from_samples(data.reshape(-1))
         np.testing.assert_allclose(pooled.mean, flat.mean, rtol=1e-9)
         np.testing.assert_allclose(pooled.m2, flat.m2, rtol=1e-9)
@@ -131,8 +198,8 @@ class TestStreamingUpdates:
             narrow.update(chunk)
             wide.update(chunk.astype(np.float64))
         assert narrow._chunks[0].dtype == np.float32
-        for acc_a, acc_b in ((narrow, wide), (narrow.pooled(), wide.pooled())):
-            _same_bits(acc_a.snapshot(), acc_b.snapshot())
+        for rec_a, rec_b in ((narrow.snapshot(), wide.snapshot()), (narrow.pooled(), wide.pooled())):
+            _same_bits(rec_a, rec_b)
 
     def test_update_keeps_the_callers_chunk_and_gives_the_same_stats(self):
         data = np.arange(24, dtype=np.float32).reshape(2, 12) ** 1.5
@@ -143,17 +210,23 @@ class TestStreamingUpdates:
         _same_bits(kept.snapshot(), copied.snapshot())
 
     def test_snapshot_after_every_update_equals_one_at_the_end(self):
-        # the fold runs chunk by chunk in arrival order, however often it is asked for
+        # the fold runs chunk by chunk in arrival order, however often it is asked
+        # for, and a record keeps the samples it was taken over: later updates
+        # change neither a record read before them nor one read after them
         rng = np.random.default_rng(13)
         chunks = [(rng.laplace(size=(3, m)) * 30 + 500).astype(np.float32) for m in (5, 900, 1, 77)]
-        eager, late = StatsAccumulator(3), StatsAccumulator(3)
-        for chunk in chunks:
+        eager, late, unread = StatsAccumulator(3), StatsAccumulator(3), []
+        for i, chunk in enumerate(chunks, 1):
             eager.update(chunk)
-            eager.snapshot()
-            eager.pooled().snapshot()
+            for record, ref in zip((eager.snapshot(), eager.pooled()), _eager_records(chunks[:i])):
+                _same_bits(record, ref)
+            unread.append((eager.snapshot(), eager.pooled(), _eager_records(chunks[:i])))
             late.update(chunk)
         _same_bits(eager.snapshot(), late.snapshot())
-        _same_bits(eager.pooled().snapshot(), late.pooled().snapshot())
+        _same_bits(eager.pooled(), late.pooled())
+        for per_channel, pooled, (ref_per_channel, ref_pooled) in unread:
+            _same_bits(per_channel, ref_per_channel)
+            _same_bits(pooled, ref_pooled)
 
     def test_update_checks_the_shape_at_once(self):
         with pytest.raises(ValueError, match=r"expected \[C=2, M\] samples"):
@@ -257,29 +330,89 @@ class TestRecordsOnFirstRead:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_solve_computes_only_the_records_it_reads(self, hetero, mode, monkeypatch):
+        # and of those records only the field groups its rule reads, each once
         g, batches = hetero
         stats = collect_stats(g, batches)
         calls = []
-        snapshot = StatsAccumulator.snapshot
-        monkeypatch.setattr(StatsAccumulator, "snapshot",
-                            lambda acc: calls.append(acc.channels) or snapshot(acc))
+        for group in GROUPS:
+            compute = getattr(_Samples, group)
+            monkeypatch.setattr(_Samples, group,
+                                lambda samples, rec, group=group, compute=compute:
+                                calls.append(group) or compute(samples, rec))
         solve_plan(g, stats, mode)
-        computed = {(name, rec) for name, ts in stats.items()
-                    for rec in ("per_channel", "pooled") if rec in vars(ts)}
+        records = {(name, rec): getattr(ts, rec) for name, ts in stats.items()
+                   for rec in ("per_channel", "pooled") if rec in vars(ts)}
         if mode == "layerwise_max":
             expected = {(t, "pooled") for t in ("input", "t1", "t3", "t5")}
         else:
             expected = {(t, "per_channel") for t in ("input", "t1", "t3")} | {("t5", "pooled")}
-        assert computed == expected
-        assert len(calls) == len(expected) == 4
+        assert set(records) == expected
+        groups = {"layerwise_max": {"extremes"}, "cw_max": {"extremes"},
+                  "cw_laplace": {"extremes", "moments"},
+                  "cw_scauchy": {"extremes", "moments"}, "cw_pdf_aware": set(GROUPS)}[mode]
+        for key, record in records.items():
+            assert _groups_computed(record) == groups, key
+        assert Counter(calls) == {group: len(expected) for group in groups}
 
     def test_samples_are_released_once_both_records_are_read(self, hetero):
+        # ... to their absolute moments, the last group that needs the samples
         g, batches = hetero
-        ts = collect_stats(g, batches)["t1"]
+        stats = collect_stats(g, batches)
+        ts = stats["t1"]
         acc = weakref.ref(ts._acc)
         chunk = weakref.ref(ts._acc._chunks[0])
-        ts.pooled
+        ts.pooled.nu1
         assert acc() is not None
-        ts.per_channel
-        assert acc() is None and chunk() is None
+        ts.per_channel.max_abs
+        ts.per_channel.mean
+        assert acc() is None and chunk() is not None  # the per-channel nu1, nu3, nu5 may follow
+        ts.per_channel.nu5
+        assert chunk() is None
+        assert _groups_computed(ts.per_channel) == set(GROUPS)
         assert ts.per_channel is ts.per_channel  # computed once, then cached
+
+    def test_dropping_the_stats_after_a_compile_releases_every_sample(self, hetero):
+        g, batches = hetero
+        for mode in MODES:
+            stats = collect_stats(g, batches)
+            chunks = [weakref.ref(ts._acc._chunks[0]) for ts in stats.values()]
+            solve_plan(g, stats, mode)
+            del stats
+            gc.collect()
+            assert all(chunk() is None for chunk in chunks), mode
+
+
+def _samples_with_a_constant_channel(dtype):
+    rng = np.random.default_rng(15)
+    data = rng.standard_t(3, size=(3, 3000)) * [[0.5], [40.0], [0.0]] + [[3.0], [-200.0], [1.25]]
+    return data.astype(dtype)
+
+
+class TestLazyRecordsAgainstEagerOracle:
+    @pytest.mark.parametrize("order", list(itertools.permutations(GROUPS)))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cuts", [(), (1, 700, 2999)])
+    def test_every_field_bit_for_bit_in_any_read_order(self, order, dtype, cuts):
+        data = _samples_with_a_constant_channel(dtype)
+        acc = StatsAccumulator(3)
+        for chunk in np.split(data, cuts, axis=1):
+            acc.update(chunk)
+        refs = _eager_records(acc._chunks)
+        assert refs[0].m2[2] == 0 and np.isnan(refs[0].nu1[2])  # the constant channel
+        for record, ref in zip((acc.snapshot(), acc.pooled()), refs):
+            for group in order:
+                getattr(record, next(f for f, g in _GROUP_OF.items() if g == group))
+                assert group in _groups_computed(record)
+            _same_bits(record, ref)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_every_record_of_every_arch(self, arch):
+        spec = SynthSpec(arch=arch, channels=4, image_size=8, samples=12,
+                         input_scale_span_bits=3.0, input_family="heavy", seed=2)
+        g = build_graph(spec)
+        x, _ = gen_dataset(g, spec)
+        stats = collect_stats(g, [x[:5], x[5:]])
+        for name, ts in stats.items():
+            per_channel, pooled = _eager_records(ts._acc._chunks)
+            _same_bits(ts.per_channel, per_channel)
+            _same_bits(ts.pooled, pooled)

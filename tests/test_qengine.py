@@ -305,6 +305,29 @@ class TestExecutionProperties:
             agree = np.mean(np.argmax(ref, 1) == np.argmax(res.output, 1))
             assert agree >= 0.5
 
+    def test_dump_of_a_concat_of_signed_and_unsigned_channels_keeps_the_signs(self):
+        # conv -> relu (unsigned) and conv (signed) concatenated: one tensor, both kinds
+        def conv(name, out):
+            return LayerSpec(name, "conv", ["x"], [out], attrs={"stride": 1, "pad": 0},
+                             params={"weight": f"{name}.weight", "bias": f"{name}.bias"})
+        rng = np.random.default_rng(14)
+        g = validate(Graph("x", (1, 2, 5, 5), [
+            conv("ca", "t0"), LayerSpec("r0", "relu", ["t0"], ["t1"]), conv("cb", "t2"),
+            LayerSpec("cat", "concat", ["t1", "t2"], ["t3"])],
+            {f"{n}.{p}": rng.normal(size=shape).astype(np.float32)
+             for n in ("ca", "cb") for p, shape in (("weight", (2, 2, 3, 3)), ("bias", (2,)))}))
+        x = rng.normal(size=(16, 2, 5, 5)).astype(np.float32)
+        plan = solve_plan(g, collect_stats(g, [x]), "cw_max")
+        assert plan.tensors["t3"].signed.tolist() == [False, False, True, True]
+        res = execute_quantized(quantize_params(g, plan), x, capture={"t1", "t2", "t3"})
+        assert res.captured["t3"].dtype == np.int32
+        assert (res.captured["t2"] < 0).any()
+        np.testing.assert_array_equal(res.captured["t3"], np.concatenate(
+            [res.captured["t1"].astype(np.int32), res.captured["t2"]], axis=1))
+        _, acts = execute_float(g, x, capture={"t2", "t3"})
+        db = sqnr_report(acts, res.captured, plan)
+        np.testing.assert_array_equal(db["t3"]["per_channel"][2:], db["t2"]["per_channel"])
+
     def test_save_load_quantized_roundtrip(self, tmp_path):
         g, x, stats = _toy_net_and_data()
         plan = solve_plan(g, stats, "cw_laplace")

@@ -3,14 +3,16 @@
 Each channel retains its raw samples (float32 when they arrive as float32:
 widening them later is exact); statistics over several updates equal
 whole-dataset statistics. A record computes each group of its fields the
-first time one of them is read, so a plan pays for what its mode reads:
-the extremes (count, min, max, max_abs: the MAX rule) come from a min/max
-fold; the moments (mean, m2..m6, nu2, nu4, nu6: the fitted families) from
-power sums shifted by a per-channel anchor (first value seen), stable far
-from zero; the odd absolute moments (nu1, nu3, nu5: the kNN features) have
-no exact finite streaming form, so they take a pass over the samples about
-the final mean. A tensor's samples live until both of its records have
-computed their absolute moments or its :class:`TensorStats` is dropped.
+first time one of them is read, so a plan pays for what its mode reads.
+Of the four groups, the extremes (count, min, max, max_abs: the MAX rule)
+come from a min/max fold; the moments (mean, m2, nu2: the fitted families)
+from power sums of orders 0..2 shifted by a per-channel anchor (first
+value seen), stable far from zero; the higher moments (m3..m6, nu4, nu6:
+kNN features) from the orders 3..6 about the same anchor; the odd absolute
+moments (nu1, nu3, nu5: kNN features) have no exact finite streaming form,
+so they take a pass over the samples about the final mean. A tensor's
+samples live until both of its records have computed their absolute
+moments or its :class:`TensorStats` is dropped.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ class ChannelStats:
 
 # the field groups of a record, each computed by the _Samples method named
 _GROUP_OF = {**dict.fromkeys(("count", "minv", "maxv", "max_abs"), "extremes"),
-             **dict.fromkeys(("mean", "m2", "m3", "m4", "m5", "m6", "nu2", "nu4", "nu6"), "moments"),
+             **dict.fromkeys(("mean", "m2", "nu2"), "moments"),
+             **dict.fromkeys(("m3", "m4", "m5", "m6", "nu4", "nu6"), "higher_moments"),
              **dict.fromkeys(("nu1", "nu3", "nu5"), "abs_moments")}
 
 
@@ -85,9 +88,9 @@ def standardized_moments(stats: ChannelStats) -> np.ndarray:
 
 
 def _rebase(sums: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    # sums[k] = sum((x - K)^k); returns sum((x - K')^k) for K' = K - delta.
+    # sums[k] = sum((x - K)^k) for k < len(sums); returns sum((x - K')^k) for K' = K - delta.
     out = np.zeros_like(sums)
-    for k in range(MAX_ORDER + 1):
+    for k in range(len(sums)):
         acc = np.zeros_like(sums[0])
         for j in range(k + 1):
             acc += comb(k, j) * delta ** (k - j) * sums[j]
@@ -97,10 +100,12 @@ def _rebase(sums: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 class _Samples:
     """Retained [C, M] chunks, or all their channels as one when ``pooled``;
-    each method computes one field group of a record taken over them."""
+    each public method computes one field group of a record taken over them.
+    ``moments`` keeps its power sums of orders 0..2 for ``higher_moments``."""
 
     def __init__(self, chunks: tuple, pooled: bool):
         self.chunks, self.pooled = chunks, pooled
+        self.shift = chunks[0][:, 0].astype(np.float64)
 
     def extremes(self, record: ChannelStats) -> dict:
         channels = self.chunks[0].shape[0]
@@ -114,31 +119,49 @@ class _Samples:
             count, minv, maxv = count.sum(keepdims=True), minv.min(keepdims=True), maxv.max(keepdims=True)
         return dict(count=count, minv=minv, maxv=maxv, max_abs=np.maximum(np.abs(minv), np.abs(maxv)))
 
+    def _central(self, sums: np.ndarray) -> tuple:
+        """(n, sums, central): the record's count and its power sums about
+        the anchor and about the mean, from per-channel sums about the anchor."""
+        if self.pooled:
+            sums = _rebase(sums, self.shift - self.shift[0]).sum(axis=1, keepdims=True)
+        n = sums[0]  # the count: a sum of whole numbers, exact below 2**53
+        return n, sums, _rebase(sums, -sums[1] / n)
+
     def moments(self, record: ChannelStats) -> dict:
-        shift = self.chunks[0][:, 0].astype(np.float64)  # per-channel anchor: the first value seen
-        sums = np.zeros((MAX_ORDER + 1, len(shift)))  # sums[k] = sum((x - shift)^k)
+        self.low_sums = sums = np.zeros((3, len(self.shift)))  # sums[k] = sum((x - shift)^k)
         for raw in self.chunks:
-            y = raw - shift[:, None]  # float64: widening float32 is exact
+            y = raw - self.shift[:, None]  # float64: widening float32 is exact
             sums[0] += y.shape[1]
             sums[1] += y.sum(axis=1)
-            p = y * y
-            sums[2] += p.sum(axis=1)
-            for k in range(3, MAX_ORDER + 1):
-                sums[k] += np.multiply(p, y, out=p).sum(axis=1)
-        if self.pooled:
-            shift, sums = shift[:1], _rebase(sums, shift - shift[0]).sum(axis=1, keepdims=True)
-        n = sums[0]  # the count: a sum of whole numbers, exact below 2**53
-        central = _rebase(sums, -sums[1] / n)
-        m = {k: central[k] / n for k in range(2, MAX_ORDER + 1)}
-        sigma = np.sqrt(np.maximum(m[2], 0.0))
+            sums[2] += np.multiply(y, y, out=y).sum(axis=1)
+        n, sums, central = self._central(sums)
+        m2 = central[2] / n
+        sigma = np.sqrt(np.maximum(m2, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            nu = {f"nu{k}": np.where(sigma > 0, m[k] / sigma**k, np.nan) for k in (2, 4, 6)}
-        return dict(mean=shift + sums[1] / n, **{f"m{k}": v for k, v in m.items()}, **nu)
+            nu2 = np.where(sigma > 0, m2 / sigma**2, np.nan)
+        shift = self.shift[:1] if self.pooled else self.shift
+        return dict(mean=shift + sums[1] / n, m2=m2, nu2=nu2)
+
+    def higher_moments(self, record: ChannelStats) -> dict:
+        """Orders 3..6: computes the moments first and folds only the higher
+        power sums, rebuilding y and y**2 of each chunk."""
+        sigma = record.sigma
+        high = np.zeros((MAX_ORDER - 2, len(self.shift)))
+        for raw in self.chunks:
+            y = raw - self.shift[:, None]
+            p = y * y
+            for row in high:
+                row += np.multiply(p, y, out=p).sum(axis=1)
+        n, _, central = self._central(np.concatenate([self.low_sums, high]))
+        m = {k: central[k] / n for k in range(3, MAX_ORDER + 1)}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nu = {f"nu{k}": np.where(sigma > 0, m[k] / sigma**k, np.nan) for k in (4, 6)}
+        return dict(**{f"m{k}": v for k, v in m.items()}, **nu)
 
     def abs_moments(self, record: ChannelStats) -> dict:
         """The last group to need the samples: computes the other groups
         first, and the record lets the samples go."""
-        mean, sigma, _ = record.mean, record.sigma, record.count
+        mean, sigma, _, _ = record.mean, record.sigma, record.count, record.m3
         del record._samples
         rows = [ch.reshape(1, -1) for ch in self.chunks] if self.pooled else self.chunks
         absm = np.empty((3, len(mean)))  # E|x - mean|^k, k = 1, 3, 5

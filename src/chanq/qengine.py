@@ -12,7 +12,8 @@ ufuncs run on it without casts. Each step keeps that exactness:
   add. Products of compensated pairs are rounded half-even one by one,
   in float32 lanes while max|x| * max|ker| * (T + 1) < 2**24.
 - The epilogue is one fused pass: add the bias, count and clip to the
-  int32 range, multiply by 2**-shift (a power of two: exact), ``np.rint``
+  int32 range (no scan where max|x| * sum|k| + |bias| rules a clip out),
+  multiply by 2**-shift (a power of two: exact), ``np.rint``
   (half to even), clip to the output range (Jacob et al., arXiv
   1712.05877, with power-of-two scales).
 - Average pooling is ``np.rint(sum / (wh * ww))``, addition aligns its
@@ -33,7 +34,7 @@ from .fixedpoint import INT32_MAX, INT32_MIN, rounding_shift  # noqa: F401
 from .graph import Graph, GraphError
 from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, _check_range, check_plan,
                       plan_from_json, plan_to_json)
-from .tensorops import _col_blocks, _conv_cols, _tap_reduce, _windows
+from .tensorops import _BLOCK_ELEMS, _col_blocks, _conv_cols, _tap_reduce, _windows
 
 # Integers below this magnitude, and sums of them, are exact in float32.
 _FLOAT32_EXACT = 2**24
@@ -131,19 +132,24 @@ def _fc_group_size(node_name: str, lp: LayerPlan, d: int) -> int:
     return d // g_n
 
 
-def _finish_accumulator(acc, bias_codes, lp: LayerPlan, out_fmt: TensorFormat, bit_width: int):
+def _finish_accumulator(acc, bias_codes, acc_bound, lp: LayerPlan, out_fmt: TensorFormat,
+                        bit_width: int):
     """Add the bias, saturate to int32 (counting clipped lanes), shift into
     the output format with half-even rounding and clip to its range.
 
     One fused pass over the float64 accumulator: multiplying by 2**-shift
     is exact (|shift| <= 93 keeps it a normal number) and ``np.rint``
-    rounds half to even. Returns the float64 codes and the clip count.
+    rounds half to even. ``acc_bound`` [Co] bounds |acc| per output
+    channel; where it plus |bias| stays below 2**31 for every channel, no
+    lane can clip and the int32 range is not scanned. Returns the float64
+    codes and the clip count.
     """
     cshape = _channel_shape(acc.ndim)
     lo, hi = _code_bounds(out_fmt, bit_width)
     acc = acc + bias_codes.reshape(cshape)
     clipped = 0
-    if acc.min(initial=0) < INT32_MIN or acc.max(initial=0) > INT32_MAX:
+    if (acc_bound + np.abs(bias_codes) > INT32_MAX).any() and (
+            acc.min(initial=0) < INT32_MIN or acc.max(initial=0) > INT32_MAX):
         clipped = int(np.count_nonzero((acc < INT32_MIN) | (acc > INT32_MAX)))
         np.clip(acc, INT32_MIN, INT32_MAX, out=acc)
     acc *= (2.0 ** -lp.shift).reshape(cshape)
@@ -153,6 +159,12 @@ def _finish_accumulator(acc, bias_codes, lp: LayerPlan, out_fmt: TensorFormat, b
 
 def _abs_max(codes: np.ndarray) -> int:
     return max(int(codes.max(initial=0)), -int(codes.min(initial=0)))
+
+
+def _acc_bound(x_max: int, ker: np.ndarray) -> np.ndarray:
+    """max|x| * sum|k| per output channel of ``ker`` [Co, ...]: a bound on
+    |acc|, since a compensated product rounds to at most its magnitude."""
+    return x_max * np.abs(ker).reshape(len(ker), -1).sum(axis=1)
 
 
 def _grouped_mac(cols: np.ndarray, batch_axis: int, ker: np.ndarray, comp: np.ndarray,
@@ -168,8 +180,10 @@ def _grouped_mac(cols: np.ndarray, batch_axis: int, ker: np.ndarray, comp: np.nd
         acc[o, m] = sum_i sum_t round_half_even(x[i, t, m] * ker[o, i, t] / 2**comp[o, i]).
 
     Unshifted pairs run as one GEMM, with the kernels of shifted pairs
-    zeroed. For each tap, the products of the shifted pairs are rounded one
-    by one; a one-hot GEMM then adds each pair's sum into its output.
+    zeroed. The products of the shifted pairs are rounded one by one, a
+    chunk of taps at a time (as many as fill half a block: one on conv
+    layers, tens on a wide fc); a one-hot GEMM then adds each pair's sum
+    into its output.
     Under :func:`planner.check_plan`'s fan-in bound every product and
     partial sum, and the bias added later, is an exact integer in the
     float64 accumulator. The shifted products are rounded in float32
@@ -183,8 +197,8 @@ def _grouped_mac(cols: np.ndarray, batch_axis: int, ker: np.ndarray, comp: np.nd
     k_gemm = np.where(comp[:, :, None] == 0, ker, 0.0).reshape(o_n, -1)
     scatter = (np.arange(o_n)[:, None] == po).astype(np.float64)  # [O, P] one-hot
     lane_dt = _pair_lane_dtype(x_max, _abs_max(ker), t_n)
-    # [T, P, 1]; scaling by 2**-shift is exact, a power of two
-    k_pairs = (ker[po, pi].T[:, :, None] * 2.0 ** -comp[po, pi][:, None]).astype(lane_dt)
+    # [P, T, 1]; scaling by 2**-shift is exact, a power of two
+    k_pairs = (ker[po, pi] * 2.0 ** -comp[po, pi][:, None])[:, :, None].astype(lane_dt)
     acc = np.empty((o_n, int(np.prod(pos))))
     for at, x in _col_blocks(cols, batch_axis, max(i_n * t_n, p_n, o_n), np.float64):
         block = acc[:, at]
@@ -192,15 +206,18 @@ def _grouped_mac(cols: np.ndarray, batch_axis: int, ker: np.ndarray, comp: np.nd
         if not p_n:
             continue
         xl = x.reshape(i_n, t_n, -1).astype(lane_dt, copy=False)
-        part, lane = np.empty((2, p_n, xl.shape[-1]), dtype=lane_dt)
-        for t in range(t_n):
-            dst = lane if t else part
-            np.take(xl[:, t], pi, axis=0, out=dst, mode="clip")
-            dst *= k_pairs[t]
+        # taps per chunk: the two chunk buffers together hold about a block
+        tau = min(t_n, max(1, _BLOCK_ELEMS // (2 * p_n * xl.shape[-1])))
+        part, lane = np.empty((2, p_n, tau, xl.shape[-1]), dtype=lane_dt)
+        for t in range(0, t_n, tau):
+            dst = (lane if t else part)[:, :t_n - t]
+            np.take(xl[:, t:t + tau], pi, axis=0, out=dst, mode="clip")
+            dst *= k_pairs[:, t:t + tau]
             np.rint(dst, out=dst)  # half-even
             if t:
-                part += lane
-        block += scatter @ part
+                part[:, :dst.shape[1]] += dst
+        # exact integers in any order: sum the chunk's taps last
+        block += scatter @ (part.sum(axis=1) if tau > 1 else part[:, 0])
     return acc.reshape(o_n, *pos)
 
 
@@ -215,9 +232,9 @@ def _run_conv(node, codes_in, qg: QuantizedGraph):
     ker = qg.kernels[node.name]
     co, ci, kh, kw = ker.shape
     cols = _conv_cols(codes_in, kh, kw, node.attr_pair("stride", 1), node.attr_pair("pad", 0))
+    x_max = _abs_max(codes_in)
     if node.kind == "conv":
-        acc = _grouped_mac(cols, 3, ker.reshape(co, ci, kh * kw), lp.comp_shift,
-                           _abs_max(codes_in))
+        acc = _grouped_mac(cols, 3, ker.reshape(co, ci, kh * kw), lp.comp_shift, x_max)
     else:  # depthwise: no compensation can arise (tight fls never clamp)
         k = ker.reshape(co, 1, kh * kw).astype(np.float64)
         acc = np.empty((co, 1, int(np.prod(cols.shape[3:]))))
@@ -225,7 +242,8 @@ def _run_conv(node, codes_in, qg: QuantizedGraph):
             np.matmul(k, x.reshape(co, kh * kw, -1), out=acc[..., at])
     acc = acc.reshape(co, *cols.shape[3:]).transpose(1, 0, 2, 3)  # [N, Co, H', W']
     out_fmt = qg.plan.tensors[node.outputs[0]]
-    return _finish_accumulator(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
+    return _finish_accumulator(acc, qg.biases[node.name], _acc_bound(x_max, ker), lp, out_fmt,
+                               qg.plan.bit_width)
 
 
 def _run_fc(node, codes_in, qg: QuantizedGraph):
@@ -235,9 +253,11 @@ def _run_fc(node, codes_in, qg: QuantizedGraph):
     u, d = ker.shape
     t = _fc_group_size(node.name, lp, d)
     cols = x.reshape(len(x), d // t, t).transpose(1, 2, 0)  # [G, T, N], a view
-    acc = _grouped_mac(cols, 2, ker.reshape(u, d // t, t), lp.comp_shift, _abs_max(x)).T
+    x_max = _abs_max(x)
+    acc = _grouped_mac(cols, 2, ker.reshape(u, d // t, t), lp.comp_shift, x_max).T
     out_fmt = qg.plan.tensors[node.outputs[0]]
-    return _finish_accumulator(acc, qg.biases[node.name], lp, out_fmt, qg.plan.bit_width)
+    return _finish_accumulator(acc, qg.biases[node.name], _acc_bound(x_max, ker), lp, out_fmt,
+                               qg.plan.bit_width)
 
 
 def _run_pool(node, codes_in):

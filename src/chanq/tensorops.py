@@ -7,12 +7,14 @@ tests. All functions are pure; inputs are never modified.
 Conv, depthwise and fc layers share one im2col column layout (operands
 first, output positions last; Chellapilla et al. 2006), copied in blocks
 by :func:`_col_blocks` for both engines. Each block is one grouped float64
-GEMM, rounded once to float32. A product of two float32 values is
-exact in float64, so the error of that sum is bounded (Higham, *Accuracy
-and Stability of Numerical Algorithms*, ch. 3). Every lane the bound
-cannot place on one side of a float32 rounding midpoint is recomputed
-exactly with ``math.fsum``. Each output is therefore the float32 nearest
-to the exact sum plus bias, ties to even, whatever order the BLAS sums in.
+GEMM plus bias, cast once to float32 in place. A product of two float32
+values is exact in float64, so the error of that sum is bounded (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 3): a second GEMM,
+``|w| @ |x|``, gives the bound c_K * (|w| @ |x|) + 3u * |bias| (see
+:func:`_unsettled`). Every lane the bound cannot place on one side of a
+float32 rounding midpoint is recomputed exactly with ``math.fsum``. Each
+output is therefore the float32 nearest to the exact sum plus bias, ties
+to even, whatever order the BLAS sums in.
 """
 
 from __future__ import annotations
@@ -60,25 +62,28 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride, pad) -> np.ndarray:
     return win[:, :, ::sh, ::sw, :, :]
 
 
-def _gamma(n: int) -> float:
-    # Higham's gamma_n = n*u / (1 - n*u): the relative error bound of an n-term float64 sum
-    return n * _U / (1 - n * _U)
-
-
-def _unsettled(y: np.ndarray, mag: np.ndarray, k: int) -> np.ndarray:
+def _unsettled(y: np.ndarray, mag: np.ndarray, b, k: int) -> np.ndarray:
     """Lanes where float32(y) may differ from the float32 nearest the exact sum.
 
-    ``y`` is the float64 sum of K products, in any order, with a bias added
-    last, and ``mag`` the float64 sum of the products' magnitudes. The exact
-    sum lies within gamma_K * mag + u * |y| of ``y``; the bound below uses
-    gamma_{K+2} and 3u so that it also covers the rounding of ``mag``, of
-    the bound and of y -+ bound. Rounding to float32 is monotone, so a lane
-    is settled when both ends of that interval round alike.
+    ``y`` is the float64 sum of K products of float32 values, in any order,
+    with the bias ``b`` added last, and ``mag`` the float64 sum of the
+    products' magnitudes, which becomes the error bound in place. With M the
+    exact sum of magnitudes, the exact sum lies within gamma_K * M + u * |b|
+    of ``y`` (Higham's gamma_n = n*u / (1 - n*u); |y| <= M + |b| up to
+    rounding, so u * |b| and part of gamma_K cover the bias add). The bound
+    c_K * mag + 3u * |b|, with c_K = (K+2)u / (1 - 2(K+2)u), also covers the
+    rounding of ``mag`` (M <= mag / (1 - gamma_{K-1})), of the bound and of
+    y -+ bound, for any K below 2**50. Rounding to float32 is monotone, so a
+    lane is settled when both ends of that interval round alike; a NaN lane
+    is flagged.
     """
-    err = _gamma(k + 2) * mag + 3 * _U * np.abs(y)
-    lo = (y - err).astype(np.float32)
-    hi = (y + err).astype(np.float32)
-    return (lo != hi) & np.isfinite(y)
+    n = (k + 2) * _U
+    mag *= n / (1 - 2 * n)
+    mag += 3 * _U * np.abs(b)
+    lo, hi = np.empty((2, *y.shape), np.float32)
+    np.subtract(y, mag, out=lo)
+    np.add(y, mag, out=hi)
+    return lo != hi
 
 
 def _nearest_f32(c: np.ndarray, w: np.ndarray, b: float) -> np.float32:
@@ -99,18 +104,6 @@ def _nearest_f32(c: np.ndarray, w: np.ndarray, b: float) -> np.float32:
         if r == (float(f) + float(g)) / 2 and residual:
             f = max(f, g) if residual > 0 else min(f, g)
     return f
-
-
-def _round_lanes(y: np.ndarray, mag: np.ndarray, k: int, operands) -> np.ndarray:
-    """Round the float64 sums ``y`` to float32, each as its exact sum would.
-
-    ``operands(*index)`` gives the (c, w, b) of one lane for the lanes that
-    :func:`_unsettled` flags.
-    """
-    out = y.astype(np.float32)
-    for idx in zip(*np.nonzero(_unsettled(y, mag, k))):
-        out[idx] = _nearest_f32(*operands(*idx))
-    return out
 
 
 def _col_blocks(cols: np.ndarray, batch_axis: int, col_elems: int, dtype):
@@ -150,8 +143,15 @@ def _rows_dot(cols: np.ndarray, batch_axis: int, w: np.ndarray, bias: np.ndarray
     out = np.empty((g, o, math.prod(pos)), dtype=np.float32)
     for at, x in _col_blocks(cols, batch_axis, g * max(k, o), np.float64):
         x = x.reshape(g, k, -1)
-        out[..., at] = _round_lanes(w64 @ x + b, w_abs @ np.abs(x), k,
-                                    lambda i, j, r: (x[i, :, r], w64[i, j], b[i, j, 0]))
+        y = np.matmul(w64, x)
+        y += b
+        rounded = out[..., at]
+        np.copyto(rounded, y, casting="same_kind")
+        unsettled = _unsettled(y, np.matmul(w_abs, np.abs(x)), b, k)
+        if unsettled.any():
+            for i, j, r in zip(*np.nonzero(unsettled)):
+                if math.isfinite(y[i, j, r]):
+                    rounded[i, j, r] = _nearest_f32(x[i, :, r], w64[i, j], b[i, j, 0])
     return out.reshape(g * o, *pos)
 
 
@@ -213,7 +213,7 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0).astype(np.float32)
+    return np.asarray(np.maximum(x, 0), dtype=np.float32)
 
 
 def pool(x: np.ndarray, kind: str, window, stride=None, pad=0) -> np.ndarray:
@@ -241,13 +241,13 @@ def pool(x: np.ndarray, kind: str, window, stride=None, pad=0) -> np.ndarray:
 def add_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ShapeError(f"add operands differ: {a.shape} vs {b.shape}")
-    return (a + b).astype(np.float32)
+    return np.asarray(a + b, dtype=np.float32)
 
 
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != b.ndim or a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise ShapeError(f"concat operands differ outside channel axis: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1).astype(np.float32)
+    return np.asarray(np.concatenate([a, b], axis=1), dtype=np.float32)
 
 
 def batchnorm(x: np.ndarray, gamma, beta, mean, var, eps: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from chanq.profiling import (
 )
 from chanq.synthetic import ARCHS, SynthSpec, build_graph, gen_dataset
 
-GROUPS = ("extremes", "moments", "abs_moments")
+GROUPS = ("extremes", "moments", "higher_moments", "abs_moments")
 
 
 def _same_bits(a, b):
@@ -366,6 +366,8 @@ class TestRecordsOnFirstRead:
         ts.per_channel.max_abs
         ts.per_channel.mean
         assert acc() is None and chunk() is not None  # the per-channel nu1, nu3, nu5 may follow
+        ts.per_channel.m4
+        assert chunk() is not None
         ts.per_channel.nu5
         assert chunk() is None
         assert _groups_computed(ts.per_channel) == set(GROUPS)
@@ -380,6 +382,29 @@ class TestRecordsOnFirstRead:
             del stats
             gc.collect()
             assert all(chunk() is None for chunk in chunks), mode
+
+
+class _PassCounter(np.ndarray):
+    """A chunk that counts, in ``passes``, the ufunc passes over arrays of
+    its shape: itself and the arrays computed from it whole."""
+
+    def __array_finalize__(self, obj):
+        self.shape0, self.passes = getattr(obj, "shape0", self.shape), getattr(obj, "passes", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        if any(getattr(a, "shape", None) == self.shape0 for a in (*inputs, *out)):
+            self.passes[f"{ufunc.__name__}.{method}"] += 1
+        plain = [a.view(np.ndarray) if isinstance(a, _PassCounter) else a for a in inputs]
+        if out:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _PassCounter) else o
+                                  for o in out)
+        res = getattr(ufunc, method)(*plain, **kwargs)
+        if out:
+            return out[0]
+        if getattr(res, "shape", None) == self.shape0:
+            res = res.view(_PassCounter)
+            res.shape0, res.passes = self.shape0, self.passes
+        return res
 
 
 def _samples_with_a_constant_channel(dtype):
@@ -404,6 +429,22 @@ class TestLazyRecordsAgainstEagerOracle:
                 getattr(record, next(f for f, g in _GROUP_OF.items() if g == group))
                 assert group in _groups_computed(record)
             _same_bits(record, ref)
+
+    @pytest.mark.parametrize("record", ["snapshot", "pooled"])
+    def test_a_record_read_in_full_folds_each_power_sum_once(self, record):
+        # the moments and the higher moments each rebuild y and y**2 of a chunk,
+        # and no more: every other pass over a chunk is made once
+        data = _samples_with_a_constant_channel(np.float32)
+        acc = StatsAccumulator(3)
+        acc.update(data)
+        passes = Counter()
+        acc._chunks[0] = acc._chunks[0].view(_PassCounter)
+        acc._chunks[0].passes = passes
+        _same_bits(getattr(acc, record)(), _eager_records([data])[record == "pooled"])
+        assert passes == {"minimum.reduce": 1, "maximum.reduce": 1,  # the extremes
+                          "subtract.__call__": 2,  # y, twice
+                          "multiply.__call__": 2 + MAX_ORDER - 2,  # y**2 twice, y**3..y**6
+                          "add.reduce": MAX_ORDER}  # one sum per order 1..6
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_every_record_of_every_arch(self, arch):

@@ -237,6 +237,22 @@ class TestCompensationShifts:
         np.testing.assert_array_equal(res.captured["y"].astype(np.int64), out)
 
 
+class TestAccumulatorSaturation:
+    def test_a_layer_over_the_bound_counts_and_clips(self):
+        # bias code 2**31 - 1 (1.0 at fl 31) plus max|x| * sum|k| = 127 * 100:
+        # every lane with a positive product leaves the int32 range
+        g = _single_conv(np.full((1, 1, 1, 1), 100.0), [1.0], (1, 1, 2, 3))
+        lp = LayerPlan(ker_fl=np.array([[0]]), bias_fl=np.array([31]), shift=np.array([7]),
+                       comp_shift=np.array([[0]]), ker_fl_layerwise=0)
+        qg = quantize_params(g, _manual_plan(g, {"x": ([31], True), "y": ([24], True)}, lp))
+        assert qg.biases["c0"].tolist() == [2**31 - 1]
+        x = np.array([127, 1, 0, -1, -128, 64], np.float32).reshape(1, 1, 2, 3) * 2.0**-31
+        res = execute_quantized(qg, x, capture={"y"})
+        assert res.saturation == {"c0": 3}
+        assert res.captured["y"].ravel().tolist() == [127] * 6
+        _check_layers_against_oracle(qg, x)
+
+
 def _toy_net_and_data(seed=3, arch="hetero_conv"):
     from chanq.synthetic import SynthSpec, build_graph, gen_dataset
 
@@ -679,8 +695,8 @@ class TestFloatEpilogue:
                        shift=shift, comp_shift=np.zeros((c, 1), np.int64), ker_fl_layerwise=0)
         fmt = TensorFormat(fls=np.zeros(c, np.int64), signed=np.full(c, signed))
         want, want_clipped = _int64_epilogue(acc[None], bias, lp, fmt, bit_width)
-        got, clipped = qengine._finish_accumulator(acc[None].astype(np.float64), bias, lp, fmt,
-                                                   bit_width)
+        got, clipped = qengine._finish_accumulator(acc[None].astype(np.float64), bias,
+                                                   np.abs(acc), lp, fmt, bit_width)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, want)
         assert clipped == want_clipped
@@ -735,6 +751,28 @@ class TestFloat32PairLanes:
         assert acc.dtype == np.float64
         assert acc.T.tolist() == [[float(v) for v in row] for row in
                                   np.array(_pair_oracle(x, ker, comp)).T.tolist()]
+
+
+class TestFcTapChunks:
+    @pytest.mark.parametrize("k_max, lane", [(40, np.float32), (2**15, np.float64)],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("taps_per_chunk", [30, 100])
+    def test_chunked_taps_match_the_per_tap_oracle(self, monkeypatch, k_max, lane,
+                                                   taps_per_chunk):
+        # an fc's 100 taps per pair over 6 lanes, in chunks of 30, 30, 30 and 10 or in one
+        rng = np.random.default_rng(k_max)
+        m, o, i, t, x_max = 6, 4, 3, 100, 40
+        x = rng.integers(-x_max, x_max + 1, size=(m, i, t))
+        x[0] = x_max
+        ker = rng.integers(-k_max, k_max + 1, size=(o, i, t))
+        ker[:, :, ::7] |= 1  # odd products: halves at a shift of 1
+        comp = rng.integers(1, 4, size=(o, i))
+        comp[0, 0] = comp[2] = 0  # unshifted pairs take the GEMM
+        assert qengine._pair_lane_dtype(x_max, k_max, t) is lane
+        pairs = int((comp > 0).sum())
+        monkeypatch.setattr(qengine, "_BLOCK_ELEMS", 2 * pairs * m * taps_per_chunk)
+        acc = qengine._grouped_mac(x.astype(np.float64).transpose(1, 2, 0), 2, ker, comp, x_max)
+        assert acc.tolist() == [[float(v) for v in row] for row in _pair_oracle(x, ker, comp)]
 
 
 class TestFloatPathTaken:

@@ -220,6 +220,19 @@ class TestElementwise:
         with pytest.raises(ops.ShapeError):
             ops.add_elementwise(np.zeros((1, 2), np.float32), np.zeros((1, 3), np.float32))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_results_are_new_float32_arrays(self, dtype):
+        # a float64 operand rounds once to float32; no result is a view of an input
+        rng = np.random.default_rng(3)
+        a, b = (rng.normal(size=(2, 3, 4, 4)).astype(dtype) for _ in range(2))
+        kept = a.copy(), b.copy()
+        for got, want in ((ops.relu(a), np.maximum(a, 0)), (ops.add_elementwise(a, b), a + b),
+                          (ops.concat_channels(a, b), np.concatenate([a, b], axis=1))):
+            assert got.dtype == np.float32
+            assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+            np.testing.assert_array_equal(bits(got), bits(want.astype(np.float32)))
+        assert a.tobytes() == kept[0].tobytes() and b.tobytes() == kept[1].tobytes()
+
 
 # ---------------------------------------------------------------------------
 # Correct rounding of the GEMM datapath
@@ -312,6 +325,19 @@ class TestCorrectRounding:
         assert out[0, 0] == np.float32(1 + 2.0**-23)
 
 
+    def test_only_unsettled_lanes_take_the_exact_sum(self, monkeypatch):
+        calls = []
+        nearest = ops._nearest_f32
+        monkeypatch.setattr(ops, "_nearest_f32", lambda *a: calls.append(a) or nearest(*a))
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
+        kernel = rng.normal(size=(5, 3, 3, 3)).astype(np.float32)
+        ops.conv2d(x, kernel, rng.normal(size=5).astype(np.float32))
+        assert calls == []  # every lane of every block settled
+        self.test_fixup_settles_a_lane_float64_rounds_onto_a_tie()
+        assert len(calls) == 3  # the one lane of each of its three engine calls
+
+
 _F32 = st.floats(-2.0**20, 2.0**20, width=32)
 
 
@@ -337,7 +363,7 @@ def test_lanes_the_bound_settles_are_exact(c, data):
     mag = np.abs(p).sum()
     for order in (p, p[::-1], np.sort(p), p[np.argsort(np.abs(p))[::-1]]):
         y = np.array([np.cumsum(order)[-1] + float(b), order.sum() + float(b)])
-        settled = ~ops._unsettled(y, np.full(2, mag), len(p))
+        settled = ~ops._unsettled(y, np.full(2, mag), float(b), len(p))
         assert (bits(y[settled]) == bits(want)).all()
 
 

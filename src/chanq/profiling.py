@@ -2,17 +2,23 @@
 
 Each channel retains its raw samples (float32 when they arrive as float32:
 widening them later is exact); statistics over several updates equal
-whole-dataset statistics. A record computes each group of its fields the
-first time one of them is read, so a plan pays for what its mode reads.
-Of the four groups, the extremes (count, min, max, max_abs: the MAX rule)
-come from a min/max fold; the moments (mean, m2, nu2: the fitted families)
-from power sums of orders 0..2 shifted by a per-channel anchor (first
-value seen), stable far from zero; the higher moments (m3..m6, nu4, nu6:
-kNN features) from the orders 3..6 about the same anchor; the odd absolute
-moments (nu1, nu3, nu5: kNN features) have no exact finite streaming form,
-so they take a pass over the samples about the final mean. A tensor's
-samples live until both of its records have computed their absolute
-moments or its :class:`TensorStats` is dropped.
+whole-dataset statistics. A ReLU output retains none of its own: its
+records read the samples of the tensor the relu chain starts from, each
+chunk clipped by ``tensorops.relu`` as it is read, so every field is the
+fold of the engine's own relu values. A record computes each group of its
+fields the first time one of them is read, so a plan pays for what its
+mode reads. Of the four groups, the extremes (count, min, max, max_abs: the
+MAX rule) come from a min/max fold; the moments (mean, m2, nu2: the fitted
+families) from power sums of orders 0..2 shifted by a per-channel anchor
+(first value seen), stable far from zero; the higher moments (m3..m6, nu4,
+nu6: kNN features) from the orders 3..6 about the same anchor. Each fold is
+made once per channel and serves both records of a tensor, the pooled one
+through a rebase of the per-channel sums. The odd absolute moments (nu1,
+nu3, nu5: kNN features) have no exact finite streaming form, so each record
+takes its own pass over the samples about its final mean. Samples live
+until every record that reads them has computed its absolute moments (a
+tensor's two, and those of each ReLU output of it) or the
+:class:`TensorStats` holding them are dropped.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from math import comb
 
 import numpy as np
 
+from . import tensorops as ops
 from .graph import Graph, execute_float
 
 MAX_ORDER = 6
@@ -99,74 +106,94 @@ def _rebase(sums: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 
 class _Samples:
-    """Retained [C, M] chunks, or all their channels as one when ``pooled``;
-    each public method computes one field group of a record taken over them.
-    ``moments`` keeps its power sums of orders 0..2 for ``higher_moments``."""
+    """Retained [C, M] chunks, each clipped by ``tensorops.relu`` as it is
+    read when ``relu`` (the samples of a ReLU output). The extremes and each
+    group of power sums are folded per channel once, on first need, for
+    every record taken over them; each public method computes one field
+    group of one record, with all channels as one when the record is pooled."""
 
-    def __init__(self, chunks: tuple, pooled: bool):
-        self.chunks, self.pooled = chunks, pooled
-        self.shift = chunks[0][:, 0].astype(np.float64)
+    def __init__(self, chunks: tuple, relu: bool):
+        self.chunks, self.relu = chunks, relu
+        self.shift = self._read(chunks[0][:, 0]).astype(np.float64)
 
-    def extremes(self, record: ChannelStats) -> dict:
-        channels = self.chunks[0].shape[0]
-        count = np.zeros(channels, dtype=np.int64)
-        minv, maxv = np.full(channels, np.inf), np.full(channels, -np.inf)
-        for raw in self.chunks:
+    def _read(self, raw: np.ndarray) -> np.ndarray:
+        return ops.relu(raw) if self.relu else raw
+
+    @cached_property
+    def _extremes(self) -> tuple:
+        """Per channel: (count, min, max)."""
+        count = np.zeros(len(self.shift), dtype=np.int64)
+        minv, maxv = np.full(len(self.shift), np.inf), np.full(len(self.shift), -np.inf)
+        for raw in map(self._read, self.chunks):
             count += raw.shape[1]
             minv = np.minimum(minv, raw.min(axis=1))
             maxv = np.maximum(maxv, raw.max(axis=1))
-        if self.pooled:
-            count, minv, maxv = count.sum(keepdims=True), minv.min(keepdims=True), maxv.max(keepdims=True)
-        return dict(count=count, minv=minv, maxv=maxv, max_abs=np.maximum(np.abs(minv), np.abs(maxv)))
+        return count, minv, maxv
 
-    def _central(self, sums: np.ndarray) -> tuple:
-        """(n, sums, central): the record's count and its power sums about
-        the anchor and about the mean, from per-channel sums about the anchor."""
-        if self.pooled:
-            sums = _rebase(sums, self.shift - self.shift[0]).sum(axis=1, keepdims=True)
-        n = sums[0]  # the count: a sum of whole numbers, exact below 2**53
-        return n, sums, _rebase(sums, -sums[1] / n)
-
-    def moments(self, record: ChannelStats) -> dict:
-        self.low_sums = sums = np.zeros((3, len(self.shift)))  # sums[k] = sum((x - shift)^k)
-        for raw in self.chunks:
+    @cached_property
+    def _low_sums(self) -> np.ndarray:
+        """Per channel: sums[k] = sum((x - shift)^k) for k = 0..2."""
+        sums = np.zeros((3, len(self.shift)))
+        for raw in map(self._read, self.chunks):
             y = raw - self.shift[:, None]  # float64: widening float32 is exact
             sums[0] += y.shape[1]
             sums[1] += y.sum(axis=1)
             sums[2] += np.multiply(y, y, out=y).sum(axis=1)
-        n, sums, central = self._central(sums)
-        m2 = central[2] / n
-        sigma = np.sqrt(np.maximum(m2, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nu2 = np.where(sigma > 0, m2 / sigma**2, np.nan)
-        shift = self.shift[:1] if self.pooled else self.shift
-        return dict(mean=shift + sums[1] / n, m2=m2, nu2=nu2)
+        return sums
 
-    def higher_moments(self, record: ChannelStats) -> dict:
-        """Orders 3..6: computes the moments first and folds only the higher
-        power sums, rebuilding y and y**2 of each chunk."""
-        sigma = record.sigma
+    @cached_property
+    def _high_sums(self) -> np.ndarray:
+        """The same for k = 3..6, rebuilding y and y**2 of each chunk."""
         high = np.zeros((MAX_ORDER - 2, len(self.shift)))
-        for raw in self.chunks:
+        for raw in map(self._read, self.chunks):
             y = raw - self.shift[:, None]
             p = y * y
             for row in high:
                 row += np.multiply(p, y, out=p).sum(axis=1)
-        n, _, central = self._central(np.concatenate([self.low_sums, high]))
+        return high
+
+    def _central(self, sums: np.ndarray, pooled: bool) -> tuple:
+        """(n, sums, central): a record's count and its power sums about
+        the anchor and about the mean, from per-channel sums about the anchor."""
+        if pooled:
+            sums = _rebase(sums, self.shift - self.shift[0]).sum(axis=1, keepdims=True)
+        n = sums[0]  # the count: a sum of whole numbers, exact below 2**53
+        return n, sums, _rebase(sums, -sums[1] / n)
+
+    def extremes(self, record: ChannelStats) -> dict:
+        count, minv, maxv = self._extremes
+        if record._pooled:
+            count, minv, maxv = count.sum(keepdims=True), minv.min(keepdims=True), maxv.max(keepdims=True)
+        return dict(count=count, minv=minv, maxv=maxv, max_abs=np.maximum(np.abs(minv), np.abs(maxv)))
+
+    def moments(self, record: ChannelStats) -> dict:
+        n, sums, central = self._central(self._low_sums, record._pooled)
+        m2 = central[2] / n
+        sigma = np.sqrt(np.maximum(m2, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nu2 = np.where(sigma > 0, m2 / sigma**2, np.nan)
+        shift = self.shift[:1] if record._pooled else self.shift
+        return dict(mean=shift + sums[1] / n, m2=m2, nu2=nu2)
+
+    def higher_moments(self, record: ChannelStats) -> dict:
+        """Orders 3..6; computes the record's moments first."""
+        sigma = record.sigma
+        sums = np.concatenate([self._low_sums, self._high_sums])
+        n, _, central = self._central(sums, record._pooled)
         m = {k: central[k] / n for k in range(3, MAX_ORDER + 1)}
         with np.errstate(divide="ignore", invalid="ignore"):
             nu = {f"nu{k}": np.where(sigma > 0, m[k] / sigma**k, np.nan) for k in (4, 6)}
         return dict(**{f"m{k}": v for k, v in m.items()}, **nu)
 
     def abs_moments(self, record: ChannelStats) -> dict:
-        """The last group to need the samples: computes the other groups
-        first, and the record lets the samples go."""
+        """The last group to need the samples: computes the record's other
+        groups first, and the record lets the samples go."""
         mean, sigma, _, _ = record.mean, record.sigma, record.count, record.m3
         del record._samples
-        rows = [ch.reshape(1, -1) for ch in self.chunks] if self.pooled else self.chunks
+        rows = [ch.reshape(1, -1) for ch in self.chunks] if record._pooled else self.chunks
         absm = np.empty((3, len(mean)))  # E|x - mean|^k, k = 1, 3, 5
         for c in range(len(mean)):  # a row at a time keeps the temporaries small
-            dev = np.subtract(np.concatenate([ch[c] for ch in rows]), mean[c:c + 1])
+            dev = np.subtract(np.concatenate([self._read(ch[c]) for ch in rows]), mean[c:c + 1])
             np.abs(dev, out=dev)
             absm[0, c] = dev.mean()
             absm[1, c] = np.power(dev, 3).mean()  # not d*d*d: other bits
@@ -177,11 +204,14 @@ class _Samples:
 
 
 class StatsAccumulator:
-    """Per-channel sample store: update with samples, then take records."""
+    """Per-channel sample store: update with samples, then take records.
+    The records taken between two updates share one :class:`_Samples` fold."""
 
     def __init__(self, channels: int):
         self.channels = channels
         self._chunks: list[np.ndarray] = []
+        self._relu = False  # the records are of tensorops.relu of the samples
+        self._samples: _Samples | None = None
 
     def update(self, values: np.ndarray) -> None:
         """Add samples, shape [C, M]. The samples are retained (a float32 or
@@ -193,12 +223,25 @@ class StatsAccumulator:
             raise ValueError(f"expected [C={self.channels}, M] samples, got {raw.shape}")
         if raw.shape[1] > 0:
             self._chunks.append(raw)
+            self._samples = None
+
+    def relu(self) -> StatsAccumulator:
+        """A store whose records are of ``tensorops.relu`` of the samples so
+        far: it holds the same chunks, not a copy, and clips each as a fold
+        reads it, one chunk or channel row at a time. That relu maps -0.0
+        to +0.0 and is idempotent bit for bit, so the store of a relu chain
+        is ``relu()`` of the store the chain starts from."""
+        acc = StatsAccumulator(self.channels)
+        acc._chunks, acc._relu = list(self._chunks), True
+        return acc
 
     def _record(self, pooled: bool) -> ChannelStats:
         if not self._chunks:
             raise ValueError("no samples accumulated")
+        if self._samples is None:
+            self._samples = _Samples(tuple(self._chunks), self._relu)
         record = object.__new__(ChannelStats)  # no field yet: each group comes on first read
-        record._samples = _Samples(tuple(self._chunks), pooled)
+        record._samples, record._pooled = self._samples, pooled
         return record
 
     def snapshot(self) -> ChannelStats:
@@ -213,9 +256,10 @@ class StatsAccumulator:
 class TensorStats:
     """Per-channel stats plus the tensor-pooled record (one pseudo-channel).
 
-    Each record is taken from the accumulator the first time it is read;
-    once both have been, the accumulator is let go, and each record lets
-    the samples go once it has computed its absolute moments.
+    Each record is taken from the accumulator the first time it is read,
+    and the two share its fold; once both have been taken, the accumulator
+    is let go, and each record lets the samples go once it has computed its
+    absolute moments.
     """
 
     def __init__(self, kind: str, acc: StatsAccumulator | None = None):
@@ -260,9 +304,12 @@ def collect_stats(g: Graph, dataset) -> dict:
     Activation statistics pool over batch and spatial positions per channel;
     parameter statistics are exact since the values are fully known. Each
     returned :class:`TensorStats` keeps its tensor's samples (parameters as
-    a copy) until both of its records have been read or it is dropped.
+    a copy) until its records have computed their absolute moments or it is
+    dropped. A ReLU output is not captured: its stats hold the samples of
+    the tensor its relu chain starts from and read them clipped.
     """
-    names = g.activation_names()
+    relu_input = {node.outputs[0]: node.inputs[0] for node in g.nodes if node.kind == "relu"}
+    names = [name for name in g.activation_names() if name not in relu_input]
     accs: dict[str, StatsAccumulator] = {}
     n_batches = 0
     for batch in dataset:
@@ -278,8 +325,10 @@ def collect_stats(g: Graph, dataset) -> dict:
         n_batches += 1
     if n_batches == 0:
         raise ValueError("profiling dataset is empty")
+    for out, src in relu_input.items():  # node order: a chain's earlier relu comes first
+        accs[out] = accs[src].relu()
 
-    result = {name: TensorStats("activation", acc) for name, acc in accs.items()}
+    result = {name: TensorStats("activation", accs[name]) for name in g.activation_names()}
     for pname, arr in g.params.items():
         acc = StatsAccumulator(arr.shape[0])
         acc.update(np.array(arr, dtype=np.float64).reshape(arr.shape[0], -1))  # own a copy

@@ -1,5 +1,6 @@
 """Channel statistics tests: moments, invariances, streaming updates,
-field groups computed on first read."""
+field groups computed on first read from one fold per tensor, ReLU records
+read from their source's samples."""
 
 import gc
 import itertools
@@ -10,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from chanq.graph import Graph, LayerSpec, validate
+from chanq.graph import Graph, LayerSpec, execute_float, validate
 from chanq.planner import MODES, solve_plan
 from chanq.profiling import (
     _GROUP_OF,
@@ -19,6 +20,7 @@ from chanq.profiling import (
     StatsAccumulator,
     _Samples,
     _rebase,
+    channel_major,
     collect_stats,
     dump_stats,
     load_stats,
@@ -26,6 +28,7 @@ from chanq.profiling import (
     stats_from_samples,
 )
 from chanq.synthetic import ARCHS, SynthSpec, build_graph, gen_dataset
+from chanq.tensorops import relu
 
 GROUPS = ("extremes", "moments", "higher_moments", "abs_moments")
 
@@ -86,6 +89,20 @@ def _eager_records(chunks) -> tuple:
                              _rebase(sums, shift - shift[0]).sum(axis=1, keepdims=True),
                              [c.reshape(1, -1) for c in chunks])
     return _eager_snapshot(count, minv, maxv, shift, sums, chunks), pooled
+
+
+def _engine_records(g, batches) -> dict:
+    """Eager (per-channel, pooled) records of every tensor: each activation
+    from the float engine's own output, put through ``channel_major`` once
+    per batch, each parameter from its values."""
+    chunks = {}
+    for batch in batches:
+        _, captured = execute_float(g, batch, capture=g.activation_names())
+        for name, arr in captured.items():
+            chunks.setdefault(name, []).append(channel_major(arr))
+    for pname, arr in g.params.items():
+        chunks[pname] = [np.asarray(arr, dtype=np.float64).reshape(arr.shape[0], -1)]
+    return {name: _eager_records(c) for name, c in chunks.items()}
 
 
 def _groups_computed(record) -> set:
@@ -242,6 +259,18 @@ def _conv_relu_graph():
                            "c0.bias": np.zeros(2, np.float32)}))
 
 
+def _relu_chain_graph():
+    # x -> relu -> xa -> conv -> t0 -> relu -> t1 -> relu -> t2
+    nodes = [LayerSpec("ri", "relu", ["x"], ["xa"]),
+             LayerSpec("c0", "conv", ["xa"], ["t0"], attrs={"stride": 1, "pad": 0},
+                       params={"weight": "c0.weight", "bias": "c0.bias"}),
+             LayerSpec("r0", "relu", ["t0"], ["t1"]),
+             LayerSpec("r1", "relu", ["t1"], ["t2"])]
+    return validate(Graph("x", (1, 2, 4, 4), nodes,
+                          {"c0.weight": np.array([[[[1.0]], [[-2.0]]], [[[0.5]], [[0.0]]]], np.float32),
+                           "c0.bias": np.array([0.25, -0.0], np.float32)}))
+
+
 class TestCollectStats:
     def test_covers_all_tensors(self):
         g = _conv_relu_graph()
@@ -301,6 +330,27 @@ class TestCollectStats:
         _same_bits(stats["c0.weight"].per_channel, ref.per_channel)
         _same_bits(stats["c0.weight"].pooled, ref.pooled)
 
+    def test_a_relu_chain_reads_the_samples_it_starts_from(self):
+        # every relu output, a chain's second one too, matches the engine's
+        # own relu values bit for bit, -0.0 inputs included, and holds its
+        # source's chunks, not a copy
+        g = _relu_chain_graph()
+        rng = np.random.default_rng(14)
+        data = [rng.normal(size=(n, 2, 4, 4)).astype(np.float32) for n in (1, 3)]
+        for d in data:  # channel 1: no value below zero, some of them -0.0
+            d[:, 1] = np.abs(d[:, 1])
+        data[0][0, :, :2] = -0.0
+        stats = collect_stats(g, data)
+        for out, src in (("xa", "x"), ("t1", "t0"), ("t2", "t0")):
+            assert all(a is b for a, b in zip(stats[out]._acc._chunks, stats[src]._acc._chunks,
+                                              strict=True)), out
+        refs = _engine_records(g, data)
+        for name, ts in stats.items():
+            _same_bits(ts.per_channel, refs[name][0])
+            _same_bits(ts.pooled, refs[name][1])
+        assert np.signbit(stats["x"].per_channel.minv).tolist() == [True, True]
+        assert np.signbit(stats["xa"].per_channel.minv).tolist() == [False, False]
+
     def test_batch_of_no_samples_fails_inside_collect_stats(self):
         with pytest.raises(ValueError, match="no samples accumulated"):
             collect_stats(_conv_relu_graph(), [np.zeros((0, 2, 4, 4), np.float32)])
@@ -354,24 +404,47 @@ class TestRecordsOnFirstRead:
             assert _groups_computed(record) == groups, key
         assert Counter(calls) == {group: len(expected) for group in groups}
 
-    def test_samples_are_released_once_both_records_are_read(self, hetero):
-        # ... to their absolute moments, the last group that needs the samples
+    def test_samples_are_released_once_every_record_reading_them_is_done(self, hetero):
+        # ... to its absolute moments, the last group that needs the samples:
+        # t1's chunks serve its own two records and those of t2 = relu(t1)
         g, batches = hetero
         stats = collect_stats(g, batches)
-        ts = stats["t1"]
+        ts, relu_ts = stats["t1"], stats["t2"]
         acc = weakref.ref(ts._acc)
         chunk = weakref.ref(ts._acc._chunks[0])
+        assert relu_ts._acc._chunks[0] is chunk()
         ts.pooled.nu1
         assert acc() is not None
         ts.per_channel.max_abs
         ts.per_channel.mean
         assert acc() is None and chunk() is not None  # the per-channel nu1, nu3, nu5 may follow
         ts.per_channel.m4
-        assert chunk() is not None
         ts.per_channel.nu5
+        assert chunk() is not None  # t2's records still read them
+        relu_ts.per_channel.nu5
+        relu_ts.pooled.m4
+        assert chunk() is not None
+        relu_ts.pooled.nu5
         assert chunk() is None
-        assert _groups_computed(ts.per_channel) == set(GROUPS)
+        for record in (ts.per_channel, ts.pooled, relu_ts.per_channel, relu_ts.pooled):
+            assert _groups_computed(record) == set(GROUPS)
         assert ts.per_channel is ts.per_channel  # computed once, then cached
+
+    def test_only_the_samples_of_non_relu_tensors_are_retained(self, hetero):
+        g, batches = hetero
+        stats = collect_stats(g, batches)
+        relu_input = {node.outputs[0]: node.inputs[0] for node in g.nodes if node.kind == "relu"}
+        assert relu_input == {"t2": "t1", "t4": "t3"}
+        held = {id(c): c for ts in stats.values() for c in ts._acc._chunks}
+        samples = sum(len(b) for b in batches)
+        activations = sum(samples * int(np.prod(g.shapes[t][1:])) * 4  # float32
+                          for t in g.activation_names() if t not in relu_input)
+        params = sum(arr.size * 8 for arr in g.params.values())  # float64 copies
+        assert sum(c.nbytes for c in held.values()) == activations + params
+        for out, src in relu_input.items():
+            assert [id(c) for c in stats[out]._acc._chunks] == [id(c) for c in stats[src]._acc._chunks]
+        # every record still counts every sample of its tensor
+        assert sum(int(ts.per_channel.count.sum()) for ts in stats.values()) == 25758
 
     def test_dropping_the_stats_after_a_compile_releases_every_sample(self, hetero):
         g, batches = hetero
@@ -413,6 +486,15 @@ def _samples_with_a_constant_channel(dtype):
     return data.astype(dtype)
 
 
+def _counting_accumulator(data) -> tuple:
+    """(an accumulator over ``data`` as one chunk that counts its passes, the count)."""
+    acc = StatsAccumulator(data.shape[0])
+    acc.update(data)
+    acc._chunks[0] = acc._chunks[0].view(_PassCounter)
+    acc._chunks[0].passes = passes = Counter()
+    return acc, passes
+
+
 class TestLazyRecordsAgainstEagerOracle:
     @pytest.mark.parametrize("order", list(itertools.permutations(GROUPS)))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -430,21 +512,35 @@ class TestLazyRecordsAgainstEagerOracle:
                 assert group in _groups_computed(record)
             _same_bits(record, ref)
 
-    @pytest.mark.parametrize("record", ["snapshot", "pooled"])
-    def test_a_record_read_in_full_folds_each_power_sum_once(self, record):
+    @pytest.mark.parametrize("records", [("snapshot",), ("pooled",), ("snapshot", "pooled"),
+                                         ("pooled", "snapshot")])
+    def test_a_record_read_in_full_folds_each_power_sum_once(self, records):
         # the moments and the higher moments each rebuild y and y**2 of a chunk,
-        # and no more: every other pass over a chunk is made once
+        # and no more: every other pass over a chunk is made once, and once for
+        # both records of the accumulator; only their absolute moments, a pass
+        # a channel row, are each record's own
         data = _samples_with_a_constant_channel(np.float32)
-        acc = StatsAccumulator(3)
-        acc.update(data)
-        passes = Counter()
-        acc._chunks[0] = acc._chunks[0].view(_PassCounter)
-        acc._chunks[0].passes = passes
-        _same_bits(getattr(acc, record)(), _eager_records([data])[record == "pooled"])
+        acc, passes = _counting_accumulator(data)
+        refs = _eager_records([data])
+        for record in records:
+            _same_bits(getattr(acc, record)(), refs[record == "pooled"])
         assert passes == {"minimum.reduce": 1, "maximum.reduce": 1,  # the extremes
                           "subtract.__call__": 2,  # y, twice
                           "multiply.__call__": 2 + MAX_ORDER - 2,  # y**2 twice, y**3..y**6
                           "add.reduce": MAX_ORDER}  # one sum per order 1..6
+
+    @pytest.mark.parametrize("records", [("snapshot",), ("snapshot", "pooled")])
+    def test_a_relu_record_clips_each_chunk_once_a_fold(self, records):
+        # the extremes, the low and the high power sums each clip the chunk
+        # once, for both records; the absolute moments clip a channel row at
+        # a time. A clipped chunk is a plain array: only the clips count.
+        data = _samples_with_a_constant_channel(np.float32)
+        acc, passes = _counting_accumulator(data)
+        relu_acc = acc.relu()
+        refs = _eager_records([relu(data)])
+        for record in records:
+            _same_bits(getattr(relu_acc, record)(), refs[record == "pooled"])
+        assert passes == {"maximum.__call__": 3}
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_every_record_of_every_arch(self, arch):
@@ -452,8 +548,10 @@ class TestLazyRecordsAgainstEagerOracle:
                          input_scale_span_bits=3.0, input_family="heavy", seed=2)
         g = build_graph(spec)
         x, _ = gen_dataset(g, spec)
-        stats = collect_stats(g, [x[:5], x[5:]])
+        batches = [x[:5], x[5:]]
+        stats = collect_stats(g, batches)
+        refs = _engine_records(g, batches)
+        assert set(stats) == set(refs)
         for name, ts in stats.items():
-            per_channel, pooled = _eager_records(ts._acc._chunks)
-            _same_bits(ts.per_channel, per_channel)
-            _same_bits(ts.pooled, pooled)
+            _same_bits(ts.per_channel, refs[name][0])
+            _same_bits(ts.pooled, refs[name][1])

@@ -56,10 +56,6 @@ class QFormat:
     def max_value(self) -> float:
         return self.max_code * self.step
 
-    @property
-    def min_value(self) -> float:
-        return self.min_code * self.step
-
 
 def quantize(values, q: QFormat) -> np.ndarray:
     """Encode real values as integer codes: round-half-even, then saturate."""

@@ -90,6 +90,12 @@ class Graph:
             names.extend(node.outputs)
         return names
 
+    def check_input(self, shape: tuple) -> None:
+        """GraphError unless ``shape`` is that of a batch of the graph's input."""
+        expect = self.shapes[self.input_name]
+        if tuple(shape[1:]) != tuple(expect[1:]):
+            raise GraphError(f"input shape {tuple(shape)} incompatible with graph input {expect}")
+
     def channels(self, tensor: str) -> int:
         shape = self.shapes[tensor]
         return shape[1] if len(shape) >= 2 else shape[0]
@@ -167,7 +173,7 @@ def _infer_shape(node: LayerSpec, in_shapes: list[tuple], params: dict) -> tuple
 
 
 def validate(g: Graph) -> Graph:
-    """Order nodes, check names/shapes, and annotate relu consumers."""
+    """Order nodes, check names, infer every tensor's shape and find the output."""
     if not isinstance(g.input_name, str):
         raise GraphError(f"input name must be a string, got {g.input_name!r}")
     if len(g.input_dims) < 2 or not all(_is_int(d) and d >= 1 for d in g.input_dims):
@@ -407,9 +413,7 @@ def execute_float(g: Graph, x: np.ndarray, capture=()) -> tuple[np.ndarray, dict
     recorded before the relu applies (the relu output is a separate name).
     """
     x = np.asarray(x, dtype=np.float32)
-    expect = g.shapes[g.input_name]
-    if x.shape[1:] != tuple(expect[1:]):
-        raise GraphError(f"input shape {x.shape} incompatible with graph input {expect}")
+    g.check_input(x.shape)
     capture = set(capture)
     values = {g.input_name: x}
     captured = {}

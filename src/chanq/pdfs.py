@@ -117,15 +117,6 @@ def tail_excess(model: PdfModel, t) -> np.ndarray:
     return sqrt(2.0) / (pi * quartic_norm_const(trunc)) * ((i1 - j1) - t * (i0 - j0))
 
 
-def normalization(model: PdfModel, panels: int = 400_000) -> float:
-    """Total mass by composite midpoint quadrature (validation aid)."""
-    half = model.half_support if np.isfinite(model.half_support) else 40.0
-    lo = model.location - half * model.scale
-    hi = model.location + half * model.scale
-    xs = lo + (np.arange(panels) + 0.5) * (hi - lo) / panels
-    return float(density(model, xs).sum() * (hi - lo) / panels)
-
-
 def fit_pdf(mean: float, sigma: float, family: str,
             truncation: float = DEFAULT_TRUNCATION) -> PdfModel:
     """Fit a model of the given family to a channel's mean and sigma.

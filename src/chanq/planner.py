@@ -16,13 +16,14 @@ import numpy as np
 
 from . import flsolver
 from .fixedpoint import FL_MAX, FL_MIN, fl_from_max
-from .graph import Graph, _is_int
-from .profiling import ChannelStats, standardized_moments
+from .graph import LINEAR_KINDS, Graph, _is_int
+from .profiling import ChannelStats, fold_records, standardized_moments
 
 MODES = ("layerwise_max", "cw_max", "cw_laplace", "cw_scauchy", "cw_pdf_aware")
 # A bias fl is a kernel fl plus an input fl, and a shift a bias fl less an output fl.
 SHIFT_MAX = 3 * FL_MAX
 _MODE_FAMILY = {"cw_laplace": "laplace", "cw_scauchy": "super_cauchy"}
+_STATS_BASED = LINEAR_KINDS + ("add",)  # the kinds whose output format comes from stats
 
 
 class PlanError(ValueError):
@@ -97,14 +98,18 @@ class _PlanBuilder:
             standardized_moments(cs), self.knn)
         return flsolver.optimal_fl(cs, family, self.bit_width, signed)
 
+    def _record(self, name: str) -> tuple[ChannelStats, bool]:
+        """The stats record a tensor's format reads, and whether it is layer-wide."""
+        layer_wide = self.mode == "layerwise_max" or getattr(self.g.producer(name), "kind", None) == "fc"
+        return (self.stats[name].pooled if layer_wide else self.stats[name].per_channel), layer_wide
+
     def _stats_based_format(self, name: str) -> TensorFormat:
         if name not in self.stats:
             raise PlanError(f"missing profiling stats for tensor {name!r}")
         channels = self.g.channels(name)
         kind = getattr(self.g.producer(name), "kind", None)  # None for the graph input
         signed = not (kind == "relu" or self.g.feeds_only_relu(name))
-        layer_wide = self.mode == "layerwise_max" or kind == "fc"
-        cs = self.stats[name].pooled if layer_wide else self.stats[name].per_channel
+        cs, layer_wide = self._record(name)
         if cs.n_channels != (1 if layer_wide else channels):
             raise PlanError(f"stats for tensor {name!r} have {cs.n_channels} channels, "
                             f"the graph has {channels}")
@@ -132,6 +137,11 @@ class _PlanBuilder:
 
     def build(self) -> QuantPlan:
         g, plan = self.g, self.plan
+        # every record the plan reads, asked for at once: one pass over the
+        # profiling batches, and a second for the kNN features
+        stats_based = [g.input_name] + [n.outputs[0] for n in g.nodes if n.kind in _STATS_BASED]
+        fold_records([self._record(t)[0] for t in stats_based if t in self.stats],
+                     higher=self.mode == "cw_pdf_aware")
         plan.tensors[g.input_name] = self._stats_based_format(g.input_name)
         for node in g.nodes:
             out = node.outputs[0]
@@ -139,7 +149,7 @@ class _PlanBuilder:
                 raise PlanError(
                     f"node {node.name}: fold batchnorm before solving a plan"
                 )
-            if node.kind in ("conv", "depthwise_conv", "fc"):
+            if node.kind in LINEAR_KINDS:
                 plan.tensors[out] = self._stats_based_format(out)
                 self._coordinate(node)
             elif node.kind == "relu":

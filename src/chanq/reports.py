@@ -57,8 +57,8 @@ def write_report(prefix, text: str, doc: dict) -> tuple[Path, Path]:
     """Write PREFIX.txt and PREFIX.json; returns their paths."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    txt = prefix.with_suffix(".txt")
-    js = prefix.with_suffix(".json")
+    txt = prefix.with_name(prefix.name + ".txt")  # not with_suffix: a dotted prefix keeps its dot
+    js = prefix.with_name(prefix.name + ".json")
     txt.write_text(text)
     js.write_text(json.dumps(_jsonable(doc), indent=1, sort_keys=True) + "\n")
     return txt, js

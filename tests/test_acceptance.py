@@ -118,11 +118,12 @@ def test_criterion_3_optimal_fl_oracle_equivalence():
 
 def test_criterion_4_density_normalization():
     from scipy import integrate
+    from test_pdfs import normalization
 
     closed_form, _ = integrate.quad(lambda u: 1.0 / (1.0 + u**4), -np.inf, np.inf)
     analytic_ok = abs(closed_form - np.pi / np.sqrt(2.0)) < 1e-9
     m = pdfs.PdfModel("super_cauchy", 0.0, 1.0, 15.0)
-    mass = pdfs.normalization(m)
+    mass = normalization(m)
     _report(4, "quartic-tail normalization",
             analytic_ok and abs(mass - 1.0) < 1e-6,
             f"untruncated closed form ok={analytic_ok}, truncated mass={mass:.9f}")

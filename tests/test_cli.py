@@ -121,6 +121,19 @@ class TestQuantizeEval:
         assert 0.0 <= doc["top1_agreement"] <= 1.0
         assert doc["quant_top1"] == doc["top1_agreement"]
 
+    def test_a_dotted_report_prefix_keeps_its_dot(self, bundle, profiled, tmp_path):
+        q = tmp_path / "q"
+        assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                     "--mode", "cw_max", "--out", str(q)]) == 0
+        args = ["eval", "--model", str(bundle / "model.json"),
+                "--dataset", str(bundle / "data.qtsr"), "--plan", str(q / "plan.json")]
+        assert main(args + ["--out", str(tmp_path / "r.v2")]) == 0
+        assert main(args + ["--out", str(tmp_path / "r")]) == 0
+        assert sorted(p.name for p in tmp_path.glob("r*")) == ["r.json", "r.txt", "r.v2.json",
+                                                               "r.v2.txt"]
+        for suffix in (".json", ".txt"):
+            assert (tmp_path / f"r.v2{suffix}").read_bytes() == (tmp_path / f"r{suffix}").read_bytes()
+
     def test_capture_of_unknown_tensor_is_data_error(self, bundle, profiled, tmp_path, capsys):
         q = tmp_path / "q"
         assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),

@@ -246,7 +246,7 @@ class TestExhaustiveProperties:
         rng = np.random.default_rng(3)
         for fl in range(-8, 16):
             q = QFormat(8, fl, signed)
-            lo = q.min_value if signed else 0.0
+            lo = q.min_code * q.step
             v = rng.uniform(lo, q.max_value, 512)
             err = np.abs(dequantize(quantize(v, q), q) - v)
             assert err.max() <= 2.0 ** (-fl - 1) + 1e-300

@@ -7,6 +7,15 @@ from scipy import integrate
 from chanq import pdfs
 
 
+def normalization(model: pdfs.PdfModel, panels: int = 400_000) -> float:
+    """Total mass by composite midpoint quadrature."""
+    half = model.half_support if np.isfinite(model.half_support) else 40.0
+    lo = model.location - half * model.scale
+    hi = model.location + half * model.scale
+    xs = lo + (np.arange(panels) + 0.5) * (hi - lo) / panels
+    return float(pdfs.density(model, xs).sum() * (hi - lo) / panels)
+
+
 class TestQuarticTailDensity:
     def test_untruncated_integrates_to_one(self):
         # closed form: integral of dx/(1+x^4) over R is pi/sqrt(2),
@@ -30,7 +39,7 @@ class TestQuarticTailDensity:
 
     def test_truncated_renormalized_integrates_to_one(self):
         m = pdfs.PdfModel("super_cauchy", 0.3, 1.7, 15.0)
-        assert pdfs.normalization(m) == pytest.approx(1.0, abs=1e-6)
+        assert normalization(m) == pytest.approx(1.0, abs=1e-6)
 
     def test_density_zero_outside_window(self):
         m = pdfs.PdfModel("super_cauchy", 0.0, 1.0, 15.0)
@@ -43,7 +52,7 @@ class TestNormalization:
     def test_each_family_normalized(self, family, scale):
         m = pdfs.fit_pdf(0.0, 1.0, family) if family == "super_cauchy" else \
             pdfs.PdfModel(family, -1.0, scale, 15.0 if family == "super_cauchy" else None)
-        assert pdfs.normalization(m) == pytest.approx(1.0, abs=1e-6)
+        assert normalization(m) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestTailExcess:

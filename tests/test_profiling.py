@@ -1,42 +1,48 @@
-"""Channel statistics tests: moments, invariances, streaming updates,
-field groups computed on first read from one fold per tensor, ReLU records
-read from their source's samples."""
+"""Channel statistics tests: moments, invariances, folds over several
+batches, records folded when asked for in at most two engine passes, ReLU
+records from the engine's own values."""
 
-import gc
 import itertools
-import weakref
-from collections import Counter
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from chanq.graph import Graph, LayerSpec, execute_float, validate
+from chanq import profiling
+from chanq.graph import Graph, GraphError, LayerSpec, execute_float, validate
 from chanq.planner import MODES, solve_plan
 from chanq.profiling import (
-    _GROUP_OF,
+    _PASS_2,
     MAX_ORDER,
     ChannelStats,
-    StatsAccumulator,
-    _Samples,
     _rebase,
     channel_major,
     collect_stats,
     dump_stats,
+    fold_records,
     load_stats,
     standardized_moments,
     stats_from_samples,
 )
 from chanq.synthetic import ARCHS, SynthSpec, build_graph, gen_dataset
-from chanq.tensorops import relu
 
-GROUPS = ("extremes", "moments", "higher_moments", "abs_moments")
+# a field of each group a record may compute: the extremes and the moments
+# in pass 1, the higher and the odd absolute moments in pass 2
+GROUP_FIELDS = ("max_abs", "m2", "m4", "nu3")
+ABS_MOMENTS = ("nu1", "nu3", "nu5")
 
 
-def _same_bits(a, b):
+def _same_bits(a, b, batches=1):
+    """Every field bit for bit; over several batches the odd absolute
+    moments, summed batch by batch, to 1e-12 relative."""
     for f in fields(ChannelStats):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        if batches > 1 and f.name in ABS_MOMENTS:
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+            np.testing.assert_allclose(x, y, rtol=1e-12, atol=0, err_msg=f.name)
+        else:
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
 
 
 def _eager_snapshot(count, minv, maxv, shift, sums, chunks) -> ChannelStats:
@@ -105,19 +111,44 @@ def _engine_records(g, batches) -> dict:
     return {name: _eager_records(c) for name, c in chunks.items()}
 
 
-def _groups_computed(record) -> set:
-    return {_GROUP_OF[name] for name in vars(record) if name in _GROUP_OF}
+def _folded(record) -> set:
+    """The passes whose fields a record holds."""
+    return {p for p, name in ((1, "mean"), (2, "nu1")) if name in vars(record)}
+
+
+def _samples_graph(channels):
+    # x -> relu: the records of x are of the values fed in, [M, C] a batch
+    return validate(Graph("x", (1, channels), [LayerSpec("r", "relu", ["x"], ["y"])], {}))
+
+
+def _fold_chunks(chunks):
+    """The stats of [C, M] float32 chunks, each fed to the engine as one batch."""
+    return collect_stats(_samples_graph(chunks[0].shape[0]), [c.T for c in chunks])["x"]
+
+
+def _widened(chunks):
+    return [c.astype(np.float64) for c in chunks]
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Counts the float engine runs that profiling makes."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("capture"))
+        return execute_float(*args, **kwargs)
+    monkeypatch.setattr(profiling, "execute_float", spy)
+    return calls
 
 
 class TestBasicStats:
     def test_constant_channel(self):
-        acc = StatsAccumulator(1)
-        acc.update(np.full((1, 4), 3.25))
-        acc.update(np.full((1, 4), 3.25))
-        s = acc.snapshot()
+        s = _fold_chunks([np.full((1, 4), 3.25, np.float32)] * 2).per_channel
         assert s.minv[0] == s.maxv[0] == s.mean[0] == 3.25
         assert s.m2[0] == 0.0
         assert s.sigma[0] == 0.0
+
 
     def test_plus_minus_one(self):
         s = stats_from_samples([1.0, -1.0])
@@ -163,91 +194,57 @@ class TestFeatureInvariance:
         assert np.all(np.isnan(standardized_moments(s)))
 
 
-class TestStreamingUpdates:
-    def test_two_updates_equal_one(self):
+class TestSeveralBatches:
+    def test_several_batches_match_one(self):
         rng = np.random.default_rng(5)
-        data = rng.normal(3.0, 2.0, size=(4, 10000))
-        whole = StatsAccumulator(4)
-        whole.update(data)
-        halves = StatsAccumulator(4)
-        halves.update(data[:, :5000])
-        halves.update(data[:, 5000:])
-        got = halves.snapshot()
-        ref = whole.snapshot()
-        for field in ("mean", "m2", "m3", "m4", "m5", "m6", "nu1", "nu3", "nu4", "nu5", "nu6"):
-            np.testing.assert_allclose(getattr(got, field), getattr(ref, field),
-                                       rtol=1e-9, atol=1e-12)
-        np.testing.assert_array_equal(got.count, ref.count)
-        np.testing.assert_array_equal(got.minv, ref.minv)
-        np.testing.assert_array_equal(got.maxv, ref.maxv)
+        data = rng.normal(3.0, 2.0, size=(4, 10000)).astype(np.float32)
+        whole = _fold_chunks([data])
+        halves = _fold_chunks([data[:, :5000], data[:, 5000:]])
+        for rec in ("per_channel", "pooled"):
+            got, ref = getattr(halves, rec), getattr(whole, rec)
+            for field in ("count", "minv", "maxv", "max_abs"):
+                assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), field
+            for field in ("mean", "m2", "m3", "m4", "m5", "m6", "nu1", "nu3", "nu4", "nu5", "nu6"):
+                np.testing.assert_allclose(getattr(got, field), getattr(ref, field),
+                                           rtol=1e-9, atol=1e-12)
+        refs = _eager_records(_widened([data[:, :5000], data[:, 5000:]]))
+        _same_bits(halves.per_channel, refs[0], batches=2)
+        _same_bits(halves.pooled, refs[1], batches=2)
 
-    def test_updates_far_from_zero(self):
+    def test_batches_far_from_zero(self):
         # anchored power sums stay stable with a large common offset
         rng = np.random.default_rng(6)
-        data = rng.normal(0, 1, size=(2, 8000)) + 5000.0
-        halves = StatsAccumulator(2)
-        halves.update(data[:, :3000])
-        halves.update(data[:, 3000:])
-        got = halves.snapshot()
-        whole = StatsAccumulator(2)
-        whole.update(data)
-        ref = whole.snapshot()
+        data = (rng.normal(0, 1, size=(2, 8000)) + 5000.0).astype(np.float32)
+        got = _fold_chunks([data[:, :3000], data[:, 3000:]]).per_channel
+        ref = _fold_chunks([data]).per_channel
         np.testing.assert_allclose(got.m4, ref.m4, rtol=1e-9)
         np.testing.assert_allclose(got.nu4, ref.nu4, rtol=1e-9)
 
     def test_pooled_matches_flat(self):
         rng = np.random.default_rng(7)
-        data = rng.normal(size=(3, 4000))
-        acc = StatsAccumulator(3)
-        acc.update(data)
-        pooled = acc.pooled()
+        data = rng.normal(size=(3, 4000)).astype(np.float32)
+        pooled = _fold_chunks([data]).pooled
         flat = stats_from_samples(data.reshape(-1))
         np.testing.assert_allclose(pooled.mean, flat.mean, rtol=1e-9)
         np.testing.assert_allclose(pooled.m2, flat.m2, rtol=1e-9)
         np.testing.assert_allclose(pooled.nu4, flat.nu4, rtol=1e-9)
 
-    def test_float32_samples_keep_their_width_and_give_the_same_stats(self):
-        # raw chunks stay float32 (half the memory); widening them later is exact
+    @pytest.mark.parametrize("cuts", [(), (700,)])
+    def test_float32_samples_widen_exactly(self, cuts):
+        # the engine's float32 values fold as the float64 values they widen to
         rng = np.random.default_rng(12)
         data = (rng.standard_t(3, size=(3, 2000)) * 40 + 7).astype(np.float32)
-        narrow, wide = StatsAccumulator(3), StatsAccumulator(3)
-        for chunk in (data[:, :700], data[:, 700:]):
-            narrow.update(chunk)
-            wide.update(chunk.astype(np.float64))
-        assert narrow._chunks[0].dtype == np.float32
-        for rec_a, rec_b in ((narrow.snapshot(), wide.snapshot()), (narrow.pooled(), wide.pooled())):
-            _same_bits(rec_a, rec_b)
+        chunks = np.split(data, cuts, axis=1)
+        ts = _fold_chunks(chunks)
+        refs = _eager_records(_widened(chunks))
+        _same_bits(ts.per_channel, refs[0], batches=len(chunks))
+        _same_bits(ts.pooled, refs[1], batches=len(chunks))
 
-    def test_update_keeps_the_callers_chunk_and_gives_the_same_stats(self):
-        data = np.arange(24, dtype=np.float32).reshape(2, 12) ** 1.5
-        kept, copied = StatsAccumulator(2), StatsAccumulator(2)
-        kept.update(data)
-        copied.update(data.copy())
-        assert kept._chunks[0] is data
-        _same_bits(kept.snapshot(), copied.snapshot())
-
-    def test_snapshot_after_every_update_equals_one_at_the_end(self):
-        # the fold runs chunk by chunk in arrival order, however often it is asked
-        # for, and a record keeps the samples it was taken over: later updates
-        # change neither a record read before them nor one read after them
-        rng = np.random.default_rng(13)
-        chunks = [(rng.laplace(size=(3, m)) * 30 + 500).astype(np.float32) for m in (5, 900, 1, 77)]
-        eager, late, unread = StatsAccumulator(3), StatsAccumulator(3), []
-        for i, chunk in enumerate(chunks, 1):
-            eager.update(chunk)
-            for record, ref in zip((eager.snapshot(), eager.pooled()), _eager_records(chunks[:i])):
-                _same_bits(record, ref)
-            unread.append((eager.snapshot(), eager.pooled(), _eager_records(chunks[:i])))
-            late.update(chunk)
-        _same_bits(eager.snapshot(), late.snapshot())
-        _same_bits(eager.pooled(), late.pooled())
-        for per_channel, pooled, (ref_per_channel, ref_pooled) in unread:
-            _same_bits(per_channel, ref_per_channel)
-            _same_bits(pooled, ref_pooled)
-
-    def test_update_checks_the_shape_at_once(self):
-        with pytest.raises(ValueError, match=r"expected \[C=2, M\] samples"):
-            StatsAccumulator(2).update(np.zeros((3, 4)))
+    def test_a_bad_batch_shape_raises_at_collect_stats(self, engine_calls):
+        g = _samples_graph(2)
+        with pytest.raises(GraphError, match=r"input shape \(4, 3\) incompatible"):
+            collect_stats(g, [np.zeros((5, 2), np.float32), np.zeros((4, 3), np.float32)])
+        assert engine_calls == []
 
 
 def _conv_relu_graph():
@@ -285,19 +282,12 @@ class TestCollectStats:
         # activations pool batch and spatial: 3 samples x 16 positions
         assert int(stats["t0"].per_channel.count[0]) == 48
 
-    def test_dataset_reusing_one_buffer(self):
+    def test_a_one_shot_iterator_is_rejected(self):
         g = _conv_relu_graph()
-        rng = np.random.default_rng(10)
-        data = [rng.normal(size=(1, 2, 4, 4)).astype(np.float32) for _ in range(3)]
-        buf = np.empty_like(data[0])
-
-        def refilled():
-            for d in data:
-                buf[...] = d
-                yield buf
-
-        _same_bits(collect_stats(g, data)["x"].per_channel,
-                   collect_stats(g, refilled())["x"].per_channel)
+        data = [np.ones((1, 2, 4, 4), np.float32)]
+        for once in (iter(data), (d for d in data)):
+            with pytest.raises(ValueError, match="re-iterable"):
+                collect_stats(g, once)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -319,21 +309,9 @@ class TestCollectStats:
         dump_stats(stats, tmp_path / "s2.json")
         assert (tmp_path / "s.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
 
-    def test_parameter_records_own_their_values(self):
-        g = _conv_relu_graph()
-        g.params["c0.weight"] = np.arange(4, dtype=np.float64).reshape(2, 2, 1, 1) - 1.5
-        data = [np.ones((1, 2, 4, 4), np.float32)]
-        ref = collect_stats(g, data)["c0.weight"]
-        ref.per_channel, ref.pooled  # read now, from the values as they were
-        stats = collect_stats(g, data)
-        g.params["c0.weight"][...] = 100.0  # after collect_stats, before any record is read
-        _same_bits(stats["c0.weight"].per_channel, ref.per_channel)
-        _same_bits(stats["c0.weight"].pooled, ref.pooled)
-
-    def test_a_relu_chain_reads_the_samples_it_starts_from(self):
+    def test_relu_records_are_of_the_engines_relu_values(self):
         # every relu output, a chain's second one too, matches the engine's
-        # own relu values bit for bit, -0.0 inputs included, and holds its
-        # source's chunks, not a copy
+        # own relu values bit for bit, -0.0 inputs included
         g = _relu_chain_graph()
         rng = np.random.default_rng(14)
         data = [rng.normal(size=(n, 2, 4, 4)).astype(np.float32) for n in (1, 3)]
@@ -341,19 +319,25 @@ class TestCollectStats:
             d[:, 1] = np.abs(d[:, 1])
         data[0][0, :, :2] = -0.0
         stats = collect_stats(g, data)
-        for out, src in (("xa", "x"), ("t1", "t0"), ("t2", "t0")):
-            assert all(a is b for a, b in zip(stats[out]._acc._chunks, stats[src]._acc._chunks,
-                                              strict=True)), out
         refs = _engine_records(g, data)
         for name, ts in stats.items():
-            _same_bits(ts.per_channel, refs[name][0])
-            _same_bits(ts.pooled, refs[name][1])
+            _same_bits(ts.per_channel, refs[name][0], batches=2)
+            _same_bits(ts.pooled, refs[name][1], batches=2)
         assert np.signbit(stats["x"].per_channel.minv).tolist() == [True, True]
         assert np.signbit(stats["xa"].per_channel.minv).tolist() == [False, False]
 
     def test_batch_of_no_samples_fails_inside_collect_stats(self):
         with pytest.raises(ValueError, match="no samples accumulated"):
             collect_stats(_conv_relu_graph(), [np.zeros((0, 2, 4, 4), np.float32)])
+
+    def test_a_batch_of_no_samples_among_others_adds_nothing(self):
+        g = _conv_relu_graph()
+        data = [np.arange(32, dtype=np.float32).reshape(1, 2, 4, 4)]
+        ref = collect_stats(g, data)
+        stats = collect_stats(g, [np.zeros((0, 2, 4, 4), np.float32), *data])
+        for name, ts in stats.items():
+            _same_bits(ts.per_channel, ref[name].per_channel)
+            _same_bits(ts.pooled, ref[name].pooled)
 
 
 @pytest.fixture(scope="module")
@@ -365,119 +349,85 @@ def hetero():
     return g, [x[i:i + 8] for i in range(0, len(x), 8)]
 
 
-class TestRecordsOnFirstRead:
+class TestAskedRecords:
+    def test_collect_stats_runs_no_pass_and_knows_every_count(self, hetero, engine_calls):
+        g, batches = hetero
+        stats = collect_stats(g, batches)
+        assert sum(int(ts.per_channel.count.sum()) for ts in stats.values()) == 25758
+        for name in g.activation_names():
+            assert stats[name].per_channel.n_channels == g.channels(name)
+            assert stats[name].pooled.count.tolist() == [stats[name].per_channel.count.sum()]
+        assert engine_calls == []
+        assert not any(_folded(r) for ts in stats.values() for r in (ts.per_channel, ts.pooled))
+
     def test_dump_bytes_do_not_depend_on_read_order(self, hetero, tmp_path):
+        # records read one at a time fold the bits that one ask for all folds
         g, batches = hetero
         dumps = []
         for first in ("per_channel", "pooled", None):
             stats = collect_stats(g, batches)
             if first:
                 for ts in stats.values():
-                    getattr(ts, first)
+                    getattr(ts, first).nu1
             dump_stats(stats, tmp_path / f"{first}.json")
             dumps.append((tmp_path / f"{first}.json").read_bytes())
         assert dumps[0] == dumps[1] == dumps[2]
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_solve_computes_only_the_records_it_reads(self, hetero, mode, monkeypatch):
-        # and of those records only the field groups its rule reads, each once
+    def test_solve_computes_only_the_records_it_reads(self, hetero, mode, engine_calls):
+        # in one engine pass per batch, and a second for the kNN features
         g, batches = hetero
         stats = collect_stats(g, batches)
-        calls = []
-        for group in GROUPS:
-            compute = getattr(_Samples, group)
-            monkeypatch.setattr(_Samples, group,
-                                lambda samples, rec, group=group, compute=compute:
-                                calls.append(group) or compute(samples, rec))
         solve_plan(g, stats, mode)
-        records = {(name, rec): getattr(ts, rec) for name, ts in stats.items()
-                   for rec in ("per_channel", "pooled") if rec in vars(ts)}
+        folded = {(name, rec): _folded(getattr(ts, rec)) for name, ts in stats.items()
+                  for rec in ("per_channel", "pooled")}
         if mode == "layerwise_max":
             expected = {(t, "pooled") for t in ("input", "t1", "t3", "t5")}
         else:
             expected = {(t, "per_channel") for t in ("input", "t1", "t3")} | {("t5", "pooled")}
-        assert set(records) == expected
-        groups = {"layerwise_max": {"extremes"}, "cw_max": {"extremes"},
-                  "cw_laplace": {"extremes", "moments"},
-                  "cw_scauchy": {"extremes", "moments"}, "cw_pdf_aware": set(GROUPS)}[mode]
-        for key, record in records.items():
-            assert _groups_computed(record) == groups, key
-        assert Counter(calls) == {group: len(expected) for group in groups}
+        passes = {1, 2} if mode == "cw_pdf_aware" else {1}
+        assert {key for key, done in folded.items() if done} == expected
+        assert all(folded[key] == passes for key in expected)
+        assert len(engine_calls) == len(batches) * len(passes)
+        assert all(set(c) == {"input", "t1", "t3", "t5"} for c in engine_calls)
 
-    def test_samples_are_released_once_every_record_reading_them_is_done(self, hetero):
-        # ... to its absolute moments, the last group that needs the samples:
-        # t1's chunks serve its own two records and those of t2 = relu(t1)
+    def test_all_five_modes_on_one_stats_run_two_passes(self, hetero, engine_calls):
         g, batches = hetero
         stats = collect_stats(g, batches)
-        ts, relu_ts = stats["t1"], stats["t2"]
-        acc = weakref.ref(ts._acc)
-        chunk = weakref.ref(ts._acc._chunks[0])
-        assert relu_ts._acc._chunks[0] is chunk()
-        ts.pooled.nu1
-        assert acc() is not None
-        ts.per_channel.max_abs
-        ts.per_channel.mean
-        assert acc() is None and chunk() is not None  # the per-channel nu1, nu3, nu5 may follow
-        ts.per_channel.m4
-        ts.per_channel.nu5
-        assert chunk() is not None  # t2's records still read them
-        relu_ts.per_channel.nu5
-        relu_ts.pooled.m4
-        assert chunk() is not None
-        relu_ts.pooled.nu5
-        assert chunk() is None
-        for record in (ts.per_channel, ts.pooled, relu_ts.per_channel, relu_ts.pooled):
-            assert _groups_computed(record) == set(GROUPS)
-        assert ts.per_channel is ts.per_channel  # computed once, then cached
+        plans = [solve_plan(g, stats, mode) for mode in MODES]
+        assert len(engine_calls) == 2 * len(batches)
+        for mode, plan in zip(MODES, plans):  # the same plans as from stats of their own
+            ref = solve_plan(g, collect_stats(g, batches), mode)
+            for name, fmt in ref.tensors.items():
+                assert plan.tensors[name].fls.tolist() == fmt.fls.tolist(), (mode, name)
 
-    def test_only_the_samples_of_non_relu_tensors_are_retained(self, hetero):
+    def test_parameter_records_fold_with_no_engine_run(self, hetero, engine_calls):
         g, batches = hetero
         stats = collect_stats(g, batches)
-        relu_input = {node.outputs[0]: node.inputs[0] for node in g.nodes if node.kind == "relu"}
-        assert relu_input == {"t2": "t1", "t4": "t3"}
-        held = {id(c): c for ts in stats.values() for c in ts._acc._chunks}
-        samples = sum(len(b) for b in batches)
-        activations = sum(samples * int(np.prod(g.shapes[t][1:])) * 4  # float32
-                          for t in g.activation_names() if t not in relu_input)
-        params = sum(arr.size * 8 for arr in g.params.values())  # float64 copies
-        assert sum(c.nbytes for c in held.values()) == activations + params
-        for out, src in relu_input.items():
-            assert [id(c) for c in stats[out]._acc._chunks] == [id(c) for c in stats[src]._acc._chunks]
-        # every record still counts every sample of its tensor
-        assert sum(int(ts.per_channel.count.sum()) for ts in stats.values()) == 25758
-
-    def test_dropping_the_stats_after_a_compile_releases_every_sample(self, hetero):
-        g, batches = hetero
-        for mode in MODES:
-            stats = collect_stats(g, batches)
-            chunks = [weakref.ref(ts._acc._chunks[0]) for ts in stats.values()]
-            solve_plan(g, stats, mode)
-            del stats
-            gc.collect()
-            assert all(chunk() is None for chunk in chunks), mode
+        fold_records([ts.per_channel for ts in stats.values() if ts.kind == "parameter"],
+                     higher=True)
+        assert engine_calls == []
+        refs = _engine_records(g, batches)
+        for name, ts in stats.items():
+            if ts.kind == "parameter":
+                _same_bits(ts.per_channel, refs[name][0])
 
 
-class _PassCounter(np.ndarray):
-    """A chunk that counts, in ``passes``, the ufunc passes over arrays of
-    its shape: itself and the arrays computed from it whole."""
-
-    def __array_finalize__(self, obj):
-        self.shape0, self.passes = getattr(obj, "shape0", self.shape), getattr(obj, "passes", None)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
-        if any(getattr(a, "shape", None) == self.shape0 for a in (*inputs, *out)):
-            self.passes[f"{ufunc.__name__}.{method}"] += 1
-        plain = [a.view(np.ndarray) if isinstance(a, _PassCounter) else a for a in inputs]
-        if out:
-            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _PassCounter) else o
-                                  for o in out)
-        res = getattr(ufunc, method)(*plain, **kwargs)
-        if out:
-            return out[0]
-        if getattr(res, "shape", None) == self.shape0:
-            res = res.view(_PassCounter)
-            res.shape0, res.passes = self.shape0, self.passes
-        return res
+def test_memory_does_not_grow_with_the_sample_count(tmp_path):
+    # no sample outlives the pass that reads it: profiling 1024 samples
+    # peaks within 1 MB of profiling 64
+    spec = SynthSpec(arch="hetero_conv", channels=8, image_size=8, samples=1024,
+                     input_family="heavy", seed=4)
+    g = build_graph(spec)
+    x, _ = gen_dataset(g, spec)
+    peaks = {}
+    for n in (64, 1024):
+        batches = [x[i:i + 32] for i in range(0, n, 32)]
+        tracemalloc.start()
+        dump_stats(collect_stats(g, batches), tmp_path / f"{n}.json")
+        peaks[n] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[1024] - peaks[64] < 2**20, peaks
 
 
 def _samples_with_a_constant_channel(dtype):
@@ -486,72 +436,49 @@ def _samples_with_a_constant_channel(dtype):
     return data.astype(dtype)
 
 
-def _counting_accumulator(data) -> tuple:
-    """(an accumulator over ``data`` as one chunk that counts its passes, the count)."""
-    acc = StatsAccumulator(data.shape[0])
-    acc.update(data)
-    acc._chunks[0] = acc._chunks[0].view(_PassCounter)
-    acc._chunks[0].passes = passes = Counter()
-    return acc, passes
-
-
-class TestLazyRecordsAgainstEagerOracle:
-    @pytest.mark.parametrize("order", list(itertools.permutations(GROUPS)))
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestFoldsAgainstEagerOracle:
+    @pytest.mark.parametrize("order", list(itertools.permutations(GROUP_FIELDS)))
+    @pytest.mark.parametrize("first", ["per_channel", "pooled"])
     @pytest.mark.parametrize("cuts", [(), (1, 700, 2999)])
-    def test_every_field_bit_for_bit_in_any_read_order(self, order, dtype, cuts):
-        data = _samples_with_a_constant_channel(dtype)
-        acc = StatsAccumulator(3)
-        for chunk in np.split(data, cuts, axis=1):
-            acc.update(chunk)
-        refs = _eager_records(acc._chunks)
+    def test_every_field_bit_for_bit_in_any_read_order(self, order, first, cuts):
+        # one field of each group read in turn, the records one after the other
+        chunks = np.split(_samples_with_a_constant_channel(np.float32), cuts, axis=1)
+        refs = _eager_records(_widened(chunks))
         assert refs[0].m2[2] == 0 and np.isnan(refs[0].nu1[2])  # the constant channel
-        for record, ref in zip((acc.snapshot(), acc.pooled()), refs):
-            for group in order:
-                getattr(record, next(f for f, g in _GROUP_OF.items() if g == group))
-                assert group in _groups_computed(record)
-            _same_bits(record, ref)
+        ts = _fold_chunks(chunks)
+        for rec in (first, "pooled" if first == "per_channel" else "per_channel"):
+            record = getattr(ts, rec)
+            for i, field in enumerate(order, 1):
+                getattr(record, field)  # pass 2 folds only once one of its fields is read
+                assert _folded(record) == ({1, 2} if _PASS_2 & set(order[:i]) else {1})
+            assert _folded(record) == {1, 2}
+            _same_bits(record, refs[rec == "pooled"], batches=len(chunks))
 
-    @pytest.mark.parametrize("records", [("snapshot",), ("pooled",), ("snapshot", "pooled"),
-                                         ("pooled", "snapshot")])
-    def test_a_record_read_in_full_folds_each_power_sum_once(self, records):
-        # the moments and the higher moments each rebuild y and y**2 of a chunk,
-        # and no more: every other pass over a chunk is made once, and once for
-        # both records of the accumulator; only their absolute moments, a pass
-        # a channel row, are each record's own
-        data = _samples_with_a_constant_channel(np.float32)
-        acc, passes = _counting_accumulator(data)
-        refs = _eager_records([data])
-        for record in records:
-            _same_bits(getattr(acc, record)(), refs[record == "pooled"])
-        assert passes == {"minimum.reduce": 1, "maximum.reduce": 1,  # the extremes
-                          "subtract.__call__": 2,  # y, twice
-                          "multiply.__call__": 2 + MAX_ORDER - 2,  # y**2 twice, y**3..y**6
-                          "add.reduce": MAX_ORDER}  # one sum per order 1..6
+    def test_records_asked_at_once_equal_records_read(self):
+        chunks = np.split(_samples_with_a_constant_channel(np.float32), (1, 700, 2999), axis=1)
+        asked, read = _fold_chunks(chunks), _fold_chunks(chunks)
+        fold_records([asked.per_channel, asked.pooled], higher=True)
+        for rec in ("per_channel", "pooled"):
+            assert _folded(getattr(asked, rec)) == {1, 2}
+            _same_bits(getattr(asked, rec), getattr(read, rec))
 
-    @pytest.mark.parametrize("records", [("snapshot",), ("snapshot", "pooled")])
-    def test_a_relu_record_clips_each_chunk_once_a_fold(self, records):
-        # the extremes, the low and the high power sums each clip the chunk
-        # once, for both records; the absolute moments clip a channel row at
-        # a time. A clipped chunk is a plain array: only the clips count.
-        data = _samples_with_a_constant_channel(np.float32)
-        acc, passes = _counting_accumulator(data)
-        relu_acc = acc.relu()
-        refs = _eager_records([relu(data)])
-        for record in records:
-            _same_bits(getattr(relu_acc, record)(), refs[record == "pooled"])
-        assert passes == {"maximum.__call__": 3}
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stats_from_samples(self, dtype):
+        data = _samples_with_a_constant_channel(dtype)
+        for row in data:
+            _same_bits(stats_from_samples(row), _eager_records([row[None].astype(np.float64)])[0])
 
+    @pytest.mark.parametrize("cuts", [(), (5,)])
     @pytest.mark.parametrize("arch", ARCHS)
-    def test_every_record_of_every_arch(self, arch):
+    def test_every_record_of_every_arch(self, arch, cuts):
         spec = SynthSpec(arch=arch, channels=4, image_size=8, samples=12,
                          input_scale_span_bits=3.0, input_family="heavy", seed=2)
         g = build_graph(spec)
         x, _ = gen_dataset(g, spec)
-        batches = [x[:5], x[5:]]
+        batches = np.split(x, cuts)
         stats = collect_stats(g, batches)
         refs = _engine_records(g, batches)
         assert set(stats) == set(refs)
         for name, ts in stats.items():
-            _same_bits(ts.per_channel, refs[name][0])
-            _same_bits(ts.pooled, refs[name][1])
+            _same_bits(ts.per_channel, refs[name][0], batches=len(batches))
+            _same_bits(ts.pooled, refs[name][1], batches=len(batches))

@@ -149,9 +149,10 @@ class _PlanBuilder:
                 raise PlanError(
                     f"node {node.name}: fold batchnorm before solving a plan"
                 )
-            if node.kind in LINEAR_KINDS:
+            if node.kind in _STATS_BASED:
                 plan.tensors[out] = self._stats_based_format(out)
-                self._coordinate(node)
+                if node.kind in LINEAR_KINDS:
+                    self._coordinate(node)
             elif node.kind == "relu":
                 src = plan.tensors[node.inputs[0]]
                 plan.tensors[out] = TensorFormat(
@@ -162,8 +163,6 @@ class _PlanBuilder:
             elif node.kind in ("maxpool", "avgpool"):
                 src = plan.tensors[node.inputs[0]]
                 plan.tensors[out] = TensorFormat(src.fls.copy(), src.signed.copy(), src.layer_wide)
-            elif node.kind == "add":
-                plan.tensors[out] = self._stats_based_format(out)
             elif node.kind == "concat":
                 a = plan.tensors[node.inputs[0]]
                 b = plan.tensors[node.inputs[1]]

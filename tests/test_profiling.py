@@ -4,6 +4,7 @@ records from the engine's own values."""
 
 import itertools
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -430,6 +431,29 @@ def test_memory_does_not_grow_with_the_sample_count(tmp_path):
     assert peaks[1024] - peaks[64] < 2**20, peaks
 
 
+class _PassCounter(np.ndarray):
+    """A chunk that counts, in ``passes``, the ufunc passes over arrays of
+    its shape: itself and the arrays computed from it whole."""
+
+    def __array_finalize__(self, obj):
+        self.shape0, self.passes = getattr(obj, "shape0", self.shape), getattr(obj, "passes", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        if any(getattr(a, "shape", None) == self.shape0 for a in (*inputs, *out)):
+            self.passes[f"{ufunc.__name__}.{method}"] += 1
+        plain = [a.view(np.ndarray) if isinstance(a, _PassCounter) else a for a in inputs]
+        if out:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _PassCounter) else o
+                                  for o in out)
+        res = getattr(ufunc, method)(*plain, **kwargs)
+        if out:
+            return out[0]
+        if getattr(res, "shape", None) == self.shape0:
+            res = res.view(_PassCounter)
+            res.shape0, res.passes = self.shape0, self.passes
+        return res
+
+
 def _samples_with_a_constant_channel(dtype):
     rng = np.random.default_rng(15)
     data = rng.standard_t(3, size=(3, 3000)) * [[0.5], [40.0], [0.0]] + [[3.0], [-200.0], [1.25]]
@@ -461,6 +485,28 @@ class TestFoldsAgainstEagerOracle:
         for rec in ("per_channel", "pooled"):
             assert _folded(getattr(asked, rec)) == {1, 2}
             _same_bits(getattr(asked, rec), getattr(read, rec))
+
+    @pytest.mark.parametrize("records", [("per_channel",), ("pooled",), ("per_channel", "pooled"),
+                                         ("pooled", "per_channel")])
+    def test_a_record_read_in_full_folds_each_power_sum_once(self, records):
+        # pass 1 and pass 2 each rebuild y and y**2 of a chunk, and no more:
+        # every other pass over a chunk is made once, and once for both
+        # records of a tensor; only their absolute moments, a pass a channel
+        # row, are each record's own
+        data = _samples_with_a_constant_channel(np.float32)
+        chunk = data.view(_PassCounter)
+        chunk.passes = passes = Counter()
+        folds = profiling._Folds(lambda names: [(name, chunk) for name in names])
+        count = np.full(data.shape[0], data.shape[1], dtype=np.int64)
+        refs = _eager_records(_widened([data]))
+        for rec in records:
+            _same_bits(profiling._record(folds, "x", count, rec == "pooled"), refs[rec == "pooled"])
+        # a further record of the tensor reads the sums already folded
+        _same_bits(profiling._record(folds, "x", count, False), refs[0])
+        assert passes == {"minimum.reduce": 1, "maximum.reduce": 1,  # the extremes
+                          "subtract.__call__": 2,  # y, once a pass
+                          "multiply.__call__": 2 + MAX_ORDER - 2,  # y**2 twice, y**3..y**6
+                          "add.reduce": MAX_ORDER}  # one sum per order 1..6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stats_from_samples(self, dtype):

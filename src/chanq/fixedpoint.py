@@ -76,6 +76,13 @@ def dequantize(codes, q: QFormat) -> np.ndarray:
     return codes.astype(np.float64) * (2.0**-q.frac_len)
 
 
+def code_range(bit_width: int, signed=True):
+    """(min_code, max_code) of a bit width, int64 and elementwise over ``signed``."""
+    top = 2 ** (bit_width - 1)
+    return (np.where(signed, -top, 0).astype(np.int64),
+            np.where(signed, top - 1, 2 * top - 1).astype(np.int64))
+
+
 def fl_from_max(max_abs, bit_width: int, signed):
     """Largest fractional length whose range still covers ``max_abs``.
 
@@ -92,9 +99,8 @@ def fl_from_max(max_abs, bit_width: int, signed):
     bad = max_abs[~(max_abs >= 0) | np.isinf(max_abs)]  # NaN fails >= 0
     if bad.size:
         raise ValueError(f"max_abs must be finite and >= 0, got {bad[0]}")
-    max_code = np.where(signed, 2.0 ** (bit_width - 1) - 1, 2.0**bit_width - 1)
     m_abs, e_abs = np.frexp(max_abs)
-    m_code, e_code = np.frexp(max_code)
+    m_code, e_code = np.frexp(code_range(bit_width, signed)[1])
     fl = np.clip(e_code - e_abs - (m_abs > m_code), FL_MIN, FL_MAX)
     fl = np.where(max_abs == 0, FL_MAX, fl).astype(np.int64)
     return int(fl) if fl.ndim == 0 else fl

@@ -1,11 +1,12 @@
 """Fractional-length rules that answer for all channels of a stats record at once.
 
 The MAX rule reserves integer bits for the observed extreme value; the
-moment-based rules fit a density to each channel's mean/sigma and pick the
-integer fractional length minimizing expected squared quantization error
-(granular inside the range, overload from saturated tails). That error is
-exact and elementary: one closed-form term per cell edge, as in ACIQ (Banner
-et al., arXiv 1810.05723) and Lin et al. (arXiv 1511.06393), summed for the
+moment-based rules fit a density to each channel's mean/sigma, as arrays of
+locations and scales (:func:`pdfs.fit_scale`), and pick the integer
+fractional length minimizing expected squared quantization error (granular
+inside the range, overload from saturated tails). That error is exact and
+elementary: one closed-form term per cell edge, as in ACIQ (Banner et al.,
+arXiv 1810.05723) and Lin et al. (arXiv 1511.06393), summed for the
 channels of a family in one pass. A kNN over standardized absolute moments
 votes each channel's best-fit family, from one distance matrix per record.
 """
@@ -19,16 +20,17 @@ from importlib import resources
 import numpy as np
 
 from . import pdfs
-from .fixedpoint import FL_MAX, FL_MIN, QFormat, dequantize, fl_from_max, quantize
+from .fixedpoint import FL_MAX, FL_MIN, QFormat, code_range, dequantize, fl_from_max, quantize
 from .profiling import ChannelStats, standardized_moments, stats_from_samples
 
 SCAN_HALF_WIDTH = 30.0  # the scan starts at the finest fl covering 2 (|mean| + this many scales)
 TAIL_HALF_WIDTH = 40.0  # cell edges this many scales out on an unbounded density are dropped
 
 
-def _noise_curve(models, bit_width: int, signed: bool, fls) -> np.ndarray:
-    """Expected squared quantization error of each model at each fl of its
-    row of ``fls`` [rows, L]; the models share one family and truncation.
+def _noise_curve(family: str, mu, s, bit_width: int, signed: bool, fls) -> np.ndarray:
+    """Expected squared quantization error, at each fl of its row of ``fls``
+    [rows, L], of the ``family`` density with each row's location ``mu`` and
+    scale ``s`` [rows].
 
     In u = (x - location) / scale, with code step h and c the distance from
     the mean to the code it rounds (and saturates) to, the cell integrals of
@@ -42,19 +44,18 @@ def _noise_curve(models, bit_width: int, signed: bool, fls) -> np.ndarray:
     bound puts above twice their row's best are not summed and score inf.
     """
     fls = np.asarray(fls, dtype=np.int64)
-    unit = pdfs.PdfModel(models[0].family, 0.0, 1.0, models[0].truncation)
-    mu = np.broadcast_to(np.array([[m.location] for m in models]), fls.shape)
-    s = np.broadcast_to(np.array([[m.scale] for m in models]), fls.shape)
-    fmt = QFormat(bit_width, 0, signed)
+    mu = np.broadcast_to(np.asarray(mu, dtype=np.float64)[:, None], fls.shape)
+    s = np.broadcast_to(np.asarray(s, dtype=np.float64)[:, None], fls.shape)
+    min_code, max_code = code_range(bit_width, signed)
     scale, step = np.ldexp(1.0, fls), np.ldexp(1.0, -fls)
-    half = unit.half_support if np.isfinite(unit.half_support) else TAIL_HALF_WIDTH
+    half = min(pdfs.HALF_SUPPORT[family], TAIL_HALF_WIDTH)
     # edges (k + 1/2) step for k in [min_code, max_code - 1], within mu +- half * s
-    first = np.clip(np.ceil((mu - half * s) * scale - 0.5), fmt.min_code, fmt.max_code)
-    last = np.clip(np.floor((mu + half * s) * scale - 0.5), fmt.min_code - 1, fmt.max_code - 1)
+    first = np.clip(np.ceil((mu - half * s) * scale - 0.5), min_code, max_code)
+    last = np.clip(np.floor((mu + half * s) * scale - 0.5), min_code - 1, max_code - 1)
     count = np.maximum(last - first + 1, 0).astype(np.int64)
-    c = (np.clip(np.rint(mu * scale), fmt.min_code, fmt.max_code) * step - mu) / s
-    base = pdfs.model_variance(unit) + c * c
-    bound = base - 2.0 * float(pdfs.tail_excess(unit, 0.0)) * count * step / s
+    c = (np.clip(np.rint(mu * scale), min_code, max_code) * step - mu) / s
+    base = pdfs.UNIT_VARIANCE[family] + c * c
+    bound = base - 2.0 * float(pdfs.tail_excess(family, 0.0)) * count * step / s
     noise = np.full(fls.shape, np.inf)
     for pick in (bound <= 0, bound > 0):  # the second pass is pruned by the first's best
         pick &= bound <= 2.0 * np.abs(noise.min(axis=1, keepdims=True))
@@ -64,7 +65,7 @@ def _noise_curve(models, bit_width: int, signed: bool, fls) -> np.ndarray:
         u = ((k + 0.5) * np.repeat(step[pick], n) - np.repeat(mu[pick], n)) / np.repeat(s[pick], n)
         sums = np.zeros(n.size)
         if n.any():
-            sums[n > 0] = np.add.reduceat(pdfs.tail_excess(unit, np.abs(u)), starts[n > 0])
+            sums[n > 0] = np.add.reduceat(pdfs.tail_excess(family, np.abs(u)), starts[n > 0])
         noise[pick] = base[pick] - 2.0 * step[pick] / s[pick] * sums
     return s * s * noise
 
@@ -76,7 +77,8 @@ def sqnr_noise(model: pdfs.PdfModel, q: QFormat) -> float:
     TAIL_HALF_WIDTH scales out on a laplace or gaussian model are dropped,
     which moves it by under (1 + h) exp(-40) scale^2 per side, h the step in
     scales."""
-    return float(_noise_curve([model], q.bit_width, q.signed, [[q.frac_len]])[0, 0])
+    return float(_noise_curve(model.family, [model.location], [model.scale], q.bit_width,
+                              q.signed, [[q.frac_len]])[0, 0])
 
 
 def optimal_fl(stats: ChannelStats, family, bit_width: int = 8, signed: bool = True) -> np.ndarray:
@@ -90,18 +92,17 @@ def optimal_fl(stats: ChannelStats, family, bit_width: int = 8, signed: bool = T
     """
     fls = fl_from_max(stats.max_abs, bit_width, signed)
     families = np.broadcast_to(np.asarray(family), fls.shape)
-    live = ~(stats.sigma <= 0)  # a NaN sigma stays live, and fit_pdf rejects it
+    live = ~(stats.sigma <= 0)  # a NaN sigma stays live, and fit_scale rejects it
     per_pass = max(1, 2**17 // ((FL_MAX - FL_MIN + 1) << bit_width))  # 2**17 edges, 1 MB an array
-    for fam in np.unique(families[live]):
+    for fam in np.unique(families[live]).tolist():
         group = np.flatnonzero(live & (families == fam))
         for rows in np.split(group, range(per_pass, len(group), per_pass)):
-            models = [pdfs.fit_pdf(stats.mean[i], stats.sigma[i], str(fam)) for i in rows]
-            span = np.abs(stats.mean[rows]) + SCAN_HALF_WIDTH * np.array([m.scale for m in models])
+            mu, s = stats.mean[rows], pdfs.fit_scale(stats.sigma[rows], fam)
             # each row from its own scan start, repeated on the left: a repeat
             # ties with its original, so the first (smaller) fl still wins
-            lo = fl_from_max(2.0 * span, bit_width, signed)[:, None]
+            lo = fl_from_max(2.0 * (np.abs(mu) + SCAN_HALF_WIDTH * s), bit_width, signed)[:, None]
             cand = np.maximum(np.arange(lo.min(), FL_MAX + 1), lo)
-            noise = _noise_curve(models, bit_width, signed, cand)
+            noise = _noise_curve(fam, mu, s, bit_width, signed, cand)
             best = noise.min(axis=1, keepdims=True)
             pick = np.argmax(noise <= best + 1e-12 * np.abs(best), axis=1, keepdims=True)
             fls[rows] = np.take_along_axis(cand, pick, axis=1)[:, 0]

@@ -1,24 +1,22 @@
-"""Probability density models used to pick fractional lengths.
+"""Probability density families used to pick fractional lengths.
 
 Families: laplace, gaussian, and a heavy-tailed quartic-decay density
-(``super_cauchy``) truncated to a finite scale-normalized window, plus a
-uniform family kept for tests. Fitting matches location to the mean and
-scale to the variance; every family's variance is scale**2 times a
-constant (for the truncated family, a closed-form one), so the scale is
-sigma over that constant's square root.
+(``super_cauchy``) cut to +/- 15 scales and renormalized, plus a uniform
+family kept for tests. Each family is a table entry: the variance and the
+half-width of the support of its unit-scale member, the quartic ones in
+closed form from :func:`_quartic_tails`. Fitting matches location to the
+mean and scale to the variance, so the scale is sigma over the square root
+of the family's unit variance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import erfc, pi, sqrt
+from math import erfc, inf, pi, sqrt
 
 import numpy as np
 
 FAMILIES = ("laplace", "gaussian", "super_cauchy", "uniform")
-
-# Half-width of the heavy-tailed family's support, in units of its scale.
-DEFAULT_TRUNCATION = 15.0
 
 
 @dataclass(frozen=True)
@@ -26,22 +24,12 @@ class PdfModel:
     family: str
     location: float
     scale: float
-    truncation: float | None = None  # super_cauchy only, scale-normalized
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def half_support(self) -> float:
-        """Half-width of the support in scale units; inf for laplace and gaussian."""
-        if self.family == "super_cauchy":
-            return self.truncation if self.truncation is not None else DEFAULT_TRUNCATION
-        if self.family == "uniform":
-            return 1.0
-        return np.inf
 
 
 def _quartic_unit(u: np.ndarray) -> np.ndarray:
@@ -61,81 +49,51 @@ def _quartic_tails(t):
             (atan_part + log_part) / (4.0 * r2))
 
 
-def quartic_norm_const(truncation: float = DEFAULT_TRUNCATION) -> float:
-    """Mass of the unit quartic-tail density inside +/- truncation."""
-    return float(1.0 - 2.0 * sqrt(2.0) / pi * _quartic_tails(truncation)[0])
+HALF_SUPPORT = {"laplace": inf, "gaussian": inf, "super_cauchy": 15.0, "uniform": 1.0}
+# The quartic tails beyond the cut, and the mass left inside it.
+_SC_CUT = _quartic_tails(HALF_SUPPORT["super_cauchy"])
+_SC_MASS = float(1.0 - 2.0 * sqrt(2.0) / pi * _SC_CUT[0])
+UNIT_VARIANCE = {
+    "laplace": 2.0,
+    "gaussian": 1.0,
+    "super_cauchy": float((pi / sqrt(2.0) - 2.0 * _SC_CUT[2]) / (pi / sqrt(2.0) - 2.0 * _SC_CUT[0])),
+    "uniform": 1.0 / 3.0,
+}
 
 
-def quartic_unit_variance(truncation: float = DEFAULT_TRUNCATION) -> float:
-    """Variance of the truncated, renormalized unit quartic-tail density."""
-    i0, _, i2 = _quartic_tails(truncation)
-    return float((pi / sqrt(2.0) - 2.0 * i2) / (pi / sqrt(2.0) - 2.0 * i0))
-
-
-def density(model: PdfModel, x) -> np.ndarray:
-    """Evaluate the model density at x (vectorized)."""
-    x = np.asarray(x, dtype=np.float64)
-    u = (x - model.location) / model.scale
-    if model.family == "laplace":
-        return np.exp(-np.abs(u)) / (2.0 * model.scale)
-    if model.family == "gaussian":
-        return np.exp(-0.5 * u**2) / (model.scale * sqrt(2.0 * pi))
-    if model.family == "uniform":
-        return np.where(np.abs(u) <= 1.0, 0.5 / model.scale, 0.0)
-    t = model.half_support
-    return np.where(np.abs(u) < t, _quartic_unit(u) / (model.scale * quartic_norm_const(t)), 0.0)
-
-
-def model_variance(model: PdfModel) -> float:
-    """Variance of the model; in closed form for every family."""
-    if model.family == "laplace":
-        return 2.0 * model.scale**2
-    if model.family == "gaussian":
-        return model.scale**2
-    if model.family == "uniform":
-        return model.scale**2 / 3.0
-    return model.scale**2 * quartic_unit_variance(model.half_support)
-
-
-def tail_excess(model: PdfModel, t) -> np.ndarray:
-    """E[(U - t)+] for t >= 0, where U = (X - location) / scale (vectorized).
+def tail_excess(family: str, t) -> np.ndarray:
+    """E[(U - t)+] for t >= 0, where U is the family's unit-scale variable
+    (vectorized).
 
     Closed form for every family; it is the only property of the density
     that the quantization-noise functional of :mod:`chanq.flsolver` needs.
     """
     t = np.asarray(t, dtype=np.float64)
-    if model.family == "laplace":
+    if family == "laplace":
         return 0.5 * np.exp(-t)
-    if model.family == "gaussian":
+    if family == "gaussian":
         upper = 0.5 * np.asarray(np.frompyfunc(erfc, 1, 1)(t / sqrt(2.0)), dtype=np.float64)
         return np.exp(-0.5 * t * t) / sqrt(2.0 * pi) - t * upper
-    if model.family == "uniform":
-        return 0.25 * (1.0 - np.minimum(t, 1.0)) ** 2
-    trunc = model.half_support
-    t = np.minimum(t, trunc)
-    (i0, i1, _), (j0, j1, _) = _quartic_tails(t), _quartic_tails(trunc)
-    return sqrt(2.0) / (pi * quartic_norm_const(trunc)) * ((i1 - j1) - t * (i0 - j0))
-
-
-def fit_pdf(mean: float, sigma: float, family: str,
-            truncation: float = DEFAULT_TRUNCATION) -> PdfModel:
-    """Fit a model of the given family to a channel's mean and sigma.
-
-    The scale is the one whose model variance equals sigma**2; for the
-    truncated family that is sigma / sqrt(quartic_unit_variance(truncation)).
-    """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive to fit a density")
-    if family == "laplace":
-        return PdfModel("laplace", float(mean), float(sigma) / sqrt(2.0))
-    if family == "gaussian":
-        return PdfModel("gaussian", float(mean), float(sigma))
     if family == "uniform":
-        return PdfModel("uniform", float(mean), float(sigma) * sqrt(3.0))
-    if family != "super_cauchy":
+        return 0.25 * (1.0 - np.minimum(t, 1.0)) ** 2
+    t = np.minimum(t, HALF_SUPPORT["super_cauchy"])
+    (i0, i1, _), (j0, j1, _) = _quartic_tails(t), _SC_CUT
+    return sqrt(2.0) / (pi * _SC_MASS) * ((i1 - j1) - t * (i0 - j0))
+
+
+def fit_scale(sigma, family: str) -> np.ndarray:
+    """Scale whose model variance is sigma**2, elementwise over ``sigma``."""
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    scale = float(sigma) / sqrt(quartic_unit_variance(truncation))
-    return PdfModel("super_cauchy", float(mean), scale, truncation)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if not (sigma > 0).all():
+        raise ValueError("sigma must be positive to fit a density")
+    return sigma / sqrt(UNIT_VARIANCE[family])
+
+
+def fit_pdf(mean: float, sigma: float, family: str) -> PdfModel:
+    """Fit a model of the given family to a channel's mean and sigma."""
+    return PdfModel(family, float(mean), float(fit_scale(sigma, family)))
 
 
 _SC_INVCDF_CACHE: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -149,7 +107,7 @@ def sample(model: PdfModel, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(model.location, model.scale, n)
     if model.family == "uniform":
         return rng.uniform(model.location - model.scale, model.location + model.scale, n)
-    t = model.half_support
+    t = HALF_SUPPORT["super_cauchy"]
     if t not in _SC_INVCDF_CACHE:
         u = np.linspace(-t, t, 2**17 + 1)
         pdf = _quartic_unit(u)

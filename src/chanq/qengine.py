@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 # rounding_shift is not called here; perfbench/layers.py wraps qengine.rounding_shift
-from .fixedpoint import INT32_MAX, INT32_MIN, rounding_shift  # noqa: F401
+from .fixedpoint import INT32_MAX, INT32_MIN, code_range, rounding_shift  # noqa: F401
 from .graph import Graph, GraphError
 from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, _check_range, check_plan,
                       plan_from_json, plan_to_json)
@@ -55,12 +55,6 @@ class QuantRunResult:
     saturation: dict = field(default_factory=dict)  # node name -> clipped lanes
 
 
-def _code_bounds(fmt: TensorFormat, bit_width: int):
-    lo = np.where(fmt.signed, -(2 ** (bit_width - 1)), 0).astype(np.int64)
-    hi = np.where(fmt.signed, 2 ** (bit_width - 1) - 1, 2**bit_width - 1).astype(np.int64)
-    return lo, hi
-
-
 def _channel_shape(arr_ndim: int):
     # broadcast shape placing the channel axis of [C] vectors
     return (1, -1) + (1,) * (arr_ndim - 2)
@@ -72,7 +66,7 @@ def quantize_tensor(x: np.ndarray, fmt: TensorFormat, bit_width: int) -> np.ndar
     x = np.asarray(x, dtype=np.float64)
     cshape = _channel_shape(x.ndim)
     scale = (2.0 ** fmt.fls.astype(np.float64)).reshape(cshape)
-    lo, hi = _code_bounds(fmt, bit_width)
+    lo, hi = code_range(bit_width, fmt.signed)
     codes = np.rint(x * scale)
     return np.clip(codes, lo.reshape(cshape), hi.reshape(cshape), out=codes)
 
@@ -98,8 +92,7 @@ def quantize_params(g: Graph, plan: QuantPlan) -> QuantizedGraph:
     adder fl (32-bit). Raises PlanError where :func:`check_plan` does."""
     check_plan(g, plan)
     kernels, biases = {}, {}
-    bw = plan.bit_width
-    kq_lo, kq_hi = -(2 ** (bw - 1)), 2 ** (bw - 1) - 1
+    kq_lo, kq_hi = code_range(plan.bit_width)
     for node in g.nodes:
         if node.kind not in ("conv", "depthwise_conv", "fc"):
             continue
@@ -117,7 +110,7 @@ def quantize_params(g: Graph, plan: QuantPlan) -> QuantizedGraph:
         kernels[node.name] = np.clip(kcodes, kq_lo, kq_hi).astype(np.int64)
         bscale = 2.0 ** lp.bias_fl.astype(np.float64)
         bcodes = np.rint(b * bscale)
-        biases[node.name] = np.clip(bcodes, -(2**31), 2**31 - 1).astype(np.int64)
+        biases[node.name] = np.clip(bcodes, INT32_MIN, INT32_MAX).astype(np.int64)
     return QuantizedGraph(graph=g, plan=plan, kernels=kernels, biases=biases)
 
 
@@ -145,7 +138,7 @@ def _finish_accumulator(acc, bias_codes, acc_bound, lp: LayerPlan, out_fmt: Tens
     codes and the clip count.
     """
     cshape = _channel_shape(acc.ndim)
-    lo, hi = _code_bounds(out_fmt, bit_width)
+    lo, hi = code_range(bit_width, out_fmt.signed)
     acc = acc + bias_codes.reshape(cshape)
     clipped = 0
     if (acc_bound + np.abs(bias_codes) > INT32_MAX).any() and (
@@ -287,7 +280,7 @@ def _run_add(node, a, b, qg: QuantizedGraph):
         return np.rint(v * (2.0 ** -shift).reshape(cshape))
 
     total = shifted(a, fa - common) + shifted(b, fb - common)
-    lo, hi = _code_bounds(out_fmt, qg.plan.bit_width)
+    lo, hi = code_range(qg.plan.bit_width, out_fmt.signed)
     return np.clip(shifted(total, common - out_fmt.fls), lo.reshape(cshape), hi.reshape(cshape))
 
 
@@ -385,7 +378,7 @@ def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
     if not isinstance(qparams, dict):
         raise PlanError(f"plan qparams must be an object, got {qparams!r}")
     kernels, biases = {}, {}
-    half = 2 ** (plan.bit_width - 1)
+    kq_lo, kq_hi = code_range(plan.bit_width)
     for node in g.nodes:
         if node.kind not in ("conv", "depthwise_conv", "fc"):
             continue
@@ -405,7 +398,7 @@ def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
             raise PlanError(f"quantized parameters of node {node.name!r}: "
                             f"malformed value ({e})") from None
         # the plan's fan-in bound holds only for codes of its width
-        _check_range(f"node {node.name!r}", kernel=(kernels[node.name], -half, half - 1))
+        _check_range(f"node {node.name!r}", kernel=(kernels[node.name], kq_lo, kq_hi))
     return QuantizedGraph(graph=g, plan=plan, kernels=kernels, biases=biases)
 
 

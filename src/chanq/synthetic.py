@@ -179,7 +179,7 @@ def _draw_inputs(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
         x = rng.normal(0.0, 1.0, size=shape)
         n = int(np.prod(shape))
         mask = rng.random(n) < 0.02
-        tails = sample(PdfModel("super_cauchy", 0.0, 3.0, 15.0), int(mask.sum()), rng)
+        tails = sample(PdfModel("super_cauchy", 0.0, 3.0), int(mask.sum()), rng)
         flat = x.reshape(-1)
         flat[mask] = tails
         x = flat.reshape(shape)

@@ -122,7 +122,7 @@ def test_criterion_4_density_normalization():
 
     closed_form, _ = integrate.quad(lambda u: 1.0 / (1.0 + u**4), -np.inf, np.inf)
     analytic_ok = abs(closed_form - np.pi / np.sqrt(2.0)) < 1e-9
-    m = pdfs.PdfModel("super_cauchy", 0.0, 1.0, 15.0)
+    m = pdfs.PdfModel("super_cauchy", 0.0, 1.0)
     mass = normalization(m)
     _report(4, "quartic-tail normalization",
             analytic_ok and abs(mass - 1.0) < 1e-6,

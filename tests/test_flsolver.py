@@ -22,15 +22,16 @@ from chanq.flsolver import (
 )
 from chanq.profiling import ChannelStats, stats_from_samples
 
+from test_pdfs import density
+
 
 def dense_noise(model, q, panels=200_000):
     """Independent direct evaluation of the same composite-midpoint integral."""
-    half = max(model.half_support if np.isfinite(model.half_support) else 0.0, 30.0)
-    span = half * model.scale
+    span = 30.0 * model.scale  # past every finite support
     lo, hi = model.location - span, model.location + span
     h = (hi - lo) / panels
     xs = lo + (np.arange(panels) + 0.5) * h
-    w = pdfs.density(model, xs) * h
+    w = density(model, xs) * h
     scale = 2.0**q.frac_len
     codes = np.clip(np.rint(xs * scale), q.min_code, q.max_code)
     err = xs - codes / scale
@@ -47,25 +48,25 @@ def mp_noise(model, q):
     """
     import mpmath
 
-    unit = pdfs.PdfModel(model.family, 0.0, 1.0, model.truncation)
+    unit = pdfs.PdfModel(model.family, 0.0, 1.0)
+    half = pdfs.HALF_SUPPORT[model.family]
     mu, s = model.location, model.scale
     d = 0.5 * q.step / s
     codes = (np.arange(q.min_code, q.max_code + 1) * q.step - mu) / s
     inner = codes[1:-1]
     # the mode and the density's jumps, where the quadrature must split
-    marks = [0.0] + ([-unit.half_support, unit.half_support]
-                     if np.isfinite(unit.half_support) else [])
+    marks = [0.0] + ([-half, half] if np.isfinite(half) else [])
     cuts = {-d, d} | {float(k - inner[np.argmin(np.abs(inner - k))]) for k in marks}
     cuts = sorted(t for t in cuts if -d <= t <= d)
-    granular = mpmath.quad(lambda t: t * t * float(np.sum(pdfs.density(unit, inner + float(t)))),
+    granular = mpmath.quad(lambda t: t * t * float(np.sum(density(unit, inner + float(t)))),
                            cuts)
 
     def end_cell(c, lo, hi):
-        lo, hi = max(lo, -unit.half_support), min(hi, unit.half_support)
+        lo, hi = max(lo, -half), min(hi, half)
         if lo >= hi:
             return 0.0
         pts = sorted({lo, hi} | {k for k in marks if lo < k < hi})
-        return mpmath.quad(lambda u: (u - c) ** 2 * float(pdfs.density(unit, float(u))), pts)
+        return mpmath.quad(lambda u: (u - c) ** 2 * float(density(unit, float(u))), pts)
 
     ends = end_cell(codes[0], -mpmath.inf, codes[0] + d) + end_cell(codes[-1], codes[-1] - d,
                                                                       mpmath.inf)
@@ -84,7 +85,7 @@ class TestSqnrNoise:
         for family in ("laplace", "gaussian", "super_cauchy"):
             m = pdfs.fit_pdf(0.0, 1.0, family)
             noise = sqnr_noise(m, QFormat(8, 31, True))
-            ex2 = pdfs.model_variance(m)
+            ex2 = m.scale**2 * pdfs.UNIT_VARIANCE[family]
             assert noise >= 0.5 * ex2
 
     def test_matches_direct_evaluation(self):
@@ -175,12 +176,11 @@ class _PerChannelGrid:
     closed form must pick the same fls."""
 
     def __init__(self, model, panels=200_000):
-        half = max(model.half_support if np.isfinite(model.half_support) else 0.0, 30.0)
-        span = half * model.scale
+        span = 30.0 * model.scale  # past every finite support
         lo, hi = model.location - span, model.location + span
         h = (hi - lo) / panels
         self.xs = lo + (np.arange(panels) + 0.5) * h
-        w = pdfs.density(model, self.xs) * h
+        w = density(model, self.xs) * h
         self.s0 = np.concatenate([[0.0], np.cumsum(w)])
         self.s1 = np.concatenate([[0.0], np.cumsum(w * self.xs)])
         self.s2 = np.concatenate([[0.0], np.cumsum(w * self.xs**2)])
@@ -380,7 +380,8 @@ class TestRecordSolver:
         models = [pdfs.fit_pdf(m, s, family) for m, s in zip(mean, sigma)]
         start = fl_from_max(2.0 * (np.abs(mean) + 30.0 * sigma), bit_width, signed)[:, None]
         cand = np.maximum(np.arange(start.min(), FL_MAX + 1), start)
-        noise = flsolver._noise_curve(models, bit_width, signed, cand)
+        noise = flsolver._noise_curve(family, mean, [m.scale for m in models], bit_width, signed,
+                                      cand)
         assert noise.shape == cand.shape
         for row, model, fls in zip(noise, models, cand):
             want = np.array([sqnr_noise(model, QFormat(bit_width, int(fl), signed)) for fl in fls])

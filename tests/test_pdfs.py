@@ -7,13 +7,27 @@ from scipy import integrate
 from chanq import pdfs
 
 
+def density(model: pdfs.PdfModel, x) -> np.ndarray:
+    """Evaluate the model density at x (vectorized)."""
+    x = np.asarray(x, dtype=np.float64)
+    u = (x - model.location) / model.scale
+    if model.family == "laplace":
+        return np.exp(-np.abs(u)) / (2.0 * model.scale)
+    if model.family == "gaussian":
+        return np.exp(-0.5 * u**2) / (model.scale * np.sqrt(2.0 * np.pi))
+    if model.family == "uniform":
+        return np.where(np.abs(u) <= 1.0, 0.5 / model.scale, 0.0)
+    t = pdfs.HALF_SUPPORT["super_cauchy"]
+    return np.where(np.abs(u) < t, pdfs._quartic_unit(u) / (model.scale * pdfs._SC_MASS), 0.0)
+
+
 def normalization(model: pdfs.PdfModel, panels: int = 400_000) -> float:
     """Total mass by composite midpoint quadrature."""
-    half = model.half_support if np.isfinite(model.half_support) else 40.0
+    half = min(pdfs.HALF_SUPPORT[model.family], 40.0)
     lo = model.location - half * model.scale
     hi = model.location + half * model.scale
     xs = lo + (np.arange(panels) + 0.5) * (hi - lo) / panels
-    return float(pdfs.density(model, xs).sum() * (hi - lo) / panels)
+    return float(density(model, xs).sum() * (hi - lo) / panels)
 
 
 class TestQuarticTailDensity:
@@ -27,23 +41,29 @@ class TestQuarticTailDensity:
 
     @pytest.mark.parametrize("t", [1.0, 5.0, 15.0, 30.0])
     def test_closed_forms_match_quadrature(self, t):
-        density = lambda u: np.sqrt(2.0) / (np.pi * (1.0 + u**4))  # noqa: E731
-        mass, _ = integrate.quad(density, -t, t)
-        second, _ = integrate.quad(lambda u: u**2 * density(u), -t, t)
-        assert pdfs.quartic_norm_const(t) == pytest.approx(mass, rel=1e-15)
-        assert pdfs.quartic_unit_variance(t) == pytest.approx(second / mass, rel=1e-15)
+        # the tails beyond t give the mass and the variance inside +/- t
+        quartic = lambda u: np.sqrt(2.0) / (np.pi * (1.0 + u**4))  # noqa: E731
+        mass, _ = integrate.quad(quartic, -t, t)
+        second, _ = integrate.quad(lambda u: u**2 * quartic(u), -t, t)
+        i0, _, i2 = pdfs._quartic_tails(t)
+        whole = np.pi / np.sqrt(2.0)  # the integral of 1/(1+u^4) over R, and of u^2/(1+u^4)
+        assert 1.0 - 2.0 * i0 / whole == pytest.approx(mass, rel=1e-15)
+        assert (whole - 2.0 * i2) / (whole - 2.0 * i0) == pytest.approx(second / mass, rel=1e-15)
+        if t == pdfs.HALF_SUPPORT["super_cauchy"]:
+            assert pdfs._SC_MASS == pytest.approx(mass, rel=1e-15)
+            assert pdfs.UNIT_VARIANCE["super_cauchy"] == pytest.approx(second / mass, rel=1e-15)
 
     def test_truncation_mass_close_to_one(self):
         # renormalization constant differs from 1 by < 1e-3 at half-width 15
-        assert abs(pdfs.quartic_norm_const(15.0) - 1.0) < 1e-3
+        assert abs(pdfs._SC_MASS - 1.0) < 1e-3
 
     def test_truncated_renormalized_integrates_to_one(self):
-        m = pdfs.PdfModel("super_cauchy", 0.3, 1.7, 15.0)
+        m = pdfs.PdfModel("super_cauchy", 0.3, 1.7)
         assert normalization(m) == pytest.approx(1.0, abs=1e-6)
 
     def test_density_zero_outside_window(self):
-        m = pdfs.PdfModel("super_cauchy", 0.0, 1.0, 15.0)
-        assert pdfs.density(m, np.array([15.5, -20.0])).tolist() == [0.0, 0.0]
+        m = pdfs.PdfModel("super_cauchy", 0.0, 1.0)
+        assert density(m, np.array([15.5, -20.0])).tolist() == [0.0, 0.0]
 
 
 class TestNormalization:
@@ -51,7 +71,7 @@ class TestNormalization:
                                               ("uniform", 1.3), ("super_cauchy", 0.4)])
     def test_each_family_normalized(self, family, scale):
         m = pdfs.fit_pdf(0.0, 1.0, family) if family == "super_cauchy" else \
-            pdfs.PdfModel(family, -1.0, scale, 15.0 if family == "super_cauchy" else None)
+            pdfs.PdfModel(family, -1.0, scale)
         assert normalization(m) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -61,13 +81,13 @@ class TestTailExcess:
     def test_matches_quadrature(self, family, t):
         # E[(U - t)+] of the unit model against its defining integral; far
         # out, where the closed forms cancel, to 1e-15 absolute (T(0) >= 1/4)
-        unit = pdfs.PdfModel(family, 0.0, 1.0, 15.0 if family == "super_cauchy" else None)
-        top = min(unit.half_support, 60.0)
+        unit = pdfs.PdfModel(family, 0.0, 1.0)
+        top = min(pdfs.HALF_SUPPORT[family], 60.0)
         want = 0.0
         if t < top:
-            want, _ = integrate.quad(lambda u: (u - t) * pdfs.density(unit, u), t, top,
+            want, _ = integrate.quad(lambda u: (u - t) * density(unit, u), t, top,
                                      epsabs=0.0, epsrel=1e-13, limit=200)
-        assert pdfs.tail_excess(unit, t) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert pdfs.tail_excess(family, t) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestFitting:
@@ -88,7 +108,7 @@ class TestFitting:
         # exact by construction: scale**2 * unit variance == sigma**2
         for sigma in (0.1, 1.0, 7.5):
             m = pdfs.fit_pdf(0.0, sigma, "super_cauchy")
-            assert pdfs.model_variance(m) == pytest.approx(sigma**2, rel=1e-12)
+            assert m.scale**2 * pdfs.UNIT_VARIANCE["super_cauchy"] == pytest.approx(sigma**2, rel=1e-12)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -106,7 +126,7 @@ class TestSampling:
 
     def test_quartic_samples_within_window(self):
         rng = np.random.default_rng(1)
-        m = pdfs.PdfModel("super_cauchy", 0.0, 1.0, 15.0)
+        m = pdfs.PdfModel("super_cauchy", 0.0, 1.0)
         x = pdfs.sample(m, 50_000, rng)
         assert np.abs(x).max() <= 15.0
         # heavy tails: noticeably more mass beyond 4 sigma-units than a gaussian

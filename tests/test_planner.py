@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chanq.flsolver import train_knn
 from chanq.graph import Graph, LayerSpec, validate
 from chanq.planner import (
     MODES,
@@ -131,6 +132,14 @@ class TestSolvePlanModes:
         stats = _stats_for(_conv_graph(ci=3), np.random.default_rng(3))
         with pytest.raises(PlanError, match="'x'.* 3 channels"):
             solve_plan(g, stats, "cw_max")
+
+    def test_unknown_family_from_knn_rejected(self):
+        # a custom classifier may vote a family the solver has no density for
+        g = _conv_graph()
+        stats = _stats_for(g, np.random.default_rng(4))
+        knn = train_knn(np.random.default_rng(5).normal(size=(12, 5)), ["student_t"] * 12)
+        with pytest.raises(PlanError, match="tensor 'x': unknown family 'student_t'"):
+            solve_plan(g, stats, "cw_pdf_aware", knn_model=knn)
 
     def test_unknown_mode(self):
         g = _conv_graph()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from chanq import qengine, tensorops
 from chanq.cli import main
-from chanq.fixedpoint import rounding_shift
+from chanq.fixedpoint import code_range, rounding_shift
 from chanq.flsolver import default_classifier
 from chanq.graph import Graph, GraphError, LayerSpec, execute_float, validate
 from chanq.planner import (MODES, LayerPlan, PlanError, QuantPlan, TensorFormat, check_plan,
@@ -411,7 +411,7 @@ def _int64_epilogue(acc, bias_codes, lp, out_fmt, bit_width):
     acc = np.asarray(acc, dtype=np.int64) + bias_codes.reshape(cshape)
     clipped = int(np.count_nonzero((acc < INT32_MIN) | (acc > INT32_MAX)))
     acc = rounding_shift(np.clip(acc, INT32_MIN, INT32_MAX), lp.shift.reshape(cshape))
-    lo, hi = qengine._code_bounds(out_fmt, bit_width)
+    lo, hi = code_range(bit_width, out_fmt.signed)
     return np.clip(acc, lo.reshape(cshape), hi.reshape(cshape)), clipped
 
 

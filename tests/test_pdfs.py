@@ -1,5 +1,7 @@
 """Density model tests: normalization, variance matching, sampling."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -75,19 +77,67 @@ class TestNormalization:
         assert normalization(m) == pytest.approx(1.0, abs=1e-6)
 
 
-class TestTailExcess:
+class TestTailMoments:
     @pytest.mark.parametrize("family", ["laplace", "gaussian", "uniform", "super_cauchy"])
-    @pytest.mark.parametrize("t", [0.0, 0.3, 0.7071, 1.0, 2.5, 9.0, 14.9, 16.0])
-    def test_matches_quadrature(self, family, t):
-        # E[(U - t)+] of the unit model against its defining integral; far
-        # out, where the closed forms cancel, to 1e-15 absolute (T(0) >= 1/4)
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.7071, 1.0, 1.999, 2.5, 9.0, 10.999, 11.0, 14.9,
+                                   16.0])
+    def test_match_quadrature(self, family, t):
+        # E[(U - t)+^k], k = 0, 1, 2, of the unit model against its defining
+        # integral; t straddles the quartic's series switches at 2 and 11
         unit = pdfs.PdfModel(family, 0.0, 1.0)
         top = min(pdfs.HALF_SUPPORT[family], 60.0)
-        want = 0.0
-        if t < top:
-            want, _ = integrate.quad(lambda u: (u - t) * density(unit, u), t, top,
-                                     epsabs=0.0, epsrel=1e-13, limit=200)
-        assert pdfs.tail_excess(family, t) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        got = pdfs.tail_moments(family, t)
+        for k in range(3):
+            want = 0.0
+            if t < top:
+                want, _ = integrate.quad(lambda u: (u - t) ** k * density(unit, u), t, top,
+                                         epsabs=0.0, epsrel=1e-13, limit=200)
+            assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-15), k
+
+    def test_quartic_near_the_cut(self):
+        # within 4 scales of the cut the moments are power series in the gap
+        # L = 15 - t; as L -> 0 they fall as p(15) L^(k+1) / (k+1)! ... exactly
+        unit = pdfs.PdfModel("super_cauchy", 0.0, 1.0)
+        peak = float(density(unit, 15.0 - 1e-12))
+        for gap in (1e-3, 1e-6):
+            got = pdfs.tail_moments("super_cauchy", 15.0 - gap)
+            for k in range(3):
+                assert got[k] == pytest.approx(peak * gap ** (k + 1) / factorial(k + 1), rel=1e-2)
+
+    def test_vectorized_over_shape(self):
+        t = np.array([[0.5, 3.0], [12.0, 20.0]])
+        got = pdfs.tail_moments("super_cauchy", t)
+        assert got.shape == (3, 2, 2)
+        assert got[:, 1, 1].tolist() == [0.0, 0.0, 0.0]
+        assert got[:, 0, 1].tolist() == pdfs.tail_moments("super_cauchy", 3.0).tolist()
+
+
+class TestDensityDerivatives:
+    @pytest.mark.parametrize("family", ["laplace", "gaussian", "uniform", "super_cauchy"])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.7071, 2.0, 9.0, 14.9])
+    def test_match_mpmath(self, family, t):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        if family == "uniform" and t > 1.0:
+            return
+        unit = pdfs.PdfModel(family, 0.0, 1.0)
+        scale = float(density(unit, 0.0))  # p(0), to scale the unit shapes below
+        shape = {"laplace": lambda u: mpmath.exp(-u) / 2,
+                 "gaussian": lambda u: mpmath.exp(-u * u / 2) / mpmath.sqrt(2 * mpmath.pi),
+                 "uniform": lambda u: mpmath.mpf(1) / 2,
+                 "super_cauchy": lambda u: scale / (1 + u**4)}[family]
+        got = pdfs.density_derivatives(family, t, 12)
+        assert got.shape == (12,)
+        for k in range(12):
+            want = float(mpmath.diff(shape, mpmath.mpf(t), k))
+            # the quartic's partial fractions leave ~1e-16 k! where p^(k) vanishes
+            assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-15 * factorial(k)), k
+
+    def test_order_is_the_first_axis(self):
+        got = pdfs.density_derivatives("super_cauchy", np.array([[0.0, 1.0, 2.0]]), 4)
+        assert got.shape == (4, 1, 3)
+        assert got[1, 0, 0] == pytest.approx(0.0, abs=1e-15)  # an even density's p'(0)
+        assert got[:, 0, 2].tolist() == pdfs.density_derivatives("super_cauchy", 2.0, 4).tolist()
 
 
 class TestFitting:

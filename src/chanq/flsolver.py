@@ -36,7 +36,8 @@ TAIL_HALF_WIDTH = 40.0  # a gaussian's density and tail moments underflow to 0 t
 STEP_LIMIT = {"gaussian": 0.5, "super_cauchy": 1.0, "uniform": 1.0}
 _ORDERS = 24  # Euler-Maclaurin terms up to h^_ORDERS
 _PEAKS = {family: float(pdfs.density_derivatives(family, 0.0, 1)[0]) for family in STEP_LIMIT}
-_ZETA3 = 1.2020569031595942  # zeta(3) = sum_m 1 / m^3
+# 2 p(0) zeta(3) / pi^3: how far, in h^3, the noise can lie from its leading term
+_SLACKS = {family: 2.0 * peak * 1.2020569031595942 / pi**3 for family, peak in _PEAKS.items()}
 
 
 # The Bernoulli numbers B_0 .. B_24 as (numerator, denominator); B_r = 0 for odd r > 1
@@ -174,7 +175,8 @@ def _euler_maclaurin(family: str, lo, hi, h, c, lead):
             rows = pick[rows]
             bernoulli = []
             for x, spanned in zip((cut, -cut), spans):
-                phase = (x - lo[rows]) / h[rows] - 0.5  # the cut's offset from the edge below, in steps
+                # the cut's offset from the edge below it, in steps
+                phase = (x - lo[rows]) / h[rows] - 0.5
                 powers = np.vander(phase - np.floor(phase), _ORDERS + 1, increasing=True)
                 bernoulli.append(np.einsum("nj,rj->nr", powers, _BERNOULLI[_CUT_ORDERS[:k]])
                                  * spanned[rows, None])
@@ -269,7 +271,7 @@ def _noise_curve(family: str, mu, s, bit_width: int, signed: bool, fls) -> np.nd
     # within 2 p(0) zeta(3) h^3 / pi^3 of the leading term, so an entry whose
     # bound cannot tie its row's best is not evaluated and scores inf.
     lead = _leading(family, lo, hi, h)
-    slack = 2.0 * _PEAKS[family] * _ZETA3 / pi**3 * h**3
+    slack = _SLACKS[family] * h**3
     best = (lead + slack).min(axis=1, keepdims=True)
     live = lead - slack <= best + 1e-12 * best
     fast = live & (h <= STEP_LIMIT[family])

@@ -452,6 +452,25 @@ class TestRecordSolver:
         with pytest.raises(ValueError, match="sigma must be positive"):
             optimal_fl(stats, "laplace", 8, True)
 
+    @pytest.mark.parametrize("family", ["super_cauchy", "gaussian", "uniform"])
+    def test_leading_term_bounds_the_noise(self, family):
+        # the bound by which _noise_curve skips entries that cannot tie: the
+        # noise lies within _SLACKS[family] h^3 of its leading term, and
+        # comes within a tenth of it (the largest gap reads 0.25 to 0.40)
+        rng = np.random.default_rng(40)
+        worst = 0.0
+        for _ in range(200):
+            q = QFormat(int(rng.integers(2, 17)), int(rng.integers(-4, 12)),
+                        bool(rng.integers(0, 2)))
+            mu = float(rng.normal(0.0, 3.0))
+            lo, hi = np.array([q.min_code * q.step - mu]), np.array([q.max_code * q.step - mu])
+            lead = float(flsolver._leading(family, lo, hi, np.array([q.step]))[0])
+            gap = abs(sqnr_noise(pdfs.PdfModel(family, mu, 1.0), q) - lead)
+            bound = flsolver._SLACKS[family] * q.step**3
+            assert gap <= bound + 1e-14 * lead, (q, mu)
+            worst = max(worst, gap / bound)
+        assert worst > 0.1
+
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("bit_width, signed", [(4, False), (8, True), (16, False)])
     def test_noise_rows_equal_sqnr_noise(self, family, bit_width, signed):

@@ -378,11 +378,26 @@ def train_knn(features: np.ndarray, labels, k: int = 12) -> KnnModel:
     return KnnModel(points=(features - mu) / sd, labels=labels, feat_mean=mu, feat_scale=sd, k=k)
 
 
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(d2, axis=1, kind="stable")[:, :k]`` for k <= N, sorting
+    only the distances at or below each row's k-th smallest."""
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]  # NaN where a row has fewer than k numbers
+    rows, cols = np.nonzero(d2 <= kth)  # each row's columns in order: ties go to the lower index
+    order = np.lexsort((d2[rows, cols], rows))  # stable
+    counts = np.bincount(rows, minlength=len(d2))
+    full = counts >= k
+    nearest = np.empty((len(d2), k), dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    nearest[full] = cols[order][starts[full, None] + np.arange(k)]
+    nearest[~full] = np.argsort(d2[~full], axis=1, kind="stable")[:, :k]
+    return nearest
+
+
 def classify_pdf(features, model: KnnModel) -> list:
     """One family per row of ``features`` [C, F]: its k nearest points' vote; ties -> laplace."""
     f = (np.asarray(features, dtype=np.float64) - model.feat_mean) / model.feat_scale
     d2 = np.sum((model.points - f[:, None, :]) ** 2, axis=2)  # [C, N]
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+    nearest = _nearest(d2, model.k)
     names = sorted(set(model.labels), key=lambda lbl: (lbl != "laplace", lbl))
     votes = (np.asarray(model.labels)[nearest][..., None] == names).sum(axis=1)  # [C, names]
     return [names[i] for i in np.argmax(votes == votes.max(axis=1, keepdims=True), axis=1)]

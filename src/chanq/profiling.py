@@ -4,7 +4,7 @@
 the graph, and each record knows its count from the shapes alone. A reader
 asks for the records it needs with :func:`fold_records`, and the float
 engine re-runs over the batches, capturing only the asked tensors, in at
-most two passes:
+most two passes, the second over every batch but the last:
 
 - pass 1 folds per channel the extremes (count, min, max, max_abs: the MAX
   rule) and the power sums of orders 0..2 about a per-channel anchor (the
@@ -13,15 +13,21 @@ most two passes:
 - pass 2 runs only for a reader of the kNN features. It folds the orders
   3..6 about the same anchor (m3..m6, nu4, nu6) and, about each asked
   record's final mean, the sums of |x - mean|**k for k = 1, 3, 5 (nu1, nu3,
-  nu5), which have no exact one-pass form.
+  nu5), which have no exact one-pass form. It reads the last batch from
+  pass 1, which keeps that batch's values of each tensor it folds, and
+  sums them apart, adding them after the other batches': every sum takes
+  its terms in batch order, as a re-run would. A one-batch profile runs
+  the engine once.
 
 A tensor's sums are folded once and serve both of its records, the pooled
 one through a rebase of the per-channel sums. Parameter records fold from
 the graph's values, with no engine run. A field read before its record was
-asked for folds that record alone, the same way. No sample outlives the
-pass that reads it, so memory does not grow with the dataset; but the
-graph and the batches are read when a record is asked for, so neither may
-change while the stats live.
+asked for folds that record alone, the same way; a tensor whose kept batch
+an earlier pass 2 read re-runs its last batch too. No sample outlives the
+pass that reads it, but for the last batch, kept from pass 1 until pass 2
+reads it or the stats go: memory holds at most one batch of captures and
+does not grow with the dataset. The graph and the batches are read when a
+record is asked for, so neither may change while the stats live.
 """
 
 from __future__ import annotations
@@ -147,20 +153,25 @@ def _fold_high(high: np.ndarray, shift: np.ndarray, raw: np.ndarray) -> None:
 
 
 class _Folds:
-    """The sums folded so far for each tensor that ``chunks(names)`` yields
-    as (name, [C, M] values) pairs, each tensor's chunks in one fixed order."""
+    """The sums folded so far for each tensor that ``chunks(names, kept)``
+    yields as (batch, name, [C, M] values), each tensor's chunks in batch
+    order; a parameter's one chunk comes as batch None. Of batch ``last``,
+    ``chunks`` skips the names in ``kept``: their chunks are pass 1's."""
 
-    def __init__(self, chunks):
-        self.chunks = chunks
+    def __init__(self, chunks, last: int):
+        self.chunks, self.last = chunks, last
         self.low: dict = {}  # name -> pass 1's (anchor, min, max, orders 0..2)
         self.high: dict = {}  # name -> pass 2's orders 3..6 about the anchor
+        self.kept: dict = {}  # name -> the last batch's chunk, from pass 1 until pass 2 reads it
 
     def fold(self, records: list, higher: bool) -> None:
         # names in a fixed order: a set's order varies from run to run, and
         # with it the order of the allocations and the process's peak memory
         names = list(dict.fromkeys(r._fold[1] for r in records))
-        for name, raw in self.chunks([n for n in names if n not in self.low]):
+        for batch, name, raw in self.chunks([n for n in names if n not in self.low], ()):
             self.low[name] = _fold_low(self.low.get(name), raw)
+            if batch == self.last:
+                self.kept[name] = raw
         for r in records:
             if "mean" not in vars(r):
                 r.__dict__.update(self._moments(*r._fold[1:]))
@@ -170,21 +181,35 @@ class _Folds:
         names = list(dict.fromkeys(r._fold[1] for r in todo))
         new = {n: np.zeros((MAX_ORDER - 2, len(self.low[n][0]))) for n in names if n not in self.high}
         absums = [np.zeros((3, r.n_channels)) for r in todo]  # sum |x - mean|^k, k = 1, 3, 5
-        for name, raw in self.chunks(names):
-            if name in new:
-                _fold_high(new[name], self.low[name][0], raw)
-            for r, sums in zip(todo, absums):
-                if r._fold[1] == name:
-                    # a row at a time: a 2-D sum may take its terms in another order
-                    for c, row in enumerate(raw.reshape(1, -1) if r._fold[2] else raw):
-                        dev = np.subtract(row, r.mean[c:c + 1])
-                        np.abs(dev, out=dev)
-                        sums[:, c] += (dev.sum(), np.power(dev, 3).sum(),  # not d*d*d: other bits
-                                       np.power(dev, 5, out=dev).sum())
+        # the kept last batch first, into sums of its own that are added to
+        # the other batches' last: every sum takes its terms in batch order
+        held = [n for n in names if n in self.kept]
+        last_high = {n: np.zeros_like(new[n]) for n in held}
+        last_abs = [np.zeros_like(sums) for sums in absums]
+        for name in held:  # each chunk goes once it is summed
+            self._fold_pass_2(todo, last_high, last_abs, name, self.kept.pop(name))
+        for _, name, raw in self.chunks(names, held):
+            self._fold_pass_2(todo, new, absums, name, raw)
+        for name, sums in last_high.items():
+            new[name] += sums
+        for sums, last in zip(absums, last_abs):
+            sums += last
         self.high.update(new)
         for r, sums in zip(todo, absums):
             r.__dict__.update(self._higher_moments(r, sums))
             del r._fold  # every field is in: the record no longer reads the folds
+
+    def _fold_pass_2(self, todo: list, high: dict, absums: list, name: str, raw: np.ndarray) -> None:
+        if name in high:
+            _fold_high(high[name], self.low[name][0], raw)
+        for r, sums in zip(todo, absums):
+            if r._fold[1] == name:
+                # a row at a time: a 2-D sum may take its terms in another order
+                for c, row in enumerate(raw.reshape(1, -1) if r._fold[2] else raw):
+                    dev = np.subtract(row, r.mean[c:c + 1])
+                    np.abs(dev, out=dev)
+                    sums[:, c] += (dev.sum(), np.power(dev, 3).sum(),  # not d*d*d: other bits
+                                   np.power(dev, 5, out=dev).sum())
 
     def _moments(self, name: str, pooled: bool) -> dict:
         shift, minv, maxv, sums = self.low[name]
@@ -220,9 +245,10 @@ def _record(folds: _Folds, name: str, count: np.ndarray, pooled: bool) -> Channe
 
 def fold_records(records, higher: bool = False) -> None:
     """Fold the fields of the given records now: pass 1's and, when
-    ``higher``, pass 2's, each pass one run over the batches for all the
-    records of one :func:`collect_stats` call. Loaded records, and records
-    that hold the fields already, are skipped."""
+    ``higher``, pass 2's, for all the records of one :func:`collect_stats`
+    call. Pass 1 is one run over the batches; pass 2 re-runs every batch
+    but the last, which pass 1 kept, in this call or an earlier one. Loaded
+    records, and records that hold the fields already, are skipped."""
     todo: dict = {}
     for r in records:
         src = vars(r).get("_fold")
@@ -237,7 +263,7 @@ def stats_from_samples(samples) -> ChannelStats:
     samples = np.asarray(samples, dtype=np.float64).reshape(1, -1)
     if samples.size == 0:
         raise ValueError("no samples accumulated")
-    folds = _Folds(lambda names: [(name, samples) for name in names])
+    folds = _Folds(lambda names, kept: [(0, name, samples) for name in names if name not in kept], 0)
     return _record(folds, "samples", np.array([samples.shape[1]], dtype=np.int64), False)
 
 
@@ -270,20 +296,22 @@ def collect_stats(g: Graph, dataset) -> dict:
     batches = [b for b in batches if len(b)]
     if not batches:
         raise ValueError("no samples accumulated")
+    last = len(batches) - 1
 
-    def chunks(names):
+    def chunks(names, kept):
         for name in names:
             if name in g.params:
                 arr = g.params[name]
-                yield name, np.asarray(arr, dtype=np.float64).reshape(arr.shape[0], -1)
+                yield None, name, np.asarray(arr, dtype=np.float64).reshape(arr.shape[0], -1)
         activations = [name for name in names if name not in g.params]
-        if activations:
-            for batch in batches:
-                _, captured = execute_float(g, batch, capture=activations)
+        for b, batch in enumerate(batches):
+            capture = [n for n in activations if n not in kept] if b == last else activations
+            if capture:
+                _, captured = execute_float(g, batch, capture=capture)
                 for name in list(captured):  # each capture goes once its channel-major copy exists
-                    yield name, channel_major(captured.pop(name))
+                    yield b, name, channel_major(captured.pop(name))
 
-    folds, samples = _Folds(chunks), sum(map(len, batches))
+    folds, samples = _Folds(chunks, last), sum(map(len, batches))
     counts = {name: (g.shapes[name][1], samples * prod(g.shapes[name][2:]))
               for name in g.activation_names()}
     counts.update((name, (arr.shape[0], arr.size // arr.shape[0])) for name, arr in g.params.items())

@@ -10,6 +10,9 @@ from math import factorial, inf
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chanq import flsolver, pdfs
 from chanq.fixedpoint import FL_MAX, QFormat, code_range, fl_from_max
@@ -521,6 +524,18 @@ class TestClassifyRecord:
         got = classify_pdf(probes, knn)
         assert got == [classify_one(f, knn) for f in probes]
         assert {"gaussian", "laplace"} <= set(got)
+
+    @given(st.data())
+    def test_nearest_is_the_stable_argsorts_first_k(self, data):
+        # few distinct distances force ties at the k-th; NaN rows (degenerate
+        # channels) and rows of fewer than k numbers keep the argsort order
+        shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 30)))
+        k = data.draw(st.integers(1, shape[1]))
+        d2 = data.draw(arrays(np.float64, shape,
+                              elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, inf, np.nan])))
+        d2[data.draw(st.lists(st.integers(0, shape[0] - 1)))] = np.nan
+        expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        assert flsolver._nearest(d2, k).tolist() == expected.tolist()
 
     def test_degenerate_rows_get_a_label(self):
         # NaN features (sigma == 0) are labeled without error; optimal_fl ignores the label

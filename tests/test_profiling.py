@@ -1,6 +1,7 @@
 """Channel statistics tests: moments, invariances, folds over several
-batches, records folded when asked for in at most two engine passes, ReLU
-records from the engine's own values."""
+batches, records folded when asked for in at most two passes (the second
+re-running every batch but the last, which the first keeps), ReLU records
+from the engine's own values."""
 
 import itertools
 import tracemalloc
@@ -377,6 +378,7 @@ class TestAskedRecords:
     @pytest.mark.parametrize("mode", MODES)
     def test_solve_computes_only_the_records_it_reads(self, hetero, mode, engine_calls):
         # in one engine pass per batch, and a second for the kNN features
+        # over every batch but the last, which the first pass kept
         g, batches = hetero
         stats = collect_stats(g, batches)
         solve_plan(g, stats, mode)
@@ -389,18 +391,46 @@ class TestAskedRecords:
         passes = {1, 2} if mode == "cw_pdf_aware" else {1}
         assert {key for key, done in folded.items() if done} == expected
         assert all(folded[key] == passes for key in expected)
-        assert len(engine_calls) == len(batches) * len(passes)
+        assert len(engine_calls) == (2 * len(batches) - 1 if 2 in passes else len(batches))
         assert all(set(c) == {"input", "t1", "t3", "t5"} for c in engine_calls)
 
     def test_all_five_modes_on_one_stats_run_two_passes(self, hetero, engine_calls):
         g, batches = hetero
         stats = collect_stats(g, batches)
         plans = [solve_plan(g, stats, mode) for mode in MODES]
-        assert len(engine_calls) == 2 * len(batches)
+        assert len(engine_calls) == 2 * len(batches) - 1
         for mode, plan in zip(MODES, plans):  # the same plans as from stats of their own
             ref = solve_plan(g, collect_stats(g, batches), mode)
             for name, fmt in ref.tensors.items():
                 assert plan.tensors[name].fls.tolist() == fmt.fls.tolist(), (mode, name)
+
+    def test_one_batch_runs_the_engine_once(self, hetero, engine_calls, tmp_path):
+        # pass 2 reads the batch that pass 1 kept: all five modes on one
+        # stats, or a dump of every record, make one engine run
+        g, batches = hetero
+        one = [np.concatenate(batches)]
+        stats = collect_stats(g, one)
+        for mode in MODES:
+            solve_plan(g, stats, mode)
+        assert len(engine_calls) == 1
+        dump_stats(collect_stats(g, one), tmp_path / "stats.json")
+        assert len(engine_calls) == 2
+
+    def test_pass_2_keeps_nothing_once_every_asked_record_is_in(self, hetero, engine_calls):
+        g, batches = hetero
+        stats = collect_stats(g, batches)
+        folds = stats["t1"].pooled._fold[0]
+        asked = [stats[t].per_channel for t in ("input", "t3")] + [stats["t1"].pooled]
+        fold_records(asked)
+        assert set(folds.kept) == {"input", "t1", "t3"}
+        fold_records(asked[:2], higher=True)
+        assert set(folds.kept) == {"t1"}
+        asked[2].nu1
+        assert folds.kept == {}
+        assert len(engine_calls) == len(batches) + 2 * (len(batches) - 1)
+        stats["t1"].per_channel.nu1  # the last batch again, for this record's absolute sums
+        assert len(engine_calls) == 2 * len(batches) + 2 * (len(batches) - 1)
+        assert folds.kept == {}
 
     def test_parameter_records_fold_with_no_engine_run(self, hetero, engine_calls):
         g, batches = hetero
@@ -429,6 +459,27 @@ def test_memory_does_not_grow_with_the_sample_count(tmp_path):
         peaks[n] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peaks[1024] - peaks[64] < 2**20, peaks
+
+
+def test_pass_1_keeps_at_most_one_batch_of_captures():
+    spec = SynthSpec(arch="hetero_conv", channels=8, image_size=16, samples=48, seed=5)
+    g = build_graph(spec)
+    x, _ = gen_dataset(g, spec)
+    batches = [x[i:i + 16] for i in range(0, len(x), 16)]
+    _, captured = execute_float(g, batches[-1], capture=g.activation_names())
+    one_batch = sum(a.nbytes for a in captured.values())
+    del captured
+    stats = collect_stats(g, batches)
+    records = [r for ts in stats.values() for r in (ts.per_channel, ts.pooled)]
+    tracemalloc.start()
+    fold_records(records)
+    kept = tracemalloc.get_traced_memory()[0]
+    fold_records(records, higher=True)
+    left = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    # the sums and fields take some 100 KB of the slack; a second batch kept would pass it
+    assert kept < one_batch + one_batch // 4, (kept, one_batch)
+    assert left < one_batch // 4, (left, one_batch)
 
 
 class _PassCounter(np.ndarray):
@@ -496,7 +547,8 @@ class TestFoldsAgainstEagerOracle:
         data = _samples_with_a_constant_channel(np.float32)
         chunk = data.view(_PassCounter)
         chunk.passes = passes = Counter()
-        folds = profiling._Folds(lambda names: [(name, chunk) for name in names])
+        folds = profiling._Folds(lambda names, kept: [(0, name, chunk) for name in names
+                                                      if name not in kept], 0)
         count = np.full(data.shape[0], data.shape[1], dtype=np.int64)
         refs = _eager_records(_widened([data]))
         for rec in records:
@@ -507,6 +559,30 @@ class TestFoldsAgainstEagerOracle:
                           "subtract.__call__": 2,  # y, once a pass
                           "multiply.__call__": 2 + MAX_ORDER - 2,  # y**2 twice, y**3..y**6
                           "add.reduce": MAX_ORDER}  # one sum per order 1..6
+
+    @pytest.mark.parametrize("cuts", [(), (0,), (1500,), (0, 700, 700, 2999)])
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_the_kept_batch_folds_the_bits_of_a_re_run(self, cuts, calls):
+        # pass 1 and pass 2 in one call or two; over 1, 2 and 3 batches, empty
+        # ones among them; against the oracle and, every field bit for bit,
+        # against pass 2 re-running the last batch as well
+        chunks = np.split(_samples_with_a_constant_channel(np.float32), cuts, axis=1)
+        batches = [c for c in chunks if c.size]
+        refs = _eager_records(_widened(batches))
+        rerun = _fold_chunks(chunks)
+        fold_records([rerun.per_channel, rerun.pooled])
+        rerun.pooled._fold[0].kept.clear()
+        fold_records([rerun.per_channel, rerun.pooled], higher=True)
+        ts = _fold_chunks(chunks)
+        folds = ts.pooled._fold[0]
+        if calls == 2:
+            fold_records([ts.per_channel, ts.pooled])
+            assert list(folds.kept) == ["x"]
+        fold_records([ts.per_channel, ts.pooled], higher=True)
+        assert folds.kept == {}
+        for rec in ("per_channel", "pooled"):
+            _same_bits(getattr(ts, rec), refs[rec == "pooled"], batches=len(batches))
+            _same_bits(getattr(ts, rec), getattr(rerun, rec))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stats_from_samples(self, dtype):

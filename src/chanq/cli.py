@@ -114,18 +114,19 @@ def cmd_quantize(args) -> int:
     return EXIT_OK
 
 
-def _evaluate(g, qgs: dict, data, labels, capture, batch) -> dict:
+def _evaluate(g, qgs: dict, data, labels, capture, batch, traces: bool = False) -> dict:
     """Shared float-vs-quantized evaluation loop over ``{mode: qg}``.
 
     The float reference runs once per batch for every quantized model;
-    returns ``{mode: result}``.
+    returns ``{mode: result}``. Only with ``traces`` does a result keep the
+    captured integer codes, every batch's, under ``"traces"``.
     """
     accs = {mode: SqnrAccumulator(qg.plan) for mode, qg in qgs.items()}
     agree = dict.fromkeys(qgs, 0)
     quant_correct = dict.fromkeys(qgs, 0)
     float_correct = 0
     saturation: dict[str, dict[str, int]] = {mode: {} for mode in qgs}
-    traces = {mode: {name: [] for name in capture} for mode in qgs}
+    codes = {mode: {name: [] for name in capture} for mode in qgs}
 
     for start in range(0, len(data), batch):
         chunk = data[start : start + batch]
@@ -138,7 +139,8 @@ def _evaluate(g, qgs: dict, data, labels, capture, batch) -> dict:
             res = execute_quantized(qg, chunk, capture=capture)
             for name in capture:
                 accs[mode].update(name, ref_acts[name], res.captured[name])
-                traces[mode][name].append(res.captured[name])
+                if traces:
+                    codes[mode][name].append(res.captured[name])
             for k, v in res.saturation.items():
                 saturation[mode][k] = saturation[mode].get(k, 0) + v
             qa = np.argmax(res.output, axis=1)
@@ -157,8 +159,9 @@ def _evaluate(g, qgs: dict, data, labels, capture, batch) -> dict:
         if labels is not None:
             result["float_top1"] = float_correct / n
             result["quant_top1"] = quant_correct[mode] / n
-        result["traces"] = {name: np.concatenate(chunks)
-                            for name, chunks in traces[mode].items()}
+        if traces:
+            result["traces"] = {name: np.concatenate(chunks)
+                                for name, chunks in codes[mode].items()}
         results[mode] = result
     return results
 
@@ -177,7 +180,8 @@ def cmd_eval(args) -> int:
     unknown = sorted(capture - set(g.activation_names()))
     if unknown:
         raise GraphError(f"--capture: the model has no tensor {unknown[0]!r}")
-    res = _evaluate(g, {qg.plan.mode: qg}, data, labels, capture, args.batch)[qg.plan.mode]
+    res = _evaluate(g, {qg.plan.mode: qg}, data, labels, capture, args.batch,
+                    traces=bool(args.trace_out))[qg.plan.mode]
 
     rows = []
     for name in sorted(res["sqnr"]):

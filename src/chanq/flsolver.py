@@ -33,7 +33,7 @@ TAIL_HALF_WIDTH = 40.0  # a gaussian's density and tail moments underflow to 0 t
 # form (:func:`_euler_maclaurin`); coarser steps sum their edges. The form
 # leaves out exp(-2 (pi / h)^2) of the gaussian's grid sum; the quartic's
 # poles, which bound its series at exp(-4.44 / h), are summed as residues.
-STEP_LIMIT = {"gaussian": 0.5, "super_cauchy": 1.0, "uniform": 1.0}
+STEP_LIMIT = {"gaussian": 0.5, "super_cauchy": 1.0}
 _ORDERS = 24  # Euler-Maclaurin terms up to h^_ORDERS
 _PEAKS = {family: float(pdfs.density_derivatives(family, 0.0, 1)[0]) for family in STEP_LIMIT}
 # 2 p(0) zeta(3) / pi^3: how far, in h^3, the noise can lie from its leading term
@@ -60,11 +60,10 @@ _CUT_ORDERS = np.arange(3, _ORDERS + 1)
 # -2 B_r(1/2) / r!: the weight of the odd derivative p^(r-3) at an end code
 _END_WEIGHTS = np.array([-2.0 * (_BERNOULLI[r] * 0.5 ** np.arange(_ORDERS + 1)).sum()
                          / factorial(r) for r in _END_ORDERS])
-# -2 p^(r-3)(H) / r!: the weight of B_r at the phase of the cut H of a finite support
-_CUT_WEIGHTS = {family: -2.0 * pdfs.density_derivatives(family, pdfs.HALF_SUPPORT[family],
-                                                        _ORDERS - 2)
-                / np.array([factorial(r) for r in _CUT_ORDERS])
-                for family in ("super_cauchy", "uniform")}
+# -2 p^(r-3)(H) / r!: the weight of B_r at the phase of the quartic's cut H
+_CUT_WEIGHTS = (-2.0 * pdfs.density_derivatives("super_cauchy", pdfs.HALF_SUPPORT["super_cauchy"],
+                                                _ORDERS - 2)
+                / np.array([factorial(r) for r in _CUT_ORDERS]))
 # 2 / (2j+1)!, 1 / (2j-1)! and 2 / (2j)!: the weights of a^(2j+1), x a^(2j+1) and x^j a^(2j+1)
 _GRID_TERMS = [(2.0 / factorial(2 * j + 1), 1.0 / factorial(2 * j - 1), 2.0 / factorial(2 * j))
                for j in range(2, 12)]
@@ -146,9 +145,9 @@ def _euler_maclaurin(family: str, lo, hi, h, c, lead):
     Maclaurin, is the leading noise ``lead`` (:func:`_leading`) plus
     - Bernoulli-weighted odd derivatives of the density at the end codes,
       h^r B_r(1/2) / r! p^(r-3) for even r >= 4;
-    - at the cut H of a finite support, all its derivatives there,
-      h^r p^(r-3)(H) / r! times B_r at the cut's phase on the grid of edges;
-    - for the quartic, the share of its poles (:func:`_pole_terms`).
+    - for the quartic, at its cut H, all the density's derivatives there,
+      h^r p^(r-3)(H) / r! times B_r at the cut's phase on the grid of edges,
+      and the share of its poles (:func:`_pole_terms`).
     The kink at the mean adds only to the h^2 / 12 term, as the densities
     are even and smooth there. A series that does not converge by h^_ORDERS
     (:func:`_series`) leaves its entry to the per-edge sum.
@@ -166,28 +165,27 @@ def _euler_maclaurin(family: str, lo, hi, h, c, lead):
                 * (sign[:, rows] * odd).sum(axis=1).T)
 
     noise, failed = _series(lead, end_terms, _END_ORDERS.size)
+    if family != "super_cauchy":
+        return noise, failed
     cut = pdfs.HALF_SUPPORT[family]
-    if np.isfinite(cut):
-        spans = [(lo < x) & (x < hi) for x in (cut, -cut)]
-        pick = np.flatnonzero(spans[0] | spans[1])
+    spans = [(lo < x) & (x < hi) for x in (cut, -cut)]
+    pick = np.flatnonzero(spans[0] | spans[1])
 
-        def cut_terms(rows, k):
-            rows = pick[rows]
-            bernoulli = []
-            for x, spanned in zip((cut, -cut), spans):
-                # the cut's offset from the edge below it, in steps
-                phase = (x - lo[rows]) / h[rows] - 0.5
-                powers = np.vander(phase - np.floor(phase), _ORDERS + 1, increasing=True)
-                bernoulli.append(np.einsum("nj,rj->nr", powers, _BERNOULLI[_CUT_ORDERS[:k]])
-                                 * spanned[rows, None])
-            return (_CUT_WEIGHTS[family][:k] * h[rows, None] ** _CUT_ORDERS[:k]
-                    * ((-1.0) ** _CUT_ORDERS[:k] * bernoulli[0] + bernoulli[1]))
+    def cut_terms(rows, k):
+        rows = pick[rows]
+        bernoulli = []
+        for x, spanned in zip((cut, -cut), spans):
+            # the cut's offset from the edge below it, in steps
+            phase = (x - lo[rows]) / h[rows] - 0.5
+            powers = np.vander(phase - np.floor(phase), _ORDERS + 1, increasing=True)
+            bernoulli.append(np.einsum("nj,rj->nr", powers, _BERNOULLI[_CUT_ORDERS[:k]])
+                             * spanned[rows, None])
+        return (_CUT_WEIGHTS[:k] * h[rows, None] ** _CUT_ORDERS[:k]
+                * ((-1.0) ** _CUT_ORDERS[:k] * bernoulli[0] + bernoulli[1]))
 
-        noise[pick], cut_failed = _series(noise[pick], cut_terms, _CUT_ORDERS.size)
-        failed[pick] |= cut_failed
-    if family == "super_cauchy":
-        noise = noise + _pole_terms(lo, hi, h, c)
-    return noise, failed
+    noise[pick], cut_failed = _series(noise[pick], cut_terms, _CUT_ORDERS.size)
+    failed[pick] |= cut_failed
+    return noise + _pole_terms(lo, hi, h, c), failed
 
 
 def _pole_terms(lo, hi, h, c):
@@ -251,10 +249,9 @@ def _noise_curve(family: str, mu, s, bit_width: int, signed: bool, fls) -> np.nd
       which has no Var U to cancel; steps over STEP_LIMIT scales, and series
       that do not converge, sum their edges within TAIL_HALF_WIDTH scales of
       the mean (:func:`_edge_sums`).
-    Against a 60-digit per-edge sum, the quartic, Laplace and uniform
-    noises read within 1e-14 relative from 2 to 16 bits, the gaussian's
-    within 4e-13; the per-edge sum loses about 1e-16 (Var U + c^2) / noise
-    to rounding.
+    Against a 60-digit per-edge sum, the quartic and Laplace noises read
+    within 1e-14 relative from 2 to 16 bits, the gaussian's within 4e-13;
+    the per-edge sum loses about 1e-16 (Var U + c^2) / noise to rounding.
     """
     fls = np.asarray(fls, dtype=np.int64)
     mu = np.broadcast_to(np.asarray(mu, dtype=np.float64)[:, None], fls.shape)

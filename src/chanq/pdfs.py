@@ -1,10 +1,10 @@
 """Probability density families used to pick fractional lengths.
 
 Families: laplace, gaussian, and a heavy-tailed quartic-decay density
-(``super_cauchy``) cut to +/- 15 scales and renormalized, plus a uniform
-family kept for tests. Each family is a table entry: the variance and the
-half-width of the support of its unit-scale member, the quartic ones in
-closed form from :func:`_quartic_tails`. Fitting matches location to the
+(``super_cauchy``) cut to +/- 15 scales and renormalized. Each family is a
+table entry: the variance and the half-width of the support of its
+unit-scale member, the quartic ones in closed form from
+:func:`_quartic_tails`. Fitting matches location to the
 mean and scale to the variance, so the scale is sigma over the square root
 of the family's unit variance. The quantization-noise functional reads a
 family through its tail moments and its density's derivatives, both in
@@ -18,7 +18,7 @@ from math import comb, erfc, factorial, inf, pi, sqrt
 
 import numpy as np
 
-FAMILIES = ("laplace", "gaussian", "super_cauchy", "uniform")
+FAMILIES = ("laplace", "gaussian", "super_cauchy")
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def _quartic_tails(t):
             (atan_part + log_part) / (4.0 * r2))
 
 
-HALF_SUPPORT = {"laplace": inf, "gaussian": inf, "super_cauchy": 15.0, "uniform": 1.0}
+HALF_SUPPORT = {"laplace": inf, "gaussian": inf, "super_cauchy": 15.0}
 # The quartic tails beyond the cut, and the mass left inside it.
 _SC_CUT = _quartic_tails(HALF_SUPPORT["super_cauchy"])
 _SC_MASS = float(1.0 - 2.0 * sqrt(2.0) / pi * _SC_CUT[0])
@@ -59,7 +59,6 @@ UNIT_VARIANCE = {
     "laplace": 2.0,
     "gaussian": 1.0,
     "super_cauchy": float((pi / sqrt(2.0) - 2.0 * _SC_CUT[2]) / (pi / sqrt(2.0) - 2.0 * _SC_CUT[0])),
-    "uniform": 1.0 / 3.0,
 }
 
 
@@ -127,8 +126,6 @@ def tail_moments(family: str, t) -> np.ndarray:
         upper = 0.5 * np.asarray(np.frompyfunc(erfc, 1, 1)(t / sqrt(2.0)), dtype=np.float64)
         phi = np.exp(-0.5 * t * t) / sqrt(2.0 * pi)
         return np.stack([upper, phi - t * upper, (1.0 + t * t) * upper - t * phi])
-    if family == "uniform":
-        return np.stack([(1.0 - np.minimum(t, 1.0)) ** (k + 1) / (2.0 * (k + 1)) for k in range(3)])
     cut = HALF_SUPPORT["super_cauchy"]
     t = np.minimum(t, cut)
     gap = cut - t
@@ -155,8 +152,6 @@ def density_derivatives(family: str, t, count: int) -> np.ndarray:
     k = np.arange(count).reshape((count,) + (1,) * t.ndim)
     if family == "laplace":
         return (-1.0) ** k * 0.5 * np.exp(-t)
-    if family == "uniform":
-        return np.where(k == 0, 0.5, 0.0) * np.ones(t.shape)
     if family == "gaussian":
         # p^(k) = (-1)^k He_k(t) phi(t), with He_{k+1} = t He_k - k He_{k-1}
         he = [np.ones(t.shape), t]
@@ -191,8 +186,6 @@ def sample(model: PdfModel, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.laplace(model.location, model.scale, n)
     if model.family == "gaussian":
         return rng.normal(model.location, model.scale, n)
-    if model.family == "uniform":
-        return rng.uniform(model.location - model.scale, model.location + model.scale, n)
     t = HALF_SUPPORT["super_cauchy"]
     if t not in _SC_INVCDF_CACHE:
         u = np.linspace(-t, t, 2**17 + 1)

@@ -10,14 +10,15 @@ most two passes, the second over every batch but the last:
   rule) and the power sums of orders 0..2 about a per-channel anchor (the
   first value seen), stable far from zero, which give the moments (mean,
   m2, nu2: the fitted families);
-- pass 2 runs only for a reader of the kNN features. It folds the orders
-  3..6 about the same anchor (m3..m6, nu4, nu6) and, about each asked
-  record's final mean, the sums of |x - mean|**k for k = 1, 3, 5 (nu1, nu3,
-  nu5), which have no exact one-pass form. It reads the last batch from
-  pass 1, which keeps that batch's values of each tensor it folds, and
-  sums them apart, adding them after the other batches': every sum takes
-  its terms in batch order, as a re-run would. A one-batch profile runs
-  the engine once.
+- pass 2 runs only for a reader of the kNN features. Each chunk of a
+  tensor's values gives one set of partial sums: the orders 3..6 about the
+  same anchor (m3..m6, nu4, nu6) and, about each asked record's final
+  mean, the sums of |x - mean|**k for k = 1, 3, 5 (nu1, nu3, nu5), which
+  have no exact one-pass form, as row sums of one deviation array. One
+  accumulator adds the partials in batch order. The last batch comes from
+  pass 1, which keeps that batch's values of each tensor it folds; its
+  partial is made first and added last, as a re-run's would be. A
+  one-batch profile runs the engine once.
 
 A tensor's sums are folded once and serve both of its records, the pooled
 one through a rebase of the per-channel sums. Parameter records fold from
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from itertools import chain
 from math import comb, prod
 
 import numpy as np
@@ -142,16 +144,6 @@ def _fold_low(state: tuple | None, raw: np.ndarray) -> tuple:
     return shift, minv, maxv, sums
 
 
-def _fold_high(high: np.ndarray, shift: np.ndarray, raw: np.ndarray) -> None:
-    """Pass 2 over one [C, M] chunk: adds its power sums of orders 3..6 about
-    the anchor to ``high``; its temporaries are freed before the absolute
-    moments make theirs."""
-    y = raw - shift[:, None]
-    p = y * y
-    for row in high:
-        row += np.multiply(p, y, out=p).sum(axis=1)
-
-
 class _Folds:
     """The sums folded so far for each tensor that ``chunks(names, kept)``
     yields as (batch, name, [C, M] values), each tensor's chunks in batch
@@ -179,37 +171,43 @@ class _Folds:
             return
         todo = [r for r in records if "nu1" not in vars(r)]
         names = list(dict.fromkeys(r._fold[1] for r in todo))
-        new = {n: np.zeros((MAX_ORDER - 2, len(self.low[n][0]))) for n in names if n not in self.high}
-        absums = [np.zeros((3, r.n_channels)) for r in todo]  # sum |x - mean|^k, k = 1, 3, 5
-        # the kept last batch first, into sums of its own that are added to
-        # the other batches' last: every sum takes its terms in batch order
+        # the kept last batch first, each chunk dropped once summed, and its
+        # partial added last: every sum takes its terms in batch order
         held = [n for n in names if n in self.kept]
-        last_high = {n: np.zeros_like(new[n]) for n in held}
-        last_abs = [np.zeros_like(sums) for sums in absums]
-        for name in held:  # each chunk goes once it is summed
-            self._fold_pass_2(todo, last_high, last_abs, name, self.kept.pop(name))
-        for _, name, raw in self.chunks(names, held):
-            self._fold_pass_2(todo, new, absums, name, raw)
-        for name, sums in last_high.items():
-            new[name] += sums
-        for sums, last in zip(absums, last_abs):
-            sums += last
-        self.high.update(new)
-        for r, sums in zip(todo, absums):
-            r.__dict__.update(self._higher_moments(r, sums))
+        last = [self._pass_2(todo, name, self.kept.pop(name)) for name in held]
+        sums: dict = {}
+        rerun = (self._pass_2(todo, name, raw) for _, name, raw in self.chunks(names, held))
+        for part in chain(rerun, last):
+            for key, value in part.items():
+                sums[key] = sums.get(key, 0.0) + value
+        self.high.update((key, value) for key, value in sums.items() if isinstance(key, str))
+        for i, r in enumerate(todo):
+            r.__dict__.update(self._higher_moments(r, sums[i]))
             del r._fold  # every field is in: the record no longer reads the folds
 
-    def _fold_pass_2(self, todo: list, high: dict, absums: list, name: str, raw: np.ndarray) -> None:
-        if name in high:
-            _fold_high(high[name], self.low[name][0], raw)
-        for r, sums in zip(todo, absums):
+    def _pass_2(self, todo: list, name: str, raw: np.ndarray) -> dict:
+        """One [C, M] chunk's partial sums: under ``name``, the tensor's power
+        sums of orders 3..6 about the anchor, unless folded before; under the
+        index in ``todo`` of each asked record of the tensor, its sums of
+        |x - mean|**k for k = 1, 3, 5."""
+        part = {}
+        if name not in self.high:
+            y = raw - self.low[name][0][:, None]
+            p = y * y
+            part[name] = np.array([np.multiply(p, y, out=p).sum(axis=1)
+                                   for _ in range(MAX_ORDER - 2)])
+            del y, p  # freed before the absolute moments make theirs
+        for i, r in enumerate(todo):
             if r._fold[1] == name:
-                # a row at a time: a 2-D sum may take its terms in another order
-                for c, row in enumerate(raw.reshape(1, -1) if r._fold[2] else raw):
-                    dev = np.subtract(row, r.mean[c:c + 1])
-                    np.abs(dev, out=dev)
-                    sums[:, c] += (dev.sum(), np.power(dev, 3).sum(),  # not d*d*d: other bits
-                                   np.power(dev, 5, out=dev).sum())
+                # C order: each row's deviations contiguous, so that its sum
+                # takes the terms of a sum over that row alone; a strided
+                # chunk's default (K) layout would sum them in another order
+                dev = np.subtract(raw.reshape(1, -1) if r._fold[2] else raw, r.mean[:, None],
+                                  order="C")
+                np.abs(dev, out=dev)  # and np.power, not d*d*d: other bits
+                part[i] = np.array([dev.sum(axis=1), np.power(dev, 3).sum(axis=1),
+                                    np.power(dev, 5, out=dev).sum(axis=1)])
+        return part
 
     def _moments(self, name: str, pooled: bool) -> dict:
         shift, minv, maxv, sums = self.low[name]

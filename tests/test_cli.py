@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,41 @@ class TestQuantizeEval:
         assert doc["float_top1"] == 1.0  # labels come from the float teacher
         assert 0.0 <= doc["top1_agreement"] <= 1.0
         assert doc["quant_top1"] == doc["top1_agreement"]
+
+    def test_only_an_eval_that_writes_traces_keeps_codes(self, bundle, profiled, tmp_path,
+                                                          monkeypatch):
+        # a batch's captured codes die with the batch, in compare and in an
+        # eval without --trace-out; the eval report is the same either way
+        from chanq import cli
+        calls, alive = [], []  # per engine run: its codes; the codes of runs before the last
+
+        def spy(*args, **kwargs):
+            # the loop still holds the last run's result while it makes the next
+            alive.append(sum(ref() is not None for refs in calls[:-1] for ref in refs))
+            res = execute_quantized(*args, **kwargs)
+            calls.append([weakref.ref(codes) for codes in res.captured.values()])
+            return res
+        execute_quantized = cli.execute_quantized
+        monkeypatch.setattr(cli, "execute_quantized", spy)
+        q = tmp_path / "q"
+        assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                     "--mode", "cw_max", "--out", str(q)]) == 0
+        inputs = ["--model", str(bundle / "model.json"), "--dataset", str(bundle / "data.qtsr"),
+                  "--batch", "16"]
+        evaluate = ["eval", *inputs, "--plan", str(q / "plan.json")]
+        runs = {"compare": ["compare", *inputs, "--out", str(tmp_path / "c")],
+                "eval": evaluate + ["--out", str(tmp_path / "e")],
+                "traced": evaluate + ["--out", str(tmp_path / "t"),
+                                      "--trace-out", str(tmp_path / "tr")]}
+        kept = {}
+        for run, argv in runs.items():
+            calls.clear(), alive.clear()
+            assert main(argv) == 0
+            assert len(calls) >= 4 and all(calls), run  # 60 samples: 4 batches, codes captured
+            kept[run] = alive[-1]
+        assert kept == {"compare": 0, "eval": 0, "traced": 2 * len(calls[0])}
+        for suffix in (".json", ".txt"):
+            assert (tmp_path / f"e{suffix}").read_bytes() == (tmp_path / f"t{suffix}").read_bytes()
 
     def test_a_dotted_report_prefix_keeps_its_dot(self, bundle, profiled, tmp_path):
         q = tmp_path / "q"

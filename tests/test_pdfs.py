@@ -17,8 +17,6 @@ def density(model: pdfs.PdfModel, x) -> np.ndarray:
         return np.exp(-np.abs(u)) / (2.0 * model.scale)
     if model.family == "gaussian":
         return np.exp(-0.5 * u**2) / (model.scale * np.sqrt(2.0 * np.pi))
-    if model.family == "uniform":
-        return np.where(np.abs(u) <= 1.0, 0.5 / model.scale, 0.0)
     t = pdfs.HALF_SUPPORT["super_cauchy"]
     return np.where(np.abs(u) < t, pdfs._quartic_unit(u) / (model.scale * pdfs._SC_MASS), 0.0)
 
@@ -70,7 +68,7 @@ class TestQuarticTailDensity:
 
 class TestNormalization:
     @pytest.mark.parametrize("family,scale", [("laplace", 0.7), ("gaussian", 2.0),
-                                              ("uniform", 1.3), ("super_cauchy", 0.4)])
+                                              ("super_cauchy", 0.4)])
     def test_each_family_normalized(self, family, scale):
         m = pdfs.fit_pdf(0.0, 1.0, family) if family == "super_cauchy" else \
             pdfs.PdfModel(family, -1.0, scale)
@@ -78,7 +76,7 @@ class TestNormalization:
 
 
 class TestTailMoments:
-    @pytest.mark.parametrize("family", ["laplace", "gaussian", "uniform", "super_cauchy"])
+    @pytest.mark.parametrize("family", ["laplace", "gaussian", "super_cauchy"])
     @pytest.mark.parametrize("t", [0.0, 0.3, 0.7071, 1.0, 1.999, 2.5, 9.0, 10.999, 11.0, 14.9,
                                    16.0])
     def test_match_quadrature(self, family, t):
@@ -113,18 +111,15 @@ class TestTailMoments:
 
 
 class TestDensityDerivatives:
-    @pytest.mark.parametrize("family", ["laplace", "gaussian", "uniform", "super_cauchy"])
+    @pytest.mark.parametrize("family", ["laplace", "gaussian", "super_cauchy"])
     @pytest.mark.parametrize("t", [0.0, 0.3, 0.7071, 2.0, 9.0, 14.9])
     def test_match_mpmath(self, family, t):
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
-        if family == "uniform" and t > 1.0:
-            return
         unit = pdfs.PdfModel(family, 0.0, 1.0)
         scale = float(density(unit, 0.0))  # p(0), to scale the unit shapes below
         shape = {"laplace": lambda u: mpmath.exp(-u) / 2,
                  "gaussian": lambda u: mpmath.exp(-u * u / 2) / mpmath.sqrt(2 * mpmath.pi),
-                 "uniform": lambda u: mpmath.mpf(1) / 2,
                  "super_cauchy": lambda u: scale / (1 + u**4)}[family]
         got = pdfs.density_derivatives(family, t, 12)
         assert got.shape == (12,)

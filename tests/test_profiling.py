@@ -484,13 +484,13 @@ def test_pass_1_keeps_at_most_one_batch_of_captures():
 
 class _PassCounter(np.ndarray):
     """A chunk that counts, in ``passes``, the ufunc passes over arrays of
-    its shape: itself and the arrays computed from it whole."""
+    its size: itself, its reshapes and the arrays computed from it whole."""
 
     def __array_finalize__(self, obj):
-        self.shape0, self.passes = getattr(obj, "shape0", self.shape), getattr(obj, "passes", None)
+        self.size0, self.passes = getattr(obj, "size0", self.size), getattr(obj, "passes", None)
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
-        if any(getattr(a, "shape", None) == self.shape0 for a in (*inputs, *out)):
+        if any(getattr(a, "size", None) == self.size0 for a in (*inputs, *out)):
             self.passes[f"{ufunc.__name__}.{method}"] += 1
         plain = [a.view(np.ndarray) if isinstance(a, _PassCounter) else a for a in inputs]
         if out:
@@ -499,9 +499,9 @@ class _PassCounter(np.ndarray):
         res = getattr(ufunc, method)(*plain, **kwargs)
         if out:
             return out[0]
-        if getattr(res, "shape", None) == self.shape0:
+        if getattr(res, "size", None) == self.size0:
             res = res.view(_PassCounter)
-            res.shape0, res.passes = self.shape0, self.passes
+            res.size0, res.passes = self.size0, self.passes
         return res
 
 
@@ -542,8 +542,8 @@ class TestFoldsAgainstEagerOracle:
     def test_a_record_read_in_full_folds_each_power_sum_once(self, records):
         # pass 1 and pass 2 each rebuild y and y**2 of a chunk, and no more:
         # every other pass over a chunk is made once, and once for both
-        # records of a tensor; only their absolute moments, a pass a channel
-        # row, are each record's own
+        # records of a tensor; only the absolute moments, whole-array passes
+        # over one deviation array, are each record's own
         data = _samples_with_a_constant_channel(np.float32)
         chunk = data.view(_PassCounter)
         chunk.passes = passes = Counter()
@@ -555,10 +555,14 @@ class TestFoldsAgainstEagerOracle:
             _same_bits(profiling._record(folds, "x", count, rec == "pooled"), refs[rec == "pooled"])
         # a further record of the tensor reads the sums already folded
         _same_bits(profiling._record(folds, "x", count, False), refs[0])
+        read = len(records) + 1  # the records read in full, the further one too
         assert passes == {"minimum.reduce": 1, "maximum.reduce": 1,  # the extremes
-                          "subtract.__call__": 2,  # y, once a pass
+                          "subtract.__call__": 2 + read,  # y, once a pass; x - mean a record
                           "multiply.__call__": 2 + MAX_ORDER - 2,  # y**2 twice, y**3..y**6
-                          "add.reduce": MAX_ORDER}  # one sum per order 1..6
+                          "absolute.__call__": read,
+                          "power.__call__": 2 * read,  # |x - mean|**3 and **5
+                          # one sum per order 1..6; three a record
+                          "add.reduce": MAX_ORDER + 3 * read}
 
     @pytest.mark.parametrize("cuts", [(), (0,), (1500,), (0, 700, 700, 2999)])
     @pytest.mark.parametrize("calls", [1, 2])
@@ -589,6 +593,26 @@ class TestFoldsAgainstEagerOracle:
         data = _samples_with_a_constant_channel(dtype)
         for row in data:
             _same_bits(stats_from_samples(row), _eager_records([row[None].astype(np.float64)])[0])
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("length", [7, 8, 9, 127, 128, 129, 8191, 8193])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunks_of_any_layout_and_row_length(self, dtype, length, strided):
+        # rows about numpy's pairwise sum blocks (8 and 128 terms) and its
+        # 8192-term buffer; a strided chunk is channel_major's view of an
+        # [N, C, 1, 1] tensor, such as an avgpool output, of strides (s, C s)
+        rng = np.random.default_rng(16)
+        data = (rng.standard_t(3, size=(length, 3, 1, 1)) * 40 + 7).astype(dtype)
+        chunk = channel_major(data)
+        if not strided:
+            chunk = np.ascontiguousarray(chunk)
+        assert chunk.flags.c_contiguous != strided
+        folds = profiling._Folds(lambda names, kept: [(0, name, chunk) for name in names
+                                                      if name not in kept], 0)
+        count = np.full(3, length, dtype=np.int64)
+        refs = _eager_records(_widened([chunk]))
+        for pooled in (False, True):
+            _same_bits(profiling._record(folds, "x", count, pooled), refs[pooled])
 
     @pytest.mark.parametrize("cuts", [(), (5,)])
     @pytest.mark.parametrize("arch", ARCHS)

@@ -180,15 +180,15 @@ class _Folds:
         for part in chain(rerun, last):
             for key, value in part.items():
                 sums[key] = sums.get(key, 0.0) + value
-        self.high.update((key, value) for key, value in sums.items() if isinstance(key, str))
+        self.high.update({name: sums[name] for name in names if name not in self.high})
         for i, r in enumerate(todo):
-            r.__dict__.update(self._higher_moments(r, sums[i]))
+            r.__dict__.update(self._higher_moments(r, sums["abs", i]))
             del r._fold  # every field is in: the record no longer reads the folds
 
     def _pass_2(self, todo: list, name: str, raw: np.ndarray) -> dict:
         """One [C, M] chunk's partial sums: under ``name``, the tensor's power
-        sums of orders 3..6 about the anchor, unless folded before; under the
-        index in ``todo`` of each asked record of the tensor, its sums of
+        sums of orders 3..6 about the anchor, unless folded before; under
+        ("abs", i), for the record ``todo[i]`` of the tensor, its sums of
         |x - mean|**k for k = 1, 3, 5."""
         part = {}
         if name not in self.high:
@@ -205,8 +205,8 @@ class _Folds:
                 dev = np.subtract(raw.reshape(1, -1) if r._fold[2] else raw, r.mean[:, None],
                                   order="C")
                 np.abs(dev, out=dev)  # and np.power, not d*d*d: other bits
-                part[i] = np.array([dev.sum(axis=1), np.power(dev, 3).sum(axis=1),
-                                    np.power(dev, 5, out=dev).sum(axis=1)])
+                part["abs", i] = np.array([dev.sum(axis=1), np.power(dev, 3).sum(axis=1),
+                                          np.power(dev, 5, out=dev).sum(axis=1)])
         return part
 
     def _moments(self, name: str, pooled: bool) -> dict:

@@ -408,7 +408,7 @@ class TestRecordSolver:
             bit_width, signed = int(rng.integers(4, 17)), bool(rng.integers(0, 2))
             stats = random_record(rng, int(rng.integers(1, 9)))
             channels = stats.n_channels
-            family = (ALL_FAMILIES[case % 3] if case % 3 == 0
+            family = (ALL_FAMILIES[case // 3 % len(ALL_FAMILIES)] if case % 3 == 0
                       else list(rng.choice(ALL_FAMILIES, channels)))
             names = np.broadcast_to(np.asarray(family), channels)
             got = optimal_fl(stats, family, bit_width, signed)

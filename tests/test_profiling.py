@@ -505,9 +505,9 @@ class _PassCounter(np.ndarray):
         return res
 
 
-def _samples_with_a_constant_channel(dtype):
+def _samples_with_a_constant_channel(dtype, length=3000):
     rng = np.random.default_rng(15)
-    data = rng.standard_t(3, size=(3, 3000)) * [[0.5], [40.0], [0.0]] + [[3.0], [-200.0], [1.25]]
+    data = rng.standard_t(3, size=(3, length)) * [[0.5], [40.0], [0.0]] + [[3.0], [-200.0], [1.25]]
     return data.astype(dtype)
 
 
@@ -539,12 +539,22 @@ class TestFoldsAgainstEagerOracle:
 
     @pytest.mark.parametrize("records", [("per_channel",), ("pooled",), ("per_channel", "pooled"),
                                          ("pooled", "per_channel")])
-    def test_a_record_read_in_full_folds_each_power_sum_once(self, records):
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("length", [7, 8, 9, 127, 128, 129, 3000, 8191, 8193])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_record_read_in_full_folds_each_power_sum_once(self, dtype, length, strided,
+                                                             records):
         # pass 1 and pass 2 each rebuild y and y**2 of a chunk, and no more:
         # every other pass over a chunk is made once, and once for both
         # records of a tensor; only the absolute moments, whole-array passes
-        # over one deviation array, are each record's own
-        data = _samples_with_a_constant_channel(np.float32)
+        # over one deviation array, are each record's own. Rows about numpy's
+        # pairwise sum blocks (8 and 128 terms) and its 8192-term buffer; a
+        # strided chunk is channel_major's view of an [N, C, 1, 1] tensor,
+        # such as an avgpool output, of strides (s, C s)
+        data = _samples_with_a_constant_channel(dtype, length)
+        if strided:
+            data = channel_major(np.ascontiguousarray(data.T)[:, :, None, None])
+        assert data.flags.c_contiguous != strided
         chunk = data.view(_PassCounter)
         chunk.passes = passes = Counter()
         folds = profiling._Folds(lambda names, kept: [(0, name, chunk) for name in names
@@ -593,26 +603,6 @@ class TestFoldsAgainstEagerOracle:
         data = _samples_with_a_constant_channel(dtype)
         for row in data:
             _same_bits(stats_from_samples(row), _eager_records([row[None].astype(np.float64)])[0])
-
-    @pytest.mark.parametrize("strided", [False, True])
-    @pytest.mark.parametrize("length", [7, 8, 9, 127, 128, 129, 8191, 8193])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_chunks_of_any_layout_and_row_length(self, dtype, length, strided):
-        # rows about numpy's pairwise sum blocks (8 and 128 terms) and its
-        # 8192-term buffer; a strided chunk is channel_major's view of an
-        # [N, C, 1, 1] tensor, such as an avgpool output, of strides (s, C s)
-        rng = np.random.default_rng(16)
-        data = (rng.standard_t(3, size=(length, 3, 1, 1)) * 40 + 7).astype(dtype)
-        chunk = channel_major(data)
-        if not strided:
-            chunk = np.ascontiguousarray(chunk)
-        assert chunk.flags.c_contiguous != strided
-        folds = profiling._Folds(lambda names, kept: [(0, name, chunk) for name in names
-                                                      if name not in kept], 0)
-        count = np.full(3, length, dtype=np.int64)
-        refs = _eager_records(_widened([chunk]))
-        for pooled in (False, True):
-            _same_bits(profiling._record(folds, "x", count, pooled), refs[pooled])
 
     @pytest.mark.parametrize("cuts", [(), (5,)])
     @pytest.mark.parametrize("arch", ARCHS)

@@ -9,7 +9,7 @@ and float-vs-quantized top-1 agreement.
 import numpy as np
 
 from chanq import collect_stats, execute_float, execute_quantized, quantize_params, solve_plan
-from chanq.graph import effective_output
+from chanq.graph import LINEAR_KINDS, effective_output
 from chanq.planner import MODES
 from chanq.qengine import SqnrAccumulator
 from chanq.synthetic import SynthSpec, build_graph, gen_dataset
@@ -21,7 +21,7 @@ g = build_graph(spec)
 x, _ = gen_dataset(g, spec)
 stats = collect_stats(g, [x[i : i + 32] for i in range(0, 200, 32)])
 
-layers = [n for n in g.nodes if n.kind in ("conv", "depthwise_conv", "fc")]
+layers = [n for n in g.nodes if n.kind in LINEAR_KINDS]
 ofm = {n.name: effective_output(g, n) for n in layers}
 capture = set(ofm.values())
 

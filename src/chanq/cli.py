@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import GraphError, Graph, effective_output, execute_float, fold_batchnorm, load_model
+from .graph import (LINEAR_KINDS, Graph, GraphError, effective_output, execute_float,
+                    fold_batchnorm, load_model)
 from .planner import MODES, PlanError, load_plan, solve_plan
 from .profiling import collect_stats, dump_stats, load_stats
 from .qengine import (
@@ -216,7 +217,7 @@ def cmd_compare(args) -> int:
     qgs = {mode: quantize_params(g, plan)
            for mode, plan in _solve_modes(g, profile, MODES, args).items()}
 
-    layer_nodes = [n for n in g.nodes if n.kind in ("conv", "depthwise_conv", "fc")]
+    layer_nodes = [n for n in g.nodes if n.kind in LINEAR_KINDS]
     ofm = {n.name: effective_output(g, n) for n in layer_nodes}
     capture = set(ofm.values())
     per_mode = _evaluate(g, qgs, data, labels, capture, args.batch)

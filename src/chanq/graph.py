@@ -118,6 +118,15 @@ def topological_order(nodes: list[LayerSpec], available: set) -> list[LayerSpec]
     return ordered
 
 
+def walk(g: Graph, first, step) -> dict:
+    """``{tensor: value}`` in production order: the input's value is
+    ``first``, each node output's is ``step(node, [its inputs' values])``."""
+    values = {g.input_name: first}
+    for node in g.nodes:
+        values[node.outputs[0]] = step(node, [values[t] for t in node.inputs])
+    return values
+
+
 def _infer_shape(node: LayerSpec, in_shapes: list[tuple], params: dict) -> tuple:
     kind = node.kind
     if kind in ("conv", "depthwise_conv"):
@@ -205,10 +214,7 @@ def validate(g: Graph) -> Graph:
                 raise GraphError(f"node {node.name}: input tensor {t!r} is not produced anywhere")
     g.nodes = topological_order(g.nodes, {g.input_name})
 
-    g.shapes = {g.input_name: tuple(g.input_dims)}
-    for node in g.nodes:
-        in_shapes = [g.shapes[t] for t in node.inputs]
-        g.shapes[node.outputs[0]] = _infer_shape(node, in_shapes, g.params)
+    g.shapes = walk(g, tuple(g.input_dims), lambda node, ins: _infer_shape(node, ins, g.params))
 
     consumed = {t for n in g.nodes for t in n.inputs}
     terminals = [t for n in g.nodes for t in n.outputs if t not in consumed]
@@ -332,16 +338,12 @@ def fold_batchnorm(g: Graph) -> Graph:
     """
     params = dict(g.params)
     nodes = []
-    by_output = {}
-    for node in g.nodes:
-        by_output[node.outputs[0]] = node
-
     for node in g.nodes:
         if node.kind != "batchnorm":
             nodes.append(replace(node, inputs=list(node.inputs), outputs=list(node.outputs),
                                  attrs=dict(node.attrs), params=dict(node.params)))
             continue
-        src = by_output.get(node.inputs[0])
+        src = g.producer(node.inputs[0])
         if src is None or src.kind not in LINEAR_KINDS:
             raise GraphError(
                 f"node {node.name}: batchnorm must directly follow a conv/depthwise/fc layer"
@@ -406,22 +408,22 @@ def effective_output(g: Graph, node: LayerSpec) -> str:
     return g.consumers(out)[0].outputs[0] if g.feeds_only_relu(out) else out
 
 
+def forward(g: Graph, x, first, step, capture) -> tuple:
+    """One engine pass: GraphError unless batch ``x`` fits the graph's input,
+    else the output's value and the captured tensors' (unknown names skipped)
+    of the :func:`walk` from ``first(x)``."""
+    g.check_input(np.shape(x))
+    capture = set(capture)
+    values = walk(g, first(x), step)
+    return values[g.output_name], {t: v for t, v in values.items() if t in capture}
+
+
 def execute_float(g: Graph, x: np.ndarray, capture=()) -> tuple[np.ndarray, dict]:
     """Float32 forward pass; captures the requested tensors as produced.
 
     Captured values are pre-activation: a tensor feeding a relu node is
     recorded before the relu applies (the relu output is a separate name).
     """
-    x = np.asarray(x, dtype=np.float32)
-    g.check_input(x.shape)
-    capture = set(capture)
-    values = {g.input_name: x}
-    captured = {}
-    if g.input_name in capture:
-        captured[g.input_name] = x
-    for node in g.nodes:
-        out = _run_node(node, [values[t] for t in node.inputs], g.params)
-        values[node.outputs[0]] = out
-        if node.outputs[0] in capture:
-            captured[node.outputs[0]] = out
-    return values[g.output_name], captured
+    # _run_node is looked up at each call, so a wrapper set on the module sees every node
+    return forward(g, x, lambda x: np.asarray(x, dtype=np.float32),
+                   lambda node, ins: _run_node(node, ins, g.params), capture)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import flsolver
 from .fixedpoint import FL_MAX, FL_MIN, fl_from_max
-from .graph import LINEAR_KINDS, Graph, _is_int
+from .graph import LINEAR_KINDS, Graph, _is_int, walk
 from .profiling import ChannelStats, fold_records, standardized_moments
 
 MODES = ("layerwise_max", "cw_max", "cw_laplace", "cw_scauchy", "cw_pdf_aware")
@@ -120,10 +120,9 @@ class _PlanBuilder:
         return TensorFormat(fls=np.broadcast_to(fls, channels).copy(),
                             signed=np.full(channels, signed), layer_wide=layer_wide)
 
-    def _input_groups(self, node) -> tuple[np.ndarray, np.ndarray | None]:
+    def _input_groups(self, node, fmt: TensorFormat) -> tuple[np.ndarray, np.ndarray | None]:
         """Input fls shaped for :func:`coordinate_layer` (conv [Ci],
         depthwise [C, 1], fc [G]), plus the fc element -> group map."""
-        fmt = self.plan.tensors[node.inputs[0]]
         if node.kind == "conv":
             return fmt.fls, None
         if node.kind == "depthwise_conv":
@@ -136,70 +135,53 @@ class _PlanBuilder:
         return fmt.fls, np.repeat(np.arange(in_shape[1], dtype=np.int64), spatial)
 
     def build(self) -> QuantPlan:
-        g, plan = self.g, self.plan
+        g = self.g
         # every record the plan reads, asked for at once: one pass over the
         # profiling batches, and a second for the kNN features
         stats_based = [g.input_name] + [n.outputs[0] for n in g.nodes if n.kind in _STATS_BASED]
         fold_records([self._record(t)[0] for t in stats_based if t in self.stats],
                      higher=self.mode == "cw_pdf_aware")
-        plan.tensors[g.input_name] = self._stats_based_format(g.input_name)
-        for node in g.nodes:
-            out = node.outputs[0]
-            if node.kind == "batchnorm":
-                raise PlanError(
-                    f"node {node.name}: fold batchnorm before solving a plan"
-                )
-            if node.kind in _STATS_BASED:
-                plan.tensors[out] = self._stats_based_format(out)
-                if node.kind in LINEAR_KINDS:
-                    self._coordinate(node)
-            elif node.kind == "relu":
-                src = plan.tensors[node.inputs[0]]
-                plan.tensors[out] = TensorFormat(
-                    fls=src.fls.copy(),
-                    signed=np.zeros_like(src.signed),
-                    layer_wide=src.layer_wide,
-                )
-            elif node.kind in ("maxpool", "avgpool"):
-                src = plan.tensors[node.inputs[0]]
-                plan.tensors[out] = TensorFormat(src.fls.copy(), src.signed.copy(), src.layer_wide)
-            elif node.kind == "concat":
-                a = plan.tensors[node.inputs[0]]
-                b = plan.tensors[node.inputs[1]]
-                plan.tensors[out] = TensorFormat(
-                    fls=np.concatenate([a.fls, b.fls]),
-                    signed=np.concatenate([a.signed, b.signed]),
-                    layer_wide=False,
-                )
-            else:
-                raise PlanError(f"node {node.name}: unsupported kind {node.kind!r}")
-        return plan
+        self.plan.tensors = walk(g, self._stats_based_format(g.input_name), self._format)
+        return self.plan
 
-    def _coordinate(self, node) -> None:
+    def _format(self, node, ins: list[TensorFormat]) -> TensorFormat:
+        """A node's output format from its inputs'; a linear layer is
+        coordinated on the way."""
+        src = ins[0]
+        if node.kind in _STATS_BASED:
+            out = self._stats_based_format(node.outputs[0])
+            if node.kind in LINEAR_KINDS:
+                self._coordinate(node, src, out)
+            return out
+        if node.kind == "relu":
+            return TensorFormat(src.fls.copy(), np.zeros_like(src.signed), src.layer_wide)
+        if node.kind in ("maxpool", "avgpool"):
+            return TensorFormat(src.fls.copy(), src.signed.copy(), src.layer_wide)
+        if node.kind == "concat":
+            return TensorFormat(fls=np.concatenate([src.fls, ins[1].fls]),
+                                signed=np.concatenate([src.signed, ins[1].signed]))
+        if node.kind == "batchnorm":
+            raise PlanError(f"node {node.name}: fold batchnorm before solving a plan")
+        raise PlanError(f"node {node.name}: unsupported kind {node.kind!r}")
+
+    def _coordinate(self, node, in_fmt: TensorFormat, out_fmt: TensorFormat) -> None:
         w = self.g.params[node.params["weight"]]
         absw = np.abs(w)
-        ifm, in_groups = self._input_groups(node)
+        ifm, in_groups = self._input_groups(node, in_fmt)
         floor = fl_from_max(absw.max(), self.bit_width, True)
         # tight kernel fls: one per layer on a layer-wise path, else per
         # (out, in) pair for conv and per output for depthwise and fc
-        if self.mode == "layerwise_max" or (
-                node.kind == "fc" and self.plan.tensors[node.inputs[0]].layer_wide):
+        if self.mode == "layerwise_max" or (node.kind == "fc" and in_fmt.layer_wide):
             maxes = absw.max()
         elif node.kind == "conv":
             maxes = absw.max(axis=(2, 3))
         else:
             maxes = absw.reshape(len(w), -1).max(axis=1)[:, None]
         tight = np.broadcast_to(fl_from_max(maxes, self.bit_width, True), (len(w), ifm.shape[-1]))
-        ker, bias_fl, shift, comp = coordinate_layer(
-            ifm, tight, self.plan.tensors[node.outputs[0]].fls, floor)
-        self.plan.layers[node.name] = LayerPlan(
-            ker_fl=ker,
-            bias_fl=bias_fl,
-            shift=shift,
-            comp_shift=comp,
-            ker_fl_layerwise=floor,
-            in_groups=in_groups,
-        )
+        ker, bias_fl, shift, comp = coordinate_layer(ifm, tight, out_fmt.fls, floor)
+        self.plan.layers[node.name] = LayerPlan(ker_fl=ker, bias_fl=bias_fl, shift=shift,
+                                                comp_shift=comp, ker_fl_layerwise=floor,
+                                                in_groups=in_groups)
 
 
 def solve_plan(g: Graph, stats: dict, mode: str, bit_width: int = 8,
@@ -230,7 +212,7 @@ def check_plan(g: Graph, plan: QuantPlan) -> None:
         raise PlanError(f"plan bit width {plan.bit_width} outside [2, 16]")
     max_fan_in = (2**53 - 2**31 - 1) // ((2**plan.bit_width - 1) * 2 ** (plan.bit_width - 1))
     for node in g.nodes:
-        if node.kind not in ("conv", "depthwise_conv", "fc"):
+        if node.kind not in LINEAR_KINDS:
             continue
         if node.name not in plan.layers:
             raise PlanError(f"plan has no layer entry for node {node.name!r}")

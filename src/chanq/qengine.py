@@ -31,7 +31,7 @@ import numpy as np
 
 # rounding_shift is not called here; perfbench/layers.py wraps qengine.rounding_shift
 from .fixedpoint import INT32_MAX, INT32_MIN, code_range, rounding_shift  # noqa: F401
-from .graph import Graph, GraphError
+from .graph import LINEAR_KINDS, Graph, GraphError, forward
 from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, _check_range, check_plan,
                       plan_from_json, plan_to_json)
 from .tensorops import _BLOCK_ELEMS, _col_blocks, _conv_cols, _tap_reduce, _windows
@@ -94,7 +94,7 @@ def quantize_params(g: Graph, plan: QuantPlan) -> QuantizedGraph:
     kernels, biases = {}, {}
     kq_lo, kq_hi = code_range(plan.bit_width)
     for node in g.nodes:
-        if node.kind not in ("conv", "depthwise_conv", "fc"):
+        if node.kind not in LINEAR_KINDS:
             continue
         lp = plan.layers[node.name]
         w = np.asarray(g.params[node.params["weight"]], dtype=np.float64)
@@ -284,39 +284,34 @@ def _run_add(node, a, b, qg: QuantizedGraph):
     return np.clip(shifted(total, common - out_fmt.fls), lo.reshape(cshape), hi.reshape(cshape))
 
 
+def _run_node(node, ins: list, qg: QuantizedGraph, saturation: dict) -> np.ndarray:
+    """One node's output codes from its inputs'; a linear layer also
+    records its clipped accumulator lanes in ``saturation``."""
+    if node.kind in LINEAR_KINDS:
+        out, saturation[node.name] = (_run_fc if node.kind == "fc" else _run_conv)(node, ins[0], qg)
+        return out
+    if node.kind == "relu":
+        return np.maximum(ins[0], 0)
+    if node.kind in ("maxpool", "avgpool"):
+        return _run_pool(node, ins[0])
+    if node.kind == "add":
+        return _run_add(node, ins[0], ins[1], qg)
+    if node.kind == "concat":
+        return np.concatenate(ins, axis=1)
+    raise GraphError(f"node {node.name}: kind {node.kind!r} not executable quantized")
+
+
 def execute_quantized(qg: QuantizedGraph, x: np.ndarray, capture=()) -> QuantRunResult:
     """Integer forward pass; fully deterministic for identical inputs."""
-    g, plan = qg.graph, qg.plan
-    capture = set(capture)
-    codes = {g.input_name: quantize_tensor(x, plan.tensors[g.input_name], plan.bit_width)}
-    saturation = {}
-    for node in g.nodes:
-        ins = [codes[t] for t in node.inputs]
-        if node.kind in ("conv", "depthwise_conv"):
-            out, clipped = _run_conv(node, ins[0], qg)
-            saturation[node.name] = clipped
-        elif node.kind == "fc":
-            out, clipped = _run_fc(node, ins[0], qg)
-            saturation[node.name] = clipped
-        elif node.kind == "relu":
-            out = np.maximum(ins[0], 0)
-        elif node.kind in ("maxpool", "avgpool"):
-            out = _run_pool(node, ins[0])
-        elif node.kind == "add":
-            out = _run_add(node, ins[0], ins[1], qg)
-        elif node.kind == "concat":
-            out = np.concatenate(ins, axis=1)
-        else:
-            raise GraphError(f"node {node.name}: kind {node.kind!r} not executable quantized")
-        codes[node.outputs[0]] = out
-    captured = {
-        name: compact_codes(codes[name], plan.tensors[name], plan.bit_width)
-        for name in capture
-        if name in codes
-    }
+    g, plan, saturation = qg.graph, qg.plan, {}
+    bits, fmt = plan.bit_width, plan.tensors
+    # _run_node is looked up at each call, so a wrapper set on the module sees every node
+    out, captured = forward(g, x, lambda x: quantize_tensor(x, fmt[g.input_name], bits),
+                            lambda node, ins: _run_node(node, ins, qg, saturation), capture)
     # + 0.0 turns the -0.0 that rint leaves on small negatives into 0.0
-    out_f = dequantize_tensor(codes[g.output_name] + 0.0, plan.tensors[g.output_name])
-    return QuantRunResult(output=out_f, captured=captured, saturation=saturation)
+    return QuantRunResult(output=dequantize_tensor(out + 0.0, fmt[g.output_name]),
+                          captured={t: compact_codes(c, fmt[t], bits) for t, c in captured.items()},
+                          saturation=saturation)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +375,7 @@ def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
     kernels, biases = {}, {}
     kq_lo, kq_hi = code_range(plan.bit_width)
     for node in g.nodes:
-        if node.kind not in ("conv", "depthwise_conv", "fc"):
+        if node.kind not in LINEAR_KINDS:
             continue
         if node.name not in qparams:
             raise PlanError(f"plan has no quantized parameters for node {node.name!r}")

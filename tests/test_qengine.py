@@ -1,5 +1,6 @@
 """Integer engine tests: hand-traced datapaths, oracle equivalence, replay."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chanq import qengine, tensorops
+from chanq import graph, qengine, tensorops
 from chanq.cli import main
 from chanq.fixedpoint import code_range, rounding_shift
 from chanq.flsolver import default_classifier
@@ -310,16 +311,61 @@ class TestExecutionProperties:
             if np.isfinite(lo) and np.isfinite(hi):
                 assert hi > lo
 
-    def test_residual_and_concat_archs_run(self):
+    def test_residual_and_concat_archs_run(self, monkeypatch):
         for arch in ("residual", "concat", "depthwise"):
             g, x, stats = _toy_net_and_data(seed=5, arch=arch)
             plan = solve_plan(g, stats, "cw_max")
             qg = quantize_params(g, plan)
-            ref, _ = execute_float(g, x[:8])
-            res = execute_quantized(qg, x[:8])
+            names = g.activation_names()
+            ref, acts = execute_float(g, x[:8], capture=names)
+            res = execute_quantized(qg, x[:8], capture=names)
             assert res.output.shape == ref.shape
             agree = np.mean(np.argmax(ref, 1) == np.argmax(res.output, 1))
             assert agree >= 0.5
+            assert list(plan.tensors) == list(g.shapes) == names
+
+            # each engine's per-node step is looked up through its module at
+            # every node, so a wrapper set there (a timer, say) sees them all
+            calls, walked = [], []
+
+            def counting(engine, step):
+                def run_node(node, *args):
+                    calls.append((engine, node.name))
+                    return step(node, *args)
+                return run_node
+
+            def recording(walk):
+                def walk_recorded(*args):
+                    values = walk(*args)
+                    walked.append(list(values))
+                    return values
+                return walk_recorded
+
+            monkeypatch.setattr(graph, "_run_node", counting("float", graph._run_node))
+            monkeypatch.setattr(qengine, "_run_node", counting("int", qengine._run_node))
+            monkeypatch.setattr(graph, "walk", recording(graph.walk))
+            ref2, acts2 = execute_float(g, x[:8], capture=names)
+            res2 = execute_quantized(qg, x[:8], capture=names)
+            monkeypatch.undo()
+            order = [n.name for n in g.nodes]
+            assert calls == [("float", n) for n in order] + [("int", n) for n in order]
+            assert walked == [names, names]
+            assert ref2.tobytes() == ref.tobytes() and res2.output.tobytes() == res.output.tobytes()
+            assert res2.saturation == res.saturation
+            for got, want in ((acts2, acts), (res2.captured, res.captured)):
+                assert list(got) == list(want) == names
+                assert all(got[t].tobytes() == want[t].tobytes() for t in names)
+
+    @pytest.mark.parametrize("shape", [(4, 8, 8), (2, 4, 7, 7), (2, 2, 8, 8)],
+                             ids=["one-sample", "7x7", "2-channel"])
+    @pytest.mark.parametrize("engine", ["float", "int"])
+    def test_a_batch_of_another_shape_is_rejected(self, engine, shape):
+        g, _, stats = _toy_net_and_data()  # hetero_conv, input [N, 4, 8, 8]
+        qg = quantize_params(g, solve_plan(g, stats, "cw_max"))
+        x = np.ones(shape, np.float32)
+        with pytest.raises(GraphError, match=re.escape(
+                f"input shape {shape} incompatible with graph input {g.shapes[g.input_name]}")):
+            execute_float(g, x) if engine == "float" else execute_quantized(qg, x)
 
     def test_dump_of_a_concat_of_signed_and_unsigned_channels_keeps_the_signs(self):
         # conv -> relu (unsigned) and conv (signed) concatenated: one tensor, both kinds

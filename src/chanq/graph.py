@@ -134,14 +134,10 @@ def _infer_shape(node: LayerSpec, in_shapes: list[tuple], params: dict) -> tuple
         kshape = params[node.params["weight"]].shape
         stride = node.attr_pair("stride", 1)
         pad = node.attr_pair("pad", 0)
-        if kind == "conv":
-            co, ci, kh, kw = kshape
-            if ci != c:
-                raise GraphError(f"node {node.name}: kernel expects {ci} input channels, tensor has {c}")
-        else:
-            co, one, kh, kw = kshape
-            if one != 1 or co != c:
-                raise GraphError(f"node {node.name}: depthwise kernel {kshape} mismatches {c} channels")
+        co, ci, kh, kw = kshape
+        # a depthwise kernel is [C, 1, Kh, Kw]: C groups of one channel
+        if (ci, co) != ((1, c) if kind == "depthwise_conv" else (c, co)):
+            raise GraphError(f"node {node.name}: {kind} kernel {kshape} does not fit {c} input channels")
         if params[node.params["bias"]].shape != (co,):
             raise GraphError(f"node {node.name}: bias length != {co} output channels")
         oh, ow = ops.conv_output_hw(h, w, kh, kw, stride, pad)
@@ -377,12 +373,9 @@ def fold_batchnorm(g: Graph) -> Graph:
 
 def _run_node(node: LayerSpec, inputs: list[np.ndarray], params: dict) -> np.ndarray:
     kind = node.kind
-    if kind == "conv":
+    if kind in ("conv", "depthwise_conv"):
         return ops.conv2d(inputs[0], params[node.params["weight"]], params[node.params["bias"]],
                           node.attr_pair("stride", 1), node.attr_pair("pad", 0))
-    if kind == "depthwise_conv":
-        return ops.depthwise_conv2d(inputs[0], params[node.params["weight"]], params[node.params["bias"]],
-                                    node.attr_pair("stride", 1), node.attr_pair("pad", 0))
     if kind == "fc":
         return ops.fully_connected(inputs[0], params[node.params["weight"]], params[node.params["bias"]])
     if kind == "batchnorm":

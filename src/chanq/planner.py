@@ -62,14 +62,12 @@ class QuantPlan:
 def coordinate_layer(fl_ifm, fl_ker_tight, fl_ofm, fl_ker_layerwise: int):
     """Align partial sums of one layer to their per-output minimum fl.
 
-    fl_ifm is [G] (shared across outputs) or [Co, G] (depthwise pairing);
-    fl_ker_tight is [Co, G]; fl_ofm is [Co]. Returns (adjusted kernel fls,
-    bias fls, ofm shifts, compensation shifts).
+    fl_ker_tight is [Co, G]; fl_ifm broadcasts against it ([G] or [1, G]
+    shared across outputs, [Co, 1] on depthwise pairing); fl_ofm is [Co].
+    Returns (adjusted kernel fls, bias fls, ofm shifts, compensation shifts).
     """
     tight = np.atleast_2d(np.asarray(fl_ker_tight, dtype=np.int64))
     ifm = np.asarray(fl_ifm, dtype=np.int64)
-    if ifm.ndim == 1:
-        ifm = np.broadcast_to(ifm, tight.shape)
     ofm = np.asarray(fl_ofm, dtype=np.int64)
     floor = int(fl_ker_layerwise)
 
@@ -120,13 +118,12 @@ class _PlanBuilder:
         return TensorFormat(fls=np.broadcast_to(fls, channels).copy(),
                             signed=np.full(channels, signed), layer_wide=layer_wide)
 
-    def _input_groups(self, node, fmt: TensorFormat) -> tuple[np.ndarray, np.ndarray | None]:
-        """Input fls shaped for :func:`coordinate_layer` (conv [Ci],
-        depthwise [C, 1], fc [G]), plus the fc element -> group map."""
-        if node.kind == "conv":
-            return fmt.fls, None
-        if node.kind == "depthwise_conv":
-            return fmt.fls[:, None], None  # pair channel c with output c
+    def _input_groups(self, node, fmt: TensorFormat, w) -> tuple[np.ndarray, np.ndarray | None]:
+        """Input fls shaped for :func:`coordinate_layer`, plus the fc element
+        -> group map. A kernel [Co, I, Kh, Kw] takes them as [Ci / I, I]:
+        conv [1, Ci], depthwise [C, 1] (output c reads channel c); fc [G]."""
+        if node.kind != "fc":
+            return fmt.fls.reshape(-1, w.shape[1]), None
         # fc: group by source channel; layer-wide paths collapse to one group
         in_shape = self.g.shapes[node.inputs[0]]
         if fmt.layer_wide:
@@ -167,16 +164,16 @@ class _PlanBuilder:
     def _coordinate(self, node, in_fmt: TensorFormat, out_fmt: TensorFormat) -> None:
         w = self.g.params[node.params["weight"]]
         absw = np.abs(w)
-        ifm, in_groups = self._input_groups(node, in_fmt)
+        ifm, in_groups = self._input_groups(node, in_fmt, w)
         floor = fl_from_max(absw.max(), self.bit_width, True)
         # tight kernel fls: one per layer on a layer-wise path, else per
-        # (out, in) pair for conv and per output for depthwise and fc
+        # (out, in) pair of a conv kernel and per output of fc
         if self.mode == "layerwise_max" or (node.kind == "fc" and in_fmt.layer_wide):
             maxes = absw.max()
-        elif node.kind == "conv":
-            maxes = absw.max(axis=(2, 3))
+        elif node.kind == "fc":
+            maxes = absw.max(axis=1)[:, None]
         else:
-            maxes = absw.reshape(len(w), -1).max(axis=1)[:, None]
+            maxes = absw.max(axis=(2, 3))
         tight = np.broadcast_to(fl_from_max(maxes, self.bit_width, True), (len(w), ifm.shape[-1]))
         ker, bias_fl, shift, comp = coordinate_layer(ifm, tight, out_fmt.fls, floor)
         self.plan.layers[node.name] = LayerPlan(ker_fl=ker, bias_fl=bias_fl, shift=shift,
@@ -216,15 +213,16 @@ def check_plan(g: Graph, plan: QuantPlan) -> None:
             continue
         if node.name not in plan.layers:
             raise PlanError(f"plan has no layer entry for node {node.name!r}")
-        fan_in = g.params[node.params["weight"]][0].size  # the weights of one output
+        w = g.params[node.params["weight"]]
+        fan_in = w[0].size  # the weights of one output
         if fan_in > max_fan_in:
             raise PlanError(f"plan layer {node.name!r}: fan-in {fan_in} exceeds {max_fan_in}, "
                             f"the most whose {plan.bit_width}-bit sums stay exact")
         lp = plan.layers[node.name]
         co = g.channels(node.outputs[0])
-        # an fc layer may have any group count; the engine checks it against in_groups
-        groups = {"conv": g.channels(node.inputs[0]), "depthwise_conv": 1}.get(
-            node.kind, lp.ker_fl.shape[-1] if lp.ker_fl.ndim else 0)
+        # kernel fl columns: a conv kernel's inputs per output (1 on depthwise); an
+        # fc layer may have any count, which the engine checks against in_groups
+        groups = w.shape[1] if node.kind != "fc" else (lp.ker_fl.shape[-1] if lp.ker_fl.ndim else 0)
         if (lp.ker_fl.shape != (co, groups) or lp.comp_shift.shape != (co, groups)
                 or lp.bias_fl.shape != (co,) or lp.shift.shape != (co,)):
             raise PlanError(f"plan layer {node.name!r}: array shapes do not fit the graph's "

@@ -6,11 +6,13 @@ to the output: every code, product and sum the engine forms is an
 integer below 2**53, so float64 holds it exactly and numpy's BLAS and
 ufuncs run on it without casts. Each step keeps that exactness:
 
-- A linear layer's MAC runs over the float engine's im2col column blocks
-  (:func:`tensorops._col_blocks`): one grouped GEMM per block, exact under
-  :func:`planner.check_plan`'s fan-in bound, which also bounds the bias
-  add. Products of compensated pairs are rounded half-even one by one,
-  in float32 lanes while max|x| * max|ker| * (T + 1) < 2**24.
+- Conv, depthwise and fc layers take one path (:func:`_run_linear`): one
+  grouped GEMM per block of the float engine's im2col columns
+  (:func:`tensorops._col_blocks`), one group per channel on depthwise,
+  exact under :func:`planner.check_plan`'s fan-in bound, which also
+  bounds the bias add. Products of compensated pairs are rounded
+  half-even one by one, in float32 lanes while
+  max|x| * max|ker| * (T + 1) < 2**24.
 - The epilogue is one fused pass: add the bias, count and clip to the
   int32 range (no scan where max|x| * sum|k| + |bias| rules a clip out),
   multiply by 2**-shift (a power of two: exact), ``np.rint``
@@ -31,7 +33,7 @@ import numpy as np
 
 # rounding_shift is not called here; perfbench/layers.py wraps qengine.rounding_shift
 from .fixedpoint import INT32_MAX, INT32_MIN, code_range, rounding_shift  # noqa: F401
-from .graph import LINEAR_KINDS, Graph, GraphError, forward
+from .graph import LINEAR_KINDS, Graph, GraphError, _is_int, forward
 from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, _check_range, check_plan,
                       plan_from_json, plan_to_json)
 from .tensorops import _BLOCK_ELEMS, _col_blocks, _conv_cols, _tap_reduce, _windows
@@ -99,14 +101,11 @@ def quantize_params(g: Graph, plan: QuantPlan) -> QuantizedGraph:
         lp = plan.layers[node.name]
         w = np.asarray(g.params[node.params["weight"]], dtype=np.float64)
         b = np.asarray(g.params[node.params["bias"]], dtype=np.float64)
-        if node.kind in ("conv", "depthwise_conv"):
-            # ker_fl is [Co, Ci] (conv) or [C, 1] (depthwise)
-            scale = 2.0 ** lp.ker_fl.astype(np.float64)
-            kcodes = np.rint(w * scale[:, :, None, None])
-        else:
+        if node.kind == "fc":
             _fc_group_size(node.name, lp, w.shape[1])
-            fl_per_elem = lp.ker_fl[:, lp.in_groups]  # [U, D]
-            kcodes = np.rint(w * 2.0 ** fl_per_elem.astype(np.float64))
+        # ker_fl [O, I] scales the kernel's [O, I, T] view (see _run_linear)
+        scale = 2.0 ** lp.ker_fl.astype(np.float64)
+        kcodes = np.rint(w.reshape(*scale.shape, -1) * scale[:, :, None]).reshape(w.shape)
         kernels[node.name] = np.clip(kcodes, kq_lo, kq_hi).astype(np.int64)
         bscale = 2.0 ** lp.bias_fl.astype(np.float64)
         bcodes = np.rint(b * bscale)
@@ -154,29 +153,26 @@ def _abs_max(codes: np.ndarray) -> int:
     return max(int(codes.max(initial=0)), -int(codes.min(initial=0)))
 
 
-def _acc_bound(x_max: int, ker: np.ndarray) -> np.ndarray:
-    """max|x| * sum|k| per output channel of ``ker`` [Co, ...]: a bound on
-    |acc|, since a compensated product rounds to at most its magnitude."""
-    return x_max * np.abs(ker).reshape(len(ker), -1).sum(axis=1)
-
-
 def _grouped_mac(cols: np.ndarray, batch_axis: int, ker: np.ndarray, comp: np.ndarray,
                  x_max: int) -> np.ndarray:
     """Exact grouped integer MAC.
 
     ``cols`` is a column view of the input codes (see
-    :func:`tensorops._col_blocks`) whose operands are I inputs of T taps
-    each, for the M output positions at and after ``batch_axis``. ``ker`` is
-    [O, I, T] and ``comp`` [O, I] the right shift applied to each product of
-    a pair. Returns the accumulator [O, *positions] with
+    :func:`tensorops._col_blocks`) whose operands are G groups of I inputs
+    of T taps each, for the M output positions at and after ``batch_axis``.
+    ``ker`` is [O, I, T], output o reading group o // (O/G), and ``comp``
+    [O, I] the right shift applied to each product of a pair. The operand
+    count gives G: one on conv and fc layers, C on a depthwise layer.
+    Returns the accumulator [O, *positions] with
 
-        acc[o, m] = sum_i sum_t round_half_even(x[i, t, m] * ker[o, i, t] / 2**comp[o, i]).
+        acc[o, m] = sum_i sum_t round_half_even(x[g, i, t, m] * ker[o, i, t] / 2**comp[o, i]).
 
-    Unshifted pairs run as one GEMM, with the kernels of shifted pairs
-    zeroed. The products of the shifted pairs are rounded one by one, a
-    chunk of taps at a time (as many as fill half a block: one on conv
-    layers, tens on a wide fc); a one-hot GEMM then adds each pair's sum
-    into its output.
+    Unshifted pairs run as one grouped GEMM, [G, O/G, I*T] @ [G, I*T, m],
+    with the kernels of shifted pairs zeroed. Shifted pairs take one group:
+    :func:`planner.check_plan` rejects them on depthwise layers. Their
+    products are rounded one by one, a chunk of taps at a time (as many as
+    fill half a block: one on conv layers, tens on a wide fc); a one-hot
+    GEMM then adds each pair's sum into its output.
     Under :func:`planner.check_plan`'s fan-in bound every product and
     partial sum, and the bias added later, is an exact integer in the
     float64 accumulator. The shifted products are rounded in float32
@@ -184,20 +180,22 @@ def _grouped_mac(cols: np.ndarray, batch_axis: int, ker: np.ndarray, comp: np.nd
     bounds each pair's sum.
     """
     o_n, i_n, t_n = ker.shape
+    g_n = int(np.prod(cols.shape[:batch_axis])) // (i_n * t_n)
     pos = cols.shape[batch_axis:]
     po, pi = np.nonzero(comp)
     p_n = len(po)
-    k_gemm = np.where(comp[:, :, None] == 0, ker, 0.0).reshape(o_n, -1)
+    k_gemm = np.where(comp[:, :, None] == 0, ker, 0.0).reshape(g_n, o_n // g_n, -1)
     scatter = (np.arange(o_n)[:, None] == po).astype(np.float64)  # [O, P] one-hot
     lane_dt = _pair_lane_dtype(x_max, _abs_max(ker), t_n)
     # [P, T, 1]; scaling by 2**-shift is exact, a power of two
     k_pairs = (ker[po, pi] * 2.0 ** -comp[po, pi][:, None])[:, :, None].astype(lane_dt)
     acc = np.empty((o_n, int(np.prod(pos))))
-    for at, x in _col_blocks(cols, batch_axis, max(i_n * t_n, p_n, o_n), np.float64):
-        block = acc[:, at]
-        np.matmul(k_gemm, x, out=block)
+    grouped = acc.reshape(g_n, o_n // g_n, -1)
+    for at, x in _col_blocks(cols, batch_axis, max(g_n * i_n * t_n, p_n, o_n), np.float64):
+        np.matmul(k_gemm, x.reshape(g_n, i_n * t_n, -1), out=grouped[..., at])
         if not p_n:
             continue
+        block = acc[:, at]
         xl = x.reshape(i_n, t_n, -1).astype(lane_dt, copy=False)
         # taps per chunk: the two chunk buffers together hold about a block
         tau = min(t_n, max(1, _BLOCK_ELEMS // (2 * p_n * xl.shape[-1])))
@@ -220,37 +218,27 @@ def _pair_lane_dtype(x_max: int, k_max: int, taps: int):
     return np.float32 if x_max * k_max * (taps + 1) < _FLOAT32_EXACT else np.float64
 
 
-def _run_conv(node, codes_in, qg: QuantizedGraph):
+def _run_linear(node, codes_in, qg: QuantizedGraph):
+    """A conv, depthwise or fc layer's output codes and clipped lanes: one
+    grouped MAC over its column view, then the accumulator's epilogue."""
     lp = qg.plan.layers[node.name]
     ker = qg.kernels[node.name]
-    co, ci, kh, kw = ker.shape
-    cols = _conv_cols(codes_in, kh, kw, node.attr_pair("stride", 1), node.attr_pair("pad", 0))
+    if node.kind == "fc":
+        x = codes_in.reshape(len(codes_in), -1)  # NCHW row-major flatten
+        t = _fc_group_size(node.name, lp, x.shape[1])
+        cols, batch_axis = x.reshape(len(x), -1, t).transpose(1, 2, 0), 2  # [G, T, N], a view
+    else:
+        cols, batch_axis = _conv_cols(codes_in, *ker.shape[2:], node.attr_pair("stride", 1),
+                                      node.attr_pair("pad", 0)), 3
     x_max = _abs_max(codes_in)
-    if node.kind == "conv":
-        acc = _grouped_mac(cols, 3, ker.reshape(co, ci, kh * kw), lp.comp_shift, x_max)
-    else:  # depthwise: no compensation can arise (tight fls never clamp)
-        k = ker.reshape(co, 1, kh * kw).astype(np.float64)
-        acc = np.empty((co, 1, int(np.prod(cols.shape[3:]))))
-        for at, x in _col_blocks(cols, 3, co * kh * kw, np.float64):
-            np.matmul(k, x.reshape(co, kh * kw, -1), out=acc[..., at])
-    acc = acc.reshape(co, *cols.shape[3:]).transpose(1, 0, 2, 3)  # [N, Co, H', W']
+    # [O, I, T]: conv [Co, Ci, Kh*Kw], depthwise [C, 1, Kh*Kw], fc [U, G, D/G]
+    acc = _grouped_mac(cols, batch_axis, ker.reshape(*lp.comp_shift.shape, -1), lp.comp_shift,
+                       x_max)
+    # max|x| * sum|k| per output bounds |acc|: a compensated product rounds to at most its size
+    acc_bound = x_max * np.abs(ker).reshape(len(ker), -1).sum(axis=1)
     out_fmt = qg.plan.tensors[node.outputs[0]]
-    return _finish_accumulator(acc, qg.biases[node.name], _acc_bound(x_max, ker), lp, out_fmt,
-                               qg.plan.bit_width)
-
-
-def _run_fc(node, codes_in, qg: QuantizedGraph):
-    lp = qg.plan.layers[node.name]
-    ker = qg.kernels[node.name]  # [U, D]
-    x = codes_in.reshape(codes_in.shape[0], -1)  # NCHW row-major flatten
-    u, d = ker.shape
-    t = _fc_group_size(node.name, lp, d)
-    cols = x.reshape(len(x), d // t, t).transpose(1, 2, 0)  # [G, T, N], a view
-    x_max = _abs_max(x)
-    acc = _grouped_mac(cols, 2, ker.reshape(u, d // t, t), lp.comp_shift, x_max).T
-    out_fmt = qg.plan.tensors[node.outputs[0]]
-    return _finish_accumulator(acc, qg.biases[node.name], _acc_bound(x_max, ker), lp, out_fmt,
-                               qg.plan.bit_width)
+    return _finish_accumulator(np.moveaxis(acc, 0, 1), qg.biases[node.name], acc_bound, lp,
+                               out_fmt, qg.plan.bit_width)
 
 
 def _run_pool(node, codes_in):
@@ -288,7 +276,7 @@ def _run_node(node, ins: list, qg: QuantizedGraph, saturation: dict) -> np.ndarr
     """One node's output codes from its inputs'; a linear layer also
     records its clipped accumulator lanes in ``saturation``."""
     if node.kind in LINEAR_KINDS:
-        out, saturation[node.name] = (_run_fc if node.kind == "fc" else _run_conv)(node, ins[0], qg)
+        out, saturation[node.name] = _run_linear(node, ins[0], qg)
         return out
     if node.kind == "relu":
         return np.maximum(ins[0], 0)
@@ -352,6 +340,9 @@ def _read_codes(blob: bytes, ref: dict, dtype, dims: list, what: str) -> np.ndar
     dtype = np.dtype(dtype)
     if ref["dims"] != dims:
         raise PlanError(f"{what}: plan stores dims {ref['dims']}, the graph has {dims}")
+    for key in ("offset", "len"):
+        if not _is_int(ref[key]) or ref[key] < 0:
+            raise PlanError(f"{what}: {key} {ref[key]!r} is not a non-negative integer")
     n = int(np.prod(dims))
     if ref["len"] != n * dtype.itemsize or ref["offset"] + ref["len"] > len(blob):
         raise PlanError(f"{what}: {ref['len']} bytes at offset {ref['offset']} do not hold "

@@ -6,7 +6,8 @@ tests. All functions are pure; inputs are never modified.
 
 Conv, depthwise and fc layers share one im2col column layout (operands
 first, output positions last; Chellapilla et al. 2006), copied in blocks
-by :func:`_col_blocks` for both engines. Each block is one grouped float64
+by :func:`_col_blocks` for both engines; a depthwise layer is a conv of
+one group per channel. Each block is one grouped float64
 GEMM plus bias, cast once to float32 in place. A product of two float32
 values is exact in float64, so the error of that sum is bounded (Higham,
 *Accuracy and Stability of Numerical Algorithms*, ch. 3): a second GEMM,
@@ -170,32 +171,20 @@ def _tap_reduce(win: np.ndarray, op) -> np.ndarray:
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride=1, pad=0) -> np.ndarray:
-    """Cross-correlation with zero padding plus per-output-channel bias."""
+    """Cross-correlation with zero padding plus per-output-channel bias; a
+    [C, 1, Kh, Kw] kernel over C channels is depthwise: C groups of one."""
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input/kernel, got {x.shape} and {kernel.shape}")
     _, ci, h, w = x.shape
     co, ck, kh, kw = kernel.shape
-    if ck != ci:
-        raise ShapeError(f"kernel input channels {ck} != input channels {ci}")
+    if ck != ci and (ck, co) != (1, ci):
+        raise ShapeError(f"kernel {kernel.shape} is neither a conv nor a depthwise kernel "
+                         f"over {ci} input channels")
     if bias.shape != (co,):
         raise ShapeError(f"bias shape {bias.shape} != ({co},)")
     conv_output_hw(h, w, kh, kw, stride, pad)
-    out = _rows_dot(_conv_cols(x, kh, kw, stride, pad), 3, kernel.reshape(1, co, -1), bias)
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
-
-
-def depthwise_conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride=1, pad=0) -> np.ndarray:
-    """Per-channel convolution: output channel c depends only on input channel c."""
-    if x.ndim != 4 or kernel.ndim != 4 or kernel.shape[1] != 1:
-        raise ShapeError(f"depthwise expects kernel [C,1,Kh,Kw], got {kernel.shape}")
-    _, c, h, w = x.shape
-    ck, _, kh, kw = kernel.shape
-    if ck != c:
-        raise ShapeError(f"kernel channels {ck} != input channels {c}")
-    if bias.shape != (c,):
-        raise ShapeError(f"bias shape {bias.shape} != ({c},)")
-    conv_output_hw(h, w, kh, kw, stride, pad)
-    out = _rows_dot(_conv_cols(x, kh, kw, stride, pad), 3, kernel.reshape(c, 1, -1), bias)
+    groups = kernel.reshape(ci // ck, -1, ck * kh * kw)  # [G, Co/G, K]
+    out = _rows_dot(_conv_cols(x, kh, kw, stride, pad), 3, groups, bias)
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 

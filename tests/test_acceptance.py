@@ -22,7 +22,7 @@ from chanq.flsolver import (
     optimal_fl,
     train_knn,
 )
-from chanq.graph import effective_output, execute_float
+from chanq.graph import LINEAR_KINDS, effective_output, execute_float
 from chanq.planner import MODES, coordinate_layer, solve_plan
 from chanq.profiling import collect_stats, stats_from_samples
 from chanq.qengine import SqnrAccumulator, execute_quantized, quantize_params
@@ -173,7 +173,7 @@ def test_criterion_5_channelwise_dominance(hetero_net):
     t0 = time.time()
     g, x, stats = hetero_net
     data = x[:500]
-    layer_nodes = [n for n in g.nodes if n.kind in ("conv", "depthwise_conv", "fc")]
+    layer_nodes = [n for n in g.nodes if n.kind in LINEAR_KINDS]
     ofm = {n.name: effective_output(g, n) for n in layer_nodes}
     capture = set(ofm.values())
     pooled = {}

@@ -264,6 +264,26 @@ class TestQuantizedFiles:
         assert rc == 2
         assert err.count("\n") == 1 and "byte blob" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("part, offset", [("kernel", -4), ("bias", True)])
+    def test_bad_qparams_offset_is_data_error(self, bundle, profiled, tmp_path, capsys, part,
+                                              offset):
+        # a negative offset reached numpy's frombuffer; a boolean one was read as byte 1
+        q = tmp_path / "q"
+        assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                     "--mode", "cw_max", "--out", str(q)]) == 0
+        doc = json.loads((q / "plan.json").read_text())
+        node = sorted(doc["qparams"])[0]
+        doc["qparams"][node][part]["offset"] = offset
+        (q / "plan.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(bundle / "model.json"),
+                   "--dataset", str(bundle / "data.qtsr"), "--plan", str(q / "plan.json"),
+                   "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"node {node!r} {part}: offset {offset!r} is not a non-negative integer" in err
+
 
 class TestCompareAndSweep:
     def test_compare_table(self, bundle, tmp_path):

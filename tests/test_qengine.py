@@ -526,7 +526,7 @@ def _check_layers_against_oracle(qg, x) -> int:
     codes.update({k: v.astype(np.int64) for k, v in res.captured.items()})
     shifted = 0
     for node in g.nodes:
-        if node.kind not in ("conv", "depthwise_conv", "fc"):
+        if node.kind not in graph.LINEAR_KINDS:
             continue
         oracle = _oracle_fc if node.kind == "fc" else _oracle_conv
         want, clipped = oracle(node, codes[node.inputs[0]], qg)

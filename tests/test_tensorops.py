@@ -1,5 +1,6 @@
 """Float reference operation tests: worked examples and oracle equivalences."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -128,39 +129,46 @@ class TestDepthwise:
     def test_per_channel_scaling(self):
         x = t([5.0, 7.0], (1, 2, 1, 1))
         k = t([1.0, 2.0], (2, 1, 1, 1))
-        out = ops.depthwise_conv2d(x, k, np.zeros(2))
+        out = ops.conv2d(x, k, np.zeros(2))
         np.testing.assert_array_equal(out.ravel(), [5.0, 14.0])
 
     def test_identity(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 3, 4, 4)).astype(np.float32)
         k = np.ones((3, 1, 1, 1), np.float32)
-        np.testing.assert_array_equal(ops.depthwise_conv2d(x, k, np.zeros(3)), x)
+        np.testing.assert_array_equal(ops.conv2d(x, k, np.zeros(3)), x)
 
     def test_zero_kernel_constant_channels(self):
         x = np.ones((1, 2, 3, 3), np.float32)
-        out = ops.depthwise_conv2d(x, np.zeros((2, 1, 1, 1), np.float32), np.array([1.0, 2.0]))
+        out = ops.conv2d(x, np.zeros((2, 1, 1, 1), np.float32), np.array([1.0, 2.0]))
         assert np.all(out[:, 0] == 1.0) and np.all(out[:, 1] == 2.0)
 
     def test_equals_blockdiag_conv(self):
-        # depthwise == conv with a block-diagonal kernel
+        # depthwise == conv with a block-diagonal kernel, bit for bit: both
+        # sides are the float32 nearest the exact sum
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            c = int(rng.integers(1, 5))
+        for c, stride, _ in itertools.product((1, 2, 3, 5, 8), (1, 2), range(10)):
             x = rng.normal(size=(2, c, 6, 6)).astype(np.float32)
             kd = rng.normal(size=(c, 1, 3, 3)).astype(np.float32)
             b = rng.normal(size=c).astype(np.float32)
             kfull = np.zeros((c, c, 3, 3), np.float32)
             for i in range(c):
                 kfull[i, i] = kd[i, 0]
-            np.testing.assert_allclose(
-                ops.depthwise_conv2d(x, kd, b), ops.conv2d(x, kfull, b), rtol=1e-6, atol=1e-6
-            )
+            np.testing.assert_array_equal(bits(ops.conv2d(x, kd, b, stride, 1)),
+                                          bits(ops.conv2d(x, kfull, b, stride, 1)))
 
     def test_channel_mismatch(self):
         with pytest.raises(ops.ShapeError):
-            ops.depthwise_conv2d(np.zeros((1, 2, 4, 4), np.float32),
-                                 np.zeros((3, 1, 3, 3), np.float32), np.zeros(3))
+            ops.conv2d(np.zeros((1, 2, 4, 4), np.float32),
+                       np.zeros((3, 1, 3, 3), np.float32), np.zeros(3))
+
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_no_channel_multiplier(self, c):
+        # a [2C, 1, Kh, Kw] kernel would give each channel two outputs, which
+        # no graph node describes
+        with pytest.raises(ops.ShapeError):
+            ops.conv2d(np.zeros((1, c, 4, 4), np.float32),
+                       np.zeros((2 * c, 1, 3, 3), np.float32), np.zeros(2 * c))
 
 
 class TestFullyConnected:
@@ -306,7 +314,7 @@ class TestCorrectRounding:
     def test_depthwise_on_and_beside_midpoints(self, with_bias):
         x, pw, b, exact = midpoint_lanes(np.random.default_rng(22), 360, with_bias)
         kernel = np.tile(pw.reshape(1, 1, 2, 4), (3, 1, 1, 1))
-        out = ops.depthwise_conv2d(as_windows(x, 3), kernel, np.full(3, b), stride=(2, 4))
+        out = ops.conv2d(as_windows(x, 3), kernel, np.full(3, b), stride=(2, 4))
         want = np.vectorize(exact_f32)(np.array(exact, dtype=object).reshape(-1, 3, 5, 6))
         np.testing.assert_array_equal(bits(out), bits(want))
         assert (bits(einsum_depthwise(as_windows(x, 3), kernel, np.full(3, b), stride=(2, 4)))

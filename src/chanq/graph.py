@@ -262,6 +262,9 @@ def load_model(manifest_path, weights_path=None) -> Graph:
                 if not all(_is_int(v) for v in (offset, length, *dims)):
                     raise GraphError(f"node {spec.name}: parameter {role!r} offset, len and "
                                      f"dims must be integers")
+                if min(offset, length) < 0:
+                    raise GraphError(f"node {spec.name}: parameter {role!r} offset {offset} and "
+                                     f"len {length} must be non-negative")
                 expected = 4 * int(np.prod(dims, dtype=np.int64))
                 if length != expected:
                     raise GraphError(

@@ -10,9 +10,9 @@ ufuncs run on it without casts. Each step keeps that exactness:
   grouped GEMM per block of the float engine's im2col columns
   (:func:`tensorops._col_blocks`), one group per channel on depthwise,
   exact under :func:`planner.check_plan`'s fan-in bound, which also
-  bounds the bias add. Products of compensated pairs are rounded
-  half-even one by one, in float32 lanes while
-  max|x| * max|ker| * (T + 1) < 2**24.
+  bounds the bias add. A compensated product splits into a part that
+  joins that GEMM and a row rounded once per (input row, fraction),
+  which every output that reads it shares (:func:`_grouped_mac`).
 - The epilogue is one fused pass: add the bias, count and clip to the
   int32 range (no scan where max|x| * sum|k| + |bias| rules a clip out),
   multiply by 2**-shift (a power of two: exact), ``np.rint``
@@ -36,10 +36,7 @@ from .fixedpoint import INT32_MAX, INT32_MIN, code_range, rounding_shift  # noqa
 from .graph import LINEAR_KINDS, Graph, GraphError, _is_int, forward
 from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, _check_range, check_plan,
                       plan_from_json, plan_to_json)
-from .tensorops import _BLOCK_ELEMS, _col_blocks, _conv_cols, _tap_reduce, _windows
-
-# Integers below this magnitude, and sums of them, are exact in float32.
-_FLOAT32_EXACT = 2**24
+from .tensorops import _col_blocks, _conv_cols, _tap_reduce, _windows
 
 
 @dataclass
@@ -149,12 +146,29 @@ def _finish_accumulator(acc, bias_codes, acc_bound, lp: LayerPlan, out_fmt: Tens
     return np.clip(acc, lo.reshape(cshape), hi.reshape(cshape), out=acc), clipped
 
 
-def _abs_max(codes: np.ndarray) -> int:
-    return max(int(codes.max(initial=0)), -int(codes.min(initial=0)))
+def _split_kernel(ker: np.ndarray, comp: np.ndarray):
+    """The operands of :func:`_grouped_mac`: the GEMM kernel [O, I, T] and
+    the L rounded rows, as their input rows i * T + t [L], fractions [L]
+    and signs [O, L]."""
+    k_gemm = ker.astype(np.float64)
+    po, pi = np.nonzero(comp)
+    s = np.minimum(comp[po, pi], 32)[:, None]  # [P, 1]
+    k = ker[po, pi]  # [P, T]
+    r = k & ((2 << s) - 1)
+    r -= (r > 1 << s) << (s + 1)  # into (-2**s, 2**s]
+    r[r == 1 << s] = 0  # an exact product: x * k / 2**s = x * (q + 1)
+    k_gemm[po, pi] = (k - r) >> s
+    # one row per distinct (i * T + t, |r| * 2**(32 - s)), the fraction's numerator over 2**32
+    rp, rt = np.nonzero(r)  # the pair and tap of each rounded product
+    key, row = np.unique(((pi[rp] * ker.shape[2] + rt) << 32)
+                         | (np.abs(r[rp, rt]) << (32 - s[rp, 0])), return_inverse=True)
+    signs = np.zeros((len(ker), len(key)))
+    signs[po[rp], row] = np.sign(r[rp, rt])
+    return k_gemm, key >> 32, (key & (2**32 - 1)) * 2.0**-32, signs
 
 
-def _grouped_mac(cols: np.ndarray, batch_axis: int, ker: np.ndarray, comp: np.ndarray,
-                 x_max: int) -> np.ndarray:
+def _grouped_mac(cols: np.ndarray, batch_axis: int, ker: np.ndarray,
+                 comp: np.ndarray) -> np.ndarray:
     """Exact grouped integer MAC.
 
     ``cols`` is a column view of the input codes (see
@@ -167,55 +181,38 @@ def _grouped_mac(cols: np.ndarray, batch_axis: int, ker: np.ndarray, comp: np.nd
 
         acc[o, m] = sum_i sum_t round_half_even(x[g, i, t, m] * ker[o, i, t] / 2**comp[o, i]).
 
-    Unshifted pairs run as one grouped GEMM, [G, O/G, I*T] @ [G, I*T, m],
-    with the kernels of shifted pairs zeroed. Shifted pairs take one group:
-    :func:`planner.check_plan` rejects them on depthwise layers. Their
-    products are rounded one by one, a chunk of taps at a time (as many as
-    fill half a block: one on conv layers, tens on a wide fc); a one-hot
-    GEMM then adds each pair's sum into its output.
-    Under :func:`planner.check_plan`'s fan-in bound every product and
-    partial sum, and the bias added later, is an exact integer in the
-    float64 accumulator. The shifted products are rounded in float32
-    lanes, half the traffic, when max|x| * max|ker| * (T + 1) < 2**24
-    bounds each pair's sum.
+    One grouped GEMM, [G, O/G, I*T] @ [G, I*T, m], takes every product
+    that needs no rounding; shifted pairs take one group, as
+    :func:`planner.check_plan` rejects them on depthwise layers. A shifted
+    pair's code k at shift s splits (:func:`_split_kernel`) as
+    k = 2**s * q + r with r in (-2**s, 2**s], so q is even and
+
+        rint(x * k / 2**s) = x * q + sign(r) * rint(x * |r| / 2**s):
+
+    half-even rounding commutes with adding an even integer and with
+    negation. Where r is 0 or 2**s, x * (k >> s) joins the GEMM whole;
+    elsewhere x * q does, and each distinct row rint(x[i, t] * |r| / 2**s)
+    is rounded once per block, then added by a second GEMM with an [O, L]
+    matrix of signs. Products of 16-bit codes are below 2**31, so shifts
+    past 32 are clamped to 32, where every product rounds to 0.
+    Where a row exists |q| + 1 <= |k|, so no term exceeds |x * k|: under
+    :func:`planner.check_plan`'s fan-in bound every partial sum, and the
+    bias added later, is an exact integer in the float64 accumulator.
     """
     o_n, i_n, t_n = ker.shape
     g_n = int(np.prod(cols.shape[:batch_axis])) // (i_n * t_n)
     pos = cols.shape[batch_axis:]
-    po, pi = np.nonzero(comp)
-    p_n = len(po)
-    k_gemm = np.where(comp[:, :, None] == 0, ker, 0.0).reshape(g_n, o_n // g_n, -1)
-    scatter = (np.arange(o_n)[:, None] == po).astype(np.float64)  # [O, P] one-hot
-    lane_dt = _pair_lane_dtype(x_max, _abs_max(ker), t_n)
-    # [P, T, 1]; scaling by 2**-shift is exact, a power of two
-    k_pairs = (ker[po, pi] * 2.0 ** -comp[po, pi][:, None])[:, :, None].astype(lane_dt)
+    k_gemm, rows, frac, signs = _split_kernel(ker, comp)
+    k_gemm = k_gemm.reshape(g_n, o_n // g_n, -1)
     acc = np.empty((o_n, int(np.prod(pos))))
     grouped = acc.reshape(g_n, o_n // g_n, -1)
-    for at, x in _col_blocks(cols, batch_axis, max(g_n * i_n * t_n, p_n, o_n), np.float64):
+    for at, x in _col_blocks(cols, batch_axis, max(g_n * i_n * t_n, len(rows), o_n), np.float64):
         np.matmul(k_gemm, x.reshape(g_n, i_n * t_n, -1), out=grouped[..., at])
-        if not p_n:
-            continue
-        block = acc[:, at]
-        xl = x.reshape(i_n, t_n, -1).astype(lane_dt, copy=False)
-        # taps per chunk: the two chunk buffers together hold about a block
-        tau = min(t_n, max(1, _BLOCK_ELEMS // (2 * p_n * xl.shape[-1])))
-        part, lane = np.empty((2, p_n, tau, xl.shape[-1]), dtype=lane_dt)
-        for t in range(0, t_n, tau):
-            dst = (lane if t else part)[:, :t_n - t]
-            np.take(xl[:, t:t + tau], pi, axis=0, out=dst, mode="clip")
-            dst *= k_pairs[:, t:t + tau]
-            np.rint(dst, out=dst)  # half-even
-            if t:
-                part[:, :dst.shape[1]] += dst
-        # exact integers in any order: sum the chunk's taps last
-        block += scatter @ (part.sum(axis=1) if tau > 1 else part[:, 0])
+        if len(rows):
+            xl = x.take(rows, axis=0)
+            xl *= frac[:, None]  # exact: a power of two times an integer below 2**48
+            acc[:, at] += signs @ np.rint(xl, out=xl)  # half-even
     return acc.reshape(o_n, *pos)
-
-
-def _pair_lane_dtype(x_max: int, k_max: int, taps: int):
-    """float32 when a pair's rounded products and their sum over ``taps``
-    stay exact integers in it, else float64."""
-    return np.float32 if x_max * k_max * (taps + 1) < _FLOAT32_EXACT else np.float64
 
 
 def _run_linear(node, codes_in, qg: QuantizedGraph):
@@ -230,11 +227,10 @@ def _run_linear(node, codes_in, qg: QuantizedGraph):
     else:
         cols, batch_axis = _conv_cols(codes_in, *ker.shape[2:], node.attr_pair("stride", 1),
                                       node.attr_pair("pad", 0)), 3
-    x_max = _abs_max(codes_in)
     # [O, I, T]: conv [Co, Ci, Kh*Kw], depthwise [C, 1, Kh*Kw], fc [U, G, D/G]
-    acc = _grouped_mac(cols, batch_axis, ker.reshape(*lp.comp_shift.shape, -1), lp.comp_shift,
-                       x_max)
+    acc = _grouped_mac(cols, batch_axis, ker.reshape(*lp.comp_shift.shape, -1), lp.comp_shift)
     # max|x| * sum|k| per output bounds |acc|: a compensated product rounds to at most its size
+    x_max = max(int(codes_in.max(initial=0)), -int(codes_in.min(initial=0)))
     acc_bound = x_max * np.abs(ker).reshape(len(ker), -1).sum(axis=1)
     out_fmt = qg.plan.tensors[node.outputs[0]]
     return _finish_accumulator(np.moveaxis(acc, 0, 1), qg.biases[node.name], acc_bound, lp,

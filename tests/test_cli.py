@@ -681,6 +681,20 @@ class TestNumbersFailClosed:
                    "--dataset", str(bundle / "data.qtsr"), "--out", str(tmp_path / "s.json")])
         self._assert_one_line(capsys, rc, "offset, len and dims must be integers")
 
+    @pytest.mark.parametrize("key", ["offset", "len"])
+    def test_manifest_negative_offset_or_len(self, bundle, tmp_path, capsys, key):
+        # a negative offset reached numpy's frombuffer, whose message names no node
+        doc = json.loads((bundle / "model.json").read_text())
+        ref = doc["nodes"][0]["params"]["weight"]
+        ref[key] = -4
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        (tmp_path / "weights.bin").write_bytes((bundle / "weights.bin").read_bytes())
+        rc = main(["profile", "--model", str(tmp_path / "model.json"),
+                   "--dataset", str(bundle / "data.qtsr"), "--out", str(tmp_path / "s.json")])
+        self._assert_one_line(capsys, rc, f"node {doc['nodes'][0]['name']}: parameter 'weight' "
+                                          f"offset {ref['offset']} and len {ref['len']} must be "
+                                          f"non-negative")
+
     @pytest.mark.parametrize("field, words", [
         ("count", "count must hold whole numbers"),
         ("count_fraction", "count must hold whole numbers"),

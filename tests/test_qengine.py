@@ -559,7 +559,7 @@ class TestGroupedMacOracle:
 
     def test_sixteen_bit_extremes_are_exact(self):
         # unsigned 16-bit codes up to 65535 against kernels down to -32768:
-        # products near 2**31, rounded in float64 lanes where shifted
+        # products near 2**31, rounded in rows where shifted
         rng = np.random.default_rng(11)
         m, o, i, t = 5, 3, 8, 32
         x = rng.integers(2**16 - 4096, 2**16, size=(m, i, t))
@@ -568,8 +568,8 @@ class TestGroupedMacOracle:
         ker[1, :, ::2] = -(2**15)
         comp = rng.integers(0, 3, size=(o, i))
         comp[0] = 0  # one output channel takes the GEMM path alone
-        acc = qengine._grouped_mac(x.astype(np.float64).transpose(1, 2, 0), 2, ker, comp,
-                                   int(x.max()))
+        comp[1:, :4] = [[1, 16, 31, 32], [2, 30, 33, 64]]  # -32768 * 65535 rounds to -1 at 31
+        acc = qengine._grouped_mac(x.astype(np.float64).transpose(1, 2, 0), 2, ker, comp)
         assert acc.dtype == np.float64
         assert acc.tolist() == [[float(v) for v in row] for row in _pair_oracle(x, ker, comp)]
 
@@ -627,7 +627,7 @@ class TestFanInBound:
         x[..., 1::4] = 65533.0
         codes = quantize_tensor(x, plan.tensors["x"], 16)
         acc = qengine._grouped_mac(codes.reshape(1, 1, -1).transpose(1, 2, 0), 2,
-                                   qg.kernels["f0"][:, None], np.zeros((1, 1), np.int64), 65535)
+                                   qg.kernels["f0"][:, None], np.zeros((1, 1), np.int64))
         want = sum(int(c) * int(k) for c, k in zip(codes.ravel().tolist(),
                                                     qg.kernels["f0"].ravel().tolist()))
         assert -(2**53) < want < -(2**52)
@@ -651,7 +651,7 @@ class TestBlockSplitting:
         g = build_graph(spec)
         x, _ = gen_dataset(g, spec)
         stats = collect_stats(g, [x])
-        # the 16-bit plan's compensated pairs take float64 lanes, the 8-bit one's float32
+        # both widths' plans round compensated products in rows of each block
         qgs = [quantize_params(g, solve_plan(g, stats, "cw_max", bit_width=bw)) for bw in (8, 16)]
         assert any((lp.comp_shift > 0).any() for lp in qgs[1].plan.layers.values())
         names = g.activation_names()
@@ -772,53 +772,80 @@ def _pair_oracle(x, ker, comp):
              for m in range(len(x))] for o in range(len(ker))]
 
 
-class TestFloat32PairLanes:
-    @pytest.mark.parametrize("x_max, k_max, taps, lane", [
-        (455, 4097, 8, np.float32),  # x_max * k_max * (T + 1) = 2**24 - 1
-        (1024, 2048, 7, np.float64),  # = 2**24
-    ], ids=["2^24-1", "2^24"])
-    def test_lane_dtype_and_codes(self, monkeypatch, x_max, k_max, taps, lane):
-        assert x_max * k_max * (taps + 1) == 2**24 - (lane is np.float32)
-        rng = np.random.default_rng(taps)
-        m, o, i = 6, 3, 4
-        x = rng.integers(-x_max, x_max + 1, size=(m, i, taps))
-        x[0], x[1] = x_max, -x_max
-        ker = rng.integers(-k_max, k_max + 1, size=(o, i, taps))
-        ker[:, 0] = k_max
-        ker[1, 1] = k_max - 1  # odd products: halves at a shift of 1
-        comp = rng.integers(0, 4, size=(o, i))
-        comp[:, :2] = 1
-        picked = []
-        pick = qengine._pair_lane_dtype
-        monkeypatch.setattr(qengine, "_pair_lane_dtype", lambda *a: picked.append(pick(*a))
-                            or picked[-1])
-        acc = qengine._grouped_mac(x.astype(np.float64).transpose(1, 2, 0), 2, ker, comp, x_max)
-        assert picked == [lane]
-        assert acc.dtype == np.float64
-        assert acc.T.tolist() == [[float(v) for v in row] for row in
-                                  np.array(_pair_oracle(x, ker, comp)).T.tolist()]
+def _assert_matches_pair_oracle(x, ker, comp):
+    """:func:`qengine._grouped_mac` on x [M, I, T], as an fc-style [I, T, M]
+    view, against :func:`_pair_oracle`."""
+    acc = qengine._grouped_mac(x.astype(np.float64).transpose(1, 2, 0), 2, ker, comp)
+    assert acc.dtype == np.float64
+    assert acc.tolist() == [[float(v) for v in row] for row in _pair_oracle(x, ker, comp)]
 
 
-class TestFcTapChunks:
-    @pytest.mark.parametrize("k_max, lane", [(40, np.float32), (2**15, np.float64)],
-                             ids=["float32", "float64"])
-    @pytest.mark.parametrize("taps_per_chunk", [30, 100])
-    def test_chunked_taps_match_the_per_tap_oracle(self, monkeypatch, k_max, lane,
-                                                   taps_per_chunk):
-        # an fc's 100 taps per pair over 6 lanes, in chunks of 30, 30, 30 and 10 or in one
-        rng = np.random.default_rng(k_max)
-        m, o, i, t, x_max = 6, 4, 3, 100, 40
-        x = rng.integers(-x_max, x_max + 1, size=(m, i, t))
-        x[0] = x_max
-        ker = rng.integers(-k_max, k_max + 1, size=(o, i, t))
-        ker[:, :, ::7] |= 1  # odd products: halves at a shift of 1
-        comp = rng.integers(1, 4, size=(o, i))
-        comp[0, 0] = comp[2] = 0  # unshifted pairs take the GEMM
-        assert qengine._pair_lane_dtype(x_max, k_max, t) is lane
-        pairs = int((comp > 0).sum())
-        monkeypatch.setattr(qengine, "_BLOCK_ELEMS", 2 * pairs * m * taps_per_chunk)
-        acc = qengine._grouped_mac(x.astype(np.float64).transpose(1, 2, 0), 2, ker, comp, x_max)
-        assert acc.tolist() == [[float(v) for v in row] for row in _pair_oracle(x, ker, comp)]
+class TestSplitKernelOracle:
+    """Shifted kernel codes split into a GEMM part and shared rounded rows
+    give the codes of Python integers through rounding_shift."""
+
+    @pytest.mark.parametrize("bit_width", range(2, 17))
+    def test_random_layers(self, bit_width):
+        rng = np.random.default_rng(bit_width)
+        k_lo, k_hi = -(2 ** (bit_width - 1)), 2 ** (bit_width - 1) - 1
+        for _ in range(12):
+            m, o, i, t = (int(v) for v in rng.integers(1, 6, size=4))
+            # signed and unsigned inputs of the width
+            x = rng.integers(k_lo, 2**bit_width, size=(m, i, t))
+            ker = rng.integers(k_lo, k_hi + 1, size=(o, i, t))
+            ker.flat[::5] = k_lo
+            ker.flat[1::7] = k_hi
+            comp = rng.integers(0, 2 * bit_width + 3, size=(o, i))
+            _assert_matches_pair_oracle(x, ker, comp)
+
+    @pytest.mark.parametrize("shift", [0, 1, 2, 3, 4, 5, 6, 31, 62, 63, 64, 200])
+    def test_every_product_at_the_shift(self, shift):
+        # one output per kernel code, one input row: each product is checked
+        # by itself, and codes k and -k share a row with opposite signs
+        s = min(shift, 14)
+        ks = {0, 1, -1, 3, -3, 2**15 - 1, -(2**15), 2**15 - 2**s, -(2**15) + 2**s}
+        ks |= {sign * (odd << s) for odd in (1, 3, 5) for sign in (1, -1) if odd << s < 2**15}
+        if shift <= 6:  # every residue class mod 2**(s+1), on both sides of 0
+            ks |= set(range(-(2 ** (s + 2)) - 1, 2 ** (s + 2) + 2))
+        ker = np.array(sorted(ks)).reshape(-1, 1, 1)
+        xs = [0, 1, -1, 3, -3, 255, -256, 32767, -32768, 65533, 65535]
+        x = np.array(xs).reshape(-1, 1, 1)
+        comp = np.full((len(ker), 1), shift)
+        comp[::11] = 0  # unshifted pairs beside them take the GEMM alone
+        _assert_matches_pair_oracle(x, ker, comp)
+
+    def test_ties_at_shift_one(self):
+        # odd x * odd k is an odd product: every shifted one lies on a half
+        rng = np.random.default_rng(1)
+        x = rng.integers(-500, 500, size=(7, 3, 4)) | 1
+        ker = rng.integers(-500, 500, size=(5, 3, 4)) | 1
+        comp = np.ones((5, 3), np.int64)
+        comp[0, 0] = 0
+        _assert_matches_pair_oracle(x, ker, comp)
+
+    @pytest.mark.parametrize("elems", [tensorops._BLOCK_ELEMS, 97])
+    def test_block_splits_do_not_move_codes(self, monkeypatch, elems):
+        # 97 elements hold one column of the widest operand: 50 blocks of one position
+        rng = np.random.default_rng(97)
+        x = rng.integers(-300, 300, size=(50, 3, 8))
+        ker = rng.integers(-300, 300, size=(6, 3, 8))
+        comp = rng.integers(0, 5, size=(6, 3))
+        _, rows, _, _ = qengine._split_kernel(ker, comp)
+        assert 97 // max(3 * 8, len(rows), 6) == 1
+        monkeypatch.setattr(tensorops, "_BLOCK_ELEMS", elems)
+        _assert_matches_pair_oracle(x, ker, comp)
+
+    def test_exact_taps_round_no_row(self):
+        # shifted codes that are multiples of 2**s: q or q + 1 joins the GEMM whole
+        rng = np.random.default_rng(5)
+        comp = rng.integers(1, 6, size=(4, 3))
+        ker = rng.integers(-40, 40, size=(4, 3, 9)) << comp[:, :, None]
+        ker[:, :, 0] = 1 << comp  # r = 2**s
+        k_gemm, rows, frac, signs = qengine._split_kernel(ker, comp)
+        assert len(rows) == len(frac) == signs.shape[1] == 0
+        assert (k_gemm == ker >> comp[:, :, None]).all()
+        x = rng.integers(-255, 256, size=(6, 3, 9))
+        _assert_matches_pair_oracle(x, ker, comp)
 
 
 class TestFloatPathTaken:

@@ -1,20 +1,20 @@
 """Network graph IR: loading, validation, batch-norm folding, float execution.
 
 A model on disk is a JSON manifest plus a raw little-endian float32 blob;
-parameters are addressed by byte (offset, len) per manifest entry. In
+each parameter is a blob entry (:func:`tensorfile.read_array`). In
 memory a :class:`Graph` holds validated, topologically ordered nodes and
 memory-resident parameter arrays.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import tensorops as ops
+from .tensorfile import _is_int, append_array, located, read_array, read_json, write_json
 
 LINEAR_KINDS = ("conv", "depthwise_conv", "fc")
 KINDS = LINEAR_KINDS + ("batchnorm", "relu", "maxpool", "avgpool", "add", "concat")
@@ -29,10 +29,6 @@ _PARAM_ROLES = {
 
 class GraphError(ValueError):
     """Invalid manifest, weights, or graph structure."""
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -227,18 +223,14 @@ def validate(g: Graph) -> Graph:
 def load_model(manifest_path, weights_path=None) -> Graph:
     """Load and validate a model from its manifest + weights blob.
 
-    A missing key or a wrongly typed value raises GraphError naming where it is.
+    A missing key, a wrongly typed value, a bad blob entry or a non-finite
+    parameter raises GraphError naming where it is.
     """
     manifest_path = Path(manifest_path)
-    try:
-        doc = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise GraphError(f"cannot parse manifest {manifest_path}: {e}") from e
-
+    doc = read_json(manifest_path, GraphError)
     params = {}
     nodes = []
-    where = str(manifest_path)
-    try:
+    with located(GraphError, str(manifest_path)):
         if doc.get("version") != 1:
             raise GraphError(f"{manifest_path}: unsupported manifest version {doc.get('version')}")
         if weights_path is None:
@@ -247,50 +239,30 @@ def load_model(manifest_path, weights_path=None) -> Graph:
                 raise GraphError(f"{manifest_path}: no weights file given or referenced")
             weights_path = manifest_path.parent / rel
         blob = Path(weights_path).read_bytes()
-
         for i, nd in enumerate(doc["nodes"]):
-            where = f"{manifest_path}: nodes[{i}]"
-            spec = LayerSpec(
-                name=nd["name"],
-                kind=nd["kind"],
-                inputs=list(nd["inputs"]),
-                outputs=list(nd["outputs"]),
-                attrs=dict(nd.get("attrs", {})),
-            )
-            for role, ref in nd.get("params", {}).items():
-                offset, length, dims = ref["offset"], ref["len"], tuple(ref["dims"])
-                if not all(_is_int(v) for v in (offset, length, *dims)):
-                    raise GraphError(f"node {spec.name}: parameter {role!r} offset, len and "
-                                     f"dims must be integers")
-                if min(offset, length) < 0:
-                    raise GraphError(f"node {spec.name}: parameter {role!r} offset {offset} and "
-                                     f"len {length} must be non-negative")
-                expected = 4 * int(np.prod(dims, dtype=np.int64))
-                if length != expected:
-                    raise GraphError(
-                        f"node {spec.name}: parameter {role!r} length {length} bytes "
-                        f"!= {expected} for dims {list(dims)}"
-                    )
-                if offset + length > len(blob):
-                    raise GraphError(f"node {spec.name}: parameter {role!r} overruns weights file")
-                arr = np.frombuffer(blob, dtype="<f4", count=length // 4, offset=offset)
-                pname = f"{spec.name}.{role}"
-                params[pname] = arr.reshape(dims).copy()
-                spec.params[role] = pname
+            with located(GraphError, f"{manifest_path}: nodes[{i}]"):
+                spec = LayerSpec(
+                    name=nd["name"],
+                    kind=nd["kind"],
+                    inputs=list(nd["inputs"]),
+                    outputs=list(nd["outputs"]),
+                    attrs=dict(nd.get("attrs", {})),
+                )
+                for role, ref in nd.get("params", {}).items():
+                    what = f"node {spec.name!r} {role}"
+                    arr = read_array(blob, ref, "<f4", what)
+                    if not np.isfinite(arr).all():
+                        raise GraphError(f"{what}: non-finite parameter values")
+                    pname = f"{spec.name}.{role}"
+                    params[pname] = arr
+                    spec.params[role] = pname
             nodes.append(spec)
-        where = str(manifest_path)
         g = Graph(
             input_name=doc["input"]["name"],
             input_dims=tuple(doc["input"]["dims"]),
             nodes=nodes,
             params=params,
         )
-    except GraphError:
-        raise
-    except KeyError as e:
-        raise GraphError(f"{where}: missing key {e.args[0]!r}") from None
-    except (TypeError, AttributeError, ValueError, OverflowError) as e:
-        raise GraphError(f"{where}: malformed value ({e})") from None
     return validate(g)
 
 
@@ -300,11 +272,9 @@ def save_model(g: Graph, manifest_path, weights_path) -> None:
     blob = bytearray()
     node_docs = []
     for node in g.nodes:
-        refs = {}
-        for role, pname in sorted(node.params.items()):  # canonical blob order
-            arr = np.ascontiguousarray(g.params[pname], dtype="<f4")
-            refs[role] = {"offset": len(blob), "len": arr.nbytes, "dims": list(arr.shape)}
-            blob.extend(arr.tobytes())
+        # canonical blob order
+        refs = {role: append_array(blob, np.asarray(g.params[pname], dtype="<f4"))
+                for role, pname in sorted(node.params.items())}
         node_docs.append(
             {
                 "name": node.name,
@@ -321,7 +291,7 @@ def save_model(g: Graph, manifest_path, weights_path) -> None:
         "weights": weights_path.name,
         "nodes": node_docs,
     }
-    manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, doc, indent=2)
     weights_path.write_bytes(bytes(blob))
 
 

@@ -9,15 +9,15 @@ clamped and compensated by a constant right shift of their partial sums.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import flsolver
 from .fixedpoint import FL_MAX, FL_MIN, fl_from_max
-from .graph import LINEAR_KINDS, Graph, _is_int, walk
+from .graph import LINEAR_KINDS, Graph, walk
 from .profiling import ChannelStats, fold_records, standardized_moments
+from .tensorfile import _is_int, located, read_json, write_json
 
 MODES = ("layerwise_max", "cw_max", "cw_laplace", "cw_scauchy", "cw_pdf_aware")
 # A bias fl is a kernel fl plus an input fl, and a shift a bias fl less an output fl.
@@ -196,11 +196,13 @@ def solve_plan(g: Graph, stats: dict, mode: str, bit_width: int = 8,
 def check_plan(g: Graph, plan: QuantPlan) -> None:
     """Raise PlanError at the first place where a plan does not fit the
     graph: a linear node without a layer entry or with arrays of other
-    shapes, a tensor whose format is missing or has another channel count,
-    or a number out of its range (a bit width outside [2, 16], fls outside
-    [FL_MIN, FL_MAX], bias fls outside twice that, shifts outside
-    [-SHIFT_MAX, SHIFT_MAX], a negative compensation shift, or a nonzero
-    one on a depthwise layer, whose engine has none).
+    shapes, an fc layer whose ``in_groups`` do not map its D inputs onto
+    its G kernel fl columns as contiguous blocks of equal size (the
+    engine's [G, D/G] view), a tensor whose format is missing or has
+    another channel count, or a number out of its range (a bit width
+    outside [2, 16], fls outside [FL_MIN, FL_MAX], bias fls outside twice
+    that, shifts outside [-SHIFT_MAX, SHIFT_MAX], a negative compensation
+    shift, or a nonzero one on a depthwise layer, whose engine has none).
 
     It also rejects a linear layer whose fan-in F (conv Ci*Kh*Kw, depthwise
     Kh*Kw, fc D) fails (2**bw - 1) * 2**(bw - 1) * F + 2**31 < 2**53, the
@@ -221,12 +223,17 @@ def check_plan(g: Graph, plan: QuantPlan) -> None:
         lp = plan.layers[node.name]
         co = g.channels(node.outputs[0])
         # kernel fl columns: a conv kernel's inputs per output (1 on depthwise); an
-        # fc layer may have any count, which the engine checks against in_groups
+        # fc layer may have any count G whose in_groups split its D inputs evenly
         groups = w.shape[1] if node.kind != "fc" else (lp.ker_fl.shape[-1] if lp.ker_fl.ndim else 0)
         if (lp.ker_fl.shape != (co, groups) or lp.comp_shift.shape != (co, groups)
                 or lp.bias_fl.shape != (co,) or lp.shift.shape != (co,)):
             raise PlanError(f"plan layer {node.name!r}: array shapes do not fit the graph's "
                             f"{co} output channels")
+        d = w.shape[1]
+        if node.kind == "fc" and (not groups or d % groups or lp.in_groups is None or not
+                                  np.array_equal(lp.in_groups, np.arange(d) // (d // groups))):
+            raise PlanError(f"plan layer {node.name!r}: fc input groups are not {groups} "
+                            f"contiguous blocks of equal size over {d} inputs")
         _check_range(f"plan layer {node.name!r}", ker_fl=(lp.ker_fl, FL_MIN, FL_MAX),
                      ker_fl_layerwise=(lp.ker_fl_layerwise, FL_MIN, FL_MAX),
                      bias_fl=(lp.bias_fl, 2 * FL_MIN, 2 * FL_MAX),
@@ -308,46 +315,36 @@ def plan_from_json(doc: dict) -> QuantPlan:
     """Inverse of :func:`plan_to_json`; a missing key or a value of the
     wrong type (a fraction or a boolean where an integer belongs, too)
     raises PlanError naming where it is."""
-    where = "plan"
-    try:
+    with located(PlanError, "plan"):
         if doc.get("version") != 1:
             raise PlanError(f"unsupported plan version {doc.get('version')}")
         if doc["mode"] not in MODES:
             raise PlanError(f"unknown plan mode {doc['mode']!r}")
         plan = QuantPlan(mode=doc["mode"], bit_width=_json_scalar(doc["bit_width"], np.int64))
         for name, td in doc["tensors"].items():
-            where = f"plan tensor {name!r}"
-            plan.tensors[name] = TensorFormat(
-                fls=_json_array(td["fl"], np.int64),
-                signed=_json_array(td["signed"], bool),
-                layer_wide=_json_scalar(td["layer_wide"], bool),
-            )
+            with located(PlanError, f"plan tensor {name!r}"):
+                plan.tensors[name] = TensorFormat(
+                    fls=_json_array(td["fl"], np.int64),
+                    signed=_json_array(td["signed"], bool),
+                    layer_wide=_json_scalar(td["layer_wide"], bool),
+                )
         for name, ld in doc["layers"].items():
-            where = f"plan layer {name!r}"
-            plan.layers[name] = LayerPlan(
-                ker_fl=_json_array(ld["ker_fl"], np.int64),
-                bias_fl=_json_array(ld["bias_fl"], np.int64),
-                shift=_json_array(ld["shift"], np.int64),
-                comp_shift=_json_array(ld["comp_shift"], np.int64),
-                ker_fl_layerwise=_json_scalar(ld["ker_fl_layerwise"], np.int64),
-                in_groups=None if ld["in_groups"] is None
-                else _json_array(ld["in_groups"], np.int64),
-            )
-    except PlanError:
-        raise
-    except KeyError as e:
-        raise PlanError(f"{where}: missing key {e.args[0]!r}") from None
-    except (TypeError, AttributeError, ValueError, OverflowError) as e:
-        raise PlanError(f"{where}: malformed value ({e})") from None
+            with located(PlanError, f"plan layer {name!r}"):
+                plan.layers[name] = LayerPlan(
+                    ker_fl=_json_array(ld["ker_fl"], np.int64),
+                    bias_fl=_json_array(ld["bias_fl"], np.int64),
+                    shift=_json_array(ld["shift"], np.int64),
+                    comp_shift=_json_array(ld["comp_shift"], np.int64),
+                    ker_fl_layerwise=_json_scalar(ld["ker_fl_layerwise"], np.int64),
+                    in_groups=None if ld["in_groups"] is None
+                    else _json_array(ld["in_groups"], np.int64),
+                )
     return plan
 
 
 def save_plan(plan: QuantPlan, path) -> None:
-    with open(path, "w") as f:
-        json.dump(plan_to_json(plan), f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(path, plan_to_json(plan))
 
 
 def load_plan(path) -> QuantPlan:
-    with open(path) as f:
-        return plan_from_json(json.load(f))
+    return plan_from_json(read_json(path, PlanError))

@@ -33,7 +33,6 @@ record is asked for, so neither may change while the stats live.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from itertools import chain
 from math import comb, prod
@@ -41,6 +40,7 @@ from math import comb, prod
 import numpy as np
 
 from .graph import Graph, execute_float
+from .tensorfile import located, read_json, write_json
 
 MAX_ORDER = 6
 
@@ -327,8 +327,12 @@ def _encode_array(a: np.ndarray) -> list:
     return [None if not np.isfinite(v) else float(v) for v in np.asarray(a, dtype=np.float64)]
 
 
-def _decode_array(vals) -> np.ndarray:
-    return np.array([np.nan if v is None else float(v) for v in vals], dtype=np.float64)
+def _decode_array(name: str, vals) -> np.ndarray:
+    """A stats list: JSON numbers, null for NaN; anything else raises ValueError."""
+    for v in vals:
+        if v is not None and type(v) not in (int, float):  # bool is not int here
+            raise ValueError(f"{name} must hold numbers or null, got {v!r}")
+    return np.array([np.nan if v is None else v for v in vals], dtype=np.float64)
 
 
 def _encode_stats(cs: ChannelStats) -> dict:
@@ -337,7 +341,7 @@ def _encode_stats(cs: ChannelStats) -> dict:
 
 def _decode_stats(doc: dict) -> ChannelStats:
     """One channel record; ValueError where no profile could have written it."""
-    kw = {name: _decode_array(doc[name]) for name in _FIELD_NAMES}
+    kw = {name: _decode_array(name, doc[name]) for name in _FIELD_NAMES}
     count = kw["count"]
     if not np.all((count >= 0) & (count <= 2**53) & (count == np.floor(count))):  # NaN fails
         raise ValueError(f"count must hold whole numbers, got {count.tolist()}")
@@ -362,26 +366,23 @@ def dump_stats(stats: dict, path) -> None:
             for name, ts in stats.items()
         },
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(path, doc)
+
+
+class StatsError(ValueError):
+    """Malformed stats file."""
 
 
 def load_stats(path) -> dict:
-    """Inverse of :func:`dump_stats`; a missing key or a value of the wrong
-    type raises ValueError naming where it is."""
-    with open(path) as f:
-        doc = json.load(f)
-    stats, where = {}, "stats file"
-    try:
+    """Inverse of :func:`dump_stats`; a file that does not parse, a missing
+    key or a value of the wrong type raises StatsError naming where it is."""
+    doc = read_json(path, StatsError)
+    stats = {}
+    with located(StatsError, "stats file"):
         if doc.get("version") != 1:
-            raise ValueError(f"unsupported stats file version {doc.get('version')}")
+            raise StatsError(f"unsupported stats file version {doc.get('version')}")
         for name, td in doc["tensors"].items():
-            where = f"stats of tensor {name!r}"
-            stats[name] = TensorStats(td["kind"], _decode_stats(td["per_channel"]),
-                                      _decode_stats(td["pooled"]))
-    except KeyError as e:
-        raise ValueError(f"{where}: missing key {e.args[0]!r}") from None
-    except (TypeError, AttributeError, ValueError) as e:
-        raise ValueError(f"{where}: malformed value ({e})") from None
+            with located(StatsError, f"stats of tensor {name!r}"):
+                stats[name] = TensorStats(td["kind"], _decode_stats(td["per_channel"]),
+                                          _decode_stats(td["pooled"]))
     return stats

@@ -25,7 +25,6 @@ ufuncs run on it without casts. Each step keeps that exactness:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,9 +32,10 @@ import numpy as np
 
 # rounding_shift is not called here; perfbench/layers.py wraps qengine.rounding_shift
 from .fixedpoint import INT32_MAX, INT32_MIN, code_range, rounding_shift  # noqa: F401
-from .graph import LINEAR_KINDS, Graph, GraphError, _is_int, forward
+from .graph import LINEAR_KINDS, Graph, GraphError, forward
 from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, _check_range, check_plan,
                       plan_from_json, plan_to_json)
+from .tensorfile import append_array, located, read_array, read_json, write_json
 from .tensorops import _col_blocks, _conv_cols, _tap_reduce, _windows
 
 
@@ -98,8 +98,6 @@ def quantize_params(g: Graph, plan: QuantPlan) -> QuantizedGraph:
         lp = plan.layers[node.name]
         w = np.asarray(g.params[node.params["weight"]], dtype=np.float64)
         b = np.asarray(g.params[node.params["bias"]], dtype=np.float64)
-        if node.kind == "fc":
-            _fc_group_size(node.name, lp, w.shape[1])
         # ker_fl [O, I] scales the kernel's [O, I, T] view (see _run_linear)
         scale = 2.0 ** lp.ker_fl.astype(np.float64)
         kcodes = np.rint(w.reshape(*scale.shape, -1) * scale[:, :, None]).reshape(w.shape)
@@ -108,17 +106,6 @@ def quantize_params(g: Graph, plan: QuantPlan) -> QuantizedGraph:
         bcodes = np.rint(b * bscale)
         biases[node.name] = np.clip(bcodes, INT32_MIN, INT32_MAX).astype(np.int64)
     return QuantizedGraph(graph=g, plan=plan, kernels=kernels, biases=biases)
-
-
-def _fc_group_size(node_name: str, lp: LayerPlan, d: int) -> int:
-    """Elements per input group of an fc plan, whose ``in_groups`` must map
-    the D inputs onto its G groups as contiguous blocks of equal size."""
-    g_n = lp.comp_shift.shape[1]
-    if (g_n == 0 or lp.in_groups is None or d % g_n
-            or not np.array_equal(lp.in_groups, np.repeat(np.arange(g_n), d // g_n))):
-        raise GraphError(f"plan layer {node_name!r}: fc input groups are not "
-                         f"{g_n} contiguous blocks of equal size over {d} inputs")
-    return d // g_n
 
 
 def _finish_accumulator(acc, bias_codes, acc_bound, lp: LayerPlan, out_fmt: TensorFormat,
@@ -221,9 +208,9 @@ def _run_linear(node, codes_in, qg: QuantizedGraph):
     lp = qg.plan.layers[node.name]
     ker = qg.kernels[node.name]
     if node.kind == "fc":
-        x = codes_in.reshape(len(codes_in), -1)  # NCHW row-major flatten
-        t = _fc_group_size(node.name, lp, x.shape[1])
-        cols, batch_axis = x.reshape(len(x), -1, t).transpose(1, 2, 0), 2  # [G, T, N], a view
+        # NCHW row-major flatten; check_plan makes the G input groups contiguous blocks
+        x = codes_in.reshape(len(codes_in), lp.comp_shift.shape[1], -1)
+        cols, batch_axis = x.transpose(1, 2, 0), 2  # [G, D/G, N], a view
     else:
         cols, batch_axis = _conv_cols(codes_in, *ker.shape[2:], node.attr_pair("stride", 1),
                                       node.attr_pair("pad", 0)), 3
@@ -316,34 +303,19 @@ def save_quantized(qg: QuantizedGraph, plan_path, blob_path) -> None:
     """
     kdtype = _kernel_dtype(qg.plan.bit_width)
     blob = bytearray()
-    index = {}
-    for name in sorted(qg.kernels):
-        k = np.ascontiguousarray(qg.kernels[name].astype(kdtype))
-        b = np.ascontiguousarray(qg.biases[name].astype("<i4"))
-        index[name] = {
-            "kernel": {"offset": len(blob), "len": k.nbytes, "dims": list(k.shape)},
-        }
-        blob.extend(k.tobytes())
-        index[name]["bias"] = {"offset": len(blob), "len": b.nbytes, "dims": list(b.shape)}
-        blob.extend(b.tobytes())
+    index = {name: {"kernel": append_array(blob, qg.kernels[name].astype(kdtype)),
+                    "bias": append_array(blob, qg.biases[name].astype("<i4"))}
+             for name in sorted(qg.kernels)}
     doc = plan_to_json(qg.plan)
     doc["qparams"] = index
-    Path(plan_path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_json(plan_path, doc)
     Path(blob_path).write_bytes(bytes(blob))
 
 
 def _read_codes(blob: bytes, ref: dict, dtype, dims: list, what: str) -> np.ndarray:
-    dtype = np.dtype(dtype)
     if ref["dims"] != dims:
         raise PlanError(f"{what}: plan stores dims {ref['dims']}, the graph has {dims}")
-    for key in ("offset", "len"):
-        if not _is_int(ref[key]) or ref[key] < 0:
-            raise PlanError(f"{what}: {key} {ref[key]!r} is not a non-negative integer")
-    n = int(np.prod(dims))
-    if ref["len"] != n * dtype.itemsize or ref["offset"] + ref["len"] > len(blob):
-        raise PlanError(f"{what}: {ref['len']} bytes at offset {ref['offset']} do not hold "
-                        f"{n} {dtype.name} codes in a {len(blob)}-byte blob")
-    return np.frombuffer(blob, dtype, count=n, offset=ref["offset"]).reshape(dims).astype(np.int64)
+    return read_array(blob, ref, dtype, what).astype(np.int64)
 
 
 def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
@@ -352,7 +324,7 @@ def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
     Raises PlanError when the plan or the blob does not fit the graph, or
     a kernel code lies outside the plan's signed bit width.
     """
-    doc = json.loads(Path(plan_path).read_text())
+    doc = read_json(plan_path, PlanError)
     plan = plan_from_json(doc)
     check_plan(g, plan)
     blob = Path(blob_path).read_bytes()
@@ -367,18 +339,12 @@ def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
         if node.name not in qparams:
             raise PlanError(f"plan has no quantized parameters for node {node.name!r}")
         dims = list(g.params[node.params["weight"]].shape)
-        try:
+        with located(PlanError, f"quantized parameters of node {node.name!r}"):
             ref = qparams[node.name]
             kernels[node.name] = _read_codes(blob, ref["kernel"], _kernel_dtype(plan.bit_width),
                                              dims, f"node {node.name!r} kernel")
             biases[node.name] = _read_codes(blob, ref["bias"], "<i4", dims[:1],
                                             f"node {node.name!r} bias")
-        except KeyError as e:
-            raise PlanError(f"quantized parameters of node {node.name!r}: "
-                            f"missing key {e.args[0]!r}") from None
-        except TypeError as e:
-            raise PlanError(f"quantized parameters of node {node.name!r}: "
-                            f"malformed value ({e})") from None
         # the plan's fan-in bound holds only for codes of its width
         _check_range(f"node {node.name!r}", kernel=(kernels[node.name], kq_lo, kq_hi))
     return QuantizedGraph(graph=g, plan=plan, kernels=kernels, biases=biases)

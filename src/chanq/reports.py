@@ -6,10 +6,11 @@ are formatted explicitly and JSON keys are sorted.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
+
+from .tensorfile import write_json
 
 
 def fmt_value(v, nd: int = 3) -> str:
@@ -60,5 +61,5 @@ def write_report(prefix, text: str, doc: dict) -> tuple[Path, Path]:
     txt = prefix.with_name(prefix.name + ".txt")  # not with_suffix: a dotted prefix keeps its dot
     js = prefix.with_name(prefix.name + ".json")
     txt.write_text(text)
-    js.write_text(json.dumps(_jsonable(doc), indent=1, sort_keys=True) + "\n")
+    write_json(js, _jsonable(doc))
     return txt, js

@@ -46,6 +46,8 @@ class SynthSpec:
             )
         if self.image_size < 6 or self.channels < 2 or self.classes < 2 or self.samples < 1:
             raise ValueError("inconsistent synthetic spec (sizes too small)")
+        if not np.isfinite([self.scale_span_bits, self.input_scale_span_bits]).all():
+            raise ValueError("scale spans must be finite")
         return self
 
 

@@ -39,6 +39,14 @@ class TestGenSynthetic:
         rc = main(["gen-synthetic", "--channels", "1", "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--scale-span", "--input-scale-span"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_scale_span(self, tmp_path, capsys, flag, value):
+        # a NaN span wrote NaN weights, and every later command took them
+        rc = main(["gen-synthetic", flag, value, "--out", str(tmp_path)])
+        TestNumbersFailClosed._assert_one_line(capsys, rc, "scale spans must be finite")
+        assert not (tmp_path / "model.json").exists()
+
     def test_usage_error(self):
         assert main(["gen-synthetic"]) == 1  # missing --out
 
@@ -401,6 +409,20 @@ class TestNonFinite:
         assert rc == 2
         assert err.count("\n") == 1 and "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_profile_on_non_finite_weights_is_data_error(self, bundle, tmp_path, capsys, value):
+        # the float engine ran on them and wrote NaN stats that quantize refused
+        doc = json.loads((bundle / "model.json").read_text())
+        ref = doc["nodes"][0]["params"]["weight"]
+        blob = bytearray((bundle / "weights.bin").read_bytes())
+        blob[ref["offset"] + 4:ref["offset"] + 8] = np.array(value, "<f4").tobytes()
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        (tmp_path / "weights.bin").write_bytes(bytes(blob))
+        rc = main(["profile", "--model", str(tmp_path / "model.json"),
+                   "--dataset", str(bundle / "data.qtsr"), "--out", str(tmp_path / "s.json")])
+        TestNumbersFailClosed._assert_one_line(
+            capsys, rc, f"node {doc['nodes'][0]['name']!r} weight: non-finite parameter values")
+
 
 class TestMalformedDocuments:
     """A JSON document missing a key exits 2 with one line naming the key."""
@@ -452,6 +474,29 @@ class TestMalformedDocuments:
         stats = tmp_path / "stats.json"
         stats.write_text(json.dumps(doc))
         self._assert_one_line(capsys, self._quantize(bundle, stats, tmp_path), "mean")
+
+    @pytest.mark.parametrize("text", ['{"version": 1, ', "[" * 100000], ids=["cut", "deep"])
+    @pytest.mark.parametrize("name", ["model.json", "stats.json", "plan.json"])
+    def test_unparsable_document_names_its_file(self, bundle, profiled, tmp_path, capsys, name,
+                                                text):
+        # a stats or plan file that did not parse exited with the parser's message alone,
+        # and arrays nested too deep for the parser with a RecursionError's traceback
+        q = self._quantized(bundle, profiled, tmp_path)
+        paths = {"model.json": tmp_path / "model.json", "stats.json": tmp_path / "stats.json",
+                 "plan.json": q / "plan.json"}
+        (tmp_path / "model.json").write_text((bundle / "model.json").read_text())
+        (tmp_path / "weights.bin").write_bytes((bundle / "weights.bin").read_bytes())
+        (tmp_path / "stats.json").write_text(profiled.read_text())
+        paths[name].write_text(text)
+        model = ["--model", str(tmp_path / "model.json")]
+        capsys.readouterr()
+        rc = (self._eval(bundle, q, tmp_path) if name == "plan.json" else
+              main(["quantize", *model, "--stats", str(tmp_path / "stats.json"),
+                    "--mode", "cw_max", "--out", str(tmp_path / "q2")]))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: cannot parse {paths[name]}: ")
 
     @pytest.mark.parametrize("key", ["nodes", "offset"])
     def test_manifest_without_key(self, bundle, tmp_path, capsys, key):
@@ -670,36 +715,51 @@ class TestNumbersFailClosed:
         rc = self._eval_edited_plan(bundle, tmp_path, capsys, edit)
         self._assert_one_line(capsys, rc, "fc input groups are not 0 contiguous blocks")
 
-    @pytest.mark.parametrize("key, value", [("offset", 4.5), ("len", True), ("dims", [2.0, 4])])
-    def test_manifest_number(self, bundle, tmp_path, capsys, key, value):
+    def _profile_edited_entry(self, bundle, tmp_path, capsys, key, value):
+        """Set ``key`` of the first node's weight entry in the manifest to
+        ``value`` and profile; asserts the blob entry's one-line message."""
         doc = json.loads((bundle / "model.json").read_text())
         ref = doc["nodes"][0]["params"]["weight"]
-        ref[key] = value if key != "dims" else value + ref["dims"][2:]
+        ref[key] = value
         (tmp_path / "model.json").write_text(json.dumps(doc))
         (tmp_path / "weights.bin").write_bytes((bundle / "weights.bin").read_bytes())
         rc = main(["profile", "--model", str(tmp_path / "model.json"),
                    "--dataset", str(bundle / "data.qtsr"), "--out", str(tmp_path / "s.json")])
-        self._assert_one_line(capsys, rc, "offset, len and dims must be integers")
+        what = f"node {doc['nodes'][0]['name']!r} weight: {key} {value!r} is not a "
+        self._assert_one_line(capsys, rc, what + ("list of non-negative integers" if key == "dims"
+                                                  else "non-negative integer"))
+
+    @pytest.mark.parametrize("key, value", [("offset", 4.5), ("len", True), ("dims", [2.0, 4])])
+    def test_manifest_number(self, bundle, tmp_path, capsys, key, value):
+        if key == "dims":
+            value = value + json.loads((bundle / "model.json").read_text()
+                                       )["nodes"][0]["params"]["weight"]["dims"][2:]
+        self._profile_edited_entry(bundle, tmp_path, capsys, key, value)
 
     @pytest.mark.parametrize("key", ["offset", "len"])
     def test_manifest_negative_offset_or_len(self, bundle, tmp_path, capsys, key):
         # a negative offset reached numpy's frombuffer, whose message names no node
-        doc = json.loads((bundle / "model.json").read_text())
-        ref = doc["nodes"][0]["params"]["weight"]
-        ref[key] = -4
-        (tmp_path / "model.json").write_text(json.dumps(doc))
-        (tmp_path / "weights.bin").write_bytes((bundle / "weights.bin").read_bytes())
-        rc = main(["profile", "--model", str(tmp_path / "model.json"),
-                   "--dataset", str(bundle / "data.qtsr"), "--out", str(tmp_path / "s.json")])
-        self._assert_one_line(capsys, rc, f"node {doc['nodes'][0]['name']}: parameter 'weight' "
-                                          f"offset {ref['offset']} and len {ref['len']} must be "
-                                          f"non-negative")
+        self._profile_edited_entry(bundle, tmp_path, capsys, key, -4)
+
+    def test_manifest_negative_dims(self, bundle, tmp_path, capsys):
+        # [-1, -n] has the element count n and passed the length check; numpy's
+        # reshape then said "can only specify one unknown dimension"
+        n = int(np.prod(json.loads((bundle / "model.json").read_text()
+                                   )["nodes"][0]["params"]["weight"]["dims"]))
+        self._profile_edited_entry(bundle, tmp_path, capsys, "dims", [-1, -n])
 
     @pytest.mark.parametrize("field, words", [
         ("count", "count must hold whole numbers"),
         ("count_fraction", "count must hold whole numbers"),
+        # a traceback and exit 1: the OverflowError of float(10**400) was not caught
+        ("count_10e400", "stats of tensor 't1': malformed value (int too large to convert"),
         ("m2", "m2 must be >= 0"),
         ("minv", "minv exceeds maxv"),
+        # strings and booleans were read through float() and quantized with exit 0
+        ("mean_string", "stats of tensor 't1': malformed value (mean must hold numbers or null, "
+                        "got '0.12')"),
+        ("m2_true", "stats of tensor 't1': malformed value (m2 must hold numbers or null, "
+                    "got True)"),
     ])
     def test_stats_record(self, bundle, profiled, tmp_path, capsys, field, words):
         import warnings
@@ -710,6 +770,12 @@ class TestNumbersFailClosed:
             rec["count"] = [None] * len(rec["count"])  # NaN, as a stats file stores it
         elif field == "count_fraction":
             rec["count"][0] += 0.5
+        elif field == "count_10e400":
+            rec["count"][0] = 10**400
+        elif field == "mean_string":
+            rec["mean"] = ["0.12"] * len(rec["mean"])
+        elif field == "m2_true":
+            rec["m2"][0] = True
         elif field == "m2":
             rec["m2"][0] = -5.0
         else:

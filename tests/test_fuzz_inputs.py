@@ -3,8 +3,11 @@
 Hypothesis replaces one field of ``model.json``, ``plan.json`` or
 ``stats.json``, or truncates or flips one bit of ``data.qtsr``,
 ``weights.bin`` or ``qweights.bin``, then runs each command that reads the
-file. Replacement numbers stay small, so that no garbled size can ask for
-more memory than the test machine has.
+file. ``model.json``'s replacement numbers stay small: its attributes and
+dims size allocations, and a large garbled one could ask for more memory
+than the test machine has. No field of ``stats.json`` or ``plan.json``
+sizes an allocation, so theirs also take +-10**400, past every float and
+int64.
 """
 
 import contextlib
@@ -35,6 +38,8 @@ JSON_VALUES = st.one_of(
     st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300]),
     st.text(max_size=4), st.lists(st.integers(-2, 20), max_size=4), st.just({}),
 )
+
+BIG_VALUES = st.one_of(JSON_VALUES, st.sampled_from([10**400, -10**400]))
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -96,7 +101,8 @@ def test_replaced_json_field(bundle, name):
     doc = json.loads((bundle / name).read_text())
 
     @SETTINGS
-    @given(path=st.sampled_from(_paths(doc)), value=JSON_VALUES)
+    @given(path=st.sampled_from(_paths(doc)),
+           value=JSON_VALUES if name == "model.json" else BIG_VALUES)
     def check(path, value):
         def garble(p):
             new = json.loads(p.read_text())

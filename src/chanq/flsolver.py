@@ -104,24 +104,14 @@ def _series(start, terms_of, count: int):
     in order, ``terms_of(rows, k)`` giving the first k [len(rows), k]. A row
     stops once two terms in a row each move its sum by under 2^-53 (one
     alone may be small where a derivative crosses zero), and fails if it
-    has not by ``count`` terms. Most rows stop within two, so only the
-    others take all. Returns the sums and the failed rows."""
-    sums, failed = start.copy(), np.zeros(start.size, dtype=bool)
+    has not by ``count`` terms. Returns the sums and the failed rows."""
     rows = np.arange(start.size)
-    for k in (2, count):
-        terms = terms_of(rows, k)
-        partial = np.cumsum(np.concatenate([start[rows, None], terms], axis=1), axis=1)[:, 1:]
-        small = np.abs(terms) <= 2.0**-53 * np.abs(partial)
-        done = small[:, 1:] & small[:, :-1]
-        settled = done.any(axis=1) | (k == count)
-        at = np.where(done.any(axis=1), np.argmax(done, axis=1) + 1, k - 1)
-        which = np.flatnonzero(settled)
-        sums[rows[which]] = partial[which, at[which]]
-        failed[rows[which]] = ~done.any(axis=1)[which]
-        rows = rows[~settled]
-        if not rows.size:
-            break
-    return sums, failed
+    terms = terms_of(rows, count)
+    partial = np.cumsum(np.concatenate([start[:, None], terms], axis=1), axis=1)[:, 1:]
+    small = np.abs(terms) <= 2.0**-53 * np.abs(partial)
+    done = small[:, 1:] & small[:, :-1]
+    stopped = done.any(axis=1)
+    return partial[rows, np.where(stopped, np.argmax(done, axis=1) + 1, count - 1)], ~stopped
 
 
 def _leading(family: str, lo, hi, h):

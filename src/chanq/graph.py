@@ -18,6 +18,7 @@ from .tensorfile import _is_int, append_array, located, read_array, read_json, w
 
 LINEAR_KINDS = ("conv", "depthwise_conv", "fc")
 KINDS = LINEAR_KINDS + ("batchnorm", "relu", "maxpool", "avgpool", "add", "concat")
+_SPATIAL_KINDS = ("conv", "depthwise_conv", "batchnorm", "maxpool", "avgpool")  # [N, C, H, W] in
 
 _PARAM_ROLES = {
     "conv": ("weight", "bias"),
@@ -93,8 +94,7 @@ class Graph:
             raise GraphError(f"input shape {tuple(shape)} incompatible with graph input {expect}")
 
     def channels(self, tensor: str) -> int:
-        shape = self.shapes[tensor]
-        return shape[1] if len(shape) >= 2 else shape[0]
+        return self.shapes[tensor][1]
 
 
 def topological_order(nodes: list[LayerSpec], available: set) -> list[LayerSpec]:
@@ -123,43 +123,50 @@ def walk(g: Graph, first, step) -> dict:
     return values
 
 
+def _output_hw(node: LayerSpec, in_shape: tuple, window: tuple, stride: tuple) -> tuple:
+    """[N, C, H', W'] of a window op over [N, C, H, W]; GraphError when empty."""
+    (n, c, h, w), (kh, kw), (sh, sw) = in_shape, window, stride
+    ph, pw = node.attr_pair("pad", 0)
+    oh, ow = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    if oh < 1 or ow < 1:
+        raise GraphError(f"node {node.name}: empty output: input {h}x{w}, window {kh}x{kw}, "
+                         f"stride {sh},{sw}, pad {ph},{pw}")
+    return (n, c, oh, ow)
+
+
 def _infer_shape(node: LayerSpec, in_shapes: list[tuple], params: dict) -> tuple:
-    kind = node.kind
+    kind, s = node.kind, in_shapes[0]
+    if kind in _SPATIAL_KINDS and len(s) != 4:
+        raise GraphError(f"node {node.name}: {kind} needs a 4-D [N, C, H, W] input, got {s}")
     if kind in ("conv", "depthwise_conv"):
-        (n, c, h, w) = in_shapes[0]
-        kshape = params[node.params["weight"]].shape
-        stride = node.attr_pair("stride", 1)
-        pad = node.attr_pair("pad", 0)
-        co, ci, kh, kw = kshape
+        c, kshape, dw = s[1], params[node.params["weight"]].shape, kind == "depthwise_conv"
         # a depthwise kernel is [C, 1, Kh, Kw]: C groups of one channel
-        if (ci, co) != ((1, c) if kind == "depthwise_conv" else (c, co)):
-            raise GraphError(f"node {node.name}: {kind} kernel {kshape} does not fit {c} input channels")
+        if len(kshape) != 4 or kshape[:2] != ((c, 1) if dw else (kshape[0], c)):
+            raise GraphError(f"node {node.name}: {kind} kernel {kshape} does not fit {c} input "
+                             f"channels; expected [{c if dw else 'Co'}, {1 if dw else c}, Kh, Kw]")
+        co = kshape[0]
         if params[node.params["bias"]].shape != (co,):
             raise GraphError(f"node {node.name}: bias length != {co} output channels")
-        oh, ow = ops.conv_output_hw(h, w, kh, kw, stride, pad)
+        n, _, oh, ow = _output_hw(node, s, kshape[2:], node.attr_pair("stride", 1))
         return (n, co, oh, ow)
     if kind == "fc":
-        s = in_shapes[0]
         d = int(np.prod(s[1:]))
-        u, dw = params[node.params["weight"]].shape
-        if dw != d:
-            raise GraphError(f"node {node.name}: fc weights expect {dw} inputs, tensor flattens to {d}")
-        if params[node.params["bias"]].shape != (u,):
-            raise GraphError(f"node {node.name}: bias length != {u} units")
-        return (s[0], u)
+        wshape = params[node.params["weight"]].shape
+        if len(wshape) != 2 or wshape[1] != d:
+            raise GraphError(f"node {node.name}: fc weights {wshape} do not fit the {d} inputs "
+                             f"the tensor flattens to; expected [U, {d}]")
+        if params[node.params["bias"]].shape != wshape[:1]:
+            raise GraphError(f"node {node.name}: bias length != {wshape[0]} units")
+        return (s[0], wshape[0])
     if kind == "batchnorm":
-        (n, c, h, w) = in_shapes[0]
         for role in _PARAM_ROLES["batchnorm"]:
-            if params[node.params[role]].shape != (c,):
-                raise GraphError(f"node {node.name}: {role} length != {c} channels")
-        return in_shapes[0]
+            if params[node.params[role]].shape != (s[1],):
+                raise GraphError(f"node {node.name}: {role} length != {s[1]} channels")
+        return s
     if kind == "relu":
-        return in_shapes[0]
+        return s
     if kind in ("maxpool", "avgpool"):
-        (n, c, h, w) = in_shapes[0]
-        wh, ww = node.attr_pair("window")
-        oh, ow = ops.conv_output_hw(h, w, wh, ww, node.pool_stride(), node.attr_pair("pad", 0))
-        return (n, c, oh, ow)
+        return _output_hw(node, s, node.attr_pair("window"), node.pool_stride())
     if kind == "add":
         a, b = in_shapes
         if a != b:
@@ -177,8 +184,9 @@ def validate(g: Graph) -> Graph:
     """Order nodes, check names, infer every tensor's shape and find the output."""
     if not isinstance(g.input_name, str):
         raise GraphError(f"input name must be a string, got {g.input_name!r}")
-    if len(g.input_dims) < 2 or not all(_is_int(d) and d >= 1 for d in g.input_dims):
-        raise GraphError(f"input dims must be two or more positive integers, got {g.input_dims}")
+    if len(g.input_dims) not in (2, 4) or not all(_is_int(d) and d >= 1 for d in g.input_dims):
+        raise GraphError(f"input dims must be [N, D] or [N, C, H, W], positive integers, "
+                         f"got {list(g.input_dims)}")
     seen = {g.input_name}
     for node in g.nodes:
         if not all(isinstance(t, str) for t in [node.name, *node.inputs, *node.outputs]):

@@ -266,12 +266,10 @@ def stats_from_samples(samples) -> ChannelStats:
 
 
 def channel_major(arr: np.ndarray) -> np.ndarray:
-    """Reorder an activation tensor to [C, everything-else]."""
-    if arr.ndim == 4:
-        return np.moveaxis(arr, 1, 0).reshape(arr.shape[1], -1)
+    """Reorder an [N, D] or [N, C, H, W] activation tensor to [C, everything-else]."""
     if arr.ndim == 2:
         return np.ascontiguousarray(arr.T)
-    raise ValueError(f"unsupported activation rank {arr.ndim}")
+    return np.moveaxis(arr, 1, 0).reshape(arr.shape[1], -1)
 
 
 def collect_stats(g: Graph, dataset) -> dict:

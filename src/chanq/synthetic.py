@@ -44,11 +44,22 @@ class SynthSpec:
             raise ValueError(
                 f"unknown input family {self.input_family!r}; expected one of {INPUT_FAMILIES}"
             )
-        if self.image_size < 6 or self.channels < 2 or self.classes < 2 or self.samples < 1:
-            raise ValueError("inconsistent synthetic spec (sizes too small)")
+        least = {"in_channels": 1, "image_size": 6, "channels": 2, "classes": 2, "samples": 1}
+        small = [f"{k} >= {v}" for k, v in least.items() if getattr(self, k) < v]
+        if small:
+            raise ValueError(f"inconsistent synthetic spec: needs {', '.join(small)}")
         if not np.isfinite([self.scale_span_bits, self.input_scale_span_bits]).all():
             raise ValueError("scale spans must be finite")
         return self
+
+
+def _float32(x: np.ndarray, what: str) -> np.ndarray:
+    """``x`` cast to float32, or a ValueError "``what`` past float32's range"."""
+    with np.errstate(over="ignore"):
+        x = x.astype(np.float32)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} past float32's range")
+    return x
 
 
 def channel_scale_ladder(n: int, span_bits: float) -> np.ndarray:
@@ -73,7 +84,8 @@ class _Builder:
 
     def _linear(self, name: str, kind: str, src: str, w, b, attrs=None) -> str:
         out = self._tname()
-        self.params[f"{name}.weight"] = w.astype(np.float32)
+        self.params[f"{name}.weight"] = _float32(
+            w, f"scale span {self.spec.scale_span_bits} bits puts node {name}'s weights")
         self.params[f"{name}.bias"] = b.astype(np.float32)
         self.nodes.append(LayerSpec(name, kind, [src], [out], attrs=attrs or {},
                                     params={"weight": f"{name}.weight", "bias": f"{name}.bias"}))
@@ -188,7 +200,7 @@ def _draw_inputs(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.input_scale_span_bits:
         ladder = channel_scale_ladder(spec.in_channels, spec.input_scale_span_bits)
         x = x * ladder[None, :, None, None]
-    return x.astype(np.float32)
+    return _float32(x, f"input scale span {spec.input_scale_span_bits} bits puts the inputs")
 
 
 def gen_dataset(g: Graph, spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -205,9 +217,10 @@ def gen_dataset(g: Graph, spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def write_bundle(spec: SynthSpec, out_dir) -> dict:
     """Generate model + dataset files under out_dir; byte-identical per seed."""
+    g = build_graph(spec)
+    x, labels = gen_dataset(g, spec)  # before any file, so a refused spec writes none
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    g = build_graph(spec)
     paths = {
         "manifest": out_dir / "model.json",
         "weights": out_dir / "weights.bin",
@@ -215,7 +228,6 @@ def write_bundle(spec: SynthSpec, out_dir) -> dict:
         "labels": out_dir / "labels.qtsr",
     }
     save_model(g, paths["manifest"], paths["weights"])
-    x, labels = gen_dataset(g, spec)
     write_tensor(paths["dataset"], x)
     write_tensor(paths["labels"], labels)
     return paths

@@ -2,7 +2,9 @@
 
 These are the float32 baselines: they feed profiling, serve as the
 accuracy reference for the integer engine, and double as oracles in
-tests. All functions are pure; inputs are never modified.
+tests. All functions are pure; inputs are never modified. Callers pass
+the shapes a validated graph allows (:func:`chanq.graph.validate` checks
+each node once, at load), so no function here re-checks them.
 
 Conv, depthwise and fc layers share one im2col column layout (operands
 first, output positions last; Chellapilla et al. 2006), copied in blocks
@@ -30,27 +32,11 @@ _BLOCK_ELEMS = 2**16
 _U = 2.0**-53  # unit roundoff of float64
 
 
-class ShapeError(ValueError):
-    """Operand shapes are inconsistent with the operation's contract."""
-
-
 def _as_pair(v) -> tuple[int, int]:
     if np.isscalar(v):
         return int(v), int(v)
     a, b = v
     return int(a), int(b)
-
-
-def conv_output_hw(h: int, w: int, kh: int, kw: int, stride, pad) -> tuple[int, int]:
-    sh, sw = _as_pair(stride)
-    ph, pw = _as_pair(pad)
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
-    if oh < 1 or ow < 1:
-        raise ShapeError(
-            f"empty output: input {h}x{w}, kernel {kh}x{kw}, stride {sh},{sw}, pad {ph},{pw}"
-        )
-    return oh, ow
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, stride, pad) -> np.ndarray:
@@ -173,17 +159,8 @@ def _tap_reduce(win: np.ndarray, op) -> np.ndarray:
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride=1, pad=0) -> np.ndarray:
     """Cross-correlation with zero padding plus per-output-channel bias; a
     [C, 1, Kh, Kw] kernel over C channels is depthwise: C groups of one."""
-    if x.ndim != 4 or kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-D input/kernel, got {x.shape} and {kernel.shape}")
-    _, ci, h, w = x.shape
-    co, ck, kh, kw = kernel.shape
-    if ck != ci and (ck, co) != (1, ci):
-        raise ShapeError(f"kernel {kernel.shape} is neither a conv nor a depthwise kernel "
-                         f"over {ci} input channels")
-    if bias.shape != (co,):
-        raise ShapeError(f"bias shape {bias.shape} != ({co},)")
-    conv_output_hw(h, w, kh, kw, stride, pad)
-    groups = kernel.reshape(ci // ck, -1, ck * kh * kw)  # [G, Co/G, K]
+    _, ck, kh, kw = kernel.shape
+    groups = kernel.reshape(x.shape[1] // ck, -1, ck * kh * kw)  # [G, Co/G, K]
     out = _rows_dot(_conv_cols(x, kh, kw, stride, pad), 3, groups, bias)
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
@@ -192,12 +169,6 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.
     """Affine map ``x @ weights.T + bias``; 4-D inputs are flattened row-major."""
     if x.ndim == 4:
         x = x.reshape(x.shape[0], -1)
-    if x.ndim != 2 or weights.ndim != 2:
-        raise ShapeError(f"fc expects 2-D operands, got {x.shape} and {weights.shape}")
-    if x.shape[1] != weights.shape[1]:
-        raise ShapeError(f"fc input dim {x.shape[1]} != weight dim {weights.shape[1]}")
-    if bias.shape != (weights.shape[0],):
-        raise ShapeError(f"bias shape {bias.shape} != ({weights.shape[0]},)")
     return np.ascontiguousarray(_rows_dot(x.T, 1, weights[None], bias).T)
 
 
@@ -210,39 +181,29 @@ def pool(x: np.ndarray, kind: str, window, stride=None, pad=0) -> np.ndarray:
 
     Average pooling always divides by the full window size, including at
     padded borders, so the integer counterpart has a fixed shift.
+    ``kind`` is "max" or "avg".
     """
-    if x.ndim != 4:
-        raise ShapeError(f"pool expects 4-D input, got {x.shape}")
     wh, ww = _as_pair(window)
     stride = window if stride is None else stride
-    conv_output_hw(x.shape[2], x.shape[3], wh, ww, stride, pad)
     # the order of the float32 window sum follows the input's strides: fix them
     win = _windows(np.ascontiguousarray(x), wh, ww, stride, pad)
     if kind == "max":
         out = _tap_reduce(win, np.maximum)
-    elif kind == "avg":
-        out = win.sum(axis=(4, 5)) / float(wh * ww)
     else:
-        raise ValueError(f"unknown pool kind {kind!r}")
+        out = win.sum(axis=(4, 5)) / float(wh * ww)
     return out.astype(np.float32)
 
 
 def add_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeError(f"add operands differ: {a.shape} vs {b.shape}")
     return np.asarray(a + b, dtype=np.float32)
 
 
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != b.ndim or a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"concat operands differ outside channel axis: {a.shape} vs {b.shape}")
     return np.asarray(np.concatenate([a, b], axis=1), dtype=np.float32)
 
 
 def batchnorm(x: np.ndarray, gamma, beta, mean, var, eps: float) -> np.ndarray:
     """Per-channel inference-mode normalization: gamma*(x-mean)/sqrt(var+eps)+beta."""
-    if x.ndim != 4:
-        raise ShapeError(f"batchnorm expects 4-D input, got {x.shape}")
     scale = gamma / np.sqrt(var + eps)
     shape = (1, -1, 1, 1)
     out = x * scale.reshape(shape) + (beta - mean * scale).reshape(shape)

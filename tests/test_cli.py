@@ -47,6 +47,22 @@ class TestGenSynthetic:
         TestNumbersFailClosed._assert_one_line(capsys, rc, "scale spans must be finite")
         assert not (tmp_path / "model.json").exists()
 
+    # a 400-bit span wrote infinite weights or inputs with exit 0; in_channels
+    # 0 or -1 warned, then failed naming no flag ("negative dimensions ...")
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args, words", [
+        (["--scale-span", "400"], "scale span 400.0 bits puts node conv3's weights past "
+                                  "float32's range"),
+        (["--input-scale-span", "400"], "input scale span 400.0 bits puts the inputs past "
+                                        "float32's range"),
+        (["--in-channels", "0"], "inconsistent synthetic spec: needs in_channels >= 1"),
+        (["--in-channels", "-1"], "inconsistent synthetic spec: needs in_channels >= 1"),
+    ], ids=["scale_span", "input_scale_span", "in_channels_0", "in_channels_-1"])
+    def test_spec_it_cannot_write(self, tmp_path, capsys, args, words):
+        rc = main(["gen-synthetic", *args, "--samples", "8", "--out", str(tmp_path / "out")])
+        TestNumbersFailClosed._assert_one_line(capsys, rc, words)
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error(self):
         assert main(["gen-synthetic"]) == 1  # missing --out
 
@@ -520,7 +536,7 @@ class TestManifestFailsClosed:
     @staticmethod
     def _model(bundle, tmp_path, mutate):
         doc = json.loads((bundle / "model.json").read_text())
-        mutate(doc["nodes"])
+        mutate(doc)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
         (tmp_path / "weights.bin").write_bytes((bundle / "weights.bin").read_bytes())
@@ -538,13 +554,13 @@ class TestManifestFailsClosed:
                      "--out", str(tmp_path / "s.json")])
 
     def test_node_without_inputs(self, bundle, tmp_path, capsys):
-        model = self._model(bundle, tmp_path, lambda nodes: nodes[0].update(inputs=[]))
+        model = self._model(bundle, tmp_path, lambda doc: doc["nodes"][0].update(inputs=[]))
         self._assert_one_line(capsys, self._profile(model, bundle, tmp_path),
                               "conv takes 1 input(s), got 0")
 
     def test_stride_with_null(self, bundle, tmp_path, capsys):
         model = self._model(bundle, tmp_path,
-                            lambda nodes: nodes[0]["attrs"].update(stride=[1, None]))
+                            lambda doc: doc["nodes"][0]["attrs"].update(stride=[1, None]))
         self._assert_one_line(capsys, self._profile(model, bundle, tmp_path),
                               "attribute 'stride' must be an integer >= 1")
 
@@ -553,13 +569,36 @@ class TestManifestFailsClosed:
         assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
                      "--mode", "cw_max", "--out", str(q)]) == 0
         capsys.readouterr()
-        model = self._model(bundle, tmp_path, lambda nodes: nodes[1].update(name=["relu1"]))
+        model = self._model(bundle, tmp_path, lambda doc: doc["nodes"][1].update(name=["relu1"]))
         rc = main(["quantize", "--model", model, "--stats", str(profiled), "--mode", "cw_max",
                    "--out", str(tmp_path / "q2")])
         self._assert_one_line(capsys, rc, "names must be strings")
         rc = main(["eval", "--model", model, "--dataset", str(bundle / "data.qtsr"),
                    "--plan", str(q / "plan.json"), "--out", str(tmp_path / "r")])
         self._assert_one_line(capsys, rc, "names must be strings")
+
+    # the bundle's conv0 kernel is [4, 4, 3, 3], its fc4 weights [10, 144] and its
+    # input [1, 4, 8, 8]; each case exited 2 with a line that named no node
+    @pytest.mark.parametrize("mutate, words", [
+        (lambda doc: doc["nodes"][0]["params"]["weight"].update(dims=[4, 4, 9]),
+         "node conv0: conv kernel (4, 4, 9) does not fit 4 input channels; "
+         "expected [Co, 4, Kh, Kw]"),
+        (lambda doc: doc["nodes"][4]["params"]["weight"].update(dims=[1440]),
+         "node fc4: fc weights (1440,) do not fit the 144 inputs the tensor flattens to"),
+        (lambda doc: doc["input"].update(dims=[4, 8, 8]),
+         "input dims must be [N, D] or [N, C, H, W], positive integers, got [4, 8, 8]"),
+        (lambda doc: doc["input"].update(dims=[1, 4, 8, 8, 1]),
+         "input dims must be [N, D] or [N, C, H, W], positive integers, got [1, 4, 8, 8, 1]"),
+        (lambda doc: doc["input"].update(dims=[1, 4, 2, 2]),
+         "node conv2: empty output: input 2x2, window 3x3, stride 1,1, pad 0,0"),
+        (lambda doc: doc["nodes"].append({"name": "pool5", "kind": "maxpool", "inputs": ["t5"],
+                                          "outputs": ["t6"], "attrs": {"window": 2}}),
+         "node pool5: maxpool needs a 4-D [N, C, H, W] input, got (1, 10)"),
+    ], ids=["conv_kernel_3d", "fc_weight_1d", "input_3_dims", "input_5_dims",
+            "empty_conv_output", "maxpool_after_fc"])
+    def test_wrong_rank_names_its_node(self, bundle, tmp_path, capsys, mutate, words):
+        model = self._model(bundle, tmp_path, mutate)
+        self._assert_one_line(capsys, self._profile(model, bundle, tmp_path), words)
 
 
 class TestLabelsFailClosed:

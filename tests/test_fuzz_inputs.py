@@ -7,7 +7,8 @@ file. ``model.json``'s replacement numbers stay small: its attributes and
 dims size allocations, and a large garbled one could ask for more memory
 than the test machine has. No field of ``stats.json`` or ``plan.json``
 sizes an allocation, so theirs also take +-10**400, past every float and
-int64.
+int64. Each ``dims`` list of ``model.json`` is also reshaped, keeping its
+element count, so the blob check passes and the graph's shape rules judge it.
 """
 
 import contextlib
@@ -84,7 +85,22 @@ def _run(d: Path, command: str) -> tuple[int, str]:
     return rc, err.getvalue()
 
 
-def _check_every_reader(bundle, name, garble):
+def _reshapes(dims):
+    """Each dims list one entry from ``dims`` with its element count: an entry
+    merged into the next, an entry split into its least factor and the rest
+    (1 and itself if prime), or a 1 appended."""
+    out = [dims + [1]]
+    for i, d in enumerate(dims):
+        if i + 1 < len(dims):
+            out.append(dims[:i] + [d * dims[i + 1]] + dims[i + 2:])
+        f = next((f for f in range(2, d) if d % f == 0), 1)
+        out.append(dims[:i] + [f, d // f] + dims[i + 1:])
+    return out
+
+
+def _check_every_reader(bundle, name, garble, words=None):
+    """Each reader runs (unless ``words`` is given) or exits 2 with one line
+    (holding ``words``, if given)."""
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         for f in FILES:
@@ -92,7 +108,8 @@ def _check_every_reader(bundle, name, garble):
         garble(d / name)
         for command in COMMANDS[name]:
             rc, err = _run(d, command)
-            assert rc == 0 or (rc == 2 and err.count("\n") == 1 and err.startswith("error: ")), \
+            refused = rc == 2 and err.count("\n") == 1 and err.startswith("error: ")
+            assert (refused and words in err) if words else (rc == 0 or refused), \
                 (command, rc, err)
 
 
@@ -135,3 +152,25 @@ def test_truncated_or_flipped_blob(bundle, name):
         _check_every_reader(bundle, name, garble)
 
     check()
+
+
+def test_reshaped_dims(bundle):
+    # every reshape changes a rank the graph fixes (input, kernel, fc weights,
+    # bias), so each reader must refuse it naming the node or the input dims
+    doc = json.loads((bundle / "model.json").read_text())
+    entries = [(("input",), "input dims")] + [
+        (("nodes", i, "params", role), f"node {node['name']}:")
+        for i, node in enumerate(doc["nodes"]) for role in node["params"]]
+    for path, words in entries:
+        def entry(doc):
+            for key in path:
+                doc = doc[key]
+            return doc
+
+        for dims in _reshapes(entry(doc)["dims"]):
+            def garble(p):
+                new = json.loads(p.read_text())
+                entry(new)["dims"] = dims
+                p.write_text(json.dumps(new))
+
+            _check_every_reader(bundle, "model.json", garble, words)

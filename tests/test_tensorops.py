@@ -14,12 +14,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from chanq import tensorops as ops
-from chanq.graph import execute_float
+from chanq.graph import Graph, GraphError, LayerSpec, execute_float, validate
 from chanq.synthetic import ARCHS, SynthSpec, build_graph, gen_dataset
 
 
 def t(data, shape):
     return np.asarray(data, dtype=np.float32).reshape(shape)
+
+
+def linear_graph(kind, in_dims, weight, bias, tail=()):
+    """Validate a graph of one ``kind`` node "n0" over input "x", with zero
+    parameters of the given shapes, and then the nodes ``tail``. The float
+    ops trust a validated graph: a shape they cannot take is its to reject."""
+    node = LayerSpec("n0", kind, ["x"], ["h"], params={"weight": "n0.weight", "bias": "n0.bias"})
+    return validate(Graph("x", in_dims, [node, *tail],
+                          {"n0.weight": np.zeros(weight, np.float32),
+                           "n0.bias": np.zeros(bias, np.float32)}))
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +110,8 @@ class TestConv2d:
         assert out.shape == (1, 1, 4, 5)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ops.ShapeError):
-            ops.conv2d(np.zeros((1, 2, 4, 4), np.float32),
-                       np.zeros((1, 3, 3, 3), np.float32), np.zeros(1))
+        with pytest.raises(GraphError, match="node n0: conv kernel"):
+            linear_graph("conv", (1, 2, 4, 4), (1, 3, 3, 3), 1)
 
     def test_loop_oracle(self):
         # independent nested-loop cross-correlation
@@ -158,17 +167,16 @@ class TestDepthwise:
                                           bits(ops.conv2d(x, kfull, b, stride, 1)))
 
     def test_channel_mismatch(self):
-        with pytest.raises(ops.ShapeError):
-            ops.conv2d(np.zeros((1, 2, 4, 4), np.float32),
-                       np.zeros((3, 1, 3, 3), np.float32), np.zeros(3))
+        with pytest.raises(GraphError, match="node n0: depthwise_conv kernel"):
+            linear_graph("depthwise_conv", (1, 2, 4, 4), (3, 1, 3, 3), 3)
 
     @pytest.mark.parametrize("c", [2, 3])
     def test_no_channel_multiplier(self, c):
         # a [2C, 1, Kh, Kw] kernel would give each channel two outputs, which
-        # no graph node describes
-        with pytest.raises(ops.ShapeError):
-            ops.conv2d(np.zeros((1, c, 4, 4), np.float32),
-                       np.zeros((2 * c, 1, 3, 3), np.float32), np.zeros(2 * c))
+        # no graph node describes, so neither kind lets one reach an engine
+        for kind in ("depthwise_conv", "conv"):
+            with pytest.raises(GraphError, match=f"node n0: {kind} kernel"):
+                linear_graph(kind, (1, c, 4, 4), (2 * c, 1, 3, 3), 2 * c)
 
 
 class TestFullyConnected:
@@ -225,8 +233,9 @@ class TestElementwise:
         assert np.all(out[:, :2] == 1) and np.all(out[:, 2] == 0)
 
     def test_add_shape_mismatch(self):
-        with pytest.raises(ops.ShapeError):
-            ops.add_elementwise(np.zeros((1, 2), np.float32), np.zeros((1, 3), np.float32))
+        add = LayerSpec("a1", "add", ["x", "h"], ["y"])
+        with pytest.raises(GraphError, match=r"node a1: add operands differ: \(1, 2\) vs \(1, 3\)"):
+            linear_graph("fc", (1, 2), (3, 2), 3, tail=[add])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_results_are_new_float32_arrays(self, dtype):

@@ -17,9 +17,9 @@ from .flsolver import (
 )
 from .graph import Graph, GraphError, LayerSpec, execute_float, fold_batchnorm, load_model, save_model
 from .pdfs import PdfModel, fit_pdf
-from .planner import QuantPlan, coordinate_layer, load_plan, save_plan, solve_plan
+from .planner import QuantPlan, coordinate_layer, solve_plan
 from .profiling import ChannelStats, collect_stats, standardized_moments, stats_from_samples
-from .qengine import QuantizedGraph, execute_quantized, quantize_params, sqnr_report
+from .qengine import QuantizedGraph, execute_quantized, quantize_params
 from .synthetic import SynthSpec, build_graph, write_bundle
 from .tensorfile import read_tensor, write_tensor
 
@@ -50,12 +50,9 @@ __all__ = [
     "QuantPlan",
     "coordinate_layer",
     "solve_plan",
-    "save_plan",
-    "load_plan",
     "QuantizedGraph",
     "quantize_params",
     "execute_quantized",
-    "sqnr_report",
     "SynthSpec",
     "build_graph",
     "write_bundle",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import (LINEAR_KINDS, Graph, GraphError, effective_output, execute_float,
                     fold_batchnorm, load_model)
-from .planner import MODES, PlanError, load_plan, solve_plan
+from .planner import MODES, PlanError, solve_plan
 from .profiling import collect_stats, dump_stats, load_stats
 from .qengine import (
     SqnrAccumulator,
@@ -169,12 +169,7 @@ def _evaluate(g, qgs: dict, data, labels, capture, batch, traces: bool = False) 
 
 def cmd_eval(args) -> int:
     g = _load_graph(args)
-    plan_path = Path(args.plan)
-    blob = Path(args.qweights) if args.qweights else plan_path.parent / "qweights.bin"
-    if blob.exists():
-        qg = load_quantized(g, plan_path, blob)
-    else:
-        qg = quantize_params(g, load_plan(plan_path))
+    qg = load_quantized(g, args.plan, args.qweights or Path(args.plan).parent / "qweights.bin")
     data = _load_dataset(args.dataset)
     labels = _load_labels(args.labels, len(data)) if args.labels else None
     capture = set(g.activation_names()) if args.capture == "all" else set(args.capture.split(","))

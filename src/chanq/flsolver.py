@@ -324,9 +324,9 @@ def empirical_quant_mse(samples: np.ndarray, q: QFormat) -> float:
 LABEL_FAMILIES = ("laplace", "super_cauchy")
 
 
-def label_channel(samples, bit_width: int = 8, signed: bool = True) -> str:
-    """Best-fit family for a channel: lowest empirical MSE at each family's
-    optimal fl. Ties go to laplace."""
+def label_channel(samples, bit_width: int = 8) -> str:
+    """Best-fit family for a signed channel: lowest empirical MSE at each
+    family's optimal fl. Ties go to laplace."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < 100:
         raise ValueError(f"need at least 100 samples to label a channel, got {samples.size}")
@@ -335,8 +335,8 @@ def label_channel(samples, bit_width: int = 8, signed: bool = True) -> str:
         raise ValueError("cannot label a degenerate (sigma == 0) channel")
 
     def mse(family):
-        fl = int(optimal_fl(stats, family, bit_width, signed)[0])
-        return empirical_quant_mse(samples, QFormat(bit_width, fl, signed))
+        fl = int(optimal_fl(stats, family, bit_width)[0])
+        return empirical_quant_mse(samples, QFormat(bit_width, fl))
     return min(LABEL_FAMILIES, key=mse)  # laplace first, so ties keep laplace
 
 

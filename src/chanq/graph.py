@@ -172,12 +172,10 @@ def _infer_shape(node: LayerSpec, in_shapes: list[tuple], params: dict) -> tuple
         if a != b:
             raise GraphError(f"node {node.name}: add operands differ: {a} vs {b}")
         return a
-    if kind == "concat":
-        a, b = in_shapes
-        if a[0] != b[0] or a[2:] != b[2:]:
-            raise GraphError(f"node {node.name}: concat operands differ: {a} vs {b}")
-        return (a[0], a[1] + b[1]) + a[2:]
-    raise GraphError(f"node {node.name}: unknown kind {kind!r}")
+    a, b = in_shapes  # concat, the last kind validate admits
+    if a[0] != b[0] or a[2:] != b[2:]:
+        raise GraphError(f"node {node.name}: concat operands differ: {a} vs {b}")
+    return (a[0], a[1] + b[1]) + a[2:]
 
 
 def validate(g: Graph) -> Graph:
@@ -370,9 +368,7 @@ def _run_node(node: LayerSpec, inputs: list[np.ndarray], params: dict) -> np.nda
                         node.attr_pair("pad", 0))
     if kind == "add":
         return ops.add_elementwise(inputs[0], inputs[1])
-    if kind == "concat":
-        return ops.concat_channels(inputs[0], inputs[1])
-    raise GraphError(f"node {node.name}: unknown kind {kind!r}")
+    return ops.concat_channels(inputs[0], inputs[1])  # concat, the last kind validate admits
 
 
 def effective_output(g: Graph, node: LayerSpec) -> str:

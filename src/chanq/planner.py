@@ -17,7 +17,7 @@ from . import flsolver
 from .fixedpoint import FL_MAX, FL_MIN, fl_from_max
 from .graph import LINEAR_KINDS, Graph, walk
 from .profiling import ChannelStats, fold_records, standardized_moments
-from .tensorfile import _is_int, located, read_json, write_json
+from .tensorfile import _is_int, located
 
 MODES = ("layerwise_max", "cw_max", "cw_laplace", "cw_scauchy", "cw_pdf_aware")
 # A bias fl is a kernel fl plus an input fl, and a shift a bias fl less an output fl.
@@ -80,12 +80,12 @@ def coordinate_layer(fl_ifm, fl_ker_tight, fl_ofm, fl_ker_layerwise: int):
 
 
 class _PlanBuilder:
-    def __init__(self, g: Graph, stats: dict, mode: str, bit_width: int, knn_model):
+    def __init__(self, g: Graph, stats: dict, mode: str, bit_width: int):
         self.g = g
         self.stats = stats
         self.mode = mode
         self.bit_width = bit_width
-        self.knn = knn_model
+        self.knn = flsolver.default_classifier(bit_width) if mode == "cw_pdf_aware" else None
         self.plan = QuantPlan(mode=mode, bit_width=bit_width)
 
     def _fls(self, cs: ChannelStats, signed: bool) -> np.ndarray:
@@ -154,12 +154,10 @@ class _PlanBuilder:
             return TensorFormat(src.fls.copy(), np.zeros_like(src.signed), src.layer_wide)
         if node.kind in ("maxpool", "avgpool"):
             return TensorFormat(src.fls.copy(), src.signed.copy(), src.layer_wide)
-        if node.kind == "concat":
-            return TensorFormat(fls=np.concatenate([src.fls, ins[1].fls]),
-                                signed=np.concatenate([src.signed, ins[1].signed]))
         if node.kind == "batchnorm":
             raise PlanError(f"node {node.name}: fold batchnorm before solving a plan")
-        raise PlanError(f"node {node.name}: unsupported kind {node.kind!r}")
+        return TensorFormat(fls=np.concatenate([src.fls, ins[1].fls]),  # concat
+                            signed=np.concatenate([src.signed, ins[1].signed]))
 
     def _coordinate(self, node, in_fmt: TensorFormat, out_fmt: TensorFormat) -> None:
         w = self.g.params[node.params["weight"]]
@@ -181,16 +179,13 @@ class _PlanBuilder:
                                                 in_groups=in_groups)
 
 
-def solve_plan(g: Graph, stats: dict, mode: str, bit_width: int = 8,
-               knn_model=None) -> QuantPlan:
+def solve_plan(g: Graph, stats: dict, mode: str, bit_width: int = 8) -> QuantPlan:
     """Produce the complete quantization recipe for a (batchnorm-free) graph."""
     if mode not in MODES:
         raise PlanError(f"unknown mode {mode!r}; expected one of {MODES}")
     if not 2 <= bit_width <= 16:
         raise PlanError(f"bit width {bit_width} outside [2, 16]")
-    if mode == "cw_pdf_aware" and knn_model is None:
-        knn_model = flsolver.default_classifier(bit_width)
-    return _PlanBuilder(g, stats, mode, bit_width, knn_model).build()
+    return _PlanBuilder(g, stats, mode, bit_width).build()
 
 
 def check_plan(g: Graph, plan: QuantPlan) -> None:
@@ -340,11 +335,3 @@ def plan_from_json(doc: dict) -> QuantPlan:
                     else _json_array(ld["in_groups"], np.int64),
                 )
     return plan
-
-
-def save_plan(plan: QuantPlan, path) -> None:
-    write_json(path, plan_to_json(plan))
-
-
-def load_plan(path) -> QuantPlan:
-    return plan_from_json(read_json(path, PlanError))

@@ -14,8 +14,7 @@ ufuncs run on it without casts. Each step keeps that exactness:
   joins that GEMM and a row rounded once per (input row, fraction),
   which every output that reads it shares (:func:`_grouped_mac`).
 - The epilogue is one fused pass: add the bias, count and clip to the
-  int32 range (no scan where max|x| * sum|k| + |bias| rules a clip out),
-  multiply by 2**-shift (a power of two: exact), ``np.rint``
+  int32 range, multiply by 2**-shift (a power of two: exact), ``np.rint``
   (half to even), clip to the output range (Jacob et al., arXiv
   1712.05877, with power-of-two scales).
 - Average pooling is ``np.rint(sum / (wh * ww))``, addition aligns its
@@ -108,24 +107,19 @@ def quantize_params(g: Graph, plan: QuantPlan) -> QuantizedGraph:
     return QuantizedGraph(graph=g, plan=plan, kernels=kernels, biases=biases)
 
 
-def _finish_accumulator(acc, bias_codes, acc_bound, lp: LayerPlan, out_fmt: TensorFormat,
-                        bit_width: int):
+def _finish_accumulator(acc, bias_codes, lp: LayerPlan, out_fmt: TensorFormat, bit_width: int):
     """Add the bias, saturate to int32 (counting clipped lanes), shift into
     the output format with half-even rounding and clip to its range.
 
     One fused pass over the float64 accumulator: multiplying by 2**-shift
     is exact (|shift| <= 93 keeps it a normal number) and ``np.rint``
-    rounds half to even. ``acc_bound`` [Co] bounds |acc| per output
-    channel; where it plus |bias| stays below 2**31 for every channel, no
-    lane can clip and the int32 range is not scanned. Returns the float64
-    codes and the clip count.
+    rounds half to even. Returns the float64 codes and the clip count.
     """
     cshape = _channel_shape(acc.ndim)
     lo, hi = code_range(bit_width, out_fmt.signed)
     acc = acc + bias_codes.reshape(cshape)
     clipped = 0
-    if (acc_bound + np.abs(bias_codes) > INT32_MAX).any() and (
-            acc.min(initial=0) < INT32_MIN or acc.max(initial=0) > INT32_MAX):
+    if acc.min(initial=0) < INT32_MIN or acc.max(initial=0) > INT32_MAX:
         clipped = int(np.count_nonzero((acc < INT32_MIN) | (acc > INT32_MAX)))
         np.clip(acc, INT32_MIN, INT32_MAX, out=acc)
     acc *= (2.0 ** -lp.shift).reshape(cshape)
@@ -216,12 +210,8 @@ def _run_linear(node, codes_in, qg: QuantizedGraph):
                                       node.attr_pair("pad", 0)), 3
     # [O, I, T]: conv [Co, Ci, Kh*Kw], depthwise [C, 1, Kh*Kw], fc [U, G, D/G]
     acc = _grouped_mac(cols, batch_axis, ker.reshape(*lp.comp_shift.shape, -1), lp.comp_shift)
-    # max|x| * sum|k| per output bounds |acc|: a compensated product rounds to at most its size
-    x_max = max(int(codes_in.max(initial=0)), -int(codes_in.min(initial=0)))
-    acc_bound = x_max * np.abs(ker).reshape(len(ker), -1).sum(axis=1)
-    out_fmt = qg.plan.tensors[node.outputs[0]]
-    return _finish_accumulator(np.moveaxis(acc, 0, 1), qg.biases[node.name], acc_bound, lp,
-                               out_fmt, qg.plan.bit_width)
+    return _finish_accumulator(np.moveaxis(acc, 0, 1), qg.biases[node.name], lp,
+                               qg.plan.tensors[node.outputs[0]], qg.plan.bit_width)
 
 
 def _run_pool(node, codes_in):
@@ -360,15 +350,6 @@ def _db(sig, noise):
         out = 10.0 * np.log10(sig / noise)
     out = np.where(noise == 0, np.inf, out)
     return np.where(sig == 0, np.nan, out)
-
-
-def sqnr_report(float_acts: dict, quant_acts: dict, plan: QuantPlan) -> dict:
-    """Per-tensor, per-channel SQNR in dB for matching capture sets."""
-    acc = SqnrAccumulator(plan)
-    for name, x in float_acts.items():
-        if name in quant_acts:
-            acc.update(name, x, quant_acts[name])
-    return acc.report()
 
 
 class SqnrAccumulator:

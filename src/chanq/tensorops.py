@@ -32,17 +32,9 @@ _BLOCK_ELEMS = 2**16
 _U = 2.0**-53  # unit roundoff of float64
 
 
-def _as_pair(v) -> tuple[int, int]:
-    if np.isscalar(v):
-        return int(v), int(v)
-    a, b = v
-    return int(a), int(b)
-
-
 def _windows(x: np.ndarray, kh: int, kw: int, stride, pad) -> np.ndarray:
-    # -> [N, C, H', W', Kh, Kw]
-    sh, sw = _as_pair(stride)
-    ph, pw = _as_pair(pad)
+    # -> [N, C, H', W', Kh, Kw]; stride and pad are (h, w) pairs
+    (sh, sw), (ph, pw) = stride, pad
     if ph or pw:
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))
@@ -156,9 +148,11 @@ def _tap_reduce(win: np.ndarray, op) -> np.ndarray:
     return out
 
 
-def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride=1, pad=0) -> np.ndarray:
+def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride=(1, 1),
+           pad=(0, 0)) -> np.ndarray:
     """Cross-correlation with zero padding plus per-output-channel bias; a
-    [C, 1, Kh, Kw] kernel over C channels is depthwise: C groups of one."""
+    [C, 1, Kh, Kw] kernel over C channels is depthwise: C groups of one.
+    ``stride`` and ``pad`` are (h, w) pairs."""
     _, ck, kh, kw = kernel.shape
     groups = kernel.reshape(x.shape[1] // ck, -1, ck * kh * kw)  # [G, Co/G, K]
     out = _rows_dot(_conv_cols(x, kh, kw, stride, pad), 3, groups, bias)
@@ -176,15 +170,15 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.asarray(np.maximum(x, 0), dtype=np.float32)
 
 
-def pool(x: np.ndarray, kind: str, window, stride=None, pad=0) -> np.ndarray:
+def pool(x: np.ndarray, kind: str, window, stride, pad=(0, 0)) -> np.ndarray:
     """Window reduction over spatial dims.
 
     Average pooling always divides by the full window size, including at
     padded borders, so the integer counterpart has a fixed shift.
-    ``kind`` is "max" or "avg".
+    ``kind`` is "max" or "avg"; ``window``, ``stride`` and ``pad`` are
+    (h, w) pairs.
     """
-    wh, ww = _as_pair(window)
-    stride = window if stride is None else stride
+    wh, ww = window
     # the order of the float32 window sum follows the input's strides: fix them
     win = _windows(np.ascontiguousarray(x), wh, ww, stride, pad)
     if kind == "max":

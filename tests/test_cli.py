@@ -265,7 +265,7 @@ class TestQuantizedFiles:
         args = ["eval", "--model", str(bundle / "model.json"),
                 "--dataset", str(bundle / "data.qtsr"), "--plan", str(other / "q" / "plan.json"),
                 "--out", str(tmp_path / "r")]
-        if not with_blob:  # quantize the plan afresh instead of loading its codes
+        if not with_blob:  # no blob to read: the plan check refuses it first
             args += ["--qweights", str(tmp_path / "absent.bin")]
         capsys.readouterr()
         rc = main(args)
@@ -273,6 +273,21 @@ class TestQuantizedFiles:
         assert rc == 2
         assert err.count("\n") == 1 and "Traceback" not in err
         assert ("no layer entry" in err) if arch == "classifier" else ("channels" in err)
+
+    def test_missing_qweights_is_data_error(self, bundle, profiled, tmp_path, capsys):
+        # eval reads a plan's codes and never quantizes afresh
+        q = tmp_path / "q"
+        assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                     "--mode", "cw_max", "--out", str(q)]) == 0
+        absent = tmp_path / "absent.bin"
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(bundle / "model.json"),
+                   "--dataset", str(bundle / "data.qtsr"), "--plan", str(q / "plan.json"),
+                   "--qweights", str(absent), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and str(absent) in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_truncated_qweights_is_data_error(self, bundle, profiled, tmp_path, capsys):
         q = tmp_path / "q"

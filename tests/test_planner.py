@@ -1,18 +1,17 @@
 """Plan solving tests: coordination algebra, mode rules, FC policy."""
 
+import json
+
 import numpy as np
 import pytest
 
-from chanq.flsolver import train_knn
 from chanq.graph import Graph, LayerSpec, validate
 from chanq.planner import (
     MODES,
     PlanError,
     coordinate_layer,
-    load_plan,
     plan_from_json,
     plan_to_json,
-    save_plan,
     solve_plan,
 )
 from chanq.profiling import collect_stats
@@ -133,14 +132,6 @@ class TestSolvePlanModes:
         with pytest.raises(PlanError, match="'x'.* 3 channels"):
             solve_plan(g, stats, "cw_max")
 
-    def test_unknown_family_from_knn_rejected(self):
-        # a custom classifier may vote a family the solver has no density for
-        g = _conv_graph()
-        stats = _stats_for(g, np.random.default_rng(4))
-        knn = train_knn(np.random.default_rng(5).normal(size=(12, 5)), ["student_t"] * 12)
-        with pytest.raises(PlanError, match="tensor 'x': unknown family 'student_t'"):
-            solve_plan(g, stats, "cw_pdf_aware", knn_model=knn)
-
     def test_unknown_mode(self):
         g = _conv_graph()
         with pytest.raises(PlanError):
@@ -202,12 +193,12 @@ class TestFcPolicy:
 
 
 class TestPlanSerialization:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self):
         g = _conv_fc_graph()
         rng = np.random.default_rng(8)
         plan = solve_plan(g, _stats_for(g, rng), "cw_max")
-        save_plan(plan, tmp_path / "p.json")
-        loaded = load_plan(tmp_path / "p.json")
+        text = json.dumps(plan_to_json(plan))
+        loaded = plan_from_json(json.loads(text))
         assert loaded.mode == plan.mode and loaded.bit_width == plan.bit_width
         for name, fmt in plan.tensors.items():
             np.testing.assert_array_equal(loaded.tensors[name].fls, fmt.fls)
@@ -219,9 +210,8 @@ class TestPlanSerialization:
             np.testing.assert_array_equal(got.bias_fl, lp.bias_fl)
             np.testing.assert_array_equal(got.shift, lp.shift)
             np.testing.assert_array_equal(got.comp_shift, lp.comp_shift)
-        # identical bytes when re-serialized
-        save_plan(loaded, tmp_path / "p2.json")
-        assert (tmp_path / "p.json").read_bytes() == (tmp_path / "p2.json").read_bytes()
+        # identical text when re-serialized
+        assert json.dumps(plan_to_json(loaded)) == text
 
     def test_rejects_bad_version(self):
         with pytest.raises(PlanError):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from chanq import graph, qengine, tensorops
 from chanq.cli import main
 from chanq.fixedpoint import code_range, rounding_shift
-from chanq.flsolver import default_classifier
 from chanq.graph import Graph, GraphError, LayerSpec, execute_float, validate
 from chanq.planner import (MODES, LayerPlan, PlanError, QuantPlan, TensorFormat, check_plan,
                            solve_plan)
@@ -25,7 +24,6 @@ from chanq.qengine import (
     quantize_params,
     quantize_tensor,
     save_quantized,
-    sqnr_report,
 )
 from chanq.synthetic import ARCHS, SynthSpec, build_graph, gen_dataset
 
@@ -36,6 +34,14 @@ def _single_conv(w, b, in_dims, attrs=None):
     return validate(Graph("x", in_dims, [node],
                           {"c0.weight": np.asarray(w, np.float32),
                            "c0.bias": np.asarray(b, np.float32)}))
+
+
+def _sqnr(float_acts, codes, plan):
+    """SQNR report of one batch over the tensors both runs captured."""
+    acc = SqnrAccumulator(plan)
+    for name in float_acts.keys() & codes.keys():
+        acc.update(name, float_acts[name], codes[name])
+    return acc.report()
 
 
 def _manual_plan(g, tensor_fls, layer):
@@ -304,7 +310,7 @@ class TestExecutionProperties:
             cap = set(g.activation_names())
             ref, acts = execute_float(g, x[:16], capture=cap)
             res = execute_quantized(qg, x[:16], capture=cap)
-            reports[bw] = sqnr_report(acts, res.captured, plan)
+            reports[bw] = _sqnr(acts, res.captured, plan)
         for name in reports[8]:
             lo = reports[8][name]["pooled"]
             hi = reports[16][name]["pooled"]
@@ -387,7 +393,7 @@ class TestExecutionProperties:
         np.testing.assert_array_equal(res.captured["t3"], np.concatenate(
             [res.captured["t1"].astype(np.int32), res.captured["t2"]], axis=1))
         _, acts = execute_float(g, x, capture={"t2", "t3"})
-        db = sqnr_report(acts, res.captured, plan)
+        db = _sqnr(acts, res.captured, plan)
         np.testing.assert_array_equal(db["t3"]["per_channel"][2:], db["t2"]["per_channel"])
 
     def test_save_load_quantized_roundtrip(self, tmp_path):
@@ -438,7 +444,7 @@ class TestSqnrReport:
         cap = {"t1"}
         ref, acts = execute_float(g, x[:4], capture=cap)
         res = execute_quantized(qg, x[:4], capture=cap)
-        rep = sqnr_report(acts, res.captured, plan)
+        rep = _sqnr(acts, res.captured, plan)
         assert rep["t1"]["per_channel"].shape == (4,)
         assert np.isfinite(rep["t1"]["pooled"])
 
@@ -547,13 +553,11 @@ class TestGroupedMacOracle:
         g = build_graph(spec)
         x, _ = gen_dataset(g, spec)
         stats = collect_stats(g, [x])
-        # the engine sees only fls: the shipped 8-bit family classifier stands
-        # in at 16 bits, whose own corpus takes minutes to build
-        knn = default_classifier(8)
+        # cw_pdf_aware reads the family classifier that ships for each width
         shifted = 0
         for bw in (8, 16):
             for mode in MODES:
-                qg = quantize_params(g, solve_plan(g, stats, mode, bit_width=bw, knn_model=knn))
+                qg = quantize_params(g, solve_plan(g, stats, mode, bit_width=bw))
                 shifted += _check_layers_against_oracle(qg, x)
         assert shifted > 0  # the compensation path ran
 
@@ -739,8 +743,8 @@ class TestFloatEpilogue:
                        shift=shift, comp_shift=np.zeros((c, 1), np.int64), ker_fl_layerwise=0)
         fmt = TensorFormat(fls=np.zeros(c, np.int64), signed=np.full(c, signed))
         want, want_clipped = _int64_epilogue(acc[None], bias, lp, fmt, bit_width)
-        got, clipped = qengine._finish_accumulator(acc[None].astype(np.float64), bias,
-                                                   np.abs(acc), lp, fmt, bit_width)
+        got, clipped = qengine._finish_accumulator(acc[None].astype(np.float64), bias, lp, fmt,
+                                                   bit_width)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, want)
         assert clipped == want_clipped

@@ -37,13 +37,13 @@ def linear_graph(kind, in_dims, weight, bias, tail=()):
 # the exact rounding of a sum of products
 # ---------------------------------------------------------------------------
 
-def einsum_conv2d(x, kernel, bias, stride=1, pad=0):
+def einsum_conv2d(x, kernel, bias, stride=(1, 1), pad=(0, 0)):
     win = ops._windows(x, kernel.shape[2], kernel.shape[3], stride, pad)
     out = np.einsum("nihwkl,oikl->nohw", win, kernel, dtype=np.float64)
     return (out + bias[None, :, None, None]).astype(np.float32)
 
 
-def einsum_depthwise(x, kernel, bias, stride=1, pad=0):
+def einsum_depthwise(x, kernel, bias, stride=(1, 1), pad=(0, 0)):
     win = ops._windows(x, kernel.shape[2], kernel.shape[3], stride, pad)
     out = np.einsum("nchwkl,ckl->nchw", win, kernel[:, 0], dtype=np.float64)
     return (out + bias[None, :, None, None]).astype(np.float32)
@@ -54,7 +54,7 @@ def float64_fc(x, weights, bias):
     return (x.astype(np.float64) @ weights.T.astype(np.float64) + bias).astype(np.float32)
 
 
-def window_pool(x, kind, window, stride=None, pad=0):
+def window_pool(x, kind, window, stride=None, pad=(0, 0)):
     win = ops._windows(x, *window, window if stride is None else stride, pad)
     out = win.max(axis=(4, 5)) if kind == "max" else win.sum(axis=(4, 5)) / float(np.prod(window))
     return out.astype(np.float32)
@@ -163,8 +163,9 @@ class TestDepthwise:
             kfull = np.zeros((c, c, 3, 3), np.float32)
             for i in range(c):
                 kfull[i, i] = kd[i, 0]
-            np.testing.assert_array_equal(bits(ops.conv2d(x, kd, b, stride, 1)),
-                                          bits(ops.conv2d(x, kfull, b, stride, 1)))
+            geometry = (stride, stride), (1, 1)
+            np.testing.assert_array_equal(bits(ops.conv2d(x, kd, b, *geometry)),
+                                          bits(ops.conv2d(x, kfull, b, *geometry)))
 
     def test_channel_mismatch(self):
         with pytest.raises(GraphError, match="node n0: depthwise_conv kernel"):
@@ -417,12 +418,12 @@ class TestLayoutAndOrder:
     @pytest.mark.parametrize("kind", ["max", "avg"])
     def test_pool_bits_do_not_depend_on_layout(self, kind):
         x = np.random.default_rng(9).normal(size=(4, 8, 12, 12)).astype(np.float32)
-        want = ops.pool(x, kind, (3, 3))
+        want = ops.pool(x, kind, (3, 3), (3, 3))
         assert want.tobytes() == window_pool(x, kind, (3, 3)).tobytes()
         fortran = np.asfortranarray(x)
         transposed = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
         for y in (fortran, transposed):
-            assert ops.pool(y, kind, (3, 3)).tobytes() == want.tobytes()
+            assert ops.pool(y, kind, (3, 3), (3, 3)).tobytes() == want.tobytes()
 
 
 def test_bits_do_not_depend_on_blas_threads():

@@ -156,7 +156,8 @@ class _PlanBuilder:
             return TensorFormat(src.fls.copy(), src.signed.copy(), src.layer_wide)
         if node.kind == "batchnorm":
             raise PlanError(f"node {node.name}: fold batchnorm before solving a plan")
-        return TensorFormat(fls=np.concatenate([src.fls, ins[1].fls]),  # concat
+        # concat, the last kind graph.validate admits
+        return TensorFormat(fls=np.concatenate([src.fls, ins[1].fls]),
                             signed=np.concatenate([src.signed, ins[1].signed]))
 
     def _coordinate(self, node, in_fmt: TensorFormat, out_fmt: TensorFormat) -> None:

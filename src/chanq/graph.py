@@ -17,8 +17,11 @@ from . import tensorops as ops
 from .tensorfile import _is_int, append_array, located, read_array, read_json, write_json
 
 LINEAR_KINDS = ("conv", "depthwise_conv", "fc")
-KINDS = LINEAR_KINDS + ("batchnorm", "relu", "maxpool", "avgpool", "add", "concat")
-_SPATIAL_KINDS = ("conv", "depthwise_conv", "batchnorm", "maxpool", "avgpool")  # [N, C, H, W] in
+POOL_KINDS = ("maxpool", "avgpool")
+KINDS = LINEAR_KINDS + ("batchnorm", "relu") + POOL_KINDS + ("add", "concat")
+_F32_MAX = float(np.finfo(np.float32).max)
+_CAN_OVERFLOW = LINEAR_KINDS + ("batchnorm", "add", "avgpool")  # non-finite out of finite in
+_SPATIAL_KINDS = ("conv", "depthwise_conv", "batchnorm") + POOL_KINDS  # [N, C, H, W] in
 
 _PARAM_ROLES = {
     "conv": ("weight", "bias"),
@@ -41,9 +44,12 @@ class LayerSpec:
     attrs: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)  # role -> parameter tensor name
 
-    def attr_pair(self, key, default=None):
-        """An integer or [h, w] attribute as a pair: pads >= 0, the rest >= 1."""
-        v = self.attrs.get(key, default)
+    def attr_pair(self, key):
+        """An integer or [h, w] attribute as a pair: pads >= 0, the rest >= 1.
+        Absent, a pad is 0, a stride 1 (a pool's: its window); a window has no default."""
+        if key == "stride" and key not in self.attrs and self.kind in POOL_KINDS:
+            return self.attr_pair("window")
+        v = self.attrs.get(key, {"pad": 0, "stride": 1}.get(key))
         if v is None:
             raise GraphError(f"node {self.name}: missing attribute {key!r}")
         pair = list(v) if isinstance(v, (list, tuple)) else [v, v]
@@ -52,10 +58,6 @@ class LayerSpec:
             raise GraphError(f"node {self.name}: attribute {key!r} must be an integer >= {low} "
                              f"or a pair of them, got {v!r}")
         return int(pair[0]), int(pair[1])
-
-    def pool_stride(self):
-        """Pooling stride; defaults to the window."""
-        return self.attr_pair("stride", self.attrs.get("window"))
 
 
 @dataclass
@@ -126,12 +128,29 @@ def walk(g: Graph, first, step) -> dict:
 def _output_hw(node: LayerSpec, in_shape: tuple, window: tuple, stride: tuple) -> tuple:
     """[N, C, H', W'] of a window op over [N, C, H, W]; GraphError when empty."""
     (n, c, h, w), (kh, kw), (sh, sw) = in_shape, window, stride
-    ph, pw = node.attr_pair("pad", 0)
+    ph, pw = node.attr_pair("pad")
     oh, ow = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
     if oh < 1 or ow < 1:
         raise GraphError(f"node {node.name}: empty output: input {h}x{w}, window {kh}x{kw}, "
                          f"stride {sh},{sw}, pad {ph},{pw}")
     return (n, c, oh, ow)
+
+
+def bn_scale(node: LayerSpec, params: dict) -> np.ndarray:
+    """A batchnorm's per-channel float32 gamma / sqrt(var + epsilon), where an
+    absent epsilon is 0. GraphError unless epsilon is a number within float32's
+    range and the scale is finite in every channel, so var + epsilon > 0."""
+    eps = node.attrs.get("epsilon", 0.0)
+    if type(eps) not in (int, float) or not abs(eps) <= _F32_MAX:  # a bool is no number here
+        raise GraphError(f"node {node.name}: epsilon must be a finite number, got {eps!r}")
+    var = params[node.params["var"]]
+    with np.errstate(all="ignore"):
+        scale = params[node.params["gamma"]] / np.sqrt(var + eps)
+    bad = np.flatnonzero(~np.isfinite(scale))
+    if len(bad):
+        raise GraphError(f"node {node.name}: gamma / sqrt(var + epsilon) is not finite in channel "
+                         f"{bad[0]} (var {var[bad[0]]}, epsilon {eps!r})")
+    return scale
 
 
 def _infer_shape(node: LayerSpec, in_shapes: list[tuple], params: dict) -> tuple:
@@ -147,7 +166,7 @@ def _infer_shape(node: LayerSpec, in_shapes: list[tuple], params: dict) -> tuple
         co = kshape[0]
         if params[node.params["bias"]].shape != (co,):
             raise GraphError(f"node {node.name}: bias length != {co} output channels")
-        n, _, oh, ow = _output_hw(node, s, kshape[2:], node.attr_pair("stride", 1))
+        n, _, oh, ow = _output_hw(node, s, kshape[2:], node.attr_pair("stride"))
         return (n, co, oh, ow)
     if kind == "fc":
         d = int(np.prod(s[1:]))
@@ -162,11 +181,12 @@ def _infer_shape(node: LayerSpec, in_shapes: list[tuple], params: dict) -> tuple
         for role in _PARAM_ROLES["batchnorm"]:
             if params[node.params[role]].shape != (s[1],):
                 raise GraphError(f"node {node.name}: {role} length != {s[1]} channels")
+        bn_scale(node, params)
         return s
     if kind == "relu":
         return s
-    if kind in ("maxpool", "avgpool"):
-        return _output_hw(node, s, node.attr_pair("window"), node.pool_stride())
+    if kind in POOL_KINDS:
+        return _output_hw(node, s, node.attr_pair("window"), node.attr_pair("stride"))
     if kind == "add":
         a, b = in_shapes
         if a != b:
@@ -206,6 +226,8 @@ def validate(g: Graph) -> Graph:
                 raise GraphError(f"node {node.name}: missing parameter {role!r}")
             if node.params[role] not in g.params:
                 raise GraphError(f"node {node.name}: parameter tensor {node.params[role]!r} not loaded")
+            if not np.isfinite(g.params[node.params[role]]).all():
+                raise GraphError(f"node {node.name!r} {role}: non-finite parameter values")
     for node in g.nodes:
         for t in node.inputs:
             if t not in seen:
@@ -255,12 +277,8 @@ def load_model(manifest_path, weights_path=None) -> Graph:
                     attrs=dict(nd.get("attrs", {})),
                 )
                 for role, ref in nd.get("params", {}).items():
-                    what = f"node {spec.name!r} {role}"
-                    arr = read_array(blob, ref, "<f4", what)
-                    if not np.isfinite(arr).all():
-                        raise GraphError(f"{what}: non-finite parameter values")
                     pname = f"{spec.name}.{role}"
-                    params[pname] = arr
+                    params[pname] = read_array(blob, ref, "<f4", f"node {spec.name!r} {role}")
                     spec.params[role] = pname
             nodes.append(spec)
         g = Graph(
@@ -327,19 +345,15 @@ def fold_batchnorm(g: Graph) -> Graph:
             raise GraphError(
                 f"node {node.name}: cannot fold, {src.outputs[0]!r} has other consumers"
             )
-        gamma = params[node.params["gamma"]]
-        beta = params[node.params["beta"]]
-        mean = params[node.params["mean"]]
-        var = params[node.params["var"]]
-        eps = float(node.attrs.get("epsilon", 0.0))
-        scale = gamma / np.sqrt(var + eps)
-
+        scale = bn_scale(node, params)
+        mean, beta = params[node.params["mean"]], params[node.params["beta"]]
         target = next(n for n in nodes if n.name == src.name)
         w = params[target.params["weight"]]
         b = params[target.params["bias"]]
         shape = (-1,) + (1,) * (w.ndim - 1)
-        params[target.params["weight"]] = (w * scale.reshape(shape)).astype(np.float32)
-        params[target.params["bias"]] = ((b - mean) * scale + beta).astype(np.float32)
+        with np.errstate(all="ignore"):  # validate refuses a parameter that overflowed
+            params[target.params["weight"]] = (w * scale.reshape(shape)).astype(np.float32)
+            params[target.params["bias"]] = ((b - mean) * scale + beta).astype(np.float32)
         # The folded layer takes over the bn's output tensor name.
         target.outputs = list(node.outputs)
 
@@ -354,18 +368,17 @@ def _run_node(node: LayerSpec, inputs: list[np.ndarray], params: dict) -> np.nda
     kind = node.kind
     if kind in ("conv", "depthwise_conv"):
         return ops.conv2d(inputs[0], params[node.params["weight"]], params[node.params["bias"]],
-                          node.attr_pair("stride", 1), node.attr_pair("pad", 0))
+                          node.attr_pair("stride"), node.attr_pair("pad"))
     if kind == "fc":
         return ops.fully_connected(inputs[0], params[node.params["weight"]], params[node.params["bias"]])
     if kind == "batchnorm":
-        return ops.batchnorm(inputs[0], params[node.params["gamma"]], params[node.params["beta"]],
-                             params[node.params["mean"]], params[node.params["var"]],
-                             float(node.attrs.get("epsilon", 0.0)))
+        return ops.batchnorm(inputs[0], bn_scale(node, params), params[node.params["beta"]],
+                             params[node.params["mean"]])
     if kind == "relu":
         return ops.relu(inputs[0])
-    if kind in ("maxpool", "avgpool"):
-        return ops.pool(inputs[0], kind[:3], node.attr_pair("window"), node.pool_stride(),
-                        node.attr_pair("pad", 0))
+    if kind in POOL_KINDS:
+        return ops.pool(inputs[0], kind[:3], node.attr_pair("window"), node.attr_pair("stride"),
+                        node.attr_pair("pad"))
     if kind == "add":
         return ops.add_elementwise(inputs[0], inputs[1])
     return ops.concat_channels(inputs[0], inputs[1])  # concat, the last kind validate admits
@@ -393,7 +406,15 @@ def execute_float(g: Graph, x: np.ndarray, capture=()) -> tuple[np.ndarray, dict
 
     Captured values are pre-activation: a tensor feeding a relu node is
     recorded before the relu applies (the relu output is a separate name).
+    A node output that is not finite raises GraphError naming the node;
+    only the kinds that can make one from finite inputs are checked.
     """
-    # _run_node is looked up at each call, so a wrapper set on the module sees every node
-    return forward(g, x, lambda x: np.asarray(x, dtype=np.float32),
-                   lambda node, ins: _run_node(node, ins, g.params), capture)
+    def step(node, ins):
+        # _run_node is looked up at each call, so a wrapper set on the module sees every node
+        out = _run_node(node, ins, g.params)
+        if node.kind in _CAN_OVERFLOW and not np.isfinite(out).all():
+            raise GraphError(f"node {node.name}: float32 overflow")
+        return out
+
+    with np.errstate(all="ignore"):  # step refuses what a warning would have flagged
+        return forward(g, x, lambda x: np.asarray(x, dtype=np.float32), step, capture)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import flsolver
 from .fixedpoint import FL_MAX, FL_MIN, fl_from_max
-from .graph import LINEAR_KINDS, Graph, walk
+from .graph import LINEAR_KINDS, POOL_KINDS, Graph, walk
 from .profiling import ChannelStats, fold_records, standardized_moments
 from .tensorfile import _is_int, located
 
@@ -152,7 +152,7 @@ class _PlanBuilder:
             return out
         if node.kind == "relu":
             return TensorFormat(src.fls.copy(), np.zeros_like(src.signed), src.layer_wide)
-        if node.kind in ("maxpool", "avgpool"):
+        if node.kind in POOL_KINDS:
             return TensorFormat(src.fls.copy(), src.signed.copy(), src.layer_wide)
         if node.kind == "batchnorm":
             raise PlanError(f"node {node.name}: fold batchnorm before solving a plan")

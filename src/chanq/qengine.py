@@ -31,7 +31,7 @@ import numpy as np
 
 # rounding_shift is not called here; perfbench/layers.py wraps qengine.rounding_shift
 from .fixedpoint import INT32_MAX, INT32_MIN, code_range, rounding_shift  # noqa: F401
-from .graph import LINEAR_KINDS, Graph, GraphError, forward
+from .graph import LINEAR_KINDS, POOL_KINDS, Graph, GraphError, forward
 from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, _check_range, check_plan,
                       plan_from_json, plan_to_json)
 from .tensorfile import append_array, located, read_array, read_json, write_json
@@ -206,8 +206,8 @@ def _run_linear(node, codes_in, qg: QuantizedGraph):
         x = codes_in.reshape(len(codes_in), lp.comp_shift.shape[1], -1)
         cols, batch_axis = x.transpose(1, 2, 0), 2  # [G, D/G, N], a view
     else:
-        cols, batch_axis = _conv_cols(codes_in, *ker.shape[2:], node.attr_pair("stride", 1),
-                                      node.attr_pair("pad", 0)), 3
+        cols, batch_axis = _conv_cols(codes_in, *ker.shape[2:], node.attr_pair("stride"),
+                                      node.attr_pair("pad")), 3
     # [O, I, T]: conv [Co, Ci, Kh*Kw], depthwise [C, 1, Kh*Kw], fc [U, G, D/G]
     acc = _grouped_mac(cols, batch_axis, ker.reshape(*lp.comp_shift.shape, -1), lp.comp_shift)
     return _finish_accumulator(np.moveaxis(acc, 0, 1), qg.biases[node.name], lp,
@@ -216,7 +216,7 @@ def _run_linear(node, codes_in, qg: QuantizedGraph):
 
 def _run_pool(node, codes_in):
     wh, ww = node.attr_pair("window")
-    win = _windows(codes_in, wh, ww, node.pool_stride(), node.attr_pair("pad", 0))
+    win = _windows(codes_in, wh, ww, node.attr_pair("stride"), node.attr_pair("pad"))
     if node.kind == "maxpool":
         return _tap_reduce(win, np.maximum)
     total = _tap_reduce(win, np.add)
@@ -253,7 +253,7 @@ def _run_node(node, ins: list, qg: QuantizedGraph, saturation: dict) -> np.ndarr
         return out
     if node.kind == "relu":
         return np.maximum(ins[0], 0)
-    if node.kind in ("maxpool", "avgpool"):
+    if node.kind in POOL_KINDS:
         return _run_pool(node, ins[0])
     if node.kind == "add":
         return _run_add(node, ins[0], ins[1], qg)

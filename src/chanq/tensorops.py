@@ -148,8 +148,7 @@ def _tap_reduce(win: np.ndarray, op) -> np.ndarray:
     return out
 
 
-def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride=(1, 1),
-           pad=(0, 0)) -> np.ndarray:
+def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride, pad) -> np.ndarray:
     """Cross-correlation with zero padding plus per-output-channel bias; a
     [C, 1, Kh, Kw] kernel over C channels is depthwise: C groups of one.
     ``stride`` and ``pad`` are (h, w) pairs."""
@@ -170,7 +169,7 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.asarray(np.maximum(x, 0), dtype=np.float32)
 
 
-def pool(x: np.ndarray, kind: str, window, stride, pad=(0, 0)) -> np.ndarray:
+def pool(x: np.ndarray, kind: str, window, stride, pad) -> np.ndarray:
     """Window reduction over spatial dims.
 
     Average pooling always divides by the full window size, including at
@@ -196,9 +195,9 @@ def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.asarray(np.concatenate([a, b], axis=1), dtype=np.float32)
 
 
-def batchnorm(x: np.ndarray, gamma, beta, mean, var, eps: float) -> np.ndarray:
-    """Per-channel inference-mode normalization: gamma*(x-mean)/sqrt(var+eps)+beta."""
-    scale = gamma / np.sqrt(var + eps)
+def batchnorm(x: np.ndarray, scale, beta, mean) -> np.ndarray:
+    """Per-channel inference-mode normalization: scale*(x-mean)+beta, where
+    scale is gamma/sqrt(var+eps) (:func:`chanq.graph.bn_scale`)."""
     shape = (1, -1, 1, 1)
     out = x * scale.reshape(shape) + (beta - mean * scale).reshape(shape)
     return out.astype(np.float32)

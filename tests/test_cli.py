@@ -57,7 +57,11 @@ class TestGenSynthetic:
                                         "float32's range"),
         (["--in-channels", "0"], "inconsistent synthetic spec: needs in_channels >= 1"),
         (["--in-channels", "-1"], "inconsistent synthetic spec: needs in_channels >= 1"),
-    ], ids=["scale_span", "input_scale_span", "in_channels_0", "in_channels_-1"])
+        # inputs that fit float32 overflowed the float engine: exit 0, labels of inf/NaN logits
+        (["--input-scale-span", "250", "--channels", "4", "--image-size", "8"],
+         "node avgpool5: float32 overflow"),
+    ], ids=["scale_span", "input_scale_span", "in_channels_0", "in_channels_-1",
+            "engine_overflow"])
     def test_spec_it_cannot_write(self, tmp_path, capsys, args, words):
         rc = main(["gen-synthetic", *args, "--samples", "8", "--out", str(tmp_path / "out")])
         TestNumbersFailClosed._assert_one_line(capsys, rc, words)
@@ -417,6 +421,15 @@ class TestCompareAndSweep:
 
 
 class TestNonFinite:
+    def test_profile_on_overflowing_dataset_names_the_node(self, bundle, tmp_path, capsys):
+        # profile exited 0 after RuntimeWarnings and wrote stats its own loader refused
+        data = read_tensor(bundle / "data.qtsr")
+        write_tensor(tmp_path / "big.qtsr", np.sign(data) * np.float32(3e38))
+        rc = main(["profile", "--model", str(bundle / "model.json"),
+                   "--dataset", str(tmp_path / "big.qtsr"), "--out", str(tmp_path / "s.json")])
+        TestNumbersFailClosed._assert_one_line(capsys, rc, "node conv0: float32 overflow")
+        assert not (tmp_path / "s.json").exists()
+
     def test_compare_on_inf_dataset_is_data_error(self, bundle, tmp_path, capsys):
         data = read_tensor(bundle / "data.qtsr")
         data.flat[0] = np.inf
@@ -841,6 +854,105 @@ class TestNumbersFailClosed:
             rc = main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(stats),
                        "--mode", "cw_max", "--out", str(tmp_path / "q")])
         self._assert_one_line(capsys, rc, words)
+
+
+class TestBatchnormFailsClosed:
+    """An epsilon that is not a finite number, or a var at or below -epsilon,
+    exits 2 with one line naming the batchnorm, whichever command loads it."""
+
+    # [1] and {} raised a TypeError traceback (exit 1), "abc" a line naming no
+    # node, "1e-3" was read as a number, and -5 or a negative var wrote NaN stats
+    @pytest.mark.parametrize("command", ["profile", "quantize", "eval"])
+    @pytest.mark.parametrize("epsilon, var, words", [
+        ([1], None, "node bn: epsilon must be a finite number, got [1]"),
+        ({}, None, "node bn: epsilon must be a finite number, got {}"),
+        ("abc", None, "node bn: epsilon must be a finite number, got 'abc'"),
+        ("1e-3", None, "node bn: epsilon must be a finite number, got '1e-3'"),
+        (True, None, "node bn: epsilon must be a finite number, got True"),
+        (1e39, None, "node bn: epsilon must be a finite number, got 1e+39"),
+        (-5, None, "node bn: gamma / sqrt(var + epsilon) is not finite in channel 0"),
+        (1e-3, -0.5, "node bn: gamma / sqrt(var + epsilon) is not finite in channel 1 "
+                     "(var -0.5, epsilon 0.001)"),
+        (0, 0.0, "node bn: gamma / sqrt(var + epsilon) is not finite in channel 1"),
+    ], ids=["list", "object", "text", "numeric_text", "bool", "past_float32", "negative",
+            "var_below_minus_epsilon", "zero_var"])
+    def test_refused_naming_the_node(self, bn_bundle, tmp_path, capsys, command, epsilon, var,
+                                     words):
+        doc = json.loads((bn_bundle / "model.json").read_text())
+        bn = next(node for node in doc["nodes"] if node["kind"] == "batchnorm")
+        bn["attrs"]["epsilon"] = epsilon
+        blob = bytearray((bn_bundle / "weights.bin").read_bytes())
+        if var is not None:
+            at = bn["params"]["var"]["offset"] + 4  # channel 1
+            blob[at:at + 4] = np.array(var, "<f4").tobytes()
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        (tmp_path / "weights.bin").write_bytes(bytes(blob))
+        model = ["--model", str(tmp_path / "model.json")]
+        data = ["--dataset", str(bn_bundle / "data.qtsr")]
+        rc = main({
+            "profile": ["profile", *model, *data, "--out", str(tmp_path / "s.json")],
+            "quantize": ["quantize", *model, "--stats", str(bn_bundle / "stats.json"),
+                         "--mode", "cw_max", "--out", str(tmp_path / "q")],
+            "eval": ["eval", *model, *data, "--plan", str(bn_bundle / "plan.json"),
+                     "--out", str(tmp_path / "r")],
+        }[command])
+        TestNumbersFailClosed._assert_one_line(capsys, rc, words)
+
+
+class TestFeatureMapOutput:
+    """A model whose output is a feature map (the bundle without fc4: relu3's
+    [N, 4, 6, 6]) reports agreement as a fraction of its N*6*6 argmax
+    positions; it summed them and divided by N, reporting about 35."""
+
+    @pytest.fixture
+    def fmap_model(self, bundle, tmp_path):
+        doc = json.loads((bundle / "model.json").read_text())
+        doc["nodes"] = [n for n in doc["nodes"] if n["kind"] != "fc"]
+        doc["weights"] = str(bundle / "weights.bin")
+        (tmp_path / "fmap.json").write_text(json.dumps(doc))
+        return str(tmp_path / "fmap.json")
+
+    def test_compare_and_eval_agreement_is_a_fraction(self, bundle, fmap_model, tmp_path):
+        data = ["--dataset", str(bundle / "data.qtsr")]
+        assert main(["compare", "--model", fmap_model, *data, "--out", str(tmp_path / "c")]) == 0
+        agreement = json.loads((tmp_path / "c.json").read_text())["top1_agreement"]
+        assert all(0.5 < v <= 1.0 for v in agreement.values()), agreement
+        assert main(["profile", "--model", fmap_model, *data,
+                     "--out", str(tmp_path / "s.json")]) == 0
+        assert main(["quantize", "--model", fmap_model, "--stats", str(tmp_path / "s.json"),
+                     "--mode", "cw_max", "--out", str(tmp_path / "q")]) == 0
+        assert main(["eval", "--model", fmap_model, *data, "--plan",
+                     str(tmp_path / "q" / "plan.json"), "--out", str(tmp_path / "e")]) == 0
+        report = json.loads((tmp_path / "e.json").read_text())
+        assert report["top1_agreement"] == agreement["cw_max"]
+
+    @pytest.mark.parametrize("command", ["compare", "eval", "sweep-profile-size"])
+    def test_labels_refused_naming_the_output(self, bundle, fmap_model, tmp_path, capsys,
+                                              command):
+        # eval failed with numpy's "operands could not be broadcast together"
+        extra = {"eval": ["--plan", str(tmp_path / "none.json")],
+                 "sweep-profile-size": ["--sizes", "8"]}.get(command, [])
+        rc = main([command, "--model", fmap_model, "--dataset", str(bundle / "data.qtsr"),
+                   "--labels", str(bundle / "labels.qtsr"), *extra, "--out", str(tmp_path / "r")])
+        TestNumbersFailClosed._assert_one_line(
+            capsys, rc, "--labels needs [N, K] class scores, but output tensor 't4' has shape "
+                        "[1, 4, 6, 6]")
+
+
+def test_unexpected_error_is_one_line_and_exit_3(bundle, tmp_path, capsys, monkeypatch):
+    # it printed a traceback and exited 1, the usage code
+    from chanq import cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand type(s) for +: 'float' and 'list'")
+
+    monkeypatch.setattr(cli, "load_model", broken)
+    rc = main(["profile", "--model", str(bundle / "model.json"),
+               "--dataset", str(bundle / "data.qtsr"), "--out", str(tmp_path / "s.json")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == ("internal error: TypeError(\"unsupported operand type(s) for +: 'float' "
+                   "and 'list'\")\n")
 
 
 def test_runtime_loads_no_scipy():

@@ -1,8 +1,8 @@
 """The quick demos run end to end.
 
 Demos 03 and 06 call ``sqnr_noise``, ``label_channel`` and the record-wide
-``optimal_fl`` and ``classify_pdf`` (one answer per channel).
-Demos 04 and 05 take tens of seconds each and are left out.
+``optimal_fl`` and ``classify_pdf`` (one answer per channel). Every demo
+takes a few seconds at most.
 """
 
 import os
@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_fixed_point_basics", "02_graph_and_folding",
-                                  "03_sqnr_optimal_formats", "06_pdf_classifier"])
+                                  "03_sqnr_optimal_formats", "04_layerwise_vs_channelwise",
+                                  "05_profiling_stability", "06_pdf_classifier"])
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")], env=env,

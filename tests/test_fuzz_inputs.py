@@ -9,6 +9,9 @@ than the test machine has. No field of ``stats.json`` or ``plan.json``
 sizes an allocation, so theirs also take +-10**400, past every float and
 int64. Each ``dims`` list of ``model.json`` is also reshaped, keeping its
 element count, so the blob check passes and the graph's shape rules judge it.
+The synthetic manifest holds no batchnorm and spells out every stride and
+pad, so a second model (``conftest.bn_bundle``: a batchnorm, and a pool with
+neither) takes the same manifest garbling and weight-blob flips.
 """
 
 import contextlib
@@ -115,6 +118,18 @@ def _check_every_reader(bundle, name, garble, words=None):
 
 @pytest.mark.parametrize("name", ["model.json", "stats.json", "plan.json"])
 def test_replaced_json_field(bundle, name):
+    _replace_one_field(bundle, name)
+
+
+def test_replaced_field_of_bn_model(bn_bundle):
+    _replace_one_field(bn_bundle, "model.json")
+
+
+def test_truncated_or_flipped_bn_weights(bn_bundle):
+    _truncate_or_flip(bn_bundle, "weights.bin")
+
+
+def _replace_one_field(bundle, name):
     doc = json.loads((bundle / name).read_text())
 
     @SETTINGS
@@ -136,6 +151,10 @@ def test_replaced_json_field(bundle, name):
 
 @pytest.mark.parametrize("name", ["data.qtsr", "weights.bin", "qweights.bin"])
 def test_truncated_or_flipped_blob(bundle, name):
+    _truncate_or_flip(bundle, name)
+
+
+def _truncate_or_flip(bundle, name):
     size = (bundle / name).stat().st_size
 
     @SETTINGS

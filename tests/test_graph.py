@@ -80,6 +80,26 @@ class TestModelFiles:
             load_model(tmp_path / "bad.json")
 
 
+class TestAttrPair:
+    @pytest.mark.parametrize("kind, attrs, key, want", [
+        ("conv", {}, "stride", (1, 1)),
+        ("conv", {}, "pad", (0, 0)),
+        ("maxpool", {"window": [2, 3]}, "stride", (2, 3)),
+        ("avgpool", {"window": 2, "stride": 1}, "stride", (1, 1)),
+        ("avgpool", {"window": 2}, "pad", (0, 0)),
+        ("conv", {"stride": [2, 1], "pad": 3}, "pad", (3, 3)),
+    ])
+    def test_defaults(self, kind, attrs, key, want):
+        assert LayerSpec("n", kind, ["x"], ["y"], attrs=attrs).attr_pair(key) == want
+
+    @pytest.mark.parametrize("attrs", [{}, {"window": None}])
+    def test_a_window_has_no_default(self, attrs):
+        node = LayerSpec("p", "maxpool", ["x"], ["y"], attrs=attrs)
+        for key in ("window", "stride"):
+            with pytest.raises(GraphError, match="node p: missing attribute 'window'"):
+                node.attr_pair(key)
+
+
 class TestTopologicalOrder:
     def test_chain(self):
         a = LayerSpec("a", "relu", ["x"], ["t1"])
@@ -141,6 +161,20 @@ class TestFoldBatchnorm:
             got, _ = execute_float(folded, x)
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
+    def test_overflowing_fold_names_the_layer(self):
+        # the scale 2**60 is finite; the folded weight 2**70 is not, in float32
+        g = conv_bn_graph(np.full((1, 1, 1, 1), 2.0**70), np.array([0.0]),
+                          [1.0], [0.0], [0.0], [2.0**-120])
+        with pytest.raises(GraphError, match="node 'c0' weight: non-finite parameter values"):
+            fold_batchnorm(g)
+
+    @pytest.mark.parametrize("eps, var", [("1e-3", 1.0), (float("nan"), 1.0), (-1.0, 1.0),
+                                          (0.0, 0.0)])
+    def test_bad_epsilon_or_var_refused_at_validate(self, eps, var):
+        with pytest.raises(GraphError, match="node bn0: "):
+            conv_bn_graph(np.ones((1, 1, 1, 1)), np.array([0.0]), [1.0], [0.0], [0.0], [var],
+                          eps=eps)
+
     def test_bn_without_linear_rejected(self):
         relu = LayerSpec("r", "relu", ["x"], ["t0"])
         bn = LayerSpec("bn", "batchnorm", ["t0"], ["t1"], attrs={"epsilon": 0.0},
@@ -192,3 +226,15 @@ class TestExecuteFloat:
         g = single_conv_graph(np.ones((1, 1, 1, 1)), np.zeros(1))
         with pytest.raises(GraphError):
             execute_float(g, np.zeros((1, 2, 3, 3), np.float32))
+
+    @pytest.mark.parametrize("kind", ["conv", "batchnorm"])
+    def test_overflow_names_the_node(self, kind):
+        # 2**100 * 2**100 is past float32's range; it warned and went on with inf
+        big = 2.0**100
+        if kind == "conv":
+            g, name = single_conv_graph(np.full((1, 1, 1, 1), big), np.zeros(1)), "c0"
+        else:
+            g, name = conv_bn_graph(np.ones((1, 1, 1, 1)), np.zeros(1), [big], [0.0], [0.0],
+                                    [1.0]), "bn0"
+        with pytest.raises(GraphError, match=f"node {name}: float32 overflow"):
+            execute_float(g, np.full(g.input_dims, big, np.float32))

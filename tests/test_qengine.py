@@ -498,7 +498,7 @@ def _oracle_conv(node, codes_in, qg):
     lp = qg.plan.layers[node.name]
     ker = qg.kernels[node.name]
     win = _windows(codes_in, ker.shape[2], ker.shape[3],
-                   node.attr_pair("stride", 1), node.attr_pair("pad", 0))
+                   node.attr_pair("stride"), node.attr_pair("pad"))
     n, oh, ow = win.shape[0], win.shape[2], win.shape[3]
     acc = np.zeros((n, ker.shape[0], oh, ow), dtype=np.int64)
     for j in range(ker.shape[0]):
@@ -760,7 +760,7 @@ class TestFloatAvgPool:
         x[0, 0, :window[0], :window[1]] = hi  # a window at the bound
         x[0, 1, :window[0], :window[1]] = lo
         node = LayerSpec("p0", "avgpool", ["x"], ["y"], attrs={"window": list(window)})
-        win = tensorops._windows(x, *window, node.pool_stride(), (0, 0))
+        win = tensorops._windows(x, *window, node.attr_pair("stride"), (0, 0))
         want = _div_half_even(tensorops._tap_reduce(win, np.add), window[0] * window[1])
         got = qengine._run_pool(node, x.astype(np.float64))
         assert got.dtype == np.float64

@@ -73,25 +73,27 @@ def exact_sum(c, w, b=0.0) -> Fraction:
 
 class TestConv2d:
     def test_single_element(self):
-        out = ops.conv2d(t([2.0], (1, 1, 1, 1)), t([3.0], (1, 1, 1, 1)), np.array([1.0]))
+        out = ops.conv2d(t([2.0], (1, 1, 1, 1)), t([3.0], (1, 1, 1, 1)), np.array([1.0]),
+                         (1, 1), (0, 0))
         assert out.reshape(()) == 7.0
 
     def test_sum_of_ones(self):
         out = ops.conv2d(np.ones((1, 1, 2, 2), np.float32), np.ones((1, 1, 2, 2), np.float32),
-                         np.zeros(1))
+                         np.zeros(1), (1, 1), (0, 0))
         assert out.reshape(()) == 4.0
 
     def test_zero_kernel_gives_bias(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
-        out = ops.conv2d(x, np.zeros((4, 3, 3, 3), np.float32), np.array([1.5, -2.0, 0.0, 3.0]))
+        out = ops.conv2d(x, np.zeros((4, 3, 3, 3), np.float32), np.array([1.5, -2.0, 0.0, 3.0]),
+                         (1, 1), (0, 0))
         for j, b in enumerate([1.5, -2.0, 0.0, 3.0]):
             assert np.all(out[:, j] == b)
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 1, 6, 6)).astype(np.float32)
-        out = ops.conv2d(x, np.ones((1, 1, 1, 1), np.float32), np.zeros(1))
+        out = ops.conv2d(x, np.ones((1, 1, 1, 1), np.float32), np.zeros(1), (1, 1), (0, 0))
         np.testing.assert_array_equal(out, x)
 
     def test_linearity(self):
@@ -99,8 +101,8 @@ class TestConv2d:
         x = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
         k = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
         # scale in float64 so alpha*x itself carries no rounding
-        a = ops.conv2d(3.0 * x.astype(np.float64), k, np.zeros(3))
-        b = 3.0 * ops.conv2d(x, k, np.zeros(3))
+        a = ops.conv2d(3.0 * x.astype(np.float64), k, np.zeros(3), (1, 1), (0, 0))
+        b = 3.0 * ops.conv2d(x, k, np.zeros(3), (1, 1), (0, 0))
         np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-6 * np.abs(b).max())
 
     def test_stride_and_pad_shapes(self):
@@ -130,7 +132,7 @@ class TestConv2d:
                                 for v in range(3):
                                     acc += x[n, c, i + u, j + v] * k[o, c, u, v]
                         want[n, o, i, j] = acc
-        got = ops.conv2d(x, k, b)
+        got = ops.conv2d(x, k, b, (1, 1), (0, 0))
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
 
 
@@ -138,18 +140,19 @@ class TestDepthwise:
     def test_per_channel_scaling(self):
         x = t([5.0, 7.0], (1, 2, 1, 1))
         k = t([1.0, 2.0], (2, 1, 1, 1))
-        out = ops.conv2d(x, k, np.zeros(2))
+        out = ops.conv2d(x, k, np.zeros(2), (1, 1), (0, 0))
         np.testing.assert_array_equal(out.ravel(), [5.0, 14.0])
 
     def test_identity(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 3, 4, 4)).astype(np.float32)
         k = np.ones((3, 1, 1, 1), np.float32)
-        np.testing.assert_array_equal(ops.conv2d(x, k, np.zeros(3)), x)
+        np.testing.assert_array_equal(ops.conv2d(x, k, np.zeros(3), (1, 1), (0, 0)), x)
 
     def test_zero_kernel_constant_channels(self):
         x = np.ones((1, 2, 3, 3), np.float32)
-        out = ops.conv2d(x, np.zeros((2, 1, 1, 1), np.float32), np.array([1.0, 2.0]))
+        out = ops.conv2d(x, np.zeros((2, 1, 1, 1), np.float32), np.array([1.0, 2.0]),
+                         (1, 1), (0, 0))
         assert np.all(out[:, 0] == 1.0) and np.all(out[:, 1] == 2.0)
 
     def test_equals_blockdiag_conv(self):
@@ -210,12 +213,12 @@ class TestElementwise:
 
     def test_maxpool(self):
         x = t([1.0, 2.0, 3.0, 4.0], (1, 1, 2, 2))
-        out = ops.pool(x, "max", (2, 2), (2, 2))
+        out = ops.pool(x, "max", (2, 2), (2, 2), (0, 0))
         assert out.reshape(()) == 4.0
 
     def test_avgpool_full_window_divisor(self):
         x = t([1.0, 2.0, 3.0, 4.0], (1, 1, 2, 2))
-        out = ops.pool(x, "avg", (2, 2), (2, 2))
+        out = ops.pool(x, "avg", (2, 2), (2, 2), (0, 0))
         assert out.reshape(()) == 2.5
         # padded border still divides by the full window size
         out = ops.pool(x, "avg", (2, 2), (2, 2), pad=(1, 1))
@@ -315,7 +318,8 @@ class TestCorrectRounding:
     def test_conv_on_and_beside_midpoints(self, with_bias):
         x, pw, b, exact = midpoint_lanes(np.random.default_rng(21), 300, with_bias)
         kernel = np.stack([pw, -2 * pw]).reshape(2, 1, 2, 4)
-        out = ops.conv2d(as_windows(x, 1), kernel, np.array([b, -2 * b]), stride=(2, 4))
+        out = ops.conv2d(as_windows(x, 1), kernel, np.array([b, -2 * b]), stride=(2, 4),
+                         pad=(0, 0))
         q = np.array(exact, dtype=object).reshape(-1, 1, 5, 6)
         want = np.concatenate([np.vectorize(exact_f32)(q), np.vectorize(exact_f32)(-2 * q)], axis=1)
         np.testing.assert_array_equal(bits(out), bits(want))
@@ -324,7 +328,7 @@ class TestCorrectRounding:
     def test_depthwise_on_and_beside_midpoints(self, with_bias):
         x, pw, b, exact = midpoint_lanes(np.random.default_rng(22), 360, with_bias)
         kernel = np.tile(pw.reshape(1, 1, 2, 4), (3, 1, 1, 1))
-        out = ops.conv2d(as_windows(x, 3), kernel, np.full(3, b), stride=(2, 4))
+        out = ops.conv2d(as_windows(x, 3), kernel, np.full(3, b), stride=(2, 4), pad=(0, 0))
         want = np.vectorize(exact_f32)(np.array(exact, dtype=object).reshape(-1, 3, 5, 6))
         np.testing.assert_array_equal(bits(out), bits(want))
         assert (bits(einsum_depthwise(as_windows(x, 3), kernel, np.full(3, b), stride=(2, 4)))
@@ -337,7 +341,8 @@ class TestCorrectRounding:
         assert float64_fc(x, w, np.zeros(1))[0, 0] == 1.0
         assert ops.fully_connected(x, w, np.zeros(1))[0, 0] == np.float32(1 + 2.0**-23)
         k = t([1.0, 1.0, 1.0], (1, 3, 1, 1))
-        assert ops.conv2d(x.reshape(1, 3, 1, 1), k, np.zeros(1)).item() == np.float32(1 + 2.0**-23)
+        out = ops.conv2d(x.reshape(1, 3, 1, 1), k, np.zeros(1), (1, 1), (0, 0))
+        assert out.item() == np.float32(1 + 2.0**-23)
         # the same sum with 1.0 as the bias: the products alone are exact, the bias add is not
         out = ops.fully_connected(x[:, 1:], w[:, 1:], np.ones(1))
         assert out[0, 0] == np.float32(1 + 2.0**-23)
@@ -350,7 +355,7 @@ class TestCorrectRounding:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
         kernel = rng.normal(size=(5, 3, 3, 3)).astype(np.float32)
-        ops.conv2d(x, kernel, rng.normal(size=5).astype(np.float32))
+        ops.conv2d(x, kernel, rng.normal(size=5).astype(np.float32), (1, 1), (0, 0))
         assert calls == []  # every lane of every block settled
         self.test_fixup_settles_a_lane_float64_rounds_onto_a_tie()
         assert len(calls) == 3  # the one lane of each of its three engine calls
@@ -397,7 +402,7 @@ class TestLayoutAndOrder:
         for node in g.nodes:
             xin = acts[node.inputs[0]]
             p = [g.params[node.params[r]] for r in ("weight", "bias")] if node.params else []
-            geometry = (node.attr_pair("stride", 1), node.attr_pair("pad", 0))
+            geometry = (node.attr_pair("stride"), node.attr_pair("pad"))
             if node.kind == "conv":
                 want = einsum_conv2d(xin, *p, *geometry)
             elif node.kind == "depthwise_conv":
@@ -406,7 +411,7 @@ class TestLayoutAndOrder:
                 want = float64_fc(xin, *p)
             elif node.kind in ("maxpool", "avgpool"):
                 want = window_pool(xin, node.kind[:3], node.attr_pair("window"),
-                                   node.pool_stride(), node.attr_pair("pad", 0))
+                                   node.attr_pair("stride"), node.attr_pair("pad"))
             else:
                 continue
             got = acts[node.outputs[0]]
@@ -418,12 +423,12 @@ class TestLayoutAndOrder:
     @pytest.mark.parametrize("kind", ["max", "avg"])
     def test_pool_bits_do_not_depend_on_layout(self, kind):
         x = np.random.default_rng(9).normal(size=(4, 8, 12, 12)).astype(np.float32)
-        want = ops.pool(x, kind, (3, 3), (3, 3))
+        want = ops.pool(x, kind, (3, 3), (3, 3), (0, 0))
         assert want.tobytes() == window_pool(x, kind, (3, 3)).tobytes()
         fortran = np.asfortranarray(x)
         transposed = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
         for y in (fortran, transposed):
-            assert ops.pool(y, kind, (3, 3), (3, 3)).tobytes() == want.tobytes()
+            assert ops.pool(y, kind, (3, 3), (3, 3), (0, 0)).tobytes() == want.tobytes()
 
 
 def test_bits_do_not_depend_on_blas_threads():

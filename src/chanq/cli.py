@@ -328,13 +328,20 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    """argparse type of a non-negative integer seed."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def _add_model_args(p):
     p.add_argument("--model", required=True, help="model manifest (JSON)")
     p.add_argument("--weights", default=None, help="weights blob (defaults to manifest reference)")
 
 
 _COMMON = {
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=_seed, default=0),
     "bitwidth": dict(type=int, default=8),
     "batch": dict(type=_count, default=32),
 }
@@ -408,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-span", type=float, default=4.0)
     p.add_argument("--input-scale-span", type=float, default=0.0)
     p.add_argument("--input-family", default="gaussian", choices=("gaussian", "laplace", "heavy"))
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_synthetic)
     return parser

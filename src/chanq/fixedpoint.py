@@ -4,7 +4,8 @@ A value is represented by an integer code ``c`` in a :class:`QFormat`
 ``(bit_width, frac_len, signed)`` and decodes to ``c * 2**(-frac_len)``.
 All narrowing operations saturate (no wraparound) and all rounding is
 round-half-to-even, so every function here is deterministic and matches
-a hardware datapath with those conventions.
+a hardware datapath with those conventions. Every encode and every
+power-of-two rescale of a code in chanq takes one rule, :func:`to_codes`.
 """
 
 from __future__ import annotations
@@ -35,18 +36,18 @@ class QFormat:
     signed: bool = True
 
     def __post_init__(self):
-        if self.bit_width < 2:
-            raise ValueError(f"bit_width must be >= 2, got {self.bit_width}")
+        if not 2 <= self.bit_width <= 53:  # to_codes carries codes exactly in float64
+            raise ValueError(f"bit_width must be in [2, 53], got {self.bit_width}")
         if not FL_MIN <= self.frac_len <= FL_MAX:
             raise ValueError(f"frac_len {self.frac_len} outside [{FL_MIN}, {FL_MAX}]")
 
     @property
     def min_code(self) -> int:
-        return -(2 ** (self.bit_width - 1)) if self.signed else 0
+        return int(code_range(self.bit_width, self.signed)[0])
 
     @property
     def max_code(self) -> int:
-        return 2 ** (self.bit_width - 1) - 1 if self.signed else 2**self.bit_width - 1
+        return int(code_range(self.bit_width, self.signed)[1])
 
     @property
     def step(self) -> float:
@@ -57,12 +58,20 @@ class QFormat:
         return self.max_code * self.step
 
 
+def to_codes(v, fl, lo, hi, out=None) -> np.ndarray:
+    """The one encode and rescale rule: ``rint(v * 2**fl)``, half to even,
+    clipped to [lo, hi]; float64, elementwise over the broadcast arguments.
+    Exact for |fl| <= 1022: a product by 2**fl that is not exact underflows
+    (rint gives 0) or overflows (it saturates). ``out`` may be ``v``.
+    """
+    codes = np.asarray(np.multiply(v, np.ldexp(1.0, fl), out=out, dtype=np.float64))
+    np.rint(codes, out=codes)
+    return np.clip(codes, lo, hi, out=codes)
+
+
 def quantize(values, q: QFormat) -> np.ndarray:
     """Encode real values as integer codes: round-half-even, then saturate."""
-    scaled = np.asarray(values, dtype=np.float64) * (2.0**q.frac_len)
-    codes = np.rint(scaled)
-    codes = np.clip(codes, q.min_code, q.max_code)
-    return codes.astype(np.int64)
+    return to_codes(values, q.frac_len, q.min_code, q.max_code).astype(np.int64)[()]
 
 
 def dequantize(codes, q: QFormat) -> np.ndarray:

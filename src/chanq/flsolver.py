@@ -24,7 +24,7 @@ from math import comb, factorial, inf, pi
 import numpy as np
 
 from . import pdfs
-from .fixedpoint import FL_MAX, QFormat, code_range, dequantize, fl_from_max, quantize
+from .fixedpoint import FL_MAX, QFormat, code_range, dequantize, fl_from_max, quantize, to_codes
 from .profiling import ChannelStats, standardized_moments, stats_from_samples
 
 SCAN_HALF_WIDTH = 30.0  # the scan starts at the finest fl covering 2 (|mean| + this many scales)
@@ -250,7 +250,7 @@ def _noise_curve(family: str, mu, s, bit_width: int, signed: bool, fls) -> np.nd
     scale, step = np.ldexp(1.0, fls), np.ldexp(1.0, -fls)
     h = step / s
     lo, hi = (min_code * step - mu) / s, (max_code * step - mu) / s
-    c = (np.clip(np.rint(mu * scale), min_code, max_code) * step - mu) / s
+    c = (to_codes(mu, fls, min_code, max_code) * step - mu) / s
     if family == "laplace":
         return s * s * _laplace_noise(lo, hi, c, h)
     # The granular noise is h^2 y^2 against the density, y the offset from

@@ -125,11 +125,8 @@ class _PlanBuilder:
         if node.kind != "fc":
             return fmt.fls.reshape(-1, w.shape[1]), None
         # fc: group by source channel; layer-wide paths collapse to one group
-        in_shape = self.g.shapes[node.inputs[0]]
-        if fmt.layer_wide:
-            return fmt.fls[:1], np.zeros(int(np.prod(in_shape[1:])), dtype=np.int64)
-        spatial = int(np.prod(in_shape[2:]))
-        return fmt.fls, np.repeat(np.arange(in_shape[1], dtype=np.int64), spatial)
+        ifm, d = (fmt.fls[:1] if fmt.layer_wide else fmt.fls), w.shape[1]
+        return ifm, np.arange(d) // (d // len(ifm))  # the map check_plan requires
 
     def build(self) -> QuantPlan:
         g = self.g

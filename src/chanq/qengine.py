@@ -13,12 +13,11 @@ ufuncs run on it without casts. Each step keeps that exactness:
   bounds the bias add. A compensated product splits into a part that
   joins that GEMM and a row rounded once per (input row, fraction),
   which every output that reads it shares (:func:`_grouped_mac`).
-- The epilogue is one fused pass: add the bias, count and clip to the
-  int32 range, multiply by 2**-shift (a power of two: exact), ``np.rint``
-  (half to even), clip to the output range (Jacob et al., arXiv
-  1712.05877, with power-of-two scales).
-- Average pooling is ``np.rint(sum / (wh * ww))``, addition aligns its
-  operands with ``np.rint(v * 2**-s)``; ReLU, max pooling and
+- Every encode and rescale is :func:`fixedpoint.to_codes`: the input,
+  the parameters, the epilogue (bias add, int32 clip, then 2**-shift into
+  the output range; Jacob et al., arXiv 1712.05877, with power-of-two
+  scales), and addition's unclipped operand alignment and its sum.
+- Average pooling is ``np.rint(sum / (wh * ww))``; ReLU, max pooling and
   concatenation need no rounding.
 """
 
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 # rounding_shift is not called here; perfbench/layers.py wraps qengine.rounding_shift
-from .fixedpoint import INT32_MAX, INT32_MIN, code_range, rounding_shift  # noqa: F401
+from .fixedpoint import INT32_MAX, INT32_MIN, code_range, rounding_shift, to_codes  # noqa: F401
 from .graph import LINEAR_KINDS, POOL_KINDS, Graph, GraphError, forward
 from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, _check_range, check_plan,
                       plan_from_json, plan_to_json)
@@ -61,12 +60,9 @@ def _channel_shape(arr_ndim: int):
 def quantize_tensor(x: np.ndarray, fmt: TensorFormat, bit_width: int) -> np.ndarray:
     """Quantize a float activation tensor with its per-channel formats;
     the integer codes come as float64."""
-    x = np.asarray(x, dtype=np.float64)
-    cshape = _channel_shape(x.ndim)
-    scale = (2.0 ** fmt.fls.astype(np.float64)).reshape(cshape)
+    cshape = _channel_shape(np.ndim(x))
     lo, hi = code_range(bit_width, fmt.signed)
-    codes = np.rint(x * scale)
-    return np.clip(codes, lo.reshape(cshape), hi.reshape(cshape), out=codes)
+    return to_codes(x, fmt.fls.reshape(cshape), lo.reshape(cshape), hi.reshape(cshape))
 
 
 def dequantize_tensor(codes: np.ndarray, fmt: TensorFormat) -> np.ndarray:
@@ -95,15 +91,12 @@ def quantize_params(g: Graph, plan: QuantPlan) -> QuantizedGraph:
         if node.kind not in LINEAR_KINDS:
             continue
         lp = plan.layers[node.name]
-        w = np.asarray(g.params[node.params["weight"]], dtype=np.float64)
-        b = np.asarray(g.params[node.params["bias"]], dtype=np.float64)
+        w = g.params[node.params["weight"]]
         # ker_fl [O, I] scales the kernel's [O, I, T] view (see _run_linear)
-        scale = 2.0 ** lp.ker_fl.astype(np.float64)
-        kcodes = np.rint(w.reshape(*scale.shape, -1) * scale[:, :, None]).reshape(w.shape)
-        kernels[node.name] = np.clip(kcodes, kq_lo, kq_hi).astype(np.int64)
-        bscale = 2.0 ** lp.bias_fl.astype(np.float64)
-        bcodes = np.rint(b * bscale)
-        biases[node.name] = np.clip(bcodes, INT32_MIN, INT32_MAX).astype(np.int64)
+        kcodes = to_codes(w.reshape(*lp.ker_fl.shape, -1), lp.ker_fl[:, :, None], kq_lo, kq_hi)
+        kernels[node.name] = kcodes.reshape(w.shape).astype(np.int64)
+        biases[node.name] = to_codes(g.params[node.params["bias"]], lp.bias_fl,
+                                     INT32_MIN, INT32_MAX).astype(np.int64)
     return QuantizedGraph(graph=g, plan=plan, kernels=kernels, biases=biases)
 
 
@@ -111,9 +104,8 @@ def _finish_accumulator(acc, bias_codes, lp: LayerPlan, out_fmt: TensorFormat, b
     """Add the bias, saturate to int32 (counting clipped lanes), shift into
     the output format with half-even rounding and clip to its range.
 
-    One fused pass over the float64 accumulator: multiplying by 2**-shift
-    is exact (|shift| <= 93 keeps it a normal number) and ``np.rint``
-    rounds half to even. Returns the float64 codes and the clip count.
+    The rescale is :func:`fixedpoint.to_codes` at fl = -shift, in place on
+    the float64 accumulator. Returns the float64 codes and the clip count.
     """
     cshape = _channel_shape(acc.ndim)
     lo, hi = code_range(bit_width, out_fmt.signed)
@@ -122,9 +114,8 @@ def _finish_accumulator(acc, bias_codes, lp: LayerPlan, out_fmt: TensorFormat, b
     if acc.min(initial=0) < INT32_MIN or acc.max(initial=0) > INT32_MAX:
         clipped = int(np.count_nonzero((acc < INT32_MIN) | (acc > INT32_MAX)))
         np.clip(acc, INT32_MIN, INT32_MAX, out=acc)
-    acc *= (2.0 ** -lp.shift).reshape(cshape)
-    np.rint(acc, out=acc)
-    return np.clip(acc, lo.reshape(cshape), hi.reshape(cshape), out=acc), clipped
+    return to_codes(acc, -lp.shift.reshape(cshape), lo.reshape(cshape), hi.reshape(cshape),
+                    out=acc), clipped
 
 
 def _split_kernel(ker: np.ndarray, comp: np.ndarray):
@@ -228,21 +219,16 @@ def _run_pool(node, codes_in):
 
 
 def _run_add(node, a, b, qg: QuantizedGraph):
-    """Align both operands to the finer common fl of each channel, add, and
-    shift into the output format. Codes below 2**53 make every step exact in
-    float64: a power-of-two scale, then ``np.rint`` (half to even)."""
-    fa = qg.plan.tensors[node.inputs[0]].fls
-    fb = qg.plan.tensors[node.inputs[1]].fls
-    out_fmt = qg.plan.tensors[node.outputs[0]]
-    common = np.minimum(fa, fb)  # per-channel alignment target
+    """Align both operands to the coarser common fl of each channel, add, and
+    rescale the sum into the output format, each step by
+    :func:`fixedpoint.to_codes`; only the last saturates."""
     cshape = _channel_shape(a.ndim)
-
-    def shifted(v, shift):
-        return np.rint(v * (2.0 ** -shift).reshape(cshape))
-
-    total = shifted(a, fa - common) + shifted(b, fb - common)
-    lo, hi = code_range(qg.plan.bit_width, out_fmt.signed)
-    return np.clip(shifted(total, common - out_fmt.fls), lo.reshape(cshape), hi.reshape(cshape))
+    fa, fb, fo = (qg.plan.tensors[t].fls.reshape(cshape) for t in (*node.inputs, node.outputs[0]))
+    common = np.minimum(fa, fb)  # per-channel alignment target
+    total = to_codes(a, common - fa, -np.inf, np.inf)
+    total += to_codes(b, common - fb, -np.inf, np.inf)
+    lo, hi = code_range(qg.plan.bit_width, qg.plan.tensors[node.outputs[0]].signed)
+    return to_codes(total, fo - common, lo.reshape(cshape), hi.reshape(cshape), out=total)
 
 
 def _run_node(node, ins: list, qg: QuantizedGraph, saturation: dict) -> np.ndarray:

@@ -231,6 +231,24 @@ def test_non_positive_count_is_usage_error(tmp_path, capsys, command, flag, valu
     assert not any("Traceback" in ln for ln in lines)
 
 
+@pytest.mark.parametrize("command, value", [
+    ("gen-synthetic", "-1"),
+    ("profile", "-3"),
+    ("compare", "-3"),
+    ("sweep-profile-size", "1.5"),
+])
+def test_seed_that_is_not_a_non_negative_integer_is_usage_error(tmp_path, capsys, command, value):
+    args = [] if command == "gen-synthetic" else ["--model", "m.json", "--dataset", "d.qtsr"]
+    args += ["--sizes", "8"] if command == "sweep-profile-size" else []
+    rc = main([command, *args, "--out", str(tmp_path / "o"), "--seed", value])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert lines[0].startswith(f"usage: chanq {command}")
+    assert [ln for ln in lines if ln.startswith("error:")] == [
+        f"error: argument --seed: {value!r} is not a non-negative integer"]
+    assert not (tmp_path / "o").exists()
+
+
 class TestQuantizedFiles:
     def test_16bit_quantize_then_eval_keeps_codes(self, bundle, profiled, tmp_path):
         from chanq.graph import load_model

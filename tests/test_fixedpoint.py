@@ -1,5 +1,7 @@
 """Fixed-point primitive tests: worked examples plus exhaustive properties."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,10 +11,12 @@ from chanq.fixedpoint import (
     FL_MAX,
     FL_MIN,
     QFormat,
+    code_range,
     dequantize,
     fl_from_max,
     quantize,
     rounding_shift,
+    to_codes,
 )
 
 
@@ -36,6 +40,15 @@ class TestQuantize:
         # 0.25 scales to 0.5 -> ties to even (0); 0.75 scales to 1.5 -> 2
         assert quantize(0.25, q) == 0
         assert quantize(0.75, q) == 2
+
+    def test_widest_format_is_exact_and_wider_is_refused(self):
+        for signed, top in ((True, 2**52 - 1), (False, 2**53 - 1)):
+            q = QFormat(53, 0, signed)
+            assert q.max_code == top and int(quantize(1e30, q)) == top
+            assert int(quantize(-1e30, q)) == q.min_code == (-(2**52) if signed else 0)
+        for bw in (1, 54, 64):
+            with pytest.raises(ValueError, match=r"bit_width must be in \[2, 53\]"):
+                QFormat(bw, 0)
 
 
 class TestDequantize:
@@ -219,6 +232,63 @@ class TestRoundingShiftEdges:
         got = rounding_shift(acc[:, None], shift[:, None] + np.array([0, 1]))
         for k, (a, s) in enumerate(lanes):
             assert [int(v) for v in got[k]] == [_oracle_shift(a, s), _oracle_shift(a, s + 1)]
+
+
+def _oracle_codes(v: float, fl: int, lo, hi) -> float:
+    """Exact reference: Fraction rounds half to even, then saturate."""
+    return float(min(max(round(Fraction(v) * Fraction(2) ** fl), lo), hi))
+
+
+def _integer_inputs(fl: int) -> list[float]:
+    """Integer float64 inputs up to 2**53 for one fl: fixed and seeded values,
+    plus, at fl = -k < 0, exact ties odd * 2**(k - 1) and their neighbours."""
+    base = [0, 1, 2, 3, 5, 2**31 - 1, 2**52, 2**53 - 1, 2**53]
+    base += np.random.default_rng(fl + 93).integers(0, 2**53, 4, endpoint=True).tolist()
+    k = -fl
+    if k >= 1:
+        top = 2 ** (54 - k)  # odd * 2**(k - 1) <= 2**53
+        for odd in {1, 3, max(top - 1, 1)}:
+            if odd <= top:
+                tie = odd * 2 ** (k - 1)
+                base += [tie - 1, tie, tie + 1]
+    base = [v for v in base if v <= 2**53]
+    return [float(s * v) for v in base for s in (1, -1)]
+
+
+class TestToCodes:
+    RANGES = [code_range(bw, signed) for bw in (2, 16) for signed in (True, False)]
+
+    def test_matches_fraction_oracle_at_every_shift(self):
+        pairs = [(v, fl) for fl in range(-93, 94) for v in _integer_inputs(fl)]
+        v = np.array([p[0] for p in pairs])
+        fl = np.array([p[1] for p in pairs])
+        ties = [(x, f) for x, f in pairs if (Fraction(x) * Fraction(2) ** f).denominator == 2]
+        assert {f for _, f in ties} == set(range(-54, 0))  # every tie shift has ties of both signs
+        assert {x > 0 for x, _ in ties} == {True, False}
+        for lo, hi in [(-np.inf, np.inf)] + [(int(a), int(b)) for a, b in self.RANGES]:
+            got = to_codes(v, fl, lo, hi)
+            want = [_oracle_codes(x, f, lo, hi) for x, f in pairs]
+            assert got.dtype == np.float64
+            assert got.tolist() == want, (lo, hi)
+            if lo > -np.inf:  # both ends saturate somewhere
+                assert {lo, hi} <= set(want)
+
+    def test_out_aliases_the_input(self):
+        v = np.array([-3.5, -2.5, 0.5, 1.5, 2.5, 1e6])
+        fl = np.array([0, 0, 0, 0, 1, -3])
+        want = to_codes(v, fl, -128, 127)
+        got = to_codes(v, fl, -128, 127, out=v)
+        assert got is v
+        assert v.tolist() == want.tolist() == [-4.0, -2.0, 0.0, 2.0, 5.0, 127.0]
+
+    @pytest.mark.parametrize("v", [2.5, np.float64(-2.5), np.array(2.5)])
+    def test_zero_d_input(self, v):
+        got = to_codes(v, 0, -8, 7)
+        assert isinstance(got, np.ndarray) and got.ndim == 0 and got.dtype == np.float64
+        assert float(got) == _oracle_codes(float(v), 0, -8, 7)
+        assert to_codes(v, -1, 0, 3) == _oracle_codes(float(v), -1, 0, 3)
+        out = np.array(0.0)
+        assert to_codes(v, 4, -8, 7, out=out) is out and float(out) == (7.0 if v > 0 else -8.0)
 
 
 class TestExhaustiveProperties:

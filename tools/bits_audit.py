@@ -10,14 +10,17 @@ with gaussian inputs (40 samples of 8 x 8), it profiles the dataset at
 ``--batch`` 7 and 64 (six batches and one), solves and quantizes each of
 the 5 modes at 8 and 16 bits from each profile, evaluates each plan with
 its integer traces, and compares the modes at each bit width and batch.
+With heavy inputs it also sweeps the profiling size (8 and 16 samples, two
+draws each) at 8 bits.
 
 The manifest holds the sha256 of each file in the corpus under its path
 (the generated models and data, the stats, plans, weight blobs, eval
-reports, traces and compare reports), beside the environment that wrote
-them: the Python and numpy versions and numpy's enabled CPU features and
-dispatch targets. The solver's and the data generator's ``exp``, ``log``
-and ``power`` calls may round differently on another SIMD path, so
-hashes are compared only in the environment that wrote them.
+reports, traces, compare and sweep reports), beside the environment that
+wrote them: the Python and numpy versions and numpy's enabled CPU
+features and dispatch targets. The solver's and the data generator's
+``exp``, ``log`` and ``power`` calls may round differently on another
+SIMD path, so hashes are compared only in the environment that wrote
+them.
 
 ``--check`` exits 0 when every hash matches; 1 naming every file whose
 hash moved, or that appeared or vanished; 2 naming the environment fields
@@ -78,6 +81,9 @@ def build_corpus(root: Path) -> None:
                              "--bitwidth", bits, "--out", q)
                         _run("eval", *inputs, "--plan", q / "plan.json",
                              "--trace-out", q / "traces", "--out", q / "eval")
+            if family == "heavy":
+                _run("sweep-profile-size", *inputs, "--bitwidth", 8, "--sizes", "8,16",
+                     "--draws", 2, "--out", d / "sweep")
 
 
 def environment() -> dict:

@@ -391,9 +391,9 @@ def classify_pdf(features, model: KnnModel) -> list:
 
 
 def build_labeled_corpus(n_channels: int, seed: int, samples_per_channel: int = 20_000,
-                         bit_width: int = 8, scale_log2_range: tuple = (-4.0, 4.0)):
+                         bit_width: int = 8):
     """Synthetic labeled channels: half laplace, half heavy-tailed draws,
-    varied scales; labels from :func:`label_channel`.
+    scales 2**-4 to 2**4; labels from :func:`label_channel`.
 
     Returns (features [N, 5], labels list, true_families list).
     """
@@ -401,7 +401,7 @@ def build_labeled_corpus(n_channels: int, seed: int, samples_per_channel: int = 
     feats, labels, true = [], [], []
     for i in range(n_channels):
         family = LABEL_FAMILIES[i % 2]
-        sigma = 2.0 ** rng.uniform(*scale_log2_range)
+        sigma = 2.0 ** rng.uniform(-4.0, 4.0)
         model = pdfs.fit_pdf(0.0, sigma, family)
         samples = pdfs.sample(model, samples_per_channel, rng)
         stats = stats_from_samples(samples)

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensorops as ops
-from .tensorfile import _is_int, append_array, located, read_array, read_json, write_json
+from .tensorfile import (_is_int, append_array, json_array, located, read_array, read_json,
+                         write_json)
 
 LINEAR_KINDS = ("conv", "depthwise_conv", "fc")
 POOL_KINDS = ("maxpool", "avgpool")
@@ -269,12 +270,14 @@ def load_model(manifest_path, weights_path=None) -> Graph:
         blob = Path(weights_path).read_bytes()
         for i, nd in enumerate(doc["nodes"]):
             with located(GraphError, f"{manifest_path}: nodes[{i}]"):
+                if type(nd.get("attrs", {})) is not dict:
+                    raise ValueError(f"attrs must be an object, got {nd['attrs']!r}")
                 spec = LayerSpec(
                     name=nd["name"],
                     kind=nd["kind"],
-                    inputs=list(nd["inputs"]),
-                    outputs=list(nd["outputs"]),
-                    attrs=dict(nd.get("attrs", {})),
+                    inputs=json_array(nd["inputs"], str, "inputs", 1).tolist(),
+                    outputs=json_array(nd["outputs"], str, "outputs", 1).tolist(),
+                    attrs=nd.get("attrs", {}),
                 )
                 for role, ref in nd.get("params", {}).items():
                     pname = f"{spec.name}.{role}"

@@ -17,7 +17,7 @@ from . import flsolver
 from .fixedpoint import FL_MAX, FL_MIN, fl_from_max
 from .graph import LINEAR_KINDS, POOL_KINDS, Graph, walk
 from .profiling import ChannelStats, fold_records, standardized_moments
-from .tensorfile import _is_int, located
+from .tensorfile import json_array, located
 
 MODES = ("layerwise_max", "cw_max", "cw_laplace", "cw_scauchy", "cw_pdf_aware")
 # A bias fl is a kernel fl plus an input fl, and a shift a bias fl less an output fl.
@@ -105,8 +105,7 @@ class _PlanBuilder:
         if name not in self.stats:
             raise PlanError(f"missing profiling stats for tensor {name!r}")
         channels = self.g.channels(name)
-        kind = getattr(self.g.producer(name), "kind", None)  # None for the graph input
-        signed = not (kind == "relu" or self.g.feeds_only_relu(name))
+        signed = not self.g.feeds_only_relu(name)
         cs, layer_wide = self._record(name)
         if cs.n_channels != (1 if layer_wide else channels):
             raise PlanError(f"stats for tensor {name!r} have {cs.n_channels} channels, "
@@ -285,25 +284,6 @@ def plan_to_json(plan: QuantPlan) -> dict:
     }
 
 
-def _json_array(value, dtype) -> np.ndarray:
-    """A JSON list (nested, or a lone value) as an int64 or bool array; a
-    fraction, a boolean among integers or any other type raises ValueError."""
-    arr = np.asarray(value, dtype=object)
-    ok = _is_int if dtype is np.int64 else (lambda v: isinstance(v, bool))
-    for v in arr.flat:
-        if not ok(v):
-            raise ValueError(f"expected {'integers' if dtype is np.int64 else 'booleans'}, "
-                             f"got {v!r}")
-    return arr.astype(dtype)
-
-
-def _json_scalar(value, dtype):
-    arr = _json_array(value, dtype)
-    if arr.ndim:
-        raise ValueError(f"expected one value, got {value!r}")
-    return arr.item()
-
-
 def plan_from_json(doc: dict) -> QuantPlan:
     """Inverse of :func:`plan_to_json`; a missing key or a value of the
     wrong type (a fraction or a boolean where an integer belongs, too)
@@ -313,23 +293,23 @@ def plan_from_json(doc: dict) -> QuantPlan:
             raise PlanError(f"unsupported plan version {doc.get('version')}")
         if doc["mode"] not in MODES:
             raise PlanError(f"unknown plan mode {doc['mode']!r}")
-        plan = QuantPlan(mode=doc["mode"], bit_width=_json_scalar(doc["bit_width"], np.int64))
+        plan = QuantPlan(doc["mode"], json_array(doc["bit_width"], np.int64, "bit_width", 0).item())
         for name, td in doc["tensors"].items():
             with located(PlanError, f"plan tensor {name!r}"):
                 plan.tensors[name] = TensorFormat(
-                    fls=_json_array(td["fl"], np.int64),
-                    signed=_json_array(td["signed"], bool),
-                    layer_wide=_json_scalar(td["layer_wide"], bool),
+                    fls=json_array(td["fl"], np.int64, "fl"),
+                    signed=json_array(td["signed"], bool, "signed"),
+                    layer_wide=json_array(td["layer_wide"], bool, "layer_wide", 0).item(),
                 )
         for name, ld in doc["layers"].items():
             with located(PlanError, f"plan layer {name!r}"):
+                ints = {key: json_array(ld[key], np.int64, key)
+                        for key in ("ker_fl", "bias_fl", "shift", "comp_shift")}
                 plan.layers[name] = LayerPlan(
-                    ker_fl=_json_array(ld["ker_fl"], np.int64),
-                    bias_fl=_json_array(ld["bias_fl"], np.int64),
-                    shift=_json_array(ld["shift"], np.int64),
-                    comp_shift=_json_array(ld["comp_shift"], np.int64),
-                    ker_fl_layerwise=_json_scalar(ld["ker_fl_layerwise"], np.int64),
+                    **ints,
+                    ker_fl_layerwise=json_array(ld["ker_fl_layerwise"], np.int64,
+                                                "ker_fl_layerwise", 0).item(),
                     in_groups=None if ld["in_groups"] is None
-                    else _json_array(ld["in_groups"], np.int64),
+                    else json_array(ld["in_groups"], np.int64, "in_groups"),
                 )
     return plan

@@ -40,7 +40,7 @@ from math import comb, prod
 import numpy as np
 
 from .graph import Graph, execute_float
-from .tensorfile import located, read_json, write_json
+from .tensorfile import json_array, located, read_json, write_json
 
 MAX_ORDER = 6
 
@@ -215,9 +215,7 @@ class _Folds:
             minv, maxv = minv.min(keepdims=True), maxv.max(keepdims=True)
         n, sums, central = _central(shift, sums, pooled)
         m2 = central[2] / n
-        sigma = np.sqrt(np.maximum(m2, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nu2 = np.where(sigma > 0, m2 / sigma**2, np.nan)
+        nu2 = _standardized(m2, np.sqrt(np.maximum(m2, 0.0)), 2)
         return dict(minv=minv, maxv=maxv, max_abs=np.maximum(np.abs(minv), np.abs(maxv)),
                     mean=(shift[:1] if pooled else shift) + sums[1] / n, m2=m2, nu2=nu2)
 
@@ -227,11 +225,16 @@ class _Folds:
         n, _, central = _central(shift, np.concatenate([low, self.high[name]]), pooled)
         sigma = r.sigma
         m = {k: central[k] / n for k in range(3, MAX_ORDER + 1)}
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nu = {f"nu{k}": np.where(sigma > 0, m[k] / sigma**k, np.nan) for k in (4, 6)}
-            nu.update({f"nu{k}": np.where(sigma > 0, absums[i] / n / sigma**k, np.nan)
-                       for i, k in enumerate((1, 3, 5))})
+        nu = {f"nu{k}": _standardized(m[k], sigma, k) for k in (4, 6)}
+        nu.update({f"nu{k}": _standardized(absums[i] / n, sigma, k)
+                   for i, k in enumerate((1, 3, 5))})
         return dict(**{f"m{k}": v for k, v in m.items()}, **nu)
+
+
+def _standardized(x: np.ndarray, sigma: np.ndarray, k: int) -> np.ndarray:
+    """x / sigma**k where sigma > 0, else NaN: a standardized moment."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sigma > 0, x / sigma**k, np.nan)
 
 
 def _record(folds: _Folds, name: str, count: np.ndarray, pooled: bool) -> ChannelStats:
@@ -325,22 +328,19 @@ def _encode_array(a: np.ndarray) -> list:
     return [None if not np.isfinite(v) else float(v) for v in np.asarray(a, dtype=np.float64)]
 
 
-def _decode_array(name: str, vals) -> np.ndarray:
-    """A stats list: JSON numbers, null for NaN; anything else raises ValueError."""
-    for v in vals:
-        if v is not None and type(v) not in (int, float):  # bool is not int here
-            raise ValueError(f"{name} must hold numbers or null, got {v!r}")
-    return np.array([np.nan if v is None else v for v in vals], dtype=np.float64)
-
-
 def _encode_stats(cs: ChannelStats) -> dict:
     return {name: _encode_array(getattr(cs, name)) for name in _FIELD_NAMES}
 
 
-def _decode_stats(doc: dict) -> ChannelStats:
-    """One channel record; ValueError where no profile could have written it."""
-    kw = {name: _decode_array(name, doc[name]) for name in _FIELD_NAMES}
+def _decode_stats(doc: dict, pooled: bool) -> ChannelStats:
+    """One channel record; ValueError where no profile could have written it,
+    such as a field whose length is not count's (one, if ``pooled``)."""
+    kw = {name: json_array(doc[name], np.float64, name, 1) for name in _FIELD_NAMES}
     count = kw["count"]
+    for name, values in kw.items():
+        if len(values) != (1 if pooled else len(count)):
+            raise ValueError(f"pooled {name} holds {len(values)} values, not 1" if pooled else
+                             f"{name} holds {len(values)} values, count {len(count)}")
     if not np.all((count >= 0) & (count <= 2**53) & (count == np.floor(count))):  # NaN fails
         raise ValueError(f"count must hold whole numbers, got {count.tolist()}")
     if not np.all(kw["m2"] >= 0):
@@ -381,6 +381,6 @@ def load_stats(path) -> dict:
             raise StatsError(f"unsupported stats file version {doc.get('version')}")
         for name, td in doc["tensors"].items():
             with located(StatsError, f"stats of tensor {name!r}"):
-                stats[name] = TensorStats(td["kind"], _decode_stats(td["per_channel"]),
-                                          _decode_stats(td["pooled"]))
+                stats[name] = TensorStats(td["kind"], _decode_stats(td["per_channel"], False),
+                                          _decode_stats(td["pooled"], True))
     return stats

@@ -13,14 +13,14 @@ import numpy as np
 from .tensorfile import write_json
 
 
-def fmt_value(v, nd: int = 3) -> str:
+def fmt_value(v) -> str:
     if v is None:
         return "-"
     if isinstance(v, str):
         return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return f"{float(v):.{nd}f}"  # nan, inf and -inf print as such
+    return f"{float(v):.3f}"  # nan, inf and -inf print as such
 
 
 def render_table(headers: list, rows: list, title: str = "") -> str:

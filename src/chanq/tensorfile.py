@@ -6,9 +6,9 @@ dtype codes: 0=float32, 1=int8, 2=uint8, 3=int32. Data is row-major.
 
 A blob entry is an array at the byte ``{"offset", "len", "dims"}`` that a
 JSON document records, in ``weights.bin`` or ``qweights.bin``. Every JSON
-loader reads through :func:`read_json` and decodes inside :func:`located`,
-so a bad file ends in one line naming the file, node or tensor. This
-module imports nothing from chanq.
+loader reads through :func:`read_json`, types values with :func:`json_array`
+and decodes inside :func:`located`, so a bad file ends in one line naming
+the file, node or tensor. This module imports nothing from chanq.
 """
 
 from __future__ import annotations
@@ -93,6 +93,23 @@ def read_array(blob: bytes, ref: dict, dtype, what: str) -> np.ndarray:
         raise TensorFileError(f"{what}: {length} bytes at offset {offset} do not hold "
                               f"{n} {dtype.name} values in a {len(blob)}-byte blob")
     return np.frombuffer(blob, dtype, count=n, offset=offset).reshape(dims).copy()
+
+
+_JSON_KINDS = {np.int64: ("integers", (int,)), bool: ("booleans", (bool,)),
+               str: ("strings", (str,)), np.float64: ("numbers or null", (int, float, type(None)))}
+
+
+def json_array(value, dtype, name: str, ndim: int | None = None) -> np.ndarray:
+    """A JSON value or nested list as an array of ``dtype`` (null is a float NaN, a
+    bool no number); ValueError naming ``name`` for another kind or rank (``ndim``: 0 or 1)."""
+    arr = np.asarray(value, dtype=object)
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name} must be {('one value', 'a flat list')[ndim]}, got {value!r}")
+    kind, types = _JSON_KINDS[dtype]
+    for v in arr.flat:
+        if type(v) not in types:
+            raise ValueError(f"{name} must hold {kind}, got {v!r}")
+    return arr.astype(dtype)
 
 
 def read_json(path, error):

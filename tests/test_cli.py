@@ -623,6 +623,20 @@ class TestManifestFailsClosed:
                    "--plan", str(q / "plan.json"), "--out", str(tmp_path / "r")])
         self._assert_one_line(capsys, rc, "names must be strings")
 
+    # "outputs": "t1" loaded as ["t1"] and attrs as a list of pairs as an object,
+    # both with exit 0; "inputs": "input" was refused as "conv takes 1 input(s), got 5"
+    @pytest.mark.parametrize("key, words", [
+        ("inputs", "nodes[0]: malformed value (inputs must be a flat list, got 'input')"),
+        ("outputs", "nodes[0]: malformed value (outputs must be a flat list, got 't1')"),
+        ("attrs", "nodes[0]: malformed value (attrs must be an object, got [['pad', [1, 1]], "),
+    ])
+    def test_list_or_object_field(self, bundle, tmp_path, capsys, key, words):
+        def mutate(doc):
+            node = doc["nodes"][0]
+            node[key] = node[key][0] if key != "attrs" else [list(kv) for kv in node[key].items()]
+        model = self._model(bundle, tmp_path, mutate)
+        self._assert_one_line(capsys, self._profile(model, bundle, tmp_path), words)
+
     # the bundle's conv0 kernel is [4, 4, 3, 3], its fc4 weights [10, 144] and its
     # input [1, 4, 8, 8]; each case exited 2 with a line that named no node
     @pytest.mark.parametrize("mutate, words", [
@@ -696,14 +710,14 @@ class TestNumbersFailClosed:
         assert words in err
 
     @pytest.mark.parametrize("field, value, words", [
-        ("fl", 4.7, "expected integers, got 4.7"),
-        ("fl", True, "expected integers, got True"),
+        ("fl", 4.7, "fl must hold integers, got 4.7"),
+        ("fl", True, "fl must hold integers, got True"),
         ("fl", 40, "fl 40 outside [-31, 31]"),
         ("shift", -2000, "shift -2000 outside [-93, 93]"),
         ("comp_shift", -1, "comp_shift -1 outside [0, inf]"),
-        ("bias_fl", 0.5, "expected integers, got 0.5"),
-        ("signed", 1, "expected booleans, got 1"),
-        ("bit_width", 8.0, "expected integers, got 8.0"),
+        ("bias_fl", 0.5, "bias_fl must hold integers, got 0.5"),
+        ("signed", 1, "signed must hold booleans, got 1"),
+        ("bit_width", 8.0, "bit_width must hold integers, got 8.0"),
         ("bit_width", 64, "plan bit width 64 outside [2, 16]"),
         ("bit_width", 24, "plan bit width 24 outside [2, 16]"),
     ])
@@ -871,6 +885,30 @@ class TestNumbersFailClosed:
             warnings.simplefilter("error")  # no RuntimeWarning on the way to the message
             rc = main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(stats),
                        "--mode", "cw_max", "--out", str(tmp_path / "q")])
+        self._assert_one_line(capsys, rc, words)
+
+
+    # a short per-channel field ended cw_laplace in an IndexError (exit 3) and
+    # passed cw_max; a pooled record of two channels passed both
+    @pytest.mark.parametrize("mode", ["cw_max", "cw_laplace"])
+    @pytest.mark.parametrize("field, words", [
+        ("mean", "stats of tensor 't1': malformed value (mean holds 3 values, count 4)"),
+        ("nu4", "stats of tensor 't1': malformed value (nu4 holds 5 values, count 4)"),
+        ("pooled", "stats of tensor 't1': malformed value (pooled count holds 2 values, not 1)"),
+    ])
+    def test_stats_field_lengths(self, bundle, profiled, tmp_path, capsys, mode, field, words):
+        doc = json.loads(profiled.read_text())
+        t1 = doc["tensors"]["t1"]
+        if field == "mean":
+            t1["per_channel"]["mean"].pop()
+        elif field == "nu4":
+            t1["per_channel"]["nu4"].append(1.0)
+        else:
+            t1["pooled"] = {key: values * 2 for key, values in t1["pooled"].items()}
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(doc))
+        rc = main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(stats),
+                   "--mode", mode, "--out", str(tmp_path / "q")])
         self._assert_one_line(capsys, rc, words)
 
 

@@ -8,7 +8,9 @@ dims size allocations, and a large garbled one could ask for more memory
 than the test machine has. No field of ``stats.json`` or ``plan.json``
 sizes an allocation, so theirs also take +-10**400, past every float and
 int64. Each ``dims`` list of ``model.json`` is also reshaped, keeping its
-element count, so the blob check passes and the graph's shape rules judge it.
+element count, so the blob check passes and the graph's shape rules judge it,
+and each list of ``plan.json``, and of one activation's and one parameter's
+``stats.json`` records, is made one entry shorter and one longer.
 The synthetic manifest holds no batchnorm and spells out every stride and
 pad, so a second model (``conftest.bn_bundle``: a batchnorm, and a pool with
 neither) takes the same manifest garbling and weight-blob flips.
@@ -71,13 +73,20 @@ def _paths(doc, prefix=()):
     return out
 
 
-def _run(d: Path, command: str) -> tuple[int, str]:
+def _at(doc, path):
+    """The field of a JSON document at a key path."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _run(d: Path, command: str, mode: str) -> tuple[int, str]:
     model = ["--model", str(d / "model.json"), "--weights", str(d / "weights.bin")]
     argv = {
         "profile": ["profile", *model, "--dataset", str(d / "data.qtsr"),
                     "--out", str(d / "s.json")],
         "quantize": ["quantize", *model, "--stats", str(d / "stats.json"),
-                     "--mode", "cw_laplace", "--out", str(d / "q")],
+                     "--mode", mode, "--out", str(d / "q")],
         "eval": ["eval", *model, "--dataset", str(d / "data.qtsr"),
                  "--plan", str(d / "plan.json"), "--qweights", str(d / "qweights.bin"),
                  "--out", str(d / "report")],
@@ -101,19 +110,20 @@ def _reshapes(dims):
     return out
 
 
-def _check_every_reader(bundle, name, garble, words=None):
-    """Each reader runs (unless ``words`` is given) or exits 2 with one line
-    (holding ``words``, if given)."""
+def _check_every_reader(bundle, name, garble, words=None, modes=("cw_laplace",)):
+    """Each reader (``quantize`` in each of ``modes``) runs (unless ``words``
+    is given) or exits 2 with one line (holding ``words``, if given)."""
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         for f in FILES:
             shutil.copy(bundle / f, d / f)
         garble(d / name)
         for command in COMMANDS[name]:
-            rc, err = _run(d, command)
-            refused = rc == 2 and err.count("\n") == 1 and err.startswith("error: ")
-            assert (refused and words in err) if words else (rc == 0 or refused), \
-                (command, rc, err)
+            for mode in modes if command == "quantize" else modes[:1]:
+                rc, err = _run(d, command, mode)
+                refused = rc == 2 and err.count("\n") == 1 and err.startswith("error: ")
+                assert (refused and words in err) if words else (rc == 0 or refused), \
+                    (command, mode, rc, err)
 
 
 @pytest.mark.parametrize("name", ["model.json", "stats.json", "plan.json"])
@@ -138,10 +148,7 @@ def _replace_one_field(bundle, name):
     def check(path, value):
         def garble(p):
             new = json.loads(p.read_text())
-            node = new
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
+            _at(new, path[:-1])[path[-1]] = value
             p.write_text(json.dumps(new))
 
         _check_every_reader(bundle, name, garble)
@@ -181,15 +188,33 @@ def test_reshaped_dims(bundle):
         (("nodes", i, "params", role), f"node {node['name']}:")
         for i, node in enumerate(doc["nodes"]) for role in node["params"]]
     for path, words in entries:
-        def entry(doc):
-            for key in path:
-                doc = doc[key]
-            return doc
-
-        for dims in _reshapes(entry(doc)["dims"]):
+        for dims in _reshapes(_at(doc, path)["dims"]):
             def garble(p):
                 new = json.loads(p.read_text())
-                entry(new)["dims"] = dims
+                _at(new, path)["dims"] = dims
                 p.write_text(json.dumps(new))
 
             _check_every_reader(bundle, "model.json", garble, words)
+
+
+@pytest.mark.parametrize("name", ["stats.json", "plan.json"])
+def test_list_lengths(bundle, name):
+    # every list of the plan, and of one activation's and one parameter's
+    # stats, one entry shorter and one longer (its last entry again): each
+    # reader refuses it naming the list's tensor, layer or node; a short stats
+    # field once ended cw_laplace in an IndexError and passed cw_max
+    doc = json.loads((bundle / name).read_text())
+    roots = [("tensors", "t1"), ("tensors", "conv0.weight")] if name == "stats.json" else [()]
+    for root in roots:
+        for path in _paths(_at(doc, root), root):
+            if not isinstance(_at(doc, path), list):
+                continue
+            for edit in (lambda v: v[:-1], lambda v: v + v[-1:]):
+                def garble(p):
+                    new = json.loads(p.read_text())
+                    _at(new, path[:-1])[path[-1]] = edit(_at(new, path))
+                    p.write_text(json.dumps(new))
+
+                # a stats path names its tensor, a plan path its tensor, layer or node
+                _check_every_reader(bundle, name, garble, repr(path[1]),
+                                    ("cw_laplace", "cw_max", "cw_pdf_aware"))

@@ -263,33 +263,26 @@ def load_model(manifest_path, weights_path=None) -> Graph:
         if doc.get("version") != 1:
             raise GraphError(f"{manifest_path}: unsupported manifest version {doc.get('version')}")
         if weights_path is None:
-            rel = doc.get("weights")
-            if rel is None:
-                raise GraphError(f"{manifest_path}: no weights file given or referenced")
+            rel = json_array(doc["weights"], str, "weights", 0).item()
             weights_path = manifest_path.parent / rel
         blob = Path(weights_path).read_bytes()
-        for i, nd in enumerate(doc["nodes"]):
+        for i, nd in enumerate(json_array(doc["nodes"], dict, "nodes", 1)):
             with located(GraphError, f"{manifest_path}: nodes[{i}]"):
-                if type(nd.get("attrs", {})) is not dict:
-                    raise ValueError(f"attrs must be an object, got {nd['attrs']!r}")
                 spec = LayerSpec(
                     name=nd["name"],
                     kind=nd["kind"],
                     inputs=json_array(nd["inputs"], str, "inputs", 1).tolist(),
                     outputs=json_array(nd["outputs"], str, "outputs", 1).tolist(),
-                    attrs=nd.get("attrs", {}),
+                    attrs=json_array(nd.get("attrs", {}), dict, "attrs", 0).item(),
                 )
-                for role, ref in nd.get("params", {}).items():
+                for role, ref in json_array(nd.get("params", {}), dict, "params", 0).item().items():
                     pname = f"{spec.name}.{role}"
                     params[pname] = read_array(blob, ref, "<f4", f"node {spec.name!r} {role}")
                     spec.params[role] = pname
             nodes.append(spec)
-        g = Graph(
-            input_name=doc["input"]["name"],
-            input_dims=tuple(doc["input"]["dims"]),
-            nodes=nodes,
-            params=params,
-        )
+        inp = json_array(doc["input"], dict, "input", 0).item()
+        dims = tuple(json_array(inp["dims"], np.int64, "input dims", 1).tolist())
+        g = Graph(input_name=inp["name"], input_dims=dims, nodes=nodes, params=params)
     return validate(g)
 
 

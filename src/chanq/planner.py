@@ -294,15 +294,17 @@ def plan_from_json(doc: dict) -> QuantPlan:
         if doc["mode"] not in MODES:
             raise PlanError(f"unknown plan mode {doc['mode']!r}")
         plan = QuantPlan(doc["mode"], json_array(doc["bit_width"], np.int64, "bit_width", 0).item())
-        for name, td in doc["tensors"].items():
+        for name, td in json_array(doc["tensors"], dict, "tensors", 0).item().items():
             with located(PlanError, f"plan tensor {name!r}"):
+                td = json_array(td, dict, "entry", 0).item()
                 plan.tensors[name] = TensorFormat(
                     fls=json_array(td["fl"], np.int64, "fl"),
                     signed=json_array(td["signed"], bool, "signed"),
                     layer_wide=json_array(td["layer_wide"], bool, "layer_wide", 0).item(),
                 )
-        for name, ld in doc["layers"].items():
+        for name, ld in json_array(doc["layers"], dict, "layers", 0).item().items():
             with located(PlanError, f"plan layer {name!r}"):
+                ld = json_array(ld, dict, "entry", 0).item()
                 ints = {key: json_array(ld[key], np.int64, key)
                         for key in ("ker_fl", "bias_fl", "shift", "comp_shift")}
                 plan.layers[name] = LayerPlan(

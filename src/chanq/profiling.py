@@ -332,9 +332,10 @@ def _encode_stats(cs: ChannelStats) -> dict:
     return {name: _encode_array(getattr(cs, name)) for name in _FIELD_NAMES}
 
 
-def _decode_stats(doc: dict, pooled: bool) -> ChannelStats:
+def _decode_stats(doc, pooled: bool) -> ChannelStats:
     """One channel record; ValueError where no profile could have written it,
     such as a field whose length is not count's (one, if ``pooled``)."""
+    doc = json_array(doc, dict, "pooled" if pooled else "per_channel", 0).item()
     kw = {name: json_array(doc[name], np.float64, name, 1) for name in _FIELD_NAMES}
     count = kw["count"]
     for name, values in kw.items():
@@ -379,8 +380,11 @@ def load_stats(path) -> dict:
     with located(StatsError, "stats file"):
         if doc.get("version") != 1:
             raise StatsError(f"unsupported stats file version {doc.get('version')}")
-        for name, td in doc["tensors"].items():
+        for name, td in json_array(doc["tensors"], dict, "tensors", 0).item().items():
             with located(StatsError, f"stats of tensor {name!r}"):
+                td = json_array(td, dict, "record", 0).item()
+                if td["kind"] not in ("activation", "parameter"):
+                    raise ValueError(f"kind must be activation or parameter, got {td['kind']!r}")
                 stats[name] = TensorStats(td["kind"], _decode_stats(td["per_channel"], False),
                                           _decode_stats(td["pooled"], True))
     return stats

@@ -33,7 +33,7 @@ from .fixedpoint import INT32_MAX, INT32_MIN, code_range, rounding_shift, to_cod
 from .graph import LINEAR_KINDS, POOL_KINDS, Graph, GraphError, forward
 from .planner import (LayerPlan, PlanError, QuantPlan, TensorFormat, _check_range, check_plan,
                       plan_from_json, plan_to_json)
-from .tensorfile import append_array, located, read_array, read_json, write_json
+from .tensorfile import append_array, json_array, located, read_array, read_json, write_json
 from .tensorops import _col_blocks, _conv_cols, _tap_reduce, _windows
 
 
@@ -288,10 +288,11 @@ def save_quantized(qg: QuantizedGraph, plan_path, blob_path) -> None:
     Path(blob_path).write_bytes(bytes(blob))
 
 
-def _read_codes(blob: bytes, ref: dict, dtype, dims: list, what: str) -> np.ndarray:
-    if ref["dims"] != dims:
-        raise PlanError(f"{what}: plan stores dims {ref['dims']}, the graph has {dims}")
-    return read_array(blob, ref, dtype, what).astype(np.int64)
+def _read_codes(blob: bytes, ref, dtype, dims: list, what: str) -> np.ndarray:
+    codes = read_array(blob, ref, dtype, what)
+    if list(codes.shape) != dims:
+        raise PlanError(f"{what}: plan stores dims {list(codes.shape)}, the graph has {dims}")
+    return codes.astype(np.int64)
 
 
 def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
@@ -304,19 +305,16 @@ def load_quantized(g: Graph, plan_path, blob_path) -> QuantizedGraph:
     plan = plan_from_json(doc)
     check_plan(g, plan)
     blob = Path(blob_path).read_bytes()
-    qparams = doc.get("qparams", {})
-    if not isinstance(qparams, dict):
-        raise PlanError(f"plan qparams must be an object, got {qparams!r}")
+    with located(PlanError, "plan"):
+        qparams = json_array(doc["qparams"], dict, "qparams", 0).item()
     kernels, biases = {}, {}
     kq_lo, kq_hi = code_range(plan.bit_width)
     for node in g.nodes:
         if node.kind not in LINEAR_KINDS:
             continue
-        if node.name not in qparams:
-            raise PlanError(f"plan has no quantized parameters for node {node.name!r}")
         dims = list(g.params[node.params["weight"]].shape)
         with located(PlanError, f"quantized parameters of node {node.name!r}"):
-            ref = qparams[node.name]
+            ref = json_array(qparams[node.name], dict, "entry", 0).item()
             kernels[node.name] = _read_codes(blob, ref["kernel"], _kernel_dtype(plan.bit_width),
                                              dims, f"node {node.name!r} kernel")
             biases[node.name] = _read_codes(blob, ref["bias"], "<i4", dims[:1],

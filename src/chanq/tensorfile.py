@@ -6,9 +6,9 @@ dtype codes: 0=float32, 1=int8, 2=uint8, 3=int32. Data is row-major.
 
 A blob entry is an array at the byte ``{"offset", "len", "dims"}`` that a
 JSON document records, in ``weights.bin`` or ``qweights.bin``. Every JSON
-loader reads through :func:`read_json`, types values with :func:`json_array`
-and decodes inside :func:`located`, so a bad file ends in one line naming
-the file, node or tensor. This module imports nothing from chanq.
+loader reads an object through :func:`read_json`, types each object and value
+with :func:`json_array` and decodes inside :func:`located`, so a bad file ends
+in one line naming the file, node or tensor. This module imports nothing from chanq.
 """
 
 from __future__ import annotations
@@ -76,18 +76,16 @@ def append_array(blob: bytearray, arr: np.ndarray) -> dict:
     return ref
 
 
-def read_array(blob: bytes, ref: dict, dtype, what: str) -> np.ndarray:
-    """A copy of the ``dtype`` array at the entry ``ref`` of ``blob``;
-    TensorFileError naming ``what`` unless offset, len and each dim are
-    non-negative integers (no booleans), len is the element count times
-    the itemsize, and the bytes lie inside the blob."""
+def read_array(blob: bytes, ref, dtype, what: str) -> np.ndarray:
+    """A copy of the ``dtype`` array at the entry ``ref`` of ``blob``; ValueError naming
+    ``what`` unless ``ref`` is an object of non-negative integers (``offset``, ``len`` and the
+    list ``dims``), len is the element count times the itemsize and the bytes lie in the blob."""
     dtype = np.dtype(dtype)
-    offset, length, dims = ref["offset"], ref["len"], ref["dims"]
-    for key, value in (("offset", offset), ("len", length)):
-        if not _is_int(value) or value < 0:
-            raise TensorFileError(f"{what}: {key} {value!r} is not a non-negative integer")
-    if not isinstance(dims, list) or not all(_is_int(d) and d >= 0 for d in dims):
-        raise TensorFileError(f"{what}: dims {dims!r} is not a list of non-negative integers")
+    ref = json_array(ref, dict, what, 0).item()
+    offset, length, dims = (json_array(ref[key], np.int64, f"{what} {key}", ndim).tolist()
+                            for key, ndim in (("offset", 0), ("len", 0), ("dims", 1)))
+    if min(offset, length, *dims) < 0:
+        raise TensorFileError(f"{what}: offset {offset}, len {length} and dims {dims} must be >= 0")
     n = math.prod(dims)  # a Python int: garbled dims cannot wrap
     if length != n * dtype.itemsize or offset + length > len(blob):
         raise TensorFileError(f"{what}: {length} bytes at offset {offset} do not hold "
@@ -96,26 +94,33 @@ def read_array(blob: bytes, ref: dict, dtype, what: str) -> np.ndarray:
 
 
 _JSON_KINDS = {np.int64: ("integers", (int,)), bool: ("booleans", (bool,)),
-               str: ("strings", (str,)), np.float64: ("numbers or null", (int, float, type(None)))}
+               str: ("strings", (str,)), np.float64: ("numbers or null", (int, float, type(None))),
+               dict: ("objects", (dict,))}
+_F64_MAX = int(np.finfo(np.float64).max)
+_INT_RANGES = {np.int64: range(-2**63, 2**63), np.float64: range(-_F64_MAX, _F64_MAX + 1)}
 
 
 def json_array(value, dtype, name: str, ndim: int | None = None) -> np.ndarray:
-    """A JSON value or nested list as an array of ``dtype`` (null is a float NaN, a
-    bool no number); ValueError naming ``name`` for another kind or rank (``ndim``: 0 or 1)."""
+    """A JSON value or nested list as an array of ``dtype`` (null is a float NaN, a bool no number,
+    ``dict`` an object); ValueError naming ``name`` for another kind or rank (``ndim``: 0 or 1)."""
+    kind, types = _JSON_KINDS[dtype]
+    if dtype is dict and ndim == 0 and type(value) is not dict:
+        raise ValueError(f"{name} must be an object, got {value!r}")
     arr = np.asarray(value, dtype=object)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {('one value', 'a flat list')[ndim]}, got {value!r}")
-    kind, types = _JSON_KINDS[dtype]
     for v in arr.flat:
         if type(v) not in types:
             raise ValueError(f"{name} must hold {kind}, got {v!r}")
+        if type(v) is int and v not in _INT_RANGES[dtype]:
+            raise ValueError(f"{name} holds {v}, past {np.dtype(dtype).name}")
     return arr.astype(dtype)
 
 
-def read_json(path, error):
-    """The JSON document at ``path``; ``error`` naming the file if it does not parse."""
+def read_json(path, error) -> dict:
+    """The JSON object at ``path``; ``error`` naming the file if it holds another value."""
     try:
-        return json.loads(Path(path).read_text())
+        return json_array(json.loads(Path(path).read_text()), dict, "document", 0).item()
     except (OSError, ValueError, RecursionError) as e:  # RecursionError: arrays nested too deep
         raise error(f"cannot parse {path}: {e}") from None
 
@@ -126,9 +131,9 @@ def write_json(path, doc, indent: int = 1) -> None:
 
 @contextmanager
 def located(error, where: str):
-    """Raise ``error`` for a bad field decoded in the block: ``{where}:
-    missing key ...`` or ``{where}: malformed value (...)``; a
-    TensorFileError, which names its entry, keeps its message."""
+    """Raise ``error`` for a bad field decoded in the block: ``{where}: missing key ...``
+    or, for a ValueError such as :func:`json_array`'s, ``{where}: malformed value (...)``;
+    a TensorFileError, which names its entry, keeps its message."""
     try:
         yield
     except error:
@@ -137,5 +142,5 @@ def located(error, where: str):
         raise error(str(e)) from None
     except KeyError as e:
         raise error(f"{where}: missing key {e.args[0]!r}") from None
-    except (TypeError, AttributeError, ValueError, OverflowError) as e:
+    except ValueError as e:
         raise error(f"{where}: malformed value ({e})") from None

@@ -325,9 +325,12 @@ class TestQuantizedFiles:
         assert rc == 2
         assert err.count("\n") == 1 and "byte blob" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("part, offset", [("kernel", -4), ("bias", True)])
+    @pytest.mark.parametrize("part, offset, words", [
+        ("kernel", -4, "node 'conv0' kernel: offset -4, len 144 and dims [4, 4, 3, 3] must be >= 0"),
+        ("bias", True, "node 'conv0' bias offset must hold integers, got True"),
+    ], ids=["kernel--4", "bias-True"])
     def test_bad_qparams_offset_is_data_error(self, bundle, profiled, tmp_path, capsys, part,
-                                              offset):
+                                              offset, words):
         # a negative offset reached numpy's frombuffer; a boolean one was read as byte 1
         q = tmp_path / "q"
         assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
@@ -343,7 +346,7 @@ class TestQuantizedFiles:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert f"node {node!r} {part}: offset {offset!r} is not a non-negative integer" in err
+        assert words in err
 
 
 class TestCompareAndSweep:
@@ -814,9 +817,9 @@ class TestNumbersFailClosed:
         rc = self._eval_edited_plan(bundle, tmp_path, capsys, edit)
         self._assert_one_line(capsys, rc, "fc input groups are not 0 contiguous blocks")
 
-    def _profile_edited_entry(self, bundle, tmp_path, capsys, key, value):
+    def _profile_edited_entry(self, bundle, tmp_path, capsys, key, value, words):
         """Set ``key`` of the first node's weight entry in the manifest to
-        ``value`` and profile; asserts the blob entry's one-line message."""
+        ``value`` and profile; asserts the one line holds ``words``."""
         doc = json.loads((bundle / "model.json").read_text())
         ref = doc["nodes"][0]["params"]["weight"]
         ref[key] = value
@@ -824,34 +827,42 @@ class TestNumbersFailClosed:
         (tmp_path / "weights.bin").write_bytes((bundle / "weights.bin").read_bytes())
         rc = main(["profile", "--model", str(tmp_path / "model.json"),
                    "--dataset", str(bundle / "data.qtsr"), "--out", str(tmp_path / "s.json")])
-        what = f"node {doc['nodes'][0]['name']!r} weight: {key} {value!r} is not a "
-        self._assert_one_line(capsys, rc, what + ("list of non-negative integers" if key == "dims"
-                                                  else "non-negative integer"))
+        self._assert_one_line(capsys, rc, words)
 
-    @pytest.mark.parametrize("key, value", [("offset", 4.5), ("len", True), ("dims", [2.0, 4])])
-    def test_manifest_number(self, bundle, tmp_path, capsys, key, value):
-        if key == "dims":
-            value = value + json.loads((bundle / "model.json").read_text()
-                                       )["nodes"][0]["params"]["weight"]["dims"][2:]
-        self._profile_edited_entry(bundle, tmp_path, capsys, key, value)
+    # the conv0 weight entry of the bundle is {"offset": 16, "len": 576, "dims": [4, 4, 3, 3]}
+    @pytest.mark.parametrize("key, value, words", [
+        ("offset", 4.5, "nodes[0]: malformed value (node 'conv0' weight offset must hold "
+                        "integers, got 4.5)"),
+        ("len", True, "nodes[0]: malformed value (node 'conv0' weight len must hold integers, "
+                      "got True)"),
+        ("dims", [2.0, 4, 3, 3], "nodes[0]: malformed value (node 'conv0' weight dims must hold "
+                                 "integers, got 2.0)"),
+    ], ids=["offset-4.5", "len-True", "dims-value2"])
+    def test_manifest_number(self, bundle, tmp_path, capsys, key, value, words):
+        self._profile_edited_entry(bundle, tmp_path, capsys, key, value, words)
 
-    @pytest.mark.parametrize("key", ["offset", "len"])
-    def test_manifest_negative_offset_or_len(self, bundle, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key, words", [
+        ("offset", "node 'conv0' weight: offset -4, len 576 and dims [4, 4, 3, 3] must be >= 0"),
+        ("len", "node 'conv0' weight: offset 16, len -4 and dims [4, 4, 3, 3] must be >= 0"),
+    ], ids=["offset", "len"])
+    def test_manifest_negative_offset_or_len(self, bundle, tmp_path, capsys, key, words):
         # a negative offset reached numpy's frombuffer, whose message names no node
-        self._profile_edited_entry(bundle, tmp_path, capsys, key, -4)
+        self._profile_edited_entry(bundle, tmp_path, capsys, key, -4, words)
 
     def test_manifest_negative_dims(self, bundle, tmp_path, capsys):
         # [-1, -n] has the element count n and passed the length check; numpy's
         # reshape then said "can only specify one unknown dimension"
-        n = int(np.prod(json.loads((bundle / "model.json").read_text()
-                                   )["nodes"][0]["params"]["weight"]["dims"]))
-        self._profile_edited_entry(bundle, tmp_path, capsys, "dims", [-1, -n])
+        self._profile_edited_entry(bundle, tmp_path, capsys, "dims", [-1, -144],
+                                   "node 'conv0' weight: offset 16, len 576 and dims [-1, -144] "
+                                   "must be >= 0")
 
     @pytest.mark.parametrize("field, words", [
         ("count", "count must hold whole numbers"),
         ("count_fraction", "count must hold whole numbers"),
-        # a traceback and exit 1: the OverflowError of float(10**400) was not caught
-        ("count_10e400", "stats of tensor 't1': malformed value (int too large to convert"),
+        # a traceback and exit 1: the OverflowError of float(10**400) was not caught;
+        # then Python's "int too large to convert to float"
+        pytest.param("count_10e400", f"stats of tensor 't1': malformed value (count holds "
+                     f"1{'0' * 400}, past float64)", id="count_10e400-past float64"),
         ("m2", "m2 must be >= 0"),
         ("minv", "minv exceeds maxv"),
         # strings and booleans were read through float() and quantized with exit 0
@@ -910,6 +921,79 @@ class TestNumbersFailClosed:
         rc = main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(stats),
                    "--mode", mode, "--out", str(tmp_path / "q")])
         self._assert_one_line(capsys, rc, words)
+
+
+class TestWrongTypesNameTheField:
+    """A JSON object, list or string of the wrong type, or an integer past
+    int64 or float64, exits 2 with one line naming the field and its node,
+    tensor or layer. Each case but ``stats_kind`` exited 2 before, in
+    Python's words or quoting a list the file does not hold."""
+
+    @staticmethod
+    def _edit(path, at, value):
+        """Set the field at the key path ``at`` of the JSON file ``path`` (the
+        whole document for ``()``) to ``value``, or to ``value(old)``."""
+        doc = {"": json.loads(path.read_text())}
+        at = ("",) + at
+        parent = doc
+        for key in at[:-1]:
+            parent = parent[key]
+        parent[at[-1]] = value(parent[at[-1]]) if callable(value) else value
+        path.write_text(json.dumps(doc[""]))
+
+    @pytest.mark.parametrize("name, at, value, words", [
+        # input dims must be [N, D] or [N, C, H, W], ..., got ['1', '2', '6', '6']
+        ("model.json", ("input", "dims"), "1266",
+         "model.json: malformed value (input dims must be a flat list, got '1266')"),
+        # nodes[0]: malformed value ('list' object has no attribute 'items')
+        ("model.json", ("nodes", 0, "params"), lambda old: [list(kv) for kv in old.items()],
+         "nodes[0]: malformed value (params must be an object, got [['bias', {"),
+        # 'list' object has no attribute 'get'
+        ("model.json", ("nodes", 0), lambda old: [old["name"], old["kind"]],
+         "model.json: malformed value (nodes must hold objects, got ['conv0', 'conv'])"),
+        # list indices must be integers or slices, not str
+        ("model.json", ("input",), [], "model.json: malformed value (input must be an object, "
+                                       "got [])"),
+        # unsupported operand type(s) for /: 'PosixPath' and 'int'
+        ("model.json", ("weights",), 5,
+         "model.json: malformed value (weights must hold strings, got 5)"),
+        # 'list' object has no attribute 'get'
+        ("model.json", (), lambda old: [old], "model.json: document must be an object, got [{"),
+        # list indices must be integers or slices, not str
+        ("plan.json", ("qparams", "conv0"), lambda old: [old["kernel"], old["bias"]],
+         "quantized parameters of node 'conv0': malformed value (entry must be an object, "
+         "got [{"),
+        # Python int too large to convert to C long
+        ("plan.json", ("tensors", "input", "fl", 0), 10**20,
+         "plan tensor 'input': malformed value (fl holds 100000000000000000000, past int64)"),
+        # int too large to convert to float
+        ("stats.json", ("tensors", "t1", "per_channel", "m2", 0), 10**400,
+         f"stats of tensor 't1': malformed value (m2 holds 1{'0' * 400}, past float64)"),
+        # exit 0: the kind was never read
+        ("stats.json", ("tensors",),
+         lambda old: {t: {**rec, "kind": [1, {"x": None}]} for t, rec in old.items()},
+         "malformed value (kind must be activation or parameter, got [1, {'x': None}])"),
+    ], ids=["input_dims_string", "params_pairs", "node_list", "input_list", "weights_int",
+            "manifest_list", "qparams_entry_list", "fl_10e20", "m2_10e400", "stats_kind"])
+    def test_refused(self, bundle, profiled, tmp_path, capsys, name, at, value, words):
+        q = tmp_path / "q"
+        assert main(["quantize", "--model", str(bundle / "model.json"), "--stats", str(profiled),
+                     "--mode", "cw_max", "--out", str(q)]) == 0
+        for f in ("model.json", "weights.bin"):
+            (tmp_path / f).write_bytes((bundle / f).read_bytes())
+        (tmp_path / "stats.json").write_text(profiled.read_text())
+        self._edit(q / name if name == "plan.json" else tmp_path / name, at, value)
+        capsys.readouterr()
+        model = ["--model", str(tmp_path / "model.json")]  # the manifest names its blob
+        rc = main({
+            "model.json": ["profile", *model, "--dataset", str(bundle / "data.qtsr"),
+                           "--out", str(tmp_path / "s.json")],
+            "stats.json": ["quantize", *model, "--stats", str(tmp_path / "stats.json"),
+                           "--mode", "cw_pdf_aware", "--out", str(tmp_path / "q2")],
+            "plan.json": ["eval", *model, "--dataset", str(bundle / "data.qtsr"),
+                          "--plan", str(q / "plan.json"), "--out", str(tmp_path / "r")],
+        }[name])
+        TestNumbersFailClosed._assert_one_line(capsys, rc, words)
 
 
 class TestBatchnormFailsClosed:

@@ -10,7 +10,9 @@ sizes an allocation, so theirs also take +-10**400, past every float and
 int64. Each ``dims`` list of ``model.json`` is also reshaped, keeping its
 element count, so the blob check passes and the graph's shape rules judge it,
 and each list of ``plan.json``, and of one activation's and one parameter's
-``stats.json`` records, is made one entry shorter and one longer.
+``stats.json`` records, is made one entry shorter and one longer. Every
+object of the three JSON documents is also replaced by a list, a string and
+null, and every list by an object. No refusal may quote Python's own errors.
 The synthetic manifest holds no batchnorm and spells out every stride and
 pad, so a second model (``conftest.bn_bundle``: a batchnorm, and a pool with
 neither) takes the same manifest garbling and weight-blob flips.
@@ -46,6 +48,10 @@ JSON_VALUES = st.one_of(
 )
 
 BIG_VALUES = st.one_of(JSON_VALUES, st.sampled_from([10**400, -10**400]))
+
+# Python's own error wording: a refusal holding it names no field
+PYTHON_WORDING = ("has no attribute", "indices must be", "unsupported operand",
+                  "too large to convert", "not subscriptable")
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -112,7 +118,9 @@ def _reshapes(dims):
 
 def _check_every_reader(bundle, name, garble, words=None, modes=("cw_laplace",)):
     """Each reader (``quantize`` in each of ``modes``) runs (unless ``words``
-    is given) or exits 2 with one line (holding ``words``, if given)."""
+    is given) or exits 2 with one line (holding ``words``, or each of a tuple
+    of them, if given) in chanq's words, not Python's."""
+    words = (words,) if isinstance(words, str) else words
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         for f in FILES:
@@ -122,8 +130,9 @@ def _check_every_reader(bundle, name, garble, words=None, modes=("cw_laplace",))
             for mode in modes if command == "quantize" else modes[:1]:
                 rc, err = _run(d, command, mode)
                 refused = rc == 2 and err.count("\n") == 1 and err.startswith("error: ")
-                assert (refused and words in err) if words else (rc == 0 or refused), \
-                    (command, mode, rc, err)
+                assert (refused and all(w in err for w in words)) if words else \
+                    (rc == 0 or refused), (command, mode, rc, err)
+                assert not any(w in err for w in PYTHON_WORDING), (command, mode, err)
 
 
 @pytest.mark.parametrize("name", ["model.json", "stats.json", "plan.json"])
@@ -218,3 +227,40 @@ def test_list_lengths(bundle, name):
                 # a stats path names its tensor, a plan path its tensor, layer or node
                 _check_every_reader(bundle, name, garble, repr(path[1]),
                                     ("cw_laplace", "cw_max", "cw_pdf_aware"))
+
+
+@pytest.mark.parametrize("name", ["model.json", "plan.json", "stats.json"])
+def test_type_swaps(bundle, name):
+    # every object replaced by a list, a string and null, and every list but the
+    # rows of a numeric one by an object: each reader refuses it naming the field
+    # and its node, tensor or layer; a node's params as a list once read as
+    # "'list' object has no attribute 'items'"
+    doc = json.loads((bundle / name).read_text())
+    for path in _paths(doc):
+        value = _at(doc, path)
+        if isinstance(value, dict):
+            swaps = [[], "x", None]
+        elif isinstance(value, list) and not isinstance(_at(doc, path[:-1]), list):
+            swaps = [{}]
+        else:
+            continue
+        for swap in swaps:
+            def garble(p):
+                new = json.loads(p.read_text())
+                _at(new, path[:-1])[path[-1]] = swap
+                p.write_text(json.dumps(new))
+
+            _check_every_reader(bundle, name, garble, _named(doc, name, path))
+
+
+def _named(doc, name, path):
+    """The words a refusal of the field at ``path`` holds: the field (a list
+    entry's list) and, below the top level, its node, tensor or layer."""
+    field = path[-1] if isinstance(path[-1], str) else path[-2]
+    if name != "model.json":  # plan tensor 't1', plan layer 'conv0', stats of tensor 't1'
+        return (field, repr(path[1])) if len(path) > 1 else (field,)
+    if len(path) < 3:  # the input, its dims, the node list or one node
+        return (field,)
+    if path[2] == "attrs" and len(path) > 3:  # an attribute is judged at validation
+        return field, f"node {doc['nodes'][path[1]]['name']}:"
+    return field, f"nodes[{path[1]}]"

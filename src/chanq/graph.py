@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensorops as ops
-from .tensorfile import (_is_int, append_array, json_array, located, read_array, read_json,
-                         write_json)
+from .tensorfile import (_is_int, append_array, json_array, located, quoted, read_array,
+                         read_json, write_json)
 
 LINEAR_KINDS = ("conv", "depthwise_conv", "fc")
 POOL_KINDS = ("maxpool", "avgpool")
@@ -266,8 +266,11 @@ def load_model(manifest_path, weights_path=None) -> Graph:
             rel = json_array(doc["weights"], str, "weights", 0).item()
             weights_path = manifest_path.parent / rel
         blob = Path(weights_path).read_bytes()
-        for i, nd in enumerate(json_array(doc["nodes"], dict, "nodes", 1)):
+        if type(doc["nodes"]) is not list:
+            raise ValueError(f"nodes must be a list, got {quoted(doc['nodes'])}")
+        for i, nd in enumerate(doc["nodes"]):
             with located(GraphError, f"{manifest_path}: nodes[{i}]"):
+                nd = json_array(nd, dict, "node", 0).item()
                 spec = LayerSpec(
                     name=nd["name"],
                     kind=nd["kind"],

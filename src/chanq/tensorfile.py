@@ -100,18 +100,23 @@ _F64_MAX = int(np.finfo(np.float64).max)
 _INT_RANGES = {np.int64: range(-2**63, 2**63), np.float64: range(-_F64_MAX, _F64_MAX + 1)}
 
 
+def quoted(value) -> str:  # a JSON value as a refusal quotes it: containers by their length
+    kind = {list: "a list", dict: "an object"}.get(type(value))
+    return f"{kind} of length {len(value)}" if kind else repr(value)
+
+
 def json_array(value, dtype, name: str, ndim: int | None = None) -> np.ndarray:
     """A JSON value or nested list as an array of ``dtype`` (null is a float NaN, a bool no number,
     ``dict`` an object); ValueError naming ``name`` for another kind or rank (``ndim``: 0 or 1)."""
     kind, types = _JSON_KINDS[dtype]
     if dtype is dict and ndim == 0 and type(value) is not dict:
-        raise ValueError(f"{name} must be an object, got {value!r}")
+        raise ValueError(f"{name} must be an object, got {quoted(value)}")
     arr = np.asarray(value, dtype=object)
     if ndim is not None and arr.ndim != ndim:
-        raise ValueError(f"{name} must be {('one value', 'a flat list')[ndim]}, got {value!r}")
+        raise ValueError(f"{name} must be {('one value', 'a flat list')[ndim]}, got {quoted(value)}")
     for v in arr.flat:
         if type(v) not in types:
-            raise ValueError(f"{name} must hold {kind}, got {v!r}")
+            raise ValueError(f"{name} must hold {kind}, got {quoted(v)}")
         if type(v) is int and v not in _INT_RANGES[dtype]:
             raise ValueError(f"{name} holds {v}, past {np.dtype(dtype).name}")
     return arr.astype(dtype)

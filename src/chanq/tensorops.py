@@ -9,15 +9,10 @@ each node once, at load), so no function here re-checks them.
 Conv, depthwise and fc layers share one im2col column layout (operands
 first, output positions last; Chellapilla et al. 2006), copied in blocks
 by :func:`_col_blocks` for both engines; a depthwise layer is a conv of
-one group per channel. Each block is one grouped float64
-GEMM plus bias, cast once to float32 in place. A product of two float32
-values is exact in float64, so the error of that sum is bounded (Higham,
-*Accuracy and Stability of Numerical Algorithms*, ch. 3): a second GEMM,
-``|w| @ |x|``, gives the bound c_K * (|w| @ |x|) + 3u * |bias| (see
-:func:`_unsettled`). Every lane the bound cannot place on one side of a
-float32 rounding midpoint is recomputed exactly with ``math.fsum``. Each
-output is therefore the float32 nearest to the exact sum plus bias, ties
-to even, whatever order the BLAS sums in.
+one group per channel. :func:`_rows_dot` gives each output as the float32
+nearest to the exact sum of products plus bias, ties to even, whatever
+order the BLAS sums in (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 3; :func:`_unsettled`).
 """
 
 from __future__ import annotations
@@ -29,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 # Largest block of im2col columns or of its outputs, in elements (one column at least).
 _BLOCK_ELEMS = 2**16
+_RUN_ELEMS = 4 * _BLOCK_ELEMS  # largest run of outputs settled at once (one block at least)
 _U = 2.0**-53  # unit roundoff of float64
 
 
@@ -36,7 +32,8 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride, pad) -> np.ndarray:
     # -> [N, C, H', W', Kh, Kw]; stride and pad are (h, w) pairs
     (sh, sw), (ph, pw) = stride, pad
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        x, inner = np.zeros((*x.shape[:2], x.shape[2] + 2 * ph, x.shape[3] + 2 * pw), x.dtype), x
+        x[:, :, ph:x.shape[2] - ph, pw:x.shape[3] - pw] = inner
     win = sliding_window_view(x, (kh, kw), axis=(2, 3))
     return win[:, :, ::sh, ::sw, :, :]
 
@@ -45,16 +42,16 @@ def _unsettled(y: np.ndarray, mag: np.ndarray, b, k: int) -> np.ndarray:
     """Lanes where float32(y) may differ from the float32 nearest the exact sum.
 
     ``y`` is the float64 sum of K products of float32 values, in any order,
-    with the bias ``b`` added last, and ``mag`` the float64 sum of the
-    products' magnitudes, which becomes the error bound in place. With M the
-    exact sum of magnitudes, the exact sum lies within gamma_K * M + u * |b|
-    of ``y`` (Higham's gamma_n = n*u / (1 - n*u); |y| <= M + |b| up to
-    rounding, so u * |b| and part of gamma_K cover the bias add). The bound
-    c_K * mag + 3u * |b|, with c_K = (K+2)u / (1 - 2(K+2)u), also covers the
-    rounding of ``mag`` (M <= mag / (1 - gamma_{K-1})), of the bound and of
-    y -+ bound, for any K below 2**50. Rounding to float32 is monotone, so a
-    lane is settled when both ends of that interval round alike; a NaN lane
-    is flagged.
+    with the bias ``b`` added last; ``mag``, broadcast against it and made the
+    error bound in place, sums in float64, in any order, K exact values at
+    least the products' magnitudes (those, or |w_k| * peak_k for a bound peak_k
+    on each operand). With M their exact sum, the exact sum lies within
+    gamma_K * M + u * |b| of ``y`` (Higham's gamma_n = n*u / (1 - n*u); |y| <=
+    M + |b| up to rounding, so u * |b| and part of gamma_K cover the bias add).
+    The bound c_K * mag + 3u * |b|, c_K = (K+2)u / (1 - 2(K+2)u), also covers
+    the rounding of ``mag`` (M <= mag / (1 - gamma_{K-1})), of the bound and
+    of y -+ bound, for any K below 2**50. Rounding to float32 is monotone, so a
+    lane is settled when both ends round alike; a NaN lane or bound is flagged.
     """
     n = (k + 2) * _U
     mag *= n / (1 - 2 * n)
@@ -108,29 +105,43 @@ def _col_blocks(cols: np.ndarray, batch_axis: int, col_elems: int, dtype):
             start += block.shape[1]
 
 
-def _rows_dot(cols: np.ndarray, batch_axis: int, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _rows_dot(cols: np.ndarray, batch_axis: int, w: np.ndarray, bias: np.ndarray,
+              peak: np.ndarray) -> np.ndarray:
     """Correctly rounded float32 of the grouped ``w @ cols + bias``.
 
     ``cols`` is a column view (see :func:`_col_blocks`) of G groups of K
-    operands, ``w`` is [G, O, K] and ``bias`` [G*O]: conv and fc are one
-    group, depthwise is G = C, O = 1. Returns [G*O, *positions].
+    operands, ``w`` is [G, O, K], ``bias`` [G*O] and ``peak`` [G*K] bounds each
+    operand's magnitude: conv and fc are one group, depthwise is G = C, O = 1.
+    Returns [G*O, *positions]. Each run of whole blocks is settled at once by
+    the row bound from ``peak``; the columns of the lanes it flags are copied
+    again, a block's worth at a time, for their own bound ``|w| @ |x|``.
     """
     (g, o, k), pos = w.shape, cols.shape[batch_axis:]
     w64 = w.astype(np.float64)
     w_abs = np.abs(w64)
     b = np.asarray(bias, dtype=np.float64).reshape(g, o, 1)
     out = np.empty((g, o, math.prod(pos)), dtype=np.float32)
-    for at, x in _col_blocks(cols, batch_axis, g * max(k, o), np.float64):
-        x = x.reshape(g, k, -1)
-        y = np.matmul(w64, x)
+    run, start = np.empty((g, o, min(out.shape[2], max(1, _RUN_ELEMS // (g * o))))), 0
+    cap = max(1, _BLOCK_ELEMS // (g * max(k, o)))
+    def settle(at):  # the run holds the sums at the positions ``at``
+        y, rounded = run[..., :at.stop - at.start], out[..., at]
         y += b
-        rounded = out[..., at]
         np.copyto(rounded, y, casting="same_kind")
-        unsettled = _unsettled(y, np.matmul(w_abs, np.abs(x)), b, k)
-        if unsettled.any():
-            for i, j, r in zip(*np.nonzero(unsettled)):
-                if math.isfinite(y[i, j, r]):
-                    rounded[i, j, r] = _nearest_f32(x[i, :, r], w64[i, j], b[i, j, 0])
+        flagged = _unsettled(y, np.matmul(w_abs, peak.reshape(g, k, 1)), b, k)
+        hits = np.flatnonzero(flagged.any(axis=(0, 1)))  # run positions with a flagged lane
+        for hit in np.split(hits, range(cap, hits.size, cap)):
+            x = cols[(slice(None),) * batch_axis + np.unravel_index(at.start + hit, pos)]
+            x, (i, j, n) = x.reshape(g, k, -1), np.nonzero(flagged[..., hit])
+            keep = _unsettled(y[i, j, hit[n]], np.matmul(w_abs, np.abs(x))[i, j, n], b[i, j, 0], k)
+            for gi, oi, ni in zip(i[keep], j[keep], n[keep]):
+                if math.isfinite(y[gi, oi, hit[ni]]):
+                    rounded[gi, oi, hit[ni]] = _nearest_f32(x[gi, :, ni], w64[gi, oi], b[gi, oi, 0])
+    for at, x in _col_blocks(cols, batch_axis, g * max(k, o), np.float64):
+        if at.stop - start > run.shape[2]:
+            settle(slice(start, at.start))
+            start = at.start
+        np.matmul(w64, x.reshape(g, k, -1), out=run[..., at.start - start:at.stop - start])
+    settle(slice(start, out.shape[2]))
     return out.reshape(g * o, *pos)
 
 
@@ -154,7 +165,8 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride, pad) -> 
     ``stride`` and ``pad`` are (h, w) pairs."""
     _, ck, kh, kw = kernel.shape
     groups = kernel.reshape(x.shape[1] // ck, -1, ck * kh * kw)  # [G, Co/G, K]
-    out = _rows_dot(_conv_cols(x, kh, kw, stride, pad), 3, groups, bias)
+    peak = np.repeat(np.abs(x).max(axis=(0, 2, 3)), kh * kw)  # padding only adds zeros
+    out = _rows_dot(_conv_cols(x, kh, kw, stride, pad), 3, groups, bias, peak)
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
@@ -162,7 +174,7 @@ def fully_connected(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.
     """Affine map ``x @ weights.T + bias``; 4-D inputs are flattened row-major."""
     if x.ndim == 4:
         x = x.reshape(x.shape[0], -1)
-    return np.ascontiguousarray(_rows_dot(x.T, 1, weights[None], bias).T)
+    return np.ascontiguousarray(_rows_dot(x.T, 1, weights[None], bias, np.abs(x).max(axis=0)).T)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -631,7 +631,7 @@ class TestManifestFailsClosed:
     @pytest.mark.parametrize("key, words", [
         ("inputs", "nodes[0]: malformed value (inputs must be a flat list, got 'input')"),
         ("outputs", "nodes[0]: malformed value (outputs must be a flat list, got 't1')"),
-        ("attrs", "nodes[0]: malformed value (attrs must be an object, got [['pad', [1, 1]], "),
+        ("attrs", "nodes[0]: malformed value (attrs must be an object, got a list of length 2)"),
     ])
     def test_list_or_object_field(self, bundle, tmp_path, capsys, key, words):
         def mutate(doc):
@@ -947,22 +947,28 @@ class TestWrongTypesNameTheField:
          "model.json: malformed value (input dims must be a flat list, got '1266')"),
         # nodes[0]: malformed value ('list' object has no attribute 'items')
         ("model.json", ("nodes", 0, "params"), lambda old: [list(kv) for kv in old.items()],
-         "nodes[0]: malformed value (params must be an object, got [['bias', {"),
+         "nodes[0]: malformed value (params must be an object, got a list of length 2)"),
         # 'list' object has no attribute 'get'
         ("model.json", ("nodes", 0), lambda old: [old["name"], old["kind"]],
-         "model.json: malformed value (nodes must hold objects, got ['conv0', 'conv'])"),
+         "model.json: nodes[0]: malformed value (node must be an object, got a list of length 2)"),
+        # nodes must hold objects, got 'conv0' (naming no node)
+        ("model.json", ("nodes", 0), lambda old: old["name"],
+         "model.json: nodes[0]: malformed value (node must be an object, got 'conv0')"),
+        ("model.json", ("nodes",), lambda old: dict(enumerate(old)),
+         "model.json: malformed value (nodes must be a list, got an object of length 5)"),
         # list indices must be integers or slices, not str
         ("model.json", ("input",), [], "model.json: malformed value (input must be an object, "
-                                       "got [])"),
+                                       "got a list of length 0)"),
         # unsupported operand type(s) for /: 'PosixPath' and 'int'
         ("model.json", ("weights",), 5,
          "model.json: malformed value (weights must hold strings, got 5)"),
         # 'list' object has no attribute 'get'
-        ("model.json", (), lambda old: [old], "model.json: document must be an object, got [{"),
+        ("model.json", (), lambda old: [old],
+         "model.json: document must be an object, got a list of length 1\n"),
         # list indices must be integers or slices, not str
         ("plan.json", ("qparams", "conv0"), lambda old: [old["kernel"], old["bias"]],
          "quantized parameters of node 'conv0': malformed value (entry must be an object, "
-         "got [{"),
+         "got a list of length 2)"),
         # Python int too large to convert to C long
         ("plan.json", ("tensors", "input", "fl", 0), 10**20,
          "plan tensor 'input': malformed value (fl holds 100000000000000000000, past int64)"),
@@ -973,7 +979,8 @@ class TestWrongTypesNameTheField:
         ("stats.json", ("tensors",),
          lambda old: {t: {**rec, "kind": [1, {"x": None}]} for t, rec in old.items()},
          "malformed value (kind must be activation or parameter, got [1, {'x': None}])"),
-    ], ids=["input_dims_string", "params_pairs", "node_list", "input_list", "weights_int",
+    ], ids=["input_dims_string", "params_pairs", "node_list", "node_string", "nodes_object",
+            "input_list", "weights_int",
             "manifest_list", "qparams_entry_list", "fl_10e20", "m2_10e400", "stats_kind"])
     def test_refused(self, bundle, profiled, tmp_path, capsys, name, at, value, words):
         q = tmp_path / "q"
@@ -994,6 +1001,19 @@ class TestWrongTypesNameTheField:
                           "--plan", str(q / "plan.json"), "--out", str(tmp_path / "r")],
         }[name])
         TestNumbersFailClosed._assert_one_line(capsys, rc, words)
+
+    def test_a_refusal_quotes_a_list_by_its_length(self, tmp_path, capsys):
+        # a residual C=4 manifest wrapped in a list was refused in one
+        # 1,149-character line that quoted the whole manifest
+        assert main(["gen-synthetic", "--arch", "residual", "--channels", "4", "--samples", "8",
+                     "--out", str(tmp_path)]) == 0
+        self._edit(tmp_path / "model.json", (), lambda old: [old])
+        capsys.readouterr()
+        rc = main(["profile", "--model", str(tmp_path / "model.json"),
+                   "--dataset", str(tmp_path / "data.qtsr"), "--out", str(tmp_path / "s.json")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1 and len(err) < 200
+        assert err.endswith("model.json: document must be an object, got a list of length 1\n")
 
 
 class TestBatchnormFailsClosed:

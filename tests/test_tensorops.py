@@ -4,8 +4,10 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -388,6 +390,196 @@ def test_lanes_the_bound_settles_are_exact(c, data):
         y = np.array([np.cumsum(order)[-1] + float(b), order.sum() + float(b)])
         settled = ~ops._unsettled(y, np.full(2, mag), float(b), len(p))
         assert (bits(y[settled]) == bits(want)).all()
+
+
+# ---------------------------------------------------------------------------
+# The row bound against the per-block bound it replaced
+# ---------------------------------------------------------------------------
+
+def _lane(c, w, b):
+    return np.asarray(c, np.float64).tobytes(), w.tobytes(), float(b)
+
+
+def block_bound_lanes(x, kernel, bias, stride=(1, 1), pad=(0, 0)):
+    """The lanes the per-block bound sends to the exact sum, as the sorted
+    ``_nearest_f32`` arguments: each block of columns gets its own bound
+    c_K * (|w| @ |x|) + 3u * |b|, as every block did before the row bound.
+    A 4-D ``kernel`` is a conv or depthwise, a 2-D one an fc."""
+    if kernel.ndim == 4:
+        _, ck, kh, kw = kernel.shape
+        w, cols, axis = (kernel.reshape(x.shape[1] // ck, -1, ck * kh * kw),
+                         ops._conv_cols(x, kh, kw, stride, pad), 3)
+    else:
+        w, cols, axis = kernel[None], x.reshape(len(x), -1).T, 1
+    g, o, k = w.shape
+    w64 = w.astype(np.float64)
+    b = np.asarray(bias, np.float64).reshape(g, o, 1)
+    lanes = []
+    for _, block in ops._col_blocks(cols, axis, g * max(k, o), np.float64):
+        block = block.reshape(g, k, -1)
+        y = np.matmul(w64, block) + b
+        unsettled = ops._unsettled(y, np.matmul(np.abs(w64), np.abs(block)), b, k)
+        for i, j, r in zip(*np.nonzero(unsettled & np.isfinite(y))):
+            lanes.append(_lane(block[i, :, r], w64[i, j], b[i, j, 0]))
+    return sorted(lanes)
+
+
+def exact_linear(x, kernel, bias, stride=(1, 1), pad=(0, 0)):
+    """The float32 nearest each exact sum of products plus bias, lane by lane."""
+    if kernel.ndim == 2:
+        x = x.reshape(len(x), -1)
+        return np.array([[exact_f32(exact_sum(row, wo, bo)) for wo, bo in zip(kernel, bias)]
+                         for row in x], np.float32)
+    win = ops._windows(x, kernel.shape[2], kernel.shape[3], stride, pad)
+    ck = kernel.shape[1]
+    out = np.empty((len(x), len(kernel), *win.shape[2:4]), np.float32)
+    for n, oc, h, v in np.ndindex(out.shape):
+        c0 = oc // (len(kernel) // (x.shape[1] // ck)) * ck  # first input channel of the group
+        out[n, oc, h, v] = exact_f32(exact_sum(win[n, c0:c0 + ck, h, v].ravel(),
+                                               kernel[oc].ravel(), bias[oc]))
+    return out
+
+
+def engine_lanes(layer, *args):
+    """Run ``layer``; returns its output and the sorted arguments of its ``_nearest_f32`` calls."""
+    calls, nearest = [], ops._nearest_f32
+
+    def record(c, w, b):
+        calls.append(_lane(c, w, b))
+        return nearest(c, w, b)
+
+    with mock.patch.object(ops, "_nearest_f32", record):
+        return layer(*args), sorted(calls)
+
+
+# operands that put many exact sums on or beside a float32 rounding midpoint
+_TIES = [0.0, 1.0, -1.0, 2.0**-24, -(2.0**-24), 3 * 2.0**-25, 2.0**-60, -(2.0**-60), 2.0**30,
+         -(2.0**30), 0.75]
+
+
+@st.composite
+def linear_layers(draw):
+    """(kind, x, kernel, bias, geometry) of a small conv, depthwise or fc layer."""
+    kind = draw(st.sampled_from(["conv", "depthwise", "fc"]))
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    side, kh, kw = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pad = draw(st.sampled_from([(0, 0), (1, 1), (1, 0)]))
+    stride = draw(st.sampled_from([(1, 1), (2, 1), (2, 2)]))
+    kh, kw = min(kh, side + 2 * pad[0]), min(kw, side + 2 * pad[1])
+    elements = st.sampled_from(_TIES)
+    if draw(st.booleans()):
+        elements |= st.floats(-4, 4, width=32)
+    x = draw(arrays(np.float32, (n, c, side, side), elements=elements))
+    if kind == "fc":
+        shape = (draw(st.integers(1, 4)), c * side * side)
+    else:
+        shape = (c, 1, kh, kw) if kind == "depthwise" else (draw(st.integers(1, 4)), c, kh, kw)
+    kernel = draw(arrays(np.float32, shape, elements=st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0])
+                         | st.floats(-2, 2, width=32)))
+    bias = draw(arrays(np.float32, len(kernel), elements=st.sampled_from(_TIES)))
+    edit = draw(st.sampled_from(["none", "outlier", "zero_channel", "zero_sample"]))
+    if edit == "outlier":  # one value 2**20 times its neighbours
+        x[0, 0, 0, 0] = np.float32(2.0**20) * max(1.0, float(np.abs(x[0, 0]).max()))
+    elif edit == "zero_channel":
+        x[:, 0] = 0
+    elif edit == "zero_sample":
+        x[0] = 0
+    return kind, x, kernel, bias, (stride, pad)
+
+
+def _layer_call(kind, x, kernel, bias, geometry):
+    """The engine's (output, exact-sum lanes), the exact output and the per-block lanes."""
+    args = (x, kernel, bias) if kind == "fc" else (x, kernel, bias, *geometry)
+    layer = ops.fully_connected if kind == "fc" else ops.conv2d
+    return engine_lanes(layer, *args), exact_linear(*args), block_bound_lanes(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layer=linear_layers(), block_elems=st.sampled_from([ops._BLOCK_ELEMS, 7, 40]),
+       run_blocks=st.sampled_from([1, 2, 4]))
+def test_row_bound_sends_the_per_block_lanes_to_the_exact_sum(layer, block_elems, run_blocks):
+    # small blocks and runs split layers into several runs and chunks of flagged columns
+    with mock.patch.object(ops, "_BLOCK_ELEMS", block_elems), \
+            mock.patch.object(ops, "_RUN_ELEMS", run_blocks * block_elems):
+        (got, lanes), want, block_lanes = _layer_call(*layer)
+    np.testing.assert_array_equal(bits(got), bits(want))
+    assert lanes == block_lanes
+
+
+@pytest.mark.parametrize("kind", ["conv", "depthwise", "fc", "fc_by_sample"])
+@pytest.mark.parametrize("with_bias", [False, True], ids=["no_bias", "bias"])
+def test_midpoint_lanes_reach_the_exact_sum_as_per_block(kind, with_bias):
+    # fed one sample at a time, an fc's peaks are its operands' own magnitudes:
+    # the row bound is then the per-block bound, with no slack to spare
+    x, pw, b, _ = midpoint_lanes(np.random.default_rng(23), 180, with_bias)
+    kernel, bias = np.stack([pw, -2 * pw]), np.array([b, -2 * b], np.float32)
+    if kind == "conv":
+        layers = [(kind, as_windows(x, 1), kernel.reshape(2, 1, 2, 4), bias, ((2, 4), (0, 0)))]
+    elif kind == "depthwise":
+        layers = [(kind, as_windows(x, 3), np.tile(pw.reshape(1, 1, 2, 4), (3, 1, 1, 1)),
+                   np.full(3, b, np.float32), ((2, 4), (0, 0)))]
+    else:
+        samples = [x] if kind == "fc" else np.split(x, len(x))
+        layers = [("fc", sample, kernel, bias, None) for sample in samples]
+    exact = 0
+    for layer in layers:
+        (got, lanes), want, block_lanes = _layer_call(*layer)
+        np.testing.assert_array_equal(bits(got), bits(want))
+        assert lanes == block_lanes
+        exact += len(lanes)
+    assert exact > 0
+
+
+@pytest.mark.parametrize("kind", ["conv", "fc"])
+def test_row_bound_is_the_per_block_bound_when_operands_sit_at_their_peaks(kind):
+    # one sample whose operands all sit at their channel's peak; the kernel
+    # weighs the taps of the two channels unequally. The exact sum lies t
+    # bounds above the float32 midpoint v + 2**-17 (the bias carries the
+    # offset): the bound settles the lane exactly when t > 1, and a row bound
+    # smaller than the per-block bound would settle some t < 1 too
+    big, v = 2.0**30, 2.0**7 + 3 * 2.0**-16  # float32, whose step at v is 2**-16
+    x = np.array([[[[big, -big]], [[1024 * v, 1024 * v]]]], np.float32)
+    kernel = np.array([[[[1, 1]], [[2.0**-10, 0]]]], np.float32)
+    n = 6 * 2.0**-53  # (K + 2) u for K = 4
+    bound = (2 * big + v) * n / (1 - 2 * n)
+    for t in np.arange(0.1, 2, 0.2):
+        bias = np.array([2.0**-17 + round(t * bound / 2.0**-40) * 2.0**-40], np.float32)
+        layer = ((kind, x, kernel, bias, ((1, 1), (0, 0))) if kind == "conv" else
+                 (kind, x.reshape(1, -1), kernel.reshape(1, -1), bias, None))
+        (got, lanes), want, block_lanes = _layer_call(*layer)
+        np.testing.assert_array_equal(bits(got), bits(want))
+        assert lanes == block_lanes and len(lanes) == (t < 1)
+
+
+@pytest.mark.parametrize("case", ["outlier_conv", "plan_sweep_model"])
+def test_conv_memory_stays_near_its_output(case):
+    """The float64 sums are settled in runs of bounded size and flagged lanes
+    are checked a block of columns at a time, so a conv's transient memory
+    does not grow with the batch, even when one outlier flags most lanes."""
+    rng = np.random.default_rng(11)
+    if case == "outlier_conv":
+        x = rng.normal(size=(256, 8, 16, 16)).astype(np.float32)
+        x[0, 0, 0, 0] = 2.0**20  # the row bound flags nearly every lane
+        layers = [(x, rng.normal(size=(16, 8, 3, 3)).astype(np.float32),
+                   rng.normal(size=16).astype(np.float32), (1, 1), (1, 1))]
+    else:
+        spec = SynthSpec(arch="hetero_conv", channels=16, image_size=12, samples=1024,
+                         input_family="heavy", scale_span_bits=4.0, input_scale_span_bits=4.0)
+        g = build_graph(spec)
+        x, _ = gen_dataset(g, spec)
+        _, acts = execute_float(g, x, capture=g.activation_names())
+        layers = [(acts[node.inputs[0]], g.params[node.params["weight"]],
+                   g.params[node.params["bias"]], node.attr_pair("stride"), node.attr_pair("pad"))
+                  for node in g.nodes if node.kind == "conv"]
+    tracemalloc.start()
+    try:
+        for args in layers:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            out = ops.conv2d(*args)
+            assert tracemalloc.get_traced_memory()[1] - held < 4 * out.nbytes
+    finally:
+        tracemalloc.stop()
 
 
 class TestLayoutAndOrder:

@@ -26,7 +26,7 @@ from .qengine import (
     save_quantized,
 )
 from .reports import render_table, write_report
-from .synthetic import ARCHS, SynthSpec, write_bundle
+from .synthetic import ARCHS, INPUT_FAMILIES, SynthSpec, write_bundle
 from .tensorfile import TensorFileError, read_tensor, write_tensor
 
 EXIT_OK = 0
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--scale-span", type=float, default=4.0)
     p.add_argument("--input-scale-span", type=float, default=0.0)
-    p.add_argument("--input-family", default="gaussian", choices=("gaussian", "laplace", "heavy"))
+    p.add_argument("--input-family", default="gaussian", choices=INPUT_FAMILIES)
     p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_synthetic)

@@ -6,9 +6,10 @@ table entry: the variance and the half-width of the support of its
 unit-scale member, the quartic ones in closed form from
 :func:`_quartic_tails`. Fitting matches location to the
 mean and scale to the variance, so the scale is sigma over the square root
-of the family's unit variance. The quantization-noise functional reads a
-family through its tail moments and its density's derivatives, both in
-closed form or as convergent series.
+of the family's unit variance. The quantization-noise functional reads the
+gaussian and the quartic through their tail moments and their density's
+derivatives, both in closed form or as convergent series; it takes the
+Laplace noise whole, in closed form.
 """
 
 from __future__ import annotations
@@ -113,19 +114,21 @@ def tail_moments(family: str, t) -> np.ndarray:
     along a new first axis, where U is the family's unit-scale variable
     (vectorized over t).
 
-    Closed forms for every family; these and the density's derivatives
-    (:func:`density_derivatives`) are all the quantization-noise functional
-    of :mod:`chanq.flsolver` reads of a density. The quartic tail is summed
-    as a power series where its closed form would cancel: in 1 / t from 2
-    scales out, and in the distance to the cut within 4 scales of it.
+    Closed forms for the gaussian and the quartic; these and the density's
+    derivatives (:func:`density_derivatives`) are all the quantization-noise
+    functional of :mod:`chanq.flsolver` reads of a density. It takes the
+    Laplace noise whole (``flsolver._laplace_noise``), so that family has no
+    form here and is refused. The quartic tail is summed as a power series
+    where its closed form would cancel: in 1 / t from 2 scales out, and in
+    the distance to the cut within 4 scales of it.
     """
     t = np.asarray(t, dtype=np.float64)
-    if family == "laplace":
-        return np.multiply.outer([0.5, 0.5, 1.0], np.exp(-t))
     if family == "gaussian":
         upper = 0.5 * np.asarray(np.frompyfunc(erfc, 1, 1)(t / sqrt(2.0)), dtype=np.float64)
         phi = np.exp(-0.5 * t * t) / sqrt(2.0 * pi)
         return np.stack([upper, phi - t * upper, (1.0 + t * t) * upper - t * phi])
+    if family != "super_cauchy":
+        raise ValueError(f"no tail moments for family {family!r}")
     cut = HALF_SUPPORT["super_cauchy"]
     t = np.minimum(t, cut)
     gap = cut - t
@@ -147,17 +150,18 @@ def tail_moments(family: str, t) -> np.ndarray:
 def density_derivatives(family: str, t, count: int) -> np.ndarray:
     """p, p', ..., p^(count-1) of the family's unit-scale density at t >= 0,
     inside its support, along a new first axis (vectorized over t); at the
-    end of a finite support they are the limits from inside."""
+    end of a finite support they are the limits from inside. Gaussian and
+    quartic only, as :func:`tail_moments`."""
     t = np.asarray(t, dtype=np.float64)
-    k = np.arange(count).reshape((count,) + (1,) * t.ndim)
-    if family == "laplace":
-        return (-1.0) ** k * 0.5 * np.exp(-t)
     if family == "gaussian":
         # p^(k) = (-1)^k He_k(t) phi(t), with He_{k+1} = t He_k - k He_{k-1}
         he = [np.ones(t.shape), t]
         for j in range(1, count - 1):
             he.append(t * he[j] - j * he[j - 1])
+        k = np.arange(count).reshape((count,) + (1,) * t.ndim)
         return (-1.0) ** k * np.array(he[:count]) * np.exp(-0.5 * t * t) / sqrt(2.0 * pi)
+    if family != "super_cauchy":
+        raise ValueError(f"no density derivatives for family {family!r}")
     return np.array([sqrt(2.0) / (pi * _SC_MASS) * factorial(j) * a
                      for j, a in enumerate(_quartic_taylor(t, count))])
 

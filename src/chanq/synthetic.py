@@ -5,6 +5,12 @@ configurable log2 range, so activation channels genuinely differ in
 dynamic range; that spread is what separates channel-wise from layer-wise
 behavior. Dataset labels come from the generated float network itself
 acting as a frozen teacher (argmax of its logits).
+
+An arch names only each layer's output width. Every tensor's shape comes
+from the rule that loading a model runs (``graph._infer_shape``), so a
+layer reads its input size from its source; a depthwise conv is the conv
+draw with one input channel per group. A size that empties a layer is
+refused naming that node, before the layers after it are drawn.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, LayerSpec, execute_float, save_model, validate
+from .graph import Graph, LayerSpec, _infer_shape, execute_float, save_model, validate
 from .pdfs import PdfModel, sample
 from .tensorfile import write_tensor
 
@@ -71,112 +77,99 @@ def channel_scale_ladder(n: int, span_bits: float) -> np.ndarray:
 
 
 class _Builder:
+    """Appends seeded layers to a graph, each new tensor's shape from
+    graph._infer_shape as its node is added."""
+
     def __init__(self, spec: SynthSpec, rng: np.random.Generator):
         self.spec = spec
         self.rng = rng
         self.nodes: list[LayerSpec] = []
         self.params: dict[str, np.ndarray] = {}
-        self.counter = 0
+        self.shapes = {"input": (1, spec.in_channels, spec.image_size, spec.image_size)}
 
-    def _tname(self) -> str:
-        self.counter += 1
-        return f"t{self.counter}"
+    def _add(self, name: str, kind: str, inputs: list[str], attrs=None, params=None) -> str:
+        out = f"t{len(self.nodes) + 1}"
+        node = LayerSpec(name, kind, inputs, [out], attrs=attrs or {}, params=params or {})
+        self.shapes[out] = _infer_shape(node, [self.shapes[t] for t in inputs], self.params)
+        self.nodes.append(node)
+        return out
 
     def _linear(self, name: str, kind: str, src: str, w, b, attrs=None) -> str:
-        out = self._tname()
         self.params[f"{name}.weight"] = _float32(
             w, f"scale span {self.spec.scale_span_bits} bits puts node {name}'s weights")
         self.params[f"{name}.bias"] = b.astype(np.float32)
-        self.nodes.append(LayerSpec(name, kind, [src], [out], attrs=attrs or {},
-                                    params={"weight": f"{name}.weight", "bias": f"{name}.bias"}))
-        return out
+        return self._add(name, kind, [src], attrs,
+                         {"weight": f"{name}.weight", "bias": f"{name}.bias"})
 
-    def conv(self, src: str, ci: int, co: int, k: int = 3, pad: int = 0,
-             span_bits: float = 0.0, name: str | None = None) -> str:
+    def conv(self, src: str, co: int, k: int = 3, pad: int = 0, span_bits: float = 0.0,
+             name: str | None = None, depthwise: bool = False) -> str:
+        # a depthwise kernel is [C, 1, k, k]: C groups of one input channel
+        ci = 1 if depthwise else self.shapes[src][1]
         w = self.rng.normal(0.0, 1.0 / np.sqrt(ci * k * k), size=(co, ci, k, k))
         w *= channel_scale_ladder(co, span_bits)[:, None, None, None]
-        return self._linear(name or f"conv{len(self.nodes)}", "conv", src, w,
+        kind, prefix = ("depthwise_conv", "dwconv") if depthwise else ("conv", "conv")
+        return self._linear(name or f"{prefix}{len(self.nodes)}", kind, src, w,
                             self.rng.normal(0.0, 0.05, size=co),
                             {"stride": [1, 1], "pad": [pad, pad]})
 
-    def depthwise(self, src: str, c: int, k: int = 3, pad: int = 0,
-                  span_bits: float = 0.0) -> str:
-        w = self.rng.normal(0.0, 1.0 / k, size=(c, 1, k, k))
-        w *= channel_scale_ladder(c, span_bits)[:, None, None, None]
-        return self._linear(f"dwconv{len(self.nodes)}", "depthwise_conv", src, w,
-                            self.rng.normal(0.0, 0.05, size=c),
-                            {"stride": [1, 1], "pad": [pad, pad]})
-
-    def fc(self, src: str, d: int, units: int, name: str | None = None) -> str:
+    def fc(self, src: str, units: int) -> str:
+        d = int(np.prod(self.shapes[src][1:]))
         w = self.rng.normal(0.0, 1.0 / np.sqrt(d), size=(units, d))
-        return self._linear(name or f"fc{len(self.nodes)}", "fc", src, w,
+        return self._linear(f"fc{len(self.nodes)}", "fc", src, w,
                             self.rng.normal(0.0, 0.05, size=units))
 
     def simple(self, kind: str, src: str, **attrs) -> str:
-        out = self._tname()
-        self.nodes.append(LayerSpec(f"{kind}{len(self.nodes)}", kind, [src], [out], attrs=attrs))
-        return out
+        return self._add(f"{kind}{len(self.nodes)}", kind, [src], attrs)
 
     def join(self, kind: str, a: str, b: str) -> str:
-        out = self._tname()
-        self.nodes.append(LayerSpec(f"{kind}{len(self.nodes)}", kind, [a, b], [out]))
-        return out
+        return self._add(f"{kind}{len(self.nodes)}", kind, [a, b])
 
 
 def build_graph(spec: SynthSpec) -> Graph:
     """Deterministically construct the float network for the given settings."""
     spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    b = _Builder(spec, rng)
-    s = spec.image_size
+    b = _Builder(spec, np.random.default_rng(spec.seed))
     c = spec.channels
     span = spec.scale_span_bits
     x = "input"
 
-    if spec.arch in ("classifier",):
-        t = b.conv(x, spec.in_channels, c, pad=1)
+    if spec.arch == "classifier":
+        t = b.conv(x, c, pad=1)
         t = b.simple("relu", t)
         t = b.simple("maxpool", t, window=[2, 2], stride=[2, 2])
-        t = b.conv(t, c, 2 * c, span_bits=span)
+        t = b.conv(t, 2 * c, span_bits=span)
         t = b.simple("relu", t)
         t = b.simple("avgpool", t, window=[2, 2], stride=[2, 2])
-        side = (s // 2 - 2) // 2
-        t = b.fc(t, 2 * c * side * side, spec.classes)
     elif spec.arch in ("hetero_conv", "homogeneous"):
         eff = 0.0 if spec.arch == "homogeneous" else span
-        t = b.conv(x, spec.in_channels, c, pad=1, span_bits=eff)
+        t = b.conv(x, c, pad=1, span_bits=eff)
         t = b.simple("relu", t)
-        t = b.conv(t, c, c, span_bits=eff)
+        t = b.conv(t, c, span_bits=eff)
         t = b.simple("relu", t)
-        side = s - 2
-        t = b.fc(t, c * side * side, spec.classes)
     elif spec.arch == "residual":
-        t1 = b.conv(x, spec.in_channels, c, pad=1, span_bits=span)
+        t1 = b.conv(x, c, pad=1, span_bits=span)
         r1 = b.simple("relu", t1)
-        t2 = b.conv(r1, c, c, pad=1)
+        t2 = b.conv(r1, c, pad=1)
         t3 = b.join("add", t2, r1)
         t = b.simple("relu", t3)
-        t = b.fc(t, c * s * s, spec.classes)
     elif spec.arch == "concat":
-        a = b.conv(x, spec.in_channels, c, pad=1, span_bits=span, name="branch_a")
+        a = b.conv(x, c, pad=1, span_bits=span, name="branch_a")
         a = b.simple("relu", a)
-        d = b.conv(x, spec.in_channels, c, pad=1, name="branch_b")
+        d = b.conv(x, c, pad=1, name="branch_b")
         d = b.simple("relu", d)
         t = b.join("concat", a, d)
-        t = b.conv(t, 2 * c, c)
+        t = b.conv(t, c)
         t = b.simple("relu", t)
-        side = s - 2
-        t = b.fc(t, c * side * side, spec.classes)
     else:  # depthwise
-        t = b.conv(x, spec.in_channels, c, pad=1)
+        t = b.conv(x, c, pad=1)
         t = b.simple("relu", t)
-        t = b.depthwise(t, c, pad=1, span_bits=span)
+        t = b.conv(t, c, pad=1, span_bits=span, depthwise=True)
         t = b.simple("relu", t)
-        t = b.fc(t, c * s * s, spec.classes)
+    b.fc(t, spec.classes)
 
     g = Graph(
         input_name="input",
-        input_dims=(1, spec.in_channels, s, s),
+        input_dims=b.shapes["input"],
         nodes=b.nodes,
         params=b.params,
     )

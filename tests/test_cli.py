@@ -1,5 +1,6 @@
 """CLI command tests: exit codes, determinism, file plumbing."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanq.cli import main
+from chanq.cli import build_parser, main
+from chanq.graph import load_model
+from chanq.synthetic import ARCHS, INPUT_FAMILIES
 from chanq.tensorfile import read_tensor, write_tensor
 
 
@@ -66,6 +69,31 @@ class TestGenSynthetic:
         rc = main(["gen-synthetic", *args, "--samples", "8", "--out", str(tmp_path / "out")])
         TestNumbersFailClosed._assert_one_line(capsys, rc, words)
         assert not (tmp_path / "out").exists()
+
+    # the generator restated each arch's sizes: at 6 and 7 the classifier's fc
+    # drew its weights with 1 / sqrt(0), a RuntimeWarning (exit 3 with warnings
+    # as errors); its sizes now come from the shape rule, which names the node
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size", [6, 7, 8, 9])
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_every_arch_at_small_sizes(self, tmp_path, capsys, arch, size):
+        out = tmp_path / "out"
+        rc = main(["gen-synthetic", "--arch", arch, "--image-size", str(size), "--in-channels",
+                   "1", "--channels", "2", "--samples", "2", "--out", str(out)])
+        if arch == "classifier" and size < 8:
+            TestNumbersFailClosed._assert_one_line(
+                capsys, rc, "error: node avgpool5: empty output: input 1x1, window 2x2")
+            assert not out.exists()
+        else:
+            assert rc == 0 and capsys.readouterr().err == ""
+            g = load_model(out / "model.json")
+            assert g.input_dims == (1, 1, size, size) and g.shapes[g.output_name] == (1, 10)
+
+    def test_input_family_choices_are_the_generators(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        family = next(a for a in sub.choices["gen-synthetic"]._actions
+                      if a.dest == "input_family")
+        assert family.choices is INPUT_FAMILIES
 
     def test_usage_error(self):
         assert main(["gen-synthetic"]) == 1  # missing --out

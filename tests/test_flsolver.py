@@ -27,7 +27,7 @@ from chanq.flsolver import (
 )
 from chanq.profiling import ChannelStats, stats_from_samples
 
-from test_pdfs import density
+from test_pdfs import density, tail_moments
 
 
 def dense_noise(model, q, panels=200_000):
@@ -80,7 +80,8 @@ def mp_noise(model, q):
 
 def edge_noise(family, mu, s, bit_width, signed, fls):
     """The former solver: Var U + c^2 - 2 h sum_e T(|e|) with one
-    tail_moments term per cell edge (see flsolver._noise_curve), edges past
+    tail_moments term per cell edge (see flsolver._noise_curve; a Laplace
+    density's is test_pdfs', so this is _laplace_noise's oracle), edges past
     40 scales from the mean dropped, every fl of each row of ``fls`` summed.
     Its subtraction leaves about 1e-15 (Var U + c^2) / noise of rounding."""
     fls = np.asarray(fls, dtype=np.int64)
@@ -98,8 +99,7 @@ def edge_noise(family, mu, s, bit_width, signed, fls):
     u = ((k + 0.5) * np.repeat(step.ravel(), count)
          - np.repeat(mu.ravel(), count)) / np.repeat(s.ravel(), count)
     sums = np.zeros(count.size)
-    sums[count > 0] = np.add.reduceat(pdfs.tail_moments(family, np.abs(u))[1],
-                                      starts[count > 0])
+    sums[count > 0] = np.add.reduceat(tail_moments(family, np.abs(u))[1], starts[count > 0])
     base = pdfs.UNIT_VARIANCE[family] + c * c
     return s * s * (base - 2.0 * step / s * sums.reshape(fls.shape)), s * s * base
 

@@ -21,6 +21,23 @@ def density(model: pdfs.PdfModel, x) -> np.ndarray:
     return np.where(np.abs(u) < t, pdfs._quartic_unit(u) / (model.scale * pdfs._SC_MASS), 0.0)
 
 
+def tail_moments(family: str, t) -> np.ndarray:
+    """pdfs.tail_moments, and for a Laplace density, which the solver takes
+    whole (flsolver._laplace_noise), the oracle's E[(U - t)+^k] = k! exp(-t) / 2."""
+    if family == "laplace":
+        return np.multiply.outer([0.5, 0.5, 1.0], np.exp(-np.asarray(t, dtype=np.float64)))
+    return pdfs.tail_moments(family, t)
+
+
+def density_derivatives(family: str, t, count: int) -> np.ndarray:
+    """pdfs.density_derivatives, and for a Laplace density p^(k) = (-1)^k exp(-t) / 2."""
+    if family == "laplace":
+        t = np.asarray(t, dtype=np.float64)
+        k = np.arange(count).reshape((count,) + (1,) * t.ndim)
+        return (-1.0) ** k * 0.5 * np.exp(-t)
+    return pdfs.density_derivatives(family, t, count)
+
+
 def normalization(model: pdfs.PdfModel, panels: int = 400_000) -> float:
     """Total mass by composite midpoint quadrature."""
     half = min(pdfs.HALF_SUPPORT[model.family], 40.0)
@@ -84,7 +101,7 @@ class TestTailMoments:
         # integral; t straddles the quartic's series switches at 2 and 11
         unit = pdfs.PdfModel(family, 0.0, 1.0)
         top = min(pdfs.HALF_SUPPORT[family], 60.0)
-        got = pdfs.tail_moments(family, t)
+        got = tail_moments(family, t)
         for k in range(3):
             want = 0.0
             if t < top:
@@ -121,7 +138,7 @@ class TestDensityDerivatives:
         shape = {"laplace": lambda u: mpmath.exp(-u) / 2,
                  "gaussian": lambda u: mpmath.exp(-u * u / 2) / mpmath.sqrt(2 * mpmath.pi),
                  "super_cauchy": lambda u: scale / (1 + u**4)}[family]
-        got = pdfs.density_derivatives(family, t, 12)
+        got = density_derivatives(family, t, 12)
         assert got.shape == (12,)
         for k in range(12):
             want = float(mpmath.diff(shape, mpmath.mpf(t), k))
@@ -133,6 +150,16 @@ class TestDensityDerivatives:
         assert got.shape == (4, 1, 3)
         assert got[1, 0, 0] == pytest.approx(0.0, abs=1e-15)  # an even density's p'(0)
         assert got[:, 0, 2].tolist() == pdfs.density_derivatives("super_cauchy", 2.0, 4).tolist()
+
+
+@pytest.mark.parametrize("family", ["laplace", "cauchy"])
+def test_a_family_without_a_form_is_refused_by_name(family):
+    # pdfs has forms for the gaussian and the quartic only (the Laplace ones
+    # are this file's oracle); another family must not fall through to the quartic's
+    with pytest.raises(ValueError, match=f"no tail moments for family '{family}'"):
+        pdfs.tail_moments(family, 1.0)
+    with pytest.raises(ValueError, match=f"no density derivatives for family '{family}'"):
+        pdfs.density_derivatives(family, 1.0, 3)
 
 
 class TestFitting:

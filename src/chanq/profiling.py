@@ -20,6 +20,11 @@ most two passes, the second over every batch but the last:
   partial is made first and added last, as a re-run's would be. A
   one-batch profile runs the engine once.
 
+Every chunk is a C-contiguous [C, M] array, each channel's values in batch
+order (:func:`channel_major` for activations), so a record's bits depend
+only on each channel's values in batch order and on the batch split, not on
+the tensor's rank or spatial size.
+
 A tensor's sums are folded once and serve both of its records, the pooled
 one through a rebase of the per-channel sums. Parameter records fold from
 the graph's values, with no engine run. A field read before its record was
@@ -199,11 +204,7 @@ class _Folds:
             del y, p  # freed before the absolute moments make theirs
         for i, r in enumerate(todo):
             if r._fold[1] == name:
-                # C order: each row's deviations contiguous, so that its sum
-                # takes the terms of a sum over that row alone; a strided
-                # chunk's default (K) layout would sum them in another order
-                dev = np.subtract(raw.reshape(1, -1) if r._fold[2] else raw, r.mean[:, None],
-                                  order="C")
+                dev = np.subtract(raw.reshape(1, -1) if r._fold[2] else raw, r.mean[:, None])
                 np.abs(dev, out=dev)  # and np.power, not d*d*d: other bits
                 part["abs", i] = np.array([dev.sum(axis=1), np.power(dev, 3).sum(axis=1),
                                           np.power(dev, 5, out=dev).sum(axis=1)])
@@ -269,10 +270,9 @@ def stats_from_samples(samples) -> ChannelStats:
 
 
 def channel_major(arr: np.ndarray) -> np.ndarray:
-    """Reorder an [N, D] or [N, C, H, W] activation tensor to [C, everything-else]."""
-    if arr.ndim == 2:
-        return np.ascontiguousarray(arr.T)
-    return np.moveaxis(arr, 1, 0).reshape(arr.shape[1], -1)
+    """An [N, D] or [N, C, H, W] activation tensor as a C-contiguous [C, M]
+    copy, each channel's values in batch order, whatever the rank."""
+    return np.ascontiguousarray(np.moveaxis(arr, 1, 0)).reshape(arr.shape[1], -1)
 
 
 def collect_stats(g: Graph, dataset) -> dict:

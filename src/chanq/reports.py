@@ -14,8 +14,6 @@ from .tensorfile import write_json
 
 
 def fmt_value(v) -> str:
-    if v is None:
-        return "-"
     if isinstance(v, str):
         return v
     if isinstance(v, (int, np.integer)):
@@ -46,8 +44,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
         return v if np.isfinite(v) else ("inf" if v > 0 else ("-inf" if v < 0 else "nan"))

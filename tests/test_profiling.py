@@ -118,9 +118,11 @@ def _folded(record) -> set:
     return {p for p, name in ((1, "mean"), (2, "nu1")) if name in vars(record)}
 
 
-def _samples_graph(channels):
-    # x -> relu: the records of x are of the values fed in, [M, C] a batch
-    return validate(Graph("x", (1, channels), [LayerSpec("r", "relu", ["x"], ["y"])], {}))
+def _samples_graph(channels, *spatial):
+    # x -> relu: the records of x are of the values fed in, [M, C] or
+    # [N, C, H, W] a batch
+    relu = LayerSpec("r", "relu", ["x"], ["y"])
+    return validate(Graph("x", (1, channels, *spatial), [relu], {}))
 
 
 def _fold_chunks(chunks):
@@ -351,6 +353,26 @@ def hetero():
     return g, [x[i:i + 8] for i in range(0, len(x), 8)]
 
 
+class TestChunkLayout:
+    @pytest.mark.parametrize("n, h, w, batches", [(8, 1, 1, 1), (40, 1, 1, 1), (64, 1, 1, 3),
+                                                  (200, 1, 1, 2), (8, 3, 5, 1), (30, 2, 2, 3)])
+    def test_records_depend_on_each_channels_values_not_the_rank(self, n, h, w, batches):
+        # each channel's values in the same batch order as [M, C] and as
+        # [N, C, H, W]: an [N, C, 1, 1] tensor, such as an avgpool output,
+        # and a 4-D one with H x W > 1 give the bits of the 2-D tensor
+        rng = np.random.default_rng(21)
+        channels = 3
+        x4 = (rng.standard_t(3, size=(n, channels, h, w)) * [[[3.0]], [[0.25]], [[0.0]]]
+              + [[[1.5]], [[-40.0]], [[2.0]]]).astype(np.float32)
+        parts = np.array_split(x4, batches)
+        got = collect_stats(_samples_graph(channels, h, w), parts)
+        want = collect_stats(_samples_graph(channels),
+                             [p.transpose(0, 2, 3, 1).reshape(-1, channels) for p in parts])
+        for name in ("x", "y"):
+            for rec in ("per_channel", "pooled"):
+                _same_bits(getattr(got[name], rec), getattr(want[name], rec))
+
+
 class TestAskedRecords:
     def test_collect_stats_runs_no_pass_and_knows_every_count(self, hetero, engine_calls):
         g, batches = hetero
@@ -539,22 +561,22 @@ class TestFoldsAgainstEagerOracle:
 
     @pytest.mark.parametrize("records", [("per_channel",), ("pooled",), ("per_channel", "pooled"),
                                          ("pooled", "per_channel")])
-    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("avgpool", [False, True])
     @pytest.mark.parametrize("length", [7, 8, 9, 127, 128, 129, 3000, 8191, 8193])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_a_record_read_in_full_folds_each_power_sum_once(self, dtype, length, strided,
+    def test_a_record_read_in_full_folds_each_power_sum_once(self, dtype, length, avgpool,
                                                              records):
         # pass 1 and pass 2 each rebuild y and y**2 of a chunk, and no more:
         # every other pass over a chunk is made once, and once for both
         # records of a tensor; only the absolute moments, whole-array passes
         # over one deviation array, are each record's own. Rows about numpy's
-        # pairwise sum blocks (8 and 128 terms) and its 8192-term buffer; a
-        # strided chunk is channel_major's view of an [N, C, 1, 1] tensor,
-        # such as an avgpool output, of strides (s, C s)
+        # pairwise sum blocks (8 and 128 terms) and its 8192-term buffer. The
+        # chunk is channel_major's C-contiguous copy of an [N, D] tensor or
+        # of an [N, C, 1, 1] one, such as an avgpool output
         data = _samples_with_a_constant_channel(dtype, length)
-        if strided:
-            data = channel_major(np.ascontiguousarray(data.T)[:, :, None, None])
-        assert data.flags.c_contiguous != strided
+        tensor = np.ascontiguousarray(data.T)
+        data = channel_major(tensor[:, :, None, None] if avgpool else tensor)
+        assert data.flags.c_contiguous
         chunk = data.view(_PassCounter)
         chunk.passes = passes = Counter()
         folds = profiling._Folds(lambda names, kept: [(0, name, chunk) for name in names

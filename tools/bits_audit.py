@@ -63,7 +63,7 @@ def build_corpus(root: Path) -> None:
         for family in FAMILIES:
             d = root / f"{arch}-{family}"
             # 8 x 8 images: the classifier's avgpool output is [N, C, 1, 1],
-            # whose channel-major chunks are strided views
+            # which channel_major copies to one C-contiguous [C, N] chunk
             _run("gen-synthetic", "--arch", arch, "--image-size", 8, "--samples", 40,
                  "--input-family", family, "--input-scale-span", 3.0, "--seed", 7, "--out", d)
             inputs = ["--model", d / "model.json", "--dataset", d / "data.qtsr",
